@@ -7,8 +7,10 @@ outside.  Its outgoing Green's function ``G(x, y)`` solves
 
 with ``g(r) = exp(ikr) / (4 pi r)``.  The volume integral is discretized on a
 cube cover of ``D`` (midpoint rule; the self cell uses the mean-value integral
-of the static ``1/(4 pi r)`` kernel), and the discrete equation is solved by a
-truncated series or fixed-point iteration.
+of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
+invariant on the cover, so it is applied matrix-free by zero-padded FFT
+(:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
+solved per source by a truncated series or fixed-point iteration.
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
 (same code path, bit for bit).  Evaluators are immutable after construction;
@@ -27,6 +29,7 @@ from scipy.spatial.distance import cdist
 from .errors import NonConvergence
 from .fields import ConstantField, ScalarField, probe_points
 from .grids import Box, GridCover
+from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +90,18 @@ def smallness_check(medium: Optional[BackgroundMedium], a: float, k: float,
     return SmallnessDiagnostic(value=value, threshold=threshold, passed=value <= threshold)
 
 
-def born_series(kernel: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
+def medium_kernel(cover: GridCover, k: float, chi: np.ndarray) -> LatticeOperator:
+    """``v -> k^2 sum_p g(z_q - z_p) chi_p |cell| v_p`` on the cover, self cell kept.
+
+    The diagonal is the mean-value integral of ``1/(4 pi r)`` over one cell.
+    """
+    w = cover.cell_volume
+    return LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
+                           self_value=cover.self_green_integral() / w,
+                           weights=(k**2) * chi * w)
+
+
+def born_series(kernel, rhs: np.ndarray, order: int) -> np.ndarray:
     """Truncated series ``sum_{n<=order} kernel^n rhs``."""
     term = rhs
     out = rhs.copy()
@@ -97,18 +111,19 @@ def born_series(kernel: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def fixed_point_solve(kernel: np.ndarray, rhs: np.ndarray, tol: float,
+def fixed_point_solve(kernel, rhs: np.ndarray, tol: float,
                       max_iter: int = _LS_MAX_ITER) -> np.ndarray:
     """Iterate ``u <- rhs + kernel u`` from ``u = rhs``.
 
-    One iteration reproduces :func:`born_series` at order 1 exactly.
-    Raises NonConvergence when the update norm grows persistently or the
-    iteration cap is hit.
+    ``kernel`` is anything with ``@``: a matrix or a
+    :class:`~smallscat.lattice.LatticeOperator`.  One iteration reproduces
+    :func:`born_series` at order 1 exactly.  Raises NonConvergence when the
+    update norm grows persistently or the iteration cap is hit.
     """
     u = rhs.copy()
     prev_delta = np.inf
     growth = 0
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         u_next = rhs + kernel @ u
         delta = float(np.linalg.norm(u_next - u))
         scale = float(np.linalg.norm(u_next))
@@ -118,8 +133,8 @@ def fixed_point_solve(kernel: np.ndarray, rhs: np.ndarray, tol: float,
         growth = growth + 1 if delta > prev_delta else 0
         if growth >= 5:
             raise NonConvergence(
-                f"fixed-point iteration diverging (update norm {delta:.3e}, "
-                f"kernel norm est {np.linalg.norm(kernel, ord=np.inf):.3e})"
+                f"fixed-point iteration diverging (update norm {delta:.3e} "
+                f"growing at iteration {iteration})"
             )
         prev_delta = delta
     raise NonConvergence(f"fixed-point iteration did not reach tol={tol} in {max_iter} steps")
@@ -156,15 +171,9 @@ class GreenEvaluator:
             self.grid: Optional[GridCover] = None
             return
         self.grid = GridCover.from_shape(medium.box, grid_n)
-        z = self.grid.centers
-        chi = medium.contrast(z)
-        w = self.grid.cell_volume
-        r = cdist(z, z)
-        np.fill_diagonal(r, 1.0)
-        kern = free_space_green(self.k, r)
-        np.fill_diagonal(kern, self.grid.self_green_integral() / w)
-        self._kernel = (self.k**2) * kern * (chi * w)[None, :]
-        self._chi_w = chi * w
+        chi = medium.contrast(self.grid.centers)
+        self._kernel = medium_kernel(self.grid, self.k, chi)
+        self._chi_w = chi * self.grid.cell_volume
 
     @property
     def is_free_space(self) -> bool:
@@ -210,28 +219,25 @@ def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:
 def scattered_plane_wave(chi_values: np.ndarray, cover: GridCover, k: float,
                          alpha: np.ndarray, amplitude: complex = 1.0 + 0.0j,
                          points: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Plane-wave field in the medium ``u = u0 + k^2 int g chi u`` (direct solve).
+    """Plane-wave field in the medium ``u = u0 + k^2 int g chi u``.
 
-    Returns ``(u_grid, u_points)`` where ``u_grid`` holds values on the cover
-    centers and ``u_points`` the representation evaluated at optional extra
-    points.  Used as an independent dense-grid reference for the collocation
-    machinery (self cell retained via the mean-value integral).
+    The grid system (self cell retained via the mean-value integral) is
+    solved by GMRES on the FFT lattice operator, with its relative residual
+    checked against ``1e-10``.  Returns ``(u_grid, u_points)`` where
+    ``u_grid`` holds values on the cover centers and ``u_points`` the
+    representation evaluated at optional extra points.  Used as an
+    independent grid reference for the collocation machinery.
     """
     z = cover.centers
     chi = np.asarray(chi_values, dtype=complex).reshape(len(z))
-    w = cover.cell_volume
-    r = cdist(z, z)
-    np.fill_diagonal(r, 1.0)
-    kern = free_space_green(k, r)
-    np.fill_diagonal(kern, cover.self_green_integral() / w)
-    system = np.eye(len(z), dtype=complex) - (k**2) * kern * (chi * w)[None, :]
+    kernel = medium_kernel(cover, k, chi)
     alpha = np.asarray(alpha, dtype=float).reshape(3)
     u0 = amplitude * np.exp(1j * k * z @ alpha)
-    u_grid = np.linalg.solve(system, u0)
+    u_grid, _ = solve_checked(lambda v: v - kernel @ v, u0, DEFAULT_RTOL)
     if points is None:
         return u_grid, u_grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rp = np.maximum(cdist(pts, z), 1e-300)
     u_pts = amplitude * np.exp(1j * k * pts @ alpha) \
-        + (k**2) * (free_space_green(k, rp) @ (chi * w * u_grid))
+        + (k**2) * (free_space_green(k, rp) @ (chi * cover.cell_volume * u_grid))
     return u_grid, u_pts

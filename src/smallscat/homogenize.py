@@ -16,7 +16,11 @@ dipole-density field ``B_pq``.
 
 The limiting equations are discretized by collocation on a cube cover: one
 value per cell, the diagonal cell excluded (the weakly singular self-cell
-integral is dropped consistently).  Empirical cell statistics of generated
+integral is dropped consistently).  With the free-space kernel every coupling
+depends only on the cell-index offset, so the systems are solved matrix-free:
+GMRES on the zero-padded FFT lattice operator of :mod:`smallscat.lattice`,
+``O(P log P)`` per iteration.  A background-medium kernel is not translation
+invariant and keeps the dense solve.  Empirical cell statistics of generated
 clouds estimate the same coefficients, and the convergence study compares
 the cloud solve against the collocation solve level by level in the sup
 norm over cells.
@@ -35,19 +39,18 @@ from scipy.spatial.distance import cdist
 from .background import GreenEvaluator, free_space_green
 from .core import (CloudSpec, Impedance, IncidentWave, Particle, Scene, Soft,
                    generate_cloud, kind_label)
-from .errors import DesignInfeasible, GridTooLarge, SolveFailure
+from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover
-from .manybody import (EffectiveFieldSolution, assemble_hard_system,
-                       dipole_kernel_blocks, solve_impedance, solve_monopole_system,
-                       solve_soft)
+from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
+from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, solve_impedance,
+                       solve_monopole_system, solve_soft)
 
 logger = logging.getLogger(__name__)
 
 SPHERE_CAPACITANCE_PER_RADIUS: float = 4.0 * np.pi
 SPHERE_SURFACE_FACTOR: float = 4.0 * np.pi
-MAX_HARD_LIMIT_CELLS: int = 12**3
-DEFAULT_RTOL: float = 1e-10
+MAX_HARD_LIMIT_CELLS: int = 32**3
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +73,25 @@ class CollocationSolution:
 
 def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave, *,
                       greens: Optional[GreenEvaluator] = None,
-                      direct_threshold: int = 4096,
                       rtol: float = DEFAULT_RTOL) -> CollocationSolution:
-    """Solve ``u_q = u0_q - sum_{p != q} g(xi_q, xi_p) q_p u_p |cell|`` on the cover."""
+    """Solve ``u_q = u0_q - sum_{p != q} g(xi_q, xi_p) q_p u_p |cell|`` on the cover.
+
+    The free-space kernel runs GMRES on the FFT lattice operator (method
+    ``"fft"``); a non-uniform background ``greens`` takes the dense path of
+    :func:`~smallscat.manybody.solve_monopole_system`.
+    """
     q = np.asarray(q_values, dtype=complex).reshape(cover.n_cells)
     coupling = q * cover.cell_volume
     rhs = wave.field_at(cover.centers)
-    u, residual, method = solve_monopole_system(
-        cover.centers, wave.k, coupling, rhs,
-        direct_threshold=direct_threshold, rtol=rtol, greens=greens,
-    )
+    if greens is None or greens.is_free_space:
+        k = wave.k
+        kernel = LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
+                                 weights=coupling)
+        u, residual = solve_checked(lambda v: v + kernel @ v, rhs, rtol)
+        method = "fft"
+    else:
+        u, residual, method = solve_monopole_system(
+            cover.centers, wave.k, coupling, rhs, rtol=rtol, greens=greens)
     return CollocationSolution(cover=cover, q_values=q, values=u,
                                residual=residual, method=method)
 
@@ -264,6 +276,50 @@ class HardLimitSolution:
     residual: float
 
 
+# Kernels of the hard limit on the lattice, in the column order of
+# ``_hard_kernels``: g, g rhat_p, g' rhat_s, d_s(g rhat_p) (symmetric, upper
+# triangle) and lap(g rhat_p).
+_GP, _DG, _LAP_GP = 1, 4, 13
+_DGP = {(0, 0): 7, (0, 1): 8, (0, 2): 9, (1, 1): 10, (1, 2): 11, (2, 2): 12}
+
+
+def _hard_kernels(d: np.ndarray, k: float) -> np.ndarray:
+    g, gp, dg, dgp, _, lap_gp = dipole_kernel_blocks(d, np.zeros((1, 3)), k)
+    upper = [dgp[:, 0, s, p] for s, p in _DGP]
+    return np.column_stack([g[:, 0], gp[:, 0], dg[:, 0], *upper, lap_gp[:, 0]])
+
+
+def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
+                      dipole_weights: np.ndarray):
+    """Matrix-free form of ``assemble_hard_system(cover.centers, k, ...)``.
+
+    Returns ``x -> A x`` for the same unknown layout (values, gradients
+    m-major, Laplacians).  The kernel blocks act on two sources per cell,
+    the monopole ``lap_weights * lap u`` and the dipole ``dipole_weights @
+    grad u``, through one block :class:`LatticeOperator` (16 kernels, 4
+    forward and 5 inverse FFTs per product); the diagonal cell is excluded.
+    """
+    p_count = cover.n_cells
+    ik = 1j * k
+    layout = [(0, 0, 0, 1.0), (4, 0, 0, -k**2)]
+    for p in range(3):
+        layout += [(0, 1 + p, _GP + p, ik), (1 + p, 0, _DG + p, 1.0),
+                   (4, 1 + p, _LAP_GP + p, ik)]
+        layout += [(1 + s, 1 + p, _DGP[min(s, p), max(s, p)], ik) for s in range(3)]
+    kernel = LatticeOperator(cover, lambda d: _hard_kernels(d, k), layout=layout)
+    lap_weights = np.asarray(lap_weights)
+    dipole_weights = np.asarray(dipole_weights)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        grad = x[p_count:4 * p_count].reshape(p_count, 3)
+        sources = np.vstack([lap_weights * x[4 * p_count:],
+                             np.einsum("mpq,mq->pm", dipole_weights, grad)])
+        field = kernel @ sources
+        return x - np.concatenate([field[0], field[1:4].T.ravel(), field[4]])
+
+    return apply
+
+
 def neumann_limit_solve(rho_values: np.ndarray, dipole_values: np.ndarray,
                         cover: GridCover, wave: IncidentWave, *,
                         rtol: float = DEFAULT_RTOL,
@@ -272,33 +328,25 @@ def neumann_limit_solve(rho_values: np.ndarray, dipole_values: np.ndarray,
 
     Unknowns are (value, gradient, Laplacian) per cell; the gradient and
     Laplacian equations come from the same analytic kernel derivatives as the
-    finite-size solver; the diagonal cell is excluded.  The dense system has
-    ``5 P`` unknowns, so ``P`` is capped at ``max_cells``.
+    finite-size solver; the diagonal cell is excluded.  The ``5 P`` system is
+    solved by GMRES on :func:`hard_limit_system`; ``P`` is capped at
+    ``max_cells``, whose GMRES basis at the cap is about 210 MB.
     """
     p_count = cover.n_cells
     if p_count > max_cells:
         raise GridTooLarge(f"{p_count} cells exceed the cap {max_cells}")
-    if p_count > 6**3:
-        logger.warning("hard limit solve with %d cells: dense %d^2 system",
-                       p_count, 5 * p_count)
     rho = np.asarray(rho_values, dtype=float).reshape(p_count)
     dipole = np.asarray(dipole_values, dtype=float)
     if dipole.shape != (p_count, 3, 3):
         raise ValueError(f"dipole samples must be ({p_count}, 3, 3), got {dipole.shape}")
     w = cover.cell_volume
-    system = assemble_hard_system(cover.centers, wave.k, rho * w, dipole * w)
+    system = hard_limit_system(cover, wave.k, rho * w, dipole * w)
     rhs = np.concatenate([
         wave.field_at(cover.centers),
         wave.gradient_at(cover.centers).reshape(3 * p_count),
         wave.laplacian_at(cover.centers),
     ])
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"hard limit solve failed: {exc}") from exc
-    residual = float(np.linalg.norm(rhs - system @ x) / max(np.linalg.norm(rhs), 1e-300))
-    if residual > rtol:
-        raise SolveFailure(f"residual {residual:.3e} above tolerance {rtol:.1e}")
+    x, residual = solve_checked(system, rhs, rtol)
     return HardLimitSolution(cover=cover, values=x[:p_count],
                              gradients=x[p_count:4 * p_count].reshape(p_count, 3),
                              laplacians=x[4 * p_count:], residual=residual)

@@ -21,7 +21,7 @@ solution objects are immutable after the solve.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,11 +31,11 @@ from scipy.spatial.distance import cdist
 from .background import GreenEvaluator, free_space_green
 from .core import Scene, validate_scene
 from .errors import MissingFunctional, PointInsideParticle, RegimeViolation, SolveFailure
+from .lattice import DEFAULT_RTOL
 
 logger = logging.getLogger(__name__)
 
 DIRECT_THRESHOLD: int = 4096
-DEFAULT_RTOL: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,9 @@ class EffectiveFieldSolution:
     ``values`` holds the self-consistent field at the centers; hard scenes
     also carry ``gradients`` (M, 3) and ``laplacians`` (M,).  ``charges`` are
     the monopole strengths Q_m.  ``residual`` is the relative residual of the
-    assembled system at the returned vector.
+    assembled system at the returned vector.  ``greens`` is the background
+    evaluator the solve used (``None`` for free space); :func:`eval_field`
+    reuses it, with its per-source grid solutions.
     """
 
     kind: str
@@ -55,6 +57,7 @@ class EffectiveFieldSolution:
     laplacians: Optional[np.ndarray] = None
     residual: float = 0.0
     method: str = "direct"
+    greens: Optional[GreenEvaluator] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,7 @@ def _solve_monopole_scene(scene: Scene, expected_kind, direct_threshold, rtol, g
     charges = -coupling * u
     logger.info("solved %s scene: M=%d method=%s residual=%.2e", kind, len(u), method, residual)
     return EffectiveFieldSolution(kind=kind, values=u, charges=charges,
-                                  residual=residual, method=method)
+                                  residual=residual, method=method, greens=greens)
 
 
 def solve_soft(scene: Scene, *, direct_threshold: int = DIRECT_THRESHOLD,
@@ -367,13 +370,14 @@ def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarra
 
     Soft/impedance: ``u = u0 + sum_m g(x, x_m) Q_m``.  Hard: the monopole and
     the directed dipole term enter with the particle volume.  The higher-order
-    remainder is dropped; no self-term correction is applied.
+    remainder is dropped; no self-term correction is applied.  The kernel
+    defaults to the evaluator the solve used (``solution.greens``).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     centers = scene.centers
     if scene.n_particles == 0:
         return scene.wave.field_at(pts)
-    greens = _scene_greens(scene, greens)
+    greens = _scene_greens(scene, solution.greens if greens is None else greens)
     dist = cdist(pts, centers)
     inside = dist < scene.radii[None, :]
     if np.any(inside):

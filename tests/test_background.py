@@ -130,7 +130,7 @@ def test_fixed_point_nonconvergence_reported(unit_box):
                                   base=1.0)
     medium = BackgroundMedium(n2=strong, box=unit_box)
     ev = GreenEvaluator(medium, k=3.0, grid_n=6, method=("lippmann_schwinger", 1e-10))
-    with pytest.raises(ss.NonConvergence):
+    with pytest.raises(ss.NonConvergence, match="update norm .* at iteration"):
         green(ev, np.array([0.2, 0.2, 0.2]), np.array([0.8, 0.8, 0.8]))
 
 

@@ -252,7 +252,7 @@ def test_neumann_limit_trivial(unit_box, wave_z):
 
 
 def test_neumann_limit_grid_cap(unit_box, wave_z):
-    cover = ss.GridCover.from_shape(unit_box, 13)
+    cover = ss.GridCover.from_shape(unit_box, 33)
     p = cover.n_cells
     with pytest.raises(ss.GridTooLarge):
         neumann_limit_solve(np.zeros(p), np.zeros((p, 3, 3)), cover, wave_z)

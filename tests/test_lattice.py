@@ -1,0 +1,121 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+
+import smallscat as ss
+from smallscat.background import free_space_green, scattered_plane_wave
+from smallscat.homogenize import collocation_solve, hard_limit_system, neumann_limit_solve
+from smallscat.lattice import LatticeOperator
+from smallscat.manybody import assemble_hard_system
+
+covers = st.builds(
+    lambda shape, edges: ss.GridCover(box=ss.Box(lo=[0.0, 0.0, 0.0], hi=edges), shape=shape),
+    st.tuples(*[st.integers(1, 6)] * 3),
+    st.tuples(*[st.floats(0.5, 2.0)] * 3),
+)
+
+
+def _complex(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _dense_green(cover, k, self_value):
+    r = cdist(cover.centers, cover.centers)
+    np.fill_diagonal(r, 1.0)
+    kern = free_space_green(k, r)
+    np.fill_diagonal(kern, self_value)
+    return kern
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def _hard_rhs(wave, cover):
+    return np.concatenate([wave.field_at(cover.centers),
+                           wave.gradient_at(cover.centers).ravel(),
+                           wave.laplacian_at(cover.centers)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(cover=covers, k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_lattice_products_match_dense_matrices(cover, k, seed):
+    rng = np.random.default_rng(seed)
+    p = cover.n_cells
+    v, weights = _complex(rng, p), _complex(rng, p)
+    green = lambda d: free_space_green(k, np.linalg.norm(d, axis=1))  # noqa: E731
+    for self_value in (0.0, cover.self_green_integral() / cover.cell_volume):
+        op = LatticeOperator(cover, green, self_value=self_value, weights=weights)
+        dense = _dense_green(cover, k, self_value)
+        assert _rel(op @ v, dense @ (weights * v)) <= 1e-12
+
+    lap_w = rng.uniform(0.0, 0.01, p) * cover.cell_volume
+    dip_w = rng.normal(scale=0.01, size=(p, 3, 3)) * cover.cell_volume
+    x = _complex(rng, 5 * p)
+    dense = assemble_hard_system(cover.centers, k, lap_w, dip_w)
+    assert _rel(hard_limit_system(cover, k, lap_w, dip_w)(x), dense @ x) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(cover=covers, k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_lattice_solves_match_dense_solves(cover, k, seed):
+    rng = np.random.default_rng(seed)
+    p = cover.n_cells
+    w = cover.cell_volume
+    volume = cover.box.volume
+    alpha = rng.normal(size=3)
+    wave = ss.IncidentWave(k=k, alpha=alpha / np.linalg.norm(alpha))
+    eye = np.eye(p)
+
+    # collocation: dropped diagonal; total coupling kept moderate so the
+    # discrete system is well conditioned for every draw
+    q = 2.0 * _complex(rng, p) / volume
+    sol = collocation_solve(q, cover, wave)
+    dense = eye + _dense_green(cover, k, 0.0) * (q * w)[None, :]
+    assert _rel(sol.values, np.linalg.solve(dense, wave.field_at(cover.centers))) <= 1e-9
+
+    # plane wave: mean-value self cell
+    chi = _complex(rng, p) / (k**2 * volume)
+    u_grid, _ = scattered_plane_wave(chi, cover, k, wave.alpha)
+    mean_value = cover.self_green_integral() / w
+    dense = eye - (k**2) * _dense_green(cover, k, mean_value) * (chi * w)[None, :]
+    assert _rel(u_grid, np.linalg.solve(dense, wave.field_at(cover.centers))) <= 1e-9
+
+    # hard limit: the 5P block system
+    rho = rng.uniform(0.0, 0.01, p)
+    dipole = -1.5 * rho[:, None, None] * np.eye(3) + rng.normal(scale=0.002, size=(p, 3, 3))
+    hard = neumann_limit_solve(rho, dipole, cover, wave)
+    x = np.linalg.solve(assemble_hard_system(cover.centers, k, rho * w, dipole * w),
+                        _hard_rhs(wave, cover))
+    got = np.concatenate([hard.values, hard.gradients.ravel(), hard.laplacians])
+    assert _rel(got, x) <= 1e-9
+
+    # Green grid of a background medium on the same lattice
+    bump = ss.GaussianBumpField(amplitude=0.5 / (k**2 * volume), center=cover.box.center,
+                                width=0.5, base=1.0)
+    medium = ss.BackgroundMedium(n2=bump, box=cover.box)
+    ev = ss.GreenEvaluator(medium, k=k, grid_n=cover.shape)
+    y = cover.box.hi + 0.25
+    rhs = free_space_green(k, np.linalg.norm(cover.centers - y, axis=1))
+    chi_w = medium.contrast(cover.centers) * w
+    dense = eye - (k**2) * _dense_green(cover, k, mean_value) * chi_w[None, :]
+    assert _rel(ev._grid_solution(y), np.linalg.solve(dense, rhs)) <= 1e-9
+
+
+def test_hard_limit_solve_at_16_cubed(unit_box, wave_z):
+    # 20 480 unknowns; the dense system alone would need 6.7 GB
+    cover = ss.GridCover.from_shape(unit_box, 16)
+    rho = np.full(cover.n_cells, 0.002)
+    dipole = -1.5 * rho[:, None, None] * np.eye(3)[None]
+    sol = neumann_limit_solve(rho, dipole, cover, wave_z, rtol=1e-10)
+    assert sol.residual <= 1e-10
+    assert np.all(np.isfinite(sol.values))
+
+
+def test_collocation_solve_at_32_cubed(unit_box, wave_z):
+    cover = ss.GridCover.from_shape(unit_box, 32)
+    bump = ss.GaussianBumpField(amplitude=3.0, center=[0.5, 0.5, 0.5], width=0.25)
+    sol = collocation_solve(bump.sample(cover.centers), cover, wave_z, rtol=1e-10)
+    assert sol.method == "fft"
+    assert sol.residual <= 1e-10

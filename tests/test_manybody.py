@@ -396,3 +396,26 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
                        background=medium)
     with pytest.raises(NotImplementedError):
         solve_hard(hard_bg)
+
+
+def test_eval_field_reuses_the_solve_evaluator(unit_box, wave_z, monkeypatch):
+    bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
+    medium = ss.BackgroundMedium(n2=bump, box=unit_box)
+    centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
+    particles = tuple(ss.Particle.sphere(c, 0.005, ss.Soft()) for c in centers)
+    scene = ss.Scene(particles=particles, domain=unit_box, wave=wave_z, background=medium)
+    points = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.4]])
+    solves = []
+    fixed_point = ss.background.fixed_point_solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(ss.background, "fixed_point_solve", counted)
+    sol = solve_soft(scene)
+    u = eval_field(sol, scene, points)
+    # one grid solve per source: the field evaluation hits the solve's cache
+    assert len(solves) == len(centers)
+    fresh = eval_field(sol, scene, points, greens=ss.GreenEvaluator(medium, k=wave_z.k))
+    assert np.array_equal(u, fresh)
