@@ -13,7 +13,8 @@ from .core import (CloudSpec, Hard, Impedance, IncidentWave, Particle, Scene, So
                    ValidationReport, generate_cloud, validate_scene)
 from .errors import (ConfigError, DegenerateMesh, DensityInfeasible, DesignInfeasible,
                      GridTooLarge, MissingFunctional, NonConvergence,
-                     PointInsideParticle, RegimeViolation, SmallscatError, SolveFailure)
+                     PointInsideParticle, RegimeViolation, SmallscatError, SolveFailure,
+                     UnsupportedScene)
 from .fields import (AffineField, ConstantField, GaussianBumpField, GriddedField,
                      ScalarField, field_from_config)
 from .grids import Box, GridCover

@@ -205,10 +205,16 @@ class GreenEvaluator:
         base = free_space_green(self.k, r)
         if self.is_free_space:
             return base
-        sol = self._grid_solution(source)
-        rt = cdist(targets, self.grid.centers)
-        rt = np.maximum(rt, 1e-300)
-        return base + (self.k**2) * (free_space_green(self.k, rt) @ (self._chi_w * sol))
+        return base + self.grid_correction(targets, source[None, :])[:, 0]
+
+    def grid_correction(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """``G(x, y) - g(x, y)`` for every target ``x`` and source ``y``, shape (T, S).
+
+        One target-to-grid kernel applied to all (cached) per-source grid solutions.
+        """
+        sols = np.stack([self._grid_solution(y) for y in sources], axis=1)
+        rt = np.maximum(cdist(targets, self.grid.centers), 1e-300)
+        return (self.k**2) * (free_space_green(self.k, rt) @ (self._chi_w[:, None] * sols))
 
 
 def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:

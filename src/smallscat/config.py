@@ -165,6 +165,9 @@ def scene_from_config(cfg: dict, base_dir=".", seed_override: Optional[int] = No
         sep = spec.separation_factor
     else:
         raise ConfigError("scene: needs 'particles' or 'cloud'")
+    if (background is not None and not background.uniform_one
+            and any(isinstance(p.bc, Hard) for p in particles)):
+        raise ConfigError("scene: hard particles support no background medium")
     try:
         return Scene(particles=particles, domain=domain, wave=wave, background=background,
                      separation_factor=sep, smallness_threshold=small)

@@ -41,5 +41,9 @@ class NonConvergence(SmallscatError):
     """An iterative kernel evaluation (series or fixed point) diverged."""
 
 
+class UnsupportedScene(SmallscatError, NotImplementedError):
+    """The scene combines features no solver handles (a hard cloud in a background medium)."""
+
+
 class GridTooLarge(SmallscatError):
     """A collocation grid exceeds the configured cell cap."""

@@ -20,10 +20,10 @@ integral is dropped consistently).  With the free-space kernel every coupling
 depends only on the cell-index offset, so the systems are solved matrix-free:
 GMRES on the zero-padded FFT lattice operator of :mod:`smallscat.lattice`,
 ``O(P log P)`` per iteration.  A background-medium kernel is not translation
-invariant and keeps the dense solve.  Empirical cell statistics of generated
-clouds estimate the same coefficients, and the convergence study compares
-the cloud solve against the collocation solve level by level in the sup
-norm over cells.
+invariant and keeps a dense kernel matrix.  Empirical cell statistics of
+generated clouds estimate the same coefficients, and the convergence study
+compares the cloud solve against the collocation solve level by level in the
+sup norm over cells.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .background import GreenEvaluator, free_space_green
-from .core import (CloudSpec, Impedance, IncidentWave, Particle, Scene, Soft,
-                   generate_cloud, kind_label)
+from .core import CloudSpec, IncidentWave, Particle, Scene, generate_cloud, kind_label
 from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
-from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, solve_impedance,
+from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, hard_rhs,
+                       hard_strengths, monopole_coupling, solve_impedance,
                        solve_monopole_system, solve_soft)
 
 logger = logging.getLogger(__name__)
@@ -77,8 +77,9 @@ def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave
     """Solve ``u_q = u0_q - sum_{p != q} g(xi_q, xi_p) q_p u_p |cell|`` on the cover.
 
     The free-space kernel runs GMRES on the FFT lattice operator (method
-    ``"fft"``); a non-uniform background ``greens`` takes the dense path of
-    :func:`~smallscat.manybody.solve_monopole_system`.
+    ``"fft"``); a non-uniform background ``greens`` runs GMRES on its dense
+    kernel matrix through :func:`~smallscat.manybody.solve_monopole_system`
+    (method ``"gmres"``).
     """
     q = np.asarray(q_values, dtype=complex).reshape(cover.n_cells)
     coupling = q * cover.cell_volume
@@ -90,8 +91,9 @@ def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave
         u, residual = solve_checked(lambda v: v + kernel @ v, rhs, rtol)
         method = "fft"
     else:
-        u, residual, method = solve_monopole_system(
-            cover.centers, wave.k, coupling, rhs, rtol=rtol, greens=greens)
+        u, residual = solve_monopole_system(cover.centers, wave.k, coupling, rhs,
+                                            rtol=rtol, greens=greens)
+        method = "gmres"
     return CollocationSolution(cover=cover, q_values=q, values=u,
                                residual=residual, method=method)
 
@@ -118,14 +120,6 @@ class LimitCoefficients:
     dipole_density: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
     empty_cells: Optional[np.ndarray] = None
-
-
-def _monopole_coupling(p: Particle) -> complex:
-    if isinstance(p.bc, Soft):
-        return complex(p.capacitance)
-    if isinstance(p.bc, Impedance):
-        return p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa)
-    raise ValueError("hard particles carry no monopole coupling")
 
 
 def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
@@ -166,7 +160,7 @@ def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
     n2 = None
     if kind in ("soft", "impedance"):
         q = np.zeros(p_count, dtype=complex)
-        np.add.at(q, cells, [_monopole_coupling(p) for p in particles])
+        np.add.at(q, cells, monopole_coupling(particles))
         q /= vol
         n2 = 1.0 - q / k**2
 
@@ -341,12 +335,7 @@ def neumann_limit_solve(rho_values: np.ndarray, dipole_values: np.ndarray,
         raise ValueError(f"dipole samples must be ({p_count}, 3, 3), got {dipole.shape}")
     w = cover.cell_volume
     system = hard_limit_system(cover, wave.k, rho * w, dipole * w)
-    rhs = np.concatenate([
-        wave.field_at(cover.centers),
-        wave.gradient_at(cover.centers).reshape(3 * p_count),
-        wave.laplacian_at(cover.centers),
-    ])
-    x, residual = solve_checked(system, rhs, rtol)
+    x, residual = solve_checked(system, hard_rhs(wave, cover.centers), rtol)
     return HardLimitSolution(cover=cover, values=x[:p_count],
                              gradients=x[p_count:4 * p_count].reshape(p_count, 3),
                              laplacians=x[4 * p_count:], residual=residual)
@@ -373,13 +362,10 @@ def cover_field_from_solution(solution: EffectiveFieldSolution, scene: Scene,
         kern = free_space_green(scene.wave.k, cdist(cover.centers, scene.centers))
         kern[own] = 0.0
         return u0 + kern @ solution.charges
-    volumes = np.array([p.volume for p in scene.particles])
-    betas = np.array([p.polarizability for p in scene.particles])
-    dipoles = np.einsum("mpq,mq->mp", betas, solution.gradients) * volumes[:, None]
+    mono, dipoles = hard_strengths(solution, scene)
     g, gp, *_ = dipole_kernel_blocks(cover.centers, scene.centers, scene.wave.k)
     g = np.where(own, 0.0, g)
     gp = np.where(own[..., None], 0.0, gp)
-    mono = solution.laplacians * volumes
     return u0 + g @ mono + 1j * scene.wave.k * np.einsum("xmp,mp->x", gp, dipoles)
 
 

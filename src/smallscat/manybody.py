@@ -13,9 +13,10 @@ The hard case couples values, gradients, and Laplacians at the centers
 differentiation of the kernel (finite differences are used only as test
 oracles, never in assembly).  Self interaction is excluded by construction.
 
-Solvers run dense below ``DIRECT_THRESHOLD`` unknowns and switch to a
-matrix-free Krylov iteration above it.  Assembly is vectorized over pairs;
-solution objects are immutable after the solve.
+Every system is assembled once and solved by GMRES with a checked residual
+(:func:`~smallscat.lattice.solve_checked`): the free-space monopole kernel as
+a packed symmetric :class:`CloudKernel`, a background-medium kernel and the
+5M hard system as dense matrices.  Solution objects are immutable.
 """
 
 from __future__ import annotations
@@ -25,17 +26,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.blas import zspmv
 from scipy.spatial.distance import cdist
 
 from .background import GreenEvaluator, free_space_green
-from .core import Scene, validate_scene
-from .errors import MissingFunctional, PointInsideParticle, RegimeViolation, SolveFailure
-from .lattice import DEFAULT_RTOL
+from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
+from .errors import MissingFunctional, PointInsideParticle, RegimeViolation, UnsupportedScene
+from .lattice import DEFAULT_RTOL, solve_checked
 
 logger = logging.getLogger(__name__)
 
-DIRECT_THRESHOLD: int = 4096
+KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # stored packed kernels up to M of about 16 000
+_BLOCK_ENTRIES: int = 1 << 16
+_HARD_BLOCK_ROWS: int = 96
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class EffectiveFieldSolution:
     gradients: Optional[np.ndarray] = None
     laplacians: Optional[np.ndarray] = None
     residual: float = 0.0
-    method: str = "direct"
+    method: str = "gmres"
     greens: Optional[GreenEvaluator] = field(default=None, compare=False, repr=False)
 
 
@@ -94,30 +97,79 @@ def fibonacci_directions(n: int) -> np.ndarray:
 def pair_kernel_matrix(centers: np.ndarray, k: float,
                        greens: Optional[GreenEvaluator] = None) -> np.ndarray:
     """Kernel values between all center pairs, zero on the diagonal."""
-    m = len(centers)
-    if greens is None or greens.is_free_space:
-        r = cdist(centers, centers)
-        np.fill_diagonal(r, 1.0)
-        out = free_space_green(k, r)
-        np.fill_diagonal(out, 0.0)
-        return out
-    out = np.zeros((m, m), dtype=complex)
-    for col in range(m):
-        rows = np.arange(m) != col
-        out[rows, col] = greens.pair_values(centers[rows], centers[col])
+    r = cdist(centers, centers)
+    np.fill_diagonal(r, 1.0)
+    out = free_space_green(k, r)
+    if greens is not None and not greens.is_free_space:
+        out += greens.grid_correction(centers, centers)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
-def _coupling(scene: Scene) -> np.ndarray:
-    """Per-particle monopole coupling: C_m (soft) or h_m b_m a^(2-kappa)."""
-    kind = scene.boundary_kind()
-    if kind == "soft":
-        return np.array([p.capacitance for p in scene.particles], dtype=complex)
-    if kind == "impedance":
-        return np.array([
-            p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa) for p in scene.particles
-        ], dtype=complex)
-    raise ValueError(f"no monopole coupling for boundary kind {kind!r}")
+def _packed_blocks(centers: np.ndarray, k: float):
+    """Upper triangle of the zero-diagonal free-space kernel, by column blocks.
+
+    Yields ``(j0, j1, upper, values)``: rows ``0..j`` of columns ``j0..j1-1``
+    in BLAS packed order (from position ``j0 (j0 + 1) / 2``), and their mask
+    in the transposed ``(j1 - j0, j1)`` block of at most ``_BLOCK_ENTRIES``.
+    """
+    m = len(centers)
+    j0 = 0
+    while j0 < m:
+        width = int((np.sqrt(j0 * j0 + 4.0 * _BLOCK_ENTRIES) - j0) / 2.0)
+        j1 = min(m, j0 + max(width, 1))
+        cols = np.arange(j0, j1)
+        upper = np.arange(j1)[None, :] <= cols[:, None]
+        r = cdist(centers[j0:j1], centers[:j1])[upper]
+        diagonal = (cols * (cols + 3) - j0 * (j0 + 1)) // 2
+        r[diagonal] = 1.0
+        values = free_space_green(k, r)
+        values[diagonal] = 0.0
+        yield j0, j1, upper, values
+        j0 = j1
+
+
+class CloudKernel:
+    """Zero-diagonal free-space kernel ``g(|x_i - x_j|)`` between cloud centers.
+
+    The kernel is complex symmetric, so only its upper triangle is evaluated,
+    ``M (M + 1) / 2`` values packed column by column, and ``@`` applies it with
+    BLAS ``zspmv``.  When the packed triangle (``8 M (M + 1)`` bytes) exceeds
+    ``KERNEL_BYTES_BUDGET`` the same column blocks are recomputed on every
+    product instead of stored.
+    """
+
+    def __init__(self, centers: np.ndarray, k: float):
+        self.centers = np.asarray(centers, dtype=float)
+        self.k = float(k)
+        m = len(self.centers)
+        self.packed: Optional[np.ndarray] = None
+        if 8 * m * (m + 1) <= KERNEL_BYTES_BUDGET:
+            self.packed = np.empty(m * (m + 1) // 2, dtype=complex)
+            for j0, _, _, values in _packed_blocks(self.centers, self.k):
+                start = j0 * (j0 + 1) // 2
+                self.packed[start:start + len(values)] = values
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        if self.packed is not None:
+            return zspmv(len(v), 1.0, self.packed, v)
+        out = np.zeros(len(v), dtype=complex)
+        for j0, j1, upper, values in _packed_blocks(self.centers, self.k):
+            block = np.zeros(upper.shape, dtype=complex)
+            block[upper] = values
+            out[:j1] += block.T @ v[j0:j1]
+            out[j0:j1] += block @ v[:j1]
+        return out
+
+
+def monopole_coupling(particles: Sequence[Particle]) -> np.ndarray:
+    """Per-particle monopole coupling: C_m (soft) or h_m b_m a^(2-kappa) (impedance)."""
+    if any(isinstance(p.bc, Hard) for p in particles):
+        raise ValueError("hard particles carry no monopole coupling")
+    return np.array([p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa)
+                     if isinstance(p.bc, Impedance) else p.capacitance
+                     for p in particles], dtype=complex)
 
 
 def _check_regime(scene: Scene, validate: bool) -> None:
@@ -128,67 +180,21 @@ def _check_regime(scene: Scene, validate: bool) -> None:
         raise RegimeViolation("; ".join(report.violations))
 
 
-def _chunked_kernel_apply(centers: np.ndarray, k: float, weighted: np.ndarray,
-                          chunk: int = 1024) -> np.ndarray:
-    """``sum_m g(x_j, x_m) weighted_m`` with the diagonal excluded, O(chunk*M) memory."""
-    m = len(centers)
-    out = np.empty(m, dtype=complex)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        r = cdist(centers[start:stop], centers)
-        rows = np.arange(start, stop)
-        r[rows - start, rows] = 1.0
-        block = free_space_green(k, r)
-        block[rows - start, rows] = 0.0
-        out[start:stop] = block @ weighted
-    return out
-
-
 def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
-                          rhs: np.ndarray, *, direct_threshold: int = DIRECT_THRESHOLD,
-                          rtol: float = DEFAULT_RTOL,
+                          rhs: np.ndarray, *, rtol: float = DEFAULT_RTOL,
                           greens: Optional[GreenEvaluator] = None):
-    """Solve ``u_j + sum_{m != j} g(x_j, x_m) coupling_m u_m = rhs_j``.
+    """Solve ``u_j + sum_{m != j} g(x_j, x_m) coupling_m u_m = rhs_j`` by GMRES.
 
-    Dense direct below ``direct_threshold`` unknowns, otherwise a matrix-free
-    Krylov iteration with chunked kernel application (free-space kernel only;
-    a background kernel forces the dense path).  Returns ``(u, residual,
-    method)``; raises SolveFailure if the relative residual exceeds ``rtol``.
+    The free-space kernel is a :class:`CloudKernel`; a background ``greens``
+    assembles the dense :func:`pair_kernel_matrix`.  Either is built once and
+    solved by :func:`~smallscat.lattice.solve_checked`.  Returns ``(u,
+    residual)``; raises SolveFailure if the relative residual exceeds ``rtol``.
     """
-    m = len(rhs)
-    free = greens is None or greens.is_free_space
-
-    if m <= direct_threshold or not free:
-        if m > direct_threshold:
-            logger.warning("background kernel forces a dense solve at M=%d", m)
-        kernel = pair_kernel_matrix(centers, k, greens)
-
-        def apply_kernel(v):
-            return kernel @ (coupling * v)
-
-        system = kernel * coupling[None, :]
-        system[np.diag_indices_from(system)] += 1.0
-        try:
-            u = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"dense solve failed: {exc}") from exc
-        method = "direct"
+    if greens is None or greens.is_free_space:
+        kernel = CloudKernel(centers, k)
     else:
-        def apply_kernel(v):
-            return _chunked_kernel_apply(centers, k, coupling * v)
-
-        op = LinearOperator((m, m), matvec=lambda v: v + apply_kernel(v), dtype=complex)
-        u, info = gmres(op, rhs, rtol=min(rtol * 1e-2, 1e-12), atol=0.0,
-                        restart=80, maxiter=400)
-        if info != 0:
-            raise SolveFailure(f"gmres did not converge (info={info})")
-        method = "gmres"
-
-    residual = float(np.linalg.norm(rhs - (u + apply_kernel(u)))
-                     / max(np.linalg.norm(rhs), 1e-300))
-    if residual > rtol:
-        raise SolveFailure(f"residual {residual:.3e} above tolerance {rtol:.1e}")
-    return u, residual, method
+        kernel = pair_kernel_matrix(centers, k, greens)
+    return solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol)
 
 
 def _scene_greens(scene: Scene, greens: Optional[GreenEvaluator]):
@@ -200,40 +206,38 @@ def _scene_greens(scene: Scene, greens: Optional[GreenEvaluator]):
     return GreenEvaluator(scene.background, k=scene.wave.k)
 
 
-def _solve_monopole_scene(scene: Scene, expected_kind, direct_threshold, rtol, greens,
+def _solve_monopole_scene(scene: Scene, expected_kind, rtol, greens,
                           validate) -> EffectiveFieldSolution:
     kind = scene.boundary_kind()
     if kind != expected_kind:
         raise ValueError(f"expected an all-{expected_kind} scene, got {kind}")
     _check_regime(scene, validate)
     greens = _scene_greens(scene, greens)
-    coupling = _coupling(scene)
+    coupling = monopole_coupling(scene.particles)
     rhs = scene.wave.field_at(scene.centers)
-    u, residual, method = solve_monopole_system(
-        scene.centers, scene.wave.k, coupling, rhs,
-        direct_threshold=direct_threshold, rtol=rtol, greens=greens,
-    )
+    u, residual = solve_monopole_system(scene.centers, scene.wave.k, coupling, rhs,
+                                        rtol=rtol, greens=greens)
     charges = -coupling * u
-    logger.info("solved %s scene: M=%d method=%s residual=%.2e", kind, len(u), method, residual)
+    logger.info("solved %s scene: M=%d residual=%.2e", kind, len(u), residual)
     return EffectiveFieldSolution(kind=kind, values=u, charges=charges,
-                                  residual=residual, method=method, greens=greens)
+                                  residual=residual, greens=greens)
 
 
-def solve_soft(scene: Scene, *, direct_threshold: int = DIRECT_THRESHOLD,
-               rtol: float = DEFAULT_RTOL, greens: Optional[GreenEvaluator] = None,
+def solve_soft(scene: Scene, *, rtol: float = DEFAULT_RTOL,
+               greens: Optional[GreenEvaluator] = None,
                validate: bool = True) -> EffectiveFieldSolution:
     """Self-consistent field for an all-soft scene; ``Q_m = -C_m u(x_m)``."""
-    return _solve_monopole_scene(scene, "soft", direct_threshold, rtol, greens, validate)
+    return _solve_monopole_scene(scene, "soft", rtol, greens, validate)
 
 
-def solve_impedance(scene: Scene, *, direct_threshold: int = DIRECT_THRESHOLD,
-                    rtol: float = DEFAULT_RTOL, greens: Optional[GreenEvaluator] = None,
+def solve_impedance(scene: Scene, *, rtol: float = DEFAULT_RTOL,
+                    greens: Optional[GreenEvaluator] = None,
                     validate: bool = True) -> EffectiveFieldSolution:
     """Self-consistent field for an all-impedance scene.
 
     ``Q_m = -h(x_m) a^(2-kappa) b_m u(x_m)`` with ``b_m = |S_m| / a^2``.
     """
-    return _solve_monopole_scene(scene, "impedance", direct_threshold, rtol, greens, validate)
+    return _solve_monopole_scene(scene, "impedance", rtol, greens, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -281,30 +285,35 @@ def assemble_hard_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     (m-major, component-minor), then Laplacians.
     """
     m = len(centers)
-    g, gp, dg, dgp, lap_g, lap_gp = dipole_kernel_blocks(centers, centers, k)
     ik = 1j * k
-    # dipole columns: contract the direction index with the per-source tensor
-    vg = ik * np.einsum("jmp,mpq->jmq", gp, dipole_weights)
-    gg = ik * np.einsum("jmsp,mpq->jmsq", dgp, dipole_weights)
-    lg = ik * np.einsum("jmp,mpq->jmq", lap_gp, dipole_weights)
-
     n = 5 * m
     a = np.zeros((n, n), dtype=complex)
-    sl_val = slice(0, m)
-    sl_lap = slice(4 * m, 5 * m)
-
-    a[sl_val, sl_val] = np.eye(m)
-    a[sl_val, sl_lap] = -g * lap_weights[None, :]
-    a[sl_val, m:4 * m] = (-vg).reshape(m, 3 * m)
-
-    grad_rows = (-gg).transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-    a[m:4 * m, m:4 * m] = grad_rows + np.eye(3 * m)
-    a[m:4 * m, sl_lap] = (-(dg * lap_weights[None, :, None])
-                          .transpose(0, 2, 1).reshape(3 * m, m))
-
-    a[sl_lap, m:4 * m] = (-lg).reshape(m, 3 * m)
-    a[sl_lap, sl_lap] = np.eye(m) - lap_g * lap_weights[None, :]
+    for j0 in range(0, m, _HARD_BLOCK_ROWS):
+        j1 = min(j0 + _HARD_BLOCK_ROWS, m)
+        g, gp, dg, dgp, lap_g, lap_gp = dipole_kernel_blocks(centers[j0:j1], centers, k)
+        # dipole columns: contract the direction index with the per-source tensor
+        vg = ik * np.einsum("jmp,mpq->jmq", gp, dipole_weights)
+        gg = ik * np.einsum("jmsp,mpq->jmsq", dgp, dipole_weights)
+        lg = ik * np.einsum("jmp,mpq->jmq", lap_gp, dipole_weights)
+        val_rows = slice(j0, j1)
+        grad_rows = slice(m + 3 * j0, m + 3 * j1)
+        lap_rows = slice(4 * m + j0, 4 * m + j1)
+        a[val_rows, 4 * m:] = -g * lap_weights[None, :]
+        a[val_rows, m:4 * m] = (-vg).reshape(-1, 3 * m)
+        a[grad_rows, m:4 * m] = (-gg).transpose(0, 2, 1, 3).reshape(-1, 3 * m)
+        a[grad_rows, 4 * m:] = (-(dg * lap_weights[None, :, None])
+                                .transpose(0, 2, 1).reshape(-1, m))
+        a[lap_rows, m:4 * m] = (-lg).reshape(-1, 3 * m)
+        a[lap_rows, 4 * m:] = -(lap_g * lap_weights[None, :])
+    # self pairs carry zero kernel blocks, so the diagonal is the identity
+    a.flat[::n + 1] += 1.0
     return a
+
+
+def hard_rhs(wave: IncidentWave, points: np.ndarray) -> np.ndarray:
+    """Incident field, gradient and Laplacian at the points, in the 5M unknown layout."""
+    return np.concatenate([wave.field_at(points), wave.gradient_at(points).ravel(),
+                           wave.laplacian_at(points)])
 
 
 def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
@@ -320,7 +329,7 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
         raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")
     greens = _scene_greens(scene, greens)
     if greens is not None and not greens.is_free_space:
-        raise NotImplementedError("hard solves support the free-space kernel only")
+        raise UnsupportedScene("hard solves support the free-space kernel only")
     _check_regime(scene, validate)
     for i, p in enumerate(scene.particles):
         if p.polarizability is None:
@@ -332,18 +341,7 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     betas = np.array([p.polarizability for p in scene.particles])
     system = assemble_hard_system(centers, scene.wave.k, volumes,
                                   betas * volumes[:, None, None])
-    rhs = np.concatenate([
-        scene.wave.field_at(centers),
-        scene.wave.gradient_at(centers).reshape(3 * m),
-        scene.wave.laplacian_at(centers),
-    ])
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"hard dense solve failed: {exc}") from exc
-    residual = float(np.linalg.norm(rhs - system @ x) / max(np.linalg.norm(rhs), 1e-300))
-    if residual > rtol:
-        raise SolveFailure(f"residual {residual:.3e} above tolerance {rtol:.1e}")
+    x, residual = solve_checked(lambda v: system @ v, hard_rhs(scene.wave, centers), rtol)
     values = x[:m]
     gradients = x[m:4 * m].reshape(m, 3)
     laplacians = x[4 * m:]
@@ -351,13 +349,14 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     logger.info("solved hard scene: M=%d residual=%.2e", m, residual)
     return EffectiveFieldSolution(kind="hard", values=values, charges=charges,
                                   gradients=gradients, laplacians=laplacians,
-                                  residual=residual, method="direct")
+                                  residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # Field evaluation and far field
 # ---------------------------------------------------------------------------
-def _hard_strengths(solution: EffectiveFieldSolution, scene: Scene):
+def hard_strengths(solution: EffectiveFieldSolution, scene: Scene):
+    """Monopole ``lap u(x_m) |D_m|`` and dipole ``beta_m grad u(x_m) |D_m|`` of a hard solve."""
     volumes = np.array([p.volume for p in scene.particles])
     betas = np.array([p.polarizability for p in scene.particles])
     dipoles = np.einsum("mpq,mq->mp", betas, solution.gradients) * volumes[:, None]
@@ -385,13 +384,11 @@ def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarra
         raise PointInsideParticle(f"point {i} lies inside particle {j}")
     u = scene.wave.field_at(pts)
     if solution.kind in ("soft", "impedance"):
-        if greens is None or greens.is_free_space:
-            u = u + free_space_green(scene.wave.k, dist) @ solution.charges
-        else:
-            for mcol in range(scene.n_particles):
-                u = u + greens.pair_values(pts, centers[mcol]) * solution.charges[mcol]
-        return u
-    mono, dipoles = _hard_strengths(solution, scene)
+        kernel = free_space_green(scene.wave.k, dist)
+        if greens is not None and not greens.is_free_space:
+            kernel += greens.grid_correction(pts, centers)
+        return u + kernel @ solution.charges
+    mono, dipoles = hard_strengths(solution, scene)
     g, gp, *_ = dipole_kernel_blocks(pts, centers, scene.wave.k)
     ik = 1j * scene.wave.k
     return u + g @ mono + ik * np.einsum("xmp,mp->x", gp, dipoles)
@@ -409,7 +406,7 @@ def far_field(solution: EffectiveFieldSolution, scene: Scene,
     if solution.kind in ("soft", "impedance"):
         amps = phases @ solution.charges / (4.0 * np.pi)
     else:
-        mono, dipoles = _hard_strengths(solution, scene)
+        mono, dipoles = hard_strengths(solution, scene)
         ik = 1j * scene.wave.k
         amps = (phases @ mono + ik * np.einsum("bp,mp,bm->b", dirs, dipoles, phases)) \
             / (4.0 * np.pi)

@@ -189,6 +189,25 @@ def test_regime_violation_exits_4(tmp_path):
     assert record["type"] == "RegimeViolation"
 
 
+def test_hard_scene_in_background_medium_exits_2(tmp_path):
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(
+        "scene:\n"
+        "  wave: {k: 1.0, alpha: [0, 0, 1]}\n"
+        "  domain: {lo: [0, 0, 0], hi: [1, 1, 1]}\n"
+        "  background:\n"
+        "    n2: {kind: gaussian_bump, amplitude: 0.2, center: [0.5, 0.5, 0.5],"
+        " width: 0.2, base: 1.0}\n"
+        "  particles:\n"
+        "    - {center: [0.3, 0.5, 0.5], a: 0.005, bc: {kind: hard}}\n"
+        "    - {center: [0.7, 0.5, 0.5], a: 0.005, bc: {kind: hard}}\n"
+    )
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError" and "background" in record["error"]
+
+
 def test_solver_failure_exits_3(tmp_path):
     cfg = tmp_path / "green.yaml"
     cfg.write_text(

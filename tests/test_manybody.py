@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smallscat as ss
+from smallscat import manybody
 from smallscat.background import free_space_green
-from smallscat.manybody import (assemble_hard_system, dipole_kernel_blocks, eval_field,
-                                far_field, fibonacci_directions, pair_kernel_matrix,
-                                solve_hard, solve_impedance, solve_soft)
+from smallscat.manybody import (CloudKernel, assemble_hard_system, dipole_kernel_blocks,
+                                eval_field, far_field, fibonacci_directions,
+                                pair_kernel_matrix, solve_hard, solve_impedance, solve_soft)
 from smallscat.onebody import ShapeFunctionals, amplitude_onebody
 
 FOUR_PI = 4.0 * np.pi
@@ -352,17 +355,34 @@ def test_mirror_symmetric_scene_field(wide_box, wave_z):
     assert np.max(np.abs(u - um)) < 1e-9
 
 
+def _dense_monopole_oracle(scene):
+    """``np.linalg.solve`` on ``I + pair_kernel_matrix diag(c)``."""
+    coupling = manybody.monopole_coupling(scene.particles)
+    system = pair_kernel_matrix(scene.centers, scene.wave.k) * coupling[None, :]
+    system[np.diag_indices_from(system)] += 1.0
+    return np.linalg.solve(system, scene.wave.field_at(scene.centers))
+
+
+def _dense_hard_oracle(scene):
+    """``np.linalg.solve`` on the assembled 5M system."""
+    volumes = np.array([p.volume for p in scene.particles])
+    betas = np.array([p.polarizability for p in scene.particles])
+    system = assemble_hard_system(scene.centers, scene.wave.k, volumes,
+                                  betas * volumes[:, None, None])
+    return np.linalg.solve(system, manybody.hard_rhs(scene.wave, scene.centers))
+
+
 def test_solver_paths_agree_at_m500(unit_box, wave_z):
     spec = ss.CloudSpec(density=ss.ConstantField(1.0), a=0.002, law="dirichlet",
                         rng_seed=6)
     particles = ss.generate_cloud(spec, unit_box)
     assert len(particles) == 500
     scene = ss.Scene(particles=tuple(particles), domain=unit_box, wave=wave_z)
-    direct = solve_soft(scene)
-    iterative = solve_soft(scene, direct_threshold=0)
-    assert direct.method == "direct" and iterative.method == "gmres"
-    denom = np.max(np.abs(direct.values))
-    assert np.max(np.abs(direct.values - iterative.values)) < 1e-8 * denom
+    iterative = solve_soft(scene)
+    assert iterative.method == "gmres"
+    direct = _dense_monopole_oracle(scene)
+    denom = np.max(np.abs(direct))
+    assert np.max(np.abs(direct - iterative.values)) < 1e-8 * denom
 
 
 def test_background_kernel_pair_matrix_uniform_is_bitwise_free(unit_box, wave_z):
@@ -394,7 +414,7 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
     hard_particles = tuple(ss.Particle.sphere(c, 0.005, ss.Hard()) for c in centers)
     hard_bg = ss.Scene(particles=hard_particles, domain=unit_box, wave=wave_z,
                        background=medium)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ss.UnsupportedScene):
         solve_hard(hard_bg)
 
 
@@ -419,3 +439,105 @@ def test_eval_field_reuses_the_solve_evaluator(unit_box, wave_z, monkeypatch):
     assert len(solves) == len(centers)
     fresh = eval_field(sol, scene, points, greens=ss.GreenEvaluator(medium, k=wave_z.k))
     assert np.array_equal(u, fresh)
+
+
+# ---------------------------------------------------------------------------
+# The packed cloud kernel
+# ---------------------------------------------------------------------------
+def _unpack(packed, m):
+    """Full symmetric matrix from the column-major packed upper triangle."""
+    cols, rows = np.tril_indices(m)
+    full = np.zeros((m, m), dtype=complex)
+    full[rows, cols] = packed
+    full[cols, rows] = packed
+    return full
+
+
+@pytest.mark.parametrize("block_entries", [1 << 20, 997])
+def test_packed_kernel_unpacks_to_pair_matrix(monkeypatch, block_entries):
+    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(4)
+    centers = rng.uniform(0.0, 1.0, size=(173, 3))
+    kernel = CloudKernel(centers, 1.7)
+    assert kernel.packed.shape == (173 * 174 // 2,)
+    dense = pair_kernel_matrix(centers, 1.7)
+    assert np.max(np.abs(_unpack(kernel.packed, 173) - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+
+def test_streamed_kernel_products_match_stored(monkeypatch):
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(0.0, 1.0, size=(300, 3))
+    v = rng.normal(size=300) + 1j * rng.normal(size=300)
+    stored = CloudKernel(centers, 1.3)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 0)
+    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", 5000)
+    streamed = CloudKernel(centers, 1.3)
+    assert stored.packed is not None and streamed.packed is None
+    expected = stored @ v
+    assert np.linalg.norm(streamed @ v - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(expected - pair_kernel_matrix(centers, 1.3) @ v) \
+        <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
+    """A free-space solve evaluates each kernel pair once, whatever the iteration count."""
+    rng = np.random.default_rng(8)
+    centers = rng.uniform(-1.0, 1.0, size=(300, 3))
+    counts = []
+    green = manybody.free_space_green
+
+    def counted(k, r):
+        counts[-1] += np.size(r)
+        return green(k, r)
+
+    monkeypatch.setattr(manybody, "free_space_green", counted)
+    m = len(centers)
+    for h in (0.05, 5.0 - 2.0j):
+        counts.append(0)
+        sol = solve_impedance(imp_scene(centers, 0.002, h, 0.5, wave_z, wide_box),
+                              validate=False)
+        assert sol.residual < 1e-10
+        assert counts[-1] <= m * (m + 1) // 2 + m
+    assert counts[0] == counts[1]
+
+
+def test_solve_hard_matches_dense_solve_at_m200(wave_z):
+    spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.0135, law="hard_volume",
+                        bc_kind="hard", rng_seed=3)
+    box = ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+    scene = ss.Scene(particles=tuple(ss.generate_cloud(spec, box)), domain=box, wave=wave_z)
+    assert 180 <= scene.n_particles <= 220
+    sol = solve_hard(scene)
+    assert sol.method == "gmres" and sol.residual < 1e-10
+    x = _dense_hard_oracle(scene)
+    got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
+    assert np.max(np.abs(got - x)) < 1e-8 * np.max(np.abs(x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["soft", "impedance", "hard"]), m=st.integers(1, 40),
+       k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_cloud_solves_match_dense_oracles(kind, m, k, seed):
+    rng = np.random.default_rng(seed)
+    box = ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+    alpha = rng.normal(size=3)
+    wave = ss.IncidentWave(k=k, alpha=alpha / np.linalg.norm(alpha))
+    a = 0.01
+    centers = []
+    while len(centers) < m:  # keep the regime's separation of ten radii
+        c = rng.uniform(0.0, 1.0, 3)
+        if all(np.linalg.norm(c - other) >= 10 * a for other in centers):
+            centers.append(c)
+    bc = {"soft": ss.Soft(), "hard": ss.Hard(),
+          "impedance": ss.Impedance(h=complex(*rng.uniform(-2.0, 2.0, 2)), kappa=0.5)}[kind]
+    particles = tuple(ss.Particle.sphere(c, a, bc) for c in centers)
+    scene = ss.Scene(particles=particles, domain=box, wave=wave)
+    if kind == "hard":
+        sol = solve_hard(scene, validate=False)
+        got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
+        expected = _dense_hard_oracle(scene)
+    else:
+        sol = {"soft": solve_soft, "impedance": solve_impedance}[kind](scene, validate=False)
+        got, expected = sol.values, _dense_monopole_oracle(scene)
+    assert sol.method == "gmres" and sol.residual <= 1e-10
+    assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
