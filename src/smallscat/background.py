@@ -33,7 +33,6 @@ from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SMALLNESS_THRESHOLD: float = 0.1
 _LS_MAX_ITER: int = 200
 
 
@@ -73,21 +72,6 @@ class BackgroundMedium:
         chi = np.asarray(self.n2.sample(points), dtype=complex) - 1.0
         chi[~self.box.contains(points)] = 0.0
         return chi
-
-
-@dataclass
-class SmallnessDiagnostic:
-    value: float
-    threshold: float
-    passed: bool
-
-
-def smallness_check(medium: Optional[BackgroundMedium], a: float, k: float,
-                    threshold: float = DEFAULT_SMALLNESS_THRESHOLD) -> SmallnessDiagnostic:
-    """Small-particle criterion ``k * n0_max * a`` against a threshold."""
-    n0_max = 1.0 if medium is None else medium.n0_max
-    value = float(k * n0_max * a)
-    return SmallnessDiagnostic(value=value, threshold=threshold, passed=value <= threshold)
 
 
 def medium_kernel(cover: GridCover, k: float, chi: np.ndarray) -> LatticeOperator:
@@ -153,7 +137,7 @@ class GreenEvaluator:
         Cells per axis of the quadrature cover of the medium box.
     method : "auto" | "free_space" | ("born", order) | ("lippmann_schwinger", tol)
         ``auto`` picks free space iff the medium is uniformly 1, else the
-        fixed-point evaluation at tolerance 1e-10.
+        fixed-point evaluation at tolerance ``DEFAULT_RTOL``.
     """
 
     def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = 8,
@@ -162,7 +146,7 @@ class GreenEvaluator:
         self.k = float(k)
         uniform = medium is None or medium.uniform_one
         if method == "auto":
-            method = "free_space" if uniform else ("lippmann_schwinger", 1e-10)
+            method = "free_space" if uniform else ("lippmann_schwinger", DEFAULT_RTOL)
         if method == "free_space" and not uniform:
             raise ValueError("free_space method requires n0^2 == 1")
         self.method = method

@@ -90,6 +90,7 @@ class RunConfig:
 
     def __init__(self, args):
         from .errors import ConfigError
+        from .lattice import DEFAULT_RTOL
 
         self.subcommand = args.subcommand
         self.config_path = Path(args.config)
@@ -103,7 +104,7 @@ class RunConfig:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         self.seed = args.seed
         self.threads = args.threads
-        self.tol = args.tol if args.tol is not None else 1e-10
+        self.tol = args.tol if args.tol is not None else DEFAULT_RTOL
         if self.tol <= 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
         self.started = time.time()
@@ -145,15 +146,10 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
     from .config import scene_from_config
-    from .core import validate_scene
-    from .errors import RegimeViolation
     from .manybody import eval_field, far_field, fibonacci_directions, solve_hard
     from .manybody import solve_impedance, solve_soft
 
     scene = scene_from_config(cfg["scene"], ctx.config_path.parent, seed_override=ctx.seed)
-    report = validate_scene(scene)
-    if not report.accepted:
-        raise RegimeViolation("; ".join(report.violations))
     kind = scene.boundary_kind()
     solver = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[kind]
     solution = solver(scene, rtol=ctx.tol)
@@ -238,6 +234,7 @@ def run_onebody(cfg: dict, ctx: RunConfig) -> None:
 
 def run_homogenize(cfg: dict, ctx: RunConfig) -> None:
     from .config import box_from_config, wave_from_config
+    from .core import SPHERE_SURFACE_FACTOR
     from .fields import field_from_config
     from .grids import GridCover
     from .homogenize import collocation_solve
@@ -250,7 +247,7 @@ def run_homogenize(cfg: dict, ctx: RunConfig) -> None:
     if "q" in section:
         q = field_from_config(section["q"], base).sample(cover.centers)
     else:
-        b_shape = float(section.get("b_shape", 4.0 * 3.141592653589793))
+        b_shape = float(section.get("b_shape", SPHERE_SURFACE_FACTOR))
         dens = field_from_config(section["density"], base).sample(cover.centers).real
         h = field_from_config(section["h"], base).sample(cover.centers)
         q = b_shape * dens * h
@@ -268,6 +265,7 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
     import yaml as _yaml
 
     from .config import box_from_config
+    from .core import SPHERE_SURFACE_FACTOR
     from .fields import field_from_config
     from .grids import GridCover
     from .homogenize import inverse_design, limit_from_prescription
@@ -281,7 +279,7 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
     dens = field_from_config(section.get("density", 1.0), base).sample(cover.centers).real
     prescription = inverse_design(
         n2, cover, k,
-        b_shape=float(section.get("b_shape", 4.0 * 3.141592653589793)),
+        b_shape=float(section.get("b_shape", SPHERE_SURFACE_FACTOR)),
         density=dens, kappa=float(section.get("kappa", 0.5)),
     )
     back = limit_from_prescription(prescription)
@@ -316,6 +314,7 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
     from .config import box_from_config, wave_from_config
+    from .core import DEFAULT_SEPARATION_FACTOR
     from .fields import field_from_config
     from .homogenize import convergence_study
 
@@ -333,7 +332,7 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
         a_levels=[float(a) for a in section["a_levels"]],
         kappa=float(section.get("kappa", 0.5)),
         h=h, seed=seed, rtol=ctx.tol,
-        separation_factor=float(section.get("separation_factor", 10.0)),
+        separation_factor=float(section.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
     )
     ctx.summary.update({
         "law": law,
@@ -358,18 +357,19 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     from .config import box_from_config
     from .errors import ConfigError
     from .fields import field_from_config
+    from .lattice import DEFAULT_RTOL
 
     section = cfg["green"]
     domain = box_from_config(section["domain"])
     k = float(section["k"])
     medium = BackgroundMedium(n2=field_from_config(section["n2"], ctx.config_path.parent),
                               box=domain)
-    method_cfg = section.get("method", {"kind": "lippmann_schwinger", "tol": 1e-10})
+    method_cfg = section.get("method", {"kind": "lippmann_schwinger", "tol": DEFAULT_RTOL})
     kind = method_cfg.get("kind", "lippmann_schwinger")
     if kind == "born":
         method = ("born", int(method_cfg.get("order", 1)))
     elif kind == "lippmann_schwinger":
-        method = ("lippmann_schwinger", float(method_cfg.get("tol", 1e-10)))
+        method = ("lippmann_schwinger", float(method_cfg.get("tol", DEFAULT_RTOL)))
     elif kind == "free_space":
         method = "free_space"
     else:

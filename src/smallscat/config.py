@@ -14,7 +14,8 @@ import numpy as np
 import yaml
 
 from .background import BackgroundMedium
-from .core import (CloudSpec, Hard, Impedance, IncidentWave, Particle, Scene, Soft,
+from .core import (DEFAULT_JITTER, DEFAULT_SEPARATION_FACTOR, DEFAULT_SMALLNESS_THRESHOLD,
+                   CloudSpec, Hard, Impedance, IncidentWave, Particle, Scene, Soft,
                    generate_cloud)
 from .errors import ConfigError
 from .fields import ScalarField, _complex_from_config, field_from_config
@@ -120,9 +121,9 @@ def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = N
             bc_kind=kind,
             h=h_field,
             rng_seed=seed,
-            separation_factor=float(cfg.get("separation_factor", 10.0)),
+            separation_factor=float(cfg.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
             strata_n=cfg.get("strata_n"),
-            jitter=float(cfg.get("jitter", 0.6)),
+            jitter=float(cfg.get("jitter", DEFAULT_JITTER)),
         )
     except ValueError as exc:
         raise ConfigError(f"cloud: {exc}") from exc
@@ -149,8 +150,8 @@ def scene_from_config(cfg: dict, base_dir=".", seed_override: Optional[int] = No
     wave = wave_from_config(_require(cfg, "wave", where))
     domain = box_from_config(_require(cfg, "domain", where))
     background = background_from_config(cfg.get("background"), domain, base_dir)
-    sep = float(cfg.get("separation_factor", 10.0))
-    small = float(cfg.get("smallness_threshold", 0.1))
+    sep = float(cfg.get("separation_factor", DEFAULT_SEPARATION_FACTOR))
+    small = float(cfg.get("smallness_threshold", DEFAULT_SMALLNESS_THRESHOLD))
 
     particles: Tuple[Particle, ...]
     if "particles" in cfg and "cloud" in cfg:

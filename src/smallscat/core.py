@@ -26,7 +26,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SEPARATION_FACTOR: float = 10.0
 DEFAULT_SMALLNESS_THRESHOLD: float = 0.1
+# Closed-form sphere functionals: capacitance / a, |S| / a^2, |D| / a^3, beta / I.
+SPHERE_CAPACITANCE_PER_RADIUS: float = 4.0 * np.pi
 SPHERE_SURFACE_FACTOR: float = 4.0 * np.pi
+SPHERE_VOLUME_FACTOR: float = 4.0 / 3.0 * np.pi
 SPHERE_POLARIZABILITY: float = -1.5
 
 # Placement knobs: particles are jittered inside the central part of their
@@ -143,9 +146,9 @@ class Particle:
             center=center,
             a=float(a),
             bc=bc,
-            capacitance=4.0 * np.pi * a,
+            capacitance=SPHERE_CAPACITANCE_PER_RADIUS * a,
             surface_factor=SPHERE_SURFACE_FACTOR,
-            volume=4.0 / 3.0 * np.pi * a**3,
+            volume=SPHERE_VOLUME_FACTOR * a**3,
             polarizability=beta,
             shape="sphere",
         )
@@ -295,7 +298,7 @@ class CloudSpec:
             return 1.0 / self.a
         if self.law == "impedance":
             return self.a ** (self.kappa - 2.0)
-        return 1.0 / (4.0 / 3.0 * np.pi * self.a**3)
+        return 1.0 / (SPHERE_VOLUME_FACTOR * self.a**3)
 
 
 def _bisection_counts(masses: np.ndarray, total: int) -> np.ndarray:

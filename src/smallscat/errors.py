@@ -46,4 +46,4 @@ class UnsupportedScene(SmallscatError, NotImplementedError):
 
 
 class GridTooLarge(SmallscatError):
-    """A collocation grid exceeds the configured cell cap."""
+    """A grid exceeds its cell cap, or a dense kernel matrix exceeds the memory budget."""

@@ -155,10 +155,6 @@ def probe_points(box: Box, n: int = 12) -> np.ndarray:
     return np.vstack([mids, corners])
 
 
-def max_abs_on_box(field: ScalarField, box: Box, n: int = 12) -> float:
-    return float(np.max(np.abs(field.sample(probe_points(box, n)))))
-
-
 def _complex_from_config(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)

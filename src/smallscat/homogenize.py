@@ -34,22 +34,21 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .background import GreenEvaluator, free_space_green
-from .core import CloudSpec, IncidentWave, Particle, Scene, generate_cloud, kind_label
+from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
+                   SPHERE_SURFACE_FACTOR, CloudSpec, IncidentWave, Particle, Scene,
+                   generate_cloud, kind_label)
 from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, hard_rhs,
-                       hard_strengths, monopole_coupling, solve_impedance,
-                       solve_monopole_system, solve_soft)
+                       monopole_coupling, solve_impedance, solve_monopole_system,
+                       solve_soft, source_field)
 
 logger = logging.getLogger(__name__)
 
-SPHERE_CAPACITANCE_PER_RADIUS: float = 4.0 * np.pi
-SPHERE_SURFACE_FACTOR: float = 4.0 * np.pi
 MAX_HARD_LIMIT_CELLS: int = 32**3
 
 
@@ -213,17 +212,6 @@ def limit_from_prescription(prescription: DesignPrescription) -> LimitCoefficien
     return LimitCoefficients(cover=prescription.cover, k=prescription.k, q=q, n2=n2)
 
 
-def limiting_coefficient(source: Union[Sequence[Particle], DesignPrescription],
-                         cover: Optional[GridCover] = None,
-                         k: Optional[float] = None) -> LimitCoefficients:
-    """Dispatch to :func:`limit_from_cloud` or :func:`limit_from_prescription`."""
-    if isinstance(source, DesignPrescription):
-        return limit_from_prescription(source)
-    if cover is None or k is None:
-        raise ValueError("cloud statistics need a cover and a wave number")
-    return limit_from_cloud(source, cover, k)
-
-
 def inverse_design(n2_target: np.ndarray, cover: GridCover, k: float, *,
                    b_shape: float = SPHERE_SURFACE_FACTOR,
                    density: Union[float, np.ndarray] = 1.0,
@@ -316,19 +304,18 @@ def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
 
 def neumann_limit_solve(rho_values: np.ndarray, dipole_values: np.ndarray,
                         cover: GridCover, wave: IncidentWave, *,
-                        rtol: float = DEFAULT_RTOL,
-                        max_cells: int = MAX_HARD_LIMIT_CELLS) -> HardLimitSolution:
+                        rtol: float = DEFAULT_RTOL) -> HardLimitSolution:
     """Limiting field of a hard cloud with cell samples ``rho`` and ``B_pq``.
 
     Unknowns are (value, gradient, Laplacian) per cell; the gradient and
     Laplacian equations come from the same analytic kernel derivatives as the
     finite-size solver; the diagonal cell is excluded.  The ``5 P`` system is
     solved by GMRES on :func:`hard_limit_system`; ``P`` is capped at
-    ``max_cells``, whose GMRES basis at the cap is about 210 MB.
+    ``MAX_HARD_LIMIT_CELLS``, whose GMRES basis at the cap is about 210 MB.
     """
     p_count = cover.n_cells
-    if p_count > max_cells:
-        raise GridTooLarge(f"{p_count} cells exceed the cap {max_cells}")
+    if p_count > MAX_HARD_LIMIT_CELLS:
+        raise GridTooLarge(f"{p_count} cells exceed the cap {MAX_HARD_LIMIT_CELLS}")
     rho = np.asarray(rho_values, dtype=float).reshape(p_count)
     dipole = np.asarray(dipole_values, dtype=float)
     if dipole.shape != (p_count, 3, 3):
@@ -351,22 +338,11 @@ def cover_field_from_solution(solution: EffectiveFieldSolution, scene: Scene,
     This is the grouped form of the linear system: the field acting on cell
     ``q`` collects the contributions of all particles outside that cell.  It
     is the natural cell reading of a finite-cloud solve and the quantity the
-    collocation values approximate.
+    collocation values approximate: :func:`~smallscat.manybody.source_field`
+    with the own-cell pairs excluded.
     """
-    if scene.n_particles == 0:
-        return scene.wave.field_at(cover.centers)
-    cells_of_particles = cover.cell_index(scene.centers)
-    own = cells_of_particles[None, :] == np.arange(cover.n_cells)[:, None]
-    u0 = scene.wave.field_at(cover.centers)
-    if solution.kind in ("soft", "impedance"):
-        kern = free_space_green(scene.wave.k, cdist(cover.centers, scene.centers))
-        kern[own] = 0.0
-        return u0 + kern @ solution.charges
-    mono, dipoles = hard_strengths(solution, scene)
-    g, gp, *_ = dipole_kernel_blocks(cover.centers, scene.centers, scene.wave.k)
-    g = np.where(own, 0.0, g)
-    gp = np.where(own[..., None], 0.0, gp)
-    return u0 + g @ mono + 1j * scene.wave.k * np.einsum("xmp,mp->x", gp, dipoles)
+    own = cover.cell_index(scene.centers)[None, :] == np.arange(cover.n_cells)[:, None]
+    return source_field(solution, scene, cover.centers, exclude=own)
 
 
 @dataclass(frozen=True)
@@ -407,19 +383,15 @@ def _integral_of_density(density: ScalarField, domain: Box, n: int = 16) -> floa
 
 def convergence_study(law: str, density: ScalarField, domain: Box, wave: IncidentWave,
                       a_levels: Sequence[float], *, kappa: float = 0.5,
-                      h: Optional[ScalarField] = None,
-                      capacitance_per_radius: float = SPHERE_CAPACITANCE_PER_RADIUS,
-                      surface_factor: float = SPHERE_SURFACE_FACTOR,
-                      seed: int = 0,
-                      separation_factor: float = 10.0,
-                      cover_exponent: float = 1.0 / 3.0,
+                      h: Optional[ScalarField] = None, seed: int = 0,
+                      separation_factor: float = DEFAULT_SEPARATION_FACTOR,
                       rtol: float = DEFAULT_RTOL) -> ConvergenceReport:
     """Sup-norm discrepancy between cloud solves and the limiting equation.
 
     For each particle size: generate the cloud by the counting law, solve the
-    finite system, read it on the cover ``edge = a**cover_exponent`` via
+    finite system, read it on the cover ``edge = a**(1/3)`` via
     :func:`cover_field_from_solution`, and compare against the collocation
-    solution with the closed-form coefficient.  The separation factor is
+    solution with the closed-form sphere coefficient.  The separation factor is
     capped at half the mean particle spacing over ``a`` (dense protocols
     cannot honor a fixed ``d/a`` at every level); the factor used is recorded
     per level.
@@ -454,12 +426,12 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
             solver = solve_soft if law == "dirichlet" else solve_impedance
             solution = solver(scene, rtol=rtol)
 
-        cover = GridCover.from_edge(domain, a ** cover_exponent)
+        cover = GridCover.from_edge(domain, a ** (1.0 / 3.0))
         n_samples = np.real(density.sample(cover.centers))
         if law == "dirichlet":
-            q = capacitance_per_radius * n_samples.astype(complex)
+            q = SPHERE_CAPACITANCE_PER_RADIUS * n_samples.astype(complex)
         else:
-            q = surface_factor * n_samples * h.sample(cover.centers)
+            q = SPHERE_SURFACE_FACTOR * n_samples * h.sample(cover.centers)
         coll = collocation_solve(q, cover, wave, rtol=rtol)
 
         las_on_cover = cover_field_from_solution(solution, scene, cover)

@@ -31,12 +31,13 @@ from scipy.spatial.distance import cdist
 
 from .background import GreenEvaluator, free_space_green
 from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
-from .errors import MissingFunctional, PointInsideParticle, RegimeViolation, UnsupportedScene
+from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
+                     UnsupportedScene)
 from .lattice import DEFAULT_RTOL, solve_checked
 
 logger = logging.getLogger(__name__)
 
-KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # stored packed kernels up to M of about 16 000
+KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000, dense to 11 585 rows
 _BLOCK_ENTRIES: int = 1 << 16
 _HARD_BLOCK_ROWS: int = 96
 
@@ -104,6 +105,13 @@ def pair_kernel_matrix(centers: np.ndarray, k: float,
         out += greens.grid_correction(centers, centers)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _check_dense_budget(n: int, what: str) -> None:
+    """Raise GridTooLarge before allocating a dense complex ``n x n`` matrix above the budget."""
+    if 16 * n * n > KERNEL_BYTES_BUDGET:
+        raise GridTooLarge(f"{what} of {n} unknowns needs {16 * n * n / 1024**3:.2f} GiB "
+                           f"dense, above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
 
 
 def _packed_blocks(centers: np.ndarray, k: float):
@@ -188,11 +196,13 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     The free-space kernel is a :class:`CloudKernel`; a background ``greens``
     assembles the dense :func:`pair_kernel_matrix`.  Either is built once and
     solved by :func:`~smallscat.lattice.solve_checked`.  Returns ``(u,
-    residual)``; raises SolveFailure if the relative residual exceeds ``rtol``.
+    residual)``; raises SolveFailure if the relative residual exceeds ``rtol``
+    and GridTooLarge if the dense kernel exceeds ``KERNEL_BYTES_BUDGET``.
     """
     if greens is None or greens.is_free_space:
         kernel = CloudKernel(centers, k)
     else:
+        _check_dense_budget(len(centers), "background kernel")
         kernel = pair_kernel_matrix(centers, k, greens)
     return solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol)
 
@@ -282,11 +292,13 @@ def assemble_hard_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     cell volume times a volume-fraction sample); ``dipole_weights[m]`` is the
     3x3 dipole strength (polarizability times volume, or a dipole-density
     sample times cell volume).  Unknown layout: values, then gradients
-    (m-major, component-minor), then Laplacians.
+    (m-major, component-minor), then Laplacians.  Raises GridTooLarge if the
+    dense ``5M x 5M`` matrix exceeds ``KERNEL_BYTES_BUDGET`` (M above about 2300).
     """
     m = len(centers)
     ik = 1j * k
     n = 5 * m
+    _check_dense_budget(n, "hard system")
     a = np.zeros((n, n), dtype=complex)
     for j0 in range(0, m, _HARD_BLOCK_ROWS):
         j1 = min(j0 + _HARD_BLOCK_ROWS, m)
@@ -363,35 +375,50 @@ def hard_strengths(solution: EffectiveFieldSolution, scene: Scene):
     return solution.laplacians * volumes, dipoles
 
 
+def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
+                 greens: Optional[GreenEvaluator] = None,
+                 exclude: Optional[np.ndarray] = None) -> np.ndarray:
+    """``u0`` plus the point sources of a solved scene, summed at ``points``.
+
+    Soft/impedance: ``sum_m G(x, x_m) Q_m``.  Hard: the monopole and the
+    directed dipole term enter with the particle volume.  Pairs where the
+    boolean ``(points, M)`` mask ``exclude`` is true are left out.  The kernel
+    defaults to the evaluator the solve used (``solution.greens``).
+    """
+    u = scene.wave.field_at(points)
+    if scene.n_particles == 0:
+        return u
+    greens = _scene_greens(scene, solution.greens if greens is None else greens)
+    centers = scene.centers
+    if solution.kind in ("soft", "impedance"):
+        kernel = free_space_green(scene.wave.k, cdist(points, centers))
+        if greens is not None and not greens.is_free_space:
+            kernel += greens.grid_correction(points, centers)
+        if exclude is not None:
+            kernel[exclude] = 0.0
+        return u + kernel @ solution.charges
+    mono, dipoles = hard_strengths(solution, scene)
+    g, gp, *_ = dipole_kernel_blocks(points, centers, scene.wave.k)
+    if exclude is not None:
+        g[exclude] = 0.0
+        gp[exclude] = 0.0
+    ik = 1j * scene.wave.k
+    return u + g @ mono + ik * np.einsum("xmp,mp->x", gp, dipoles)
+
+
 def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
                greens: Optional[GreenEvaluator] = None) -> np.ndarray:
     """Total field at points outside every particle's exclusion ball.
 
-    Soft/impedance: ``u = u0 + sum_m g(x, x_m) Q_m``.  Hard: the monopole and
-    the directed dipole term enter with the particle volume.  The higher-order
-    remainder is dropped; no self-term correction is applied.  The kernel
-    defaults to the evaluator the solve used (``solution.greens``).
+    The :func:`source_field` of the solution at every point.  The
+    higher-order remainder is dropped; no self-term correction is applied.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    centers = scene.centers
-    if scene.n_particles == 0:
-        return scene.wave.field_at(pts)
-    greens = _scene_greens(scene, solution.greens if greens is None else greens)
-    dist = cdist(pts, centers)
-    inside = dist < scene.radii[None, :]
+    inside = cdist(pts, scene.centers) < scene.radii[None, :]
     if np.any(inside):
         i, j = np.argwhere(inside)[0]
         raise PointInsideParticle(f"point {i} lies inside particle {j}")
-    u = scene.wave.field_at(pts)
-    if solution.kind in ("soft", "impedance"):
-        kernel = free_space_green(scene.wave.k, dist)
-        if greens is not None and not greens.is_free_space:
-            kernel += greens.grid_correction(pts, centers)
-        return u + kernel @ solution.charges
-    mono, dipoles = hard_strengths(solution, scene)
-    g, gp, *_ = dipole_kernel_blocks(pts, centers, scene.wave.k)
-    ik = 1j * scene.wave.k
-    return u + g @ mono + ik * np.einsum("xmp,mp->x", gp, dipoles)
+    return source_field(solution, scene, pts, greens)
 
 
 def far_field(solution: EffectiveFieldSolution, scene: Scene,

@@ -308,16 +308,18 @@ def static_double_layer_matrix(mesh: SurfaceMesh) -> np.ndarray:
     return mat
 
 
-def static_dipole_density(mesh: SurfaceMesh, axis: int,
-                          operator: Optional[np.ndarray] = None) -> SurfaceDensity:
-    """Solve ``sigma = A0 sigma - 2 N_axis`` for the axis-aligned dipole density."""
-    a0 = static_double_layer_matrix(mesh) if operator is None else operator
+def static_dipole_densities(mesh: SurfaceMesh) -> np.ndarray:
+    """Solve ``sigma_q = A0 sigma_q - 2 N_q`` for the three axis-aligned dipole densities.
+
+    Returns the centroid values, shape ``(F, 3)``, column ``q`` for axis ``q``.
+    """
+    # assembled before np.eye, so the identity is not held through the assembly's peak
+    a0 = static_double_layer_matrix(mesh)
     system = np.eye(mesh.n_triangles) - a0
     try:
-        sigma = np.linalg.solve(system, -2.0 * mesh.normals[:, axis])
+        return np.linalg.solve(system, -2.0 * mesh.normals)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"static dipole solve failed: {exc}") from exc
-    return SurfaceDensity(mesh, sigma)
 
 
 def polarizability(mesh: SurfaceMesh) -> PolarizabilityTensor:
@@ -328,12 +330,7 @@ def polarizability(mesh: SurfaceMesh) -> PolarizabilityTensor:
     centering keeps the discrete result translation invariant).  For a sphere
     the result is -1.5 I up to discretization error.
     """
-    a0 = static_double_layer_matrix(mesh)
-    system = np.eye(mesh.n_triangles) - a0
-    try:
-        sigmas = np.linalg.solve(system, -2.0 * mesh.normals)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"polarizability solve failed: {exc}") from exc
+    sigmas = static_dipole_densities(mesh)
     moments = mesh.centroids - mesh.volume_centroid
     beta = np.einsum("ip,iq,i->pq", moments, sigmas, mesh.areas) / mesh.volume
     return PolarizabilityTensor(beta)
@@ -358,13 +355,10 @@ class ShapeFunctionals:
 
     @classmethod
     def sphere(cls, a: float) -> "ShapeFunctionals":
-        return cls(
-            a=float(a),
-            capacitance=4.0 * np.pi * a,
-            area=4.0 * np.pi * a**2,
-            volume=4.0 / 3.0 * np.pi * a**3,
-            polarizability=-1.5 * np.eye(3),
-        )
+        """The closed forms of :meth:`~smallscat.core.Particle.sphere`."""
+        ball = Particle.sphere(np.zeros(3), a, Hard())
+        return cls(a=ball.a, capacitance=ball.capacitance, area=ball.surface_factor * ball.a**2,
+                   volume=ball.volume, polarizability=ball.polarizability)
 
     @classmethod
     def from_mesh(cls, mesh: SurfaceMesh, with_polarizability: bool = True) -> "ShapeFunctionals":

@@ -4,7 +4,7 @@ import pytest
 import smallscat as ss
 from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
                                   fixed_point_solve, free_space_green, green,
-                                  scattered_plane_wave, smallness_check)
+                                  scattered_plane_wave)
 
 
 @pytest.fixture(scope="module")
@@ -135,18 +135,24 @@ def test_fixed_point_nonconvergence_reported(unit_box):
 
 
 def test_smallness_check_examples(unit_box):
-    assert smallness_check(None, a=0.05, k=1.0).passed
-    assert smallness_check(None, a=0.05, k=1.0).value == pytest.approx(0.05)
+    def validate(k, medium=None):
+        particle = ss.Particle.sphere([0.5, 0.5, 0.5], 0.05, ss.Soft())
+        wave = ss.IncidentWave(k=k, alpha=[0.0, 0.0, 1.0])
+        return ss.validate_scene(ss.Scene(particles=(particle,), domain=unit_box, wave=wave,
+                                          background=medium))
+
+    assert validate(1.0).accepted
+    assert validate(1.0).metrics["k_a_n0"] == pytest.approx(0.05)
 
     n16 = BackgroundMedium(n2=ss.ConstantField(16.0 + 0j), box=unit_box)
-    diag = smallness_check(n16, a=0.05, k=1.0)
-    assert diag.value == pytest.approx(0.2)
-    assert not diag.passed
+    diag = validate(1.0, n16)
+    assert diag.metrics["k_a_n0"] == pytest.approx(0.2)
+    assert not diag.accepted
 
     n4 = BackgroundMedium(n2=ss.ConstantField(4.0 + 0j), box=unit_box)
-    diag2 = smallness_check(n4, a=0.05, k=0.5)
-    assert diag2.value == pytest.approx(0.05)
-    assert diag2.passed
+    diag2 = validate(0.5, n4)
+    assert diag2.metrics["k_a_n0"] == pytest.approx(0.05)
+    assert diag2.accepted
 
 
 def test_green_cache_reused(unit_box, bump_medium):

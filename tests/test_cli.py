@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smallscat import manybody
 from smallscat.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -206,6 +210,24 @@ def test_hard_scene_in_background_medium_exits_2(tmp_path):
     assert run("solve", cfg, out) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "ConfigError" and "background" in record["error"]
+
+
+def test_dense_budget_exceeded_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 0)
+    out = tmp_path / "out"
+    assert run("solve", CONFIGS / "solve_hard_pair.yaml", out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "GridTooLarge" and record["exit_code"] == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads sets the BLAS thread variables in main(); numpy reads them once, on import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, smallscat.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_solver_failure_exits_3(tmp_path):

@@ -8,8 +8,8 @@ from smallscat.background import scattered_plane_wave
 from smallscat.homogenize import (collocation_solve, convergence_study,
                                   cover_field_from_solution, inverse_design,
                                   limit_from_cloud, limit_from_prescription,
-                                  limiting_coefficient, neumann_limit_solve)
-from smallscat.manybody import assemble_hard_system, solve_hard
+                                  neumann_limit_solve)
+from smallscat.manybody import assemble_hard_system, eval_field, solve_hard, solve_soft
 
 FOUR_PI = 4.0 * np.pi
 
@@ -213,16 +213,14 @@ def test_inverse_design_infeasible_gain(unit_box):
         inverse_design(bad, cover, k=1.0)
 
 
-def test_limiting_coefficient_dispatch(unit_box):
+def test_limit_from_prescription_and_cloud(unit_box):
     cover = ss.GridCover.from_shape(unit_box, 2)
     presc = inverse_design(np.full(cover.n_cells, 0.5 + 0j), cover, k=1.0)
-    via_presc = limiting_coefficient(presc)
+    via_presc = limit_from_prescription(presc)
     assert np.allclose(via_presc.n2, 0.5)
     particles = [ss.Particle.sphere([0.5, 0.5, 0.5], 0.01, ss.Soft())]
-    via_cloud = limiting_coefficient(particles, cover, 1.0)
+    via_cloud = limit_from_cloud(particles, cover, 1.0)
     assert via_cloud.counts.sum() == 1
-    with pytest.raises(ValueError):
-        limiting_coefficient(particles)
 
 
 @settings(max_examples=20, deadline=None)
@@ -321,6 +319,26 @@ def test_convergence_zero_density(unit_box, wave_z):
     report = convergence_study("dirichlet", ss.ConstantField(0.0), unit_box, wave_z,
                                [0.02, 0.01], seed=0)
     assert np.all(report.errors == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard", "soft_in_bump"])
+def test_cover_read_out_is_eval_field_on_empty_cells(unit_box, wave_z, kind):
+    if kind == "hard":
+        spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.02, law="hard_volume",
+                            bc_kind="hard", rng_seed=1)
+    else:
+        spec = ss.CloudSpec(density=ss.ConstantField(1.0), a=0.01, rng_seed=3)
+    bump = ss.GaussianBumpField(amplitude=0.3, center=[0.5, 0.5, 0.5], width=0.25, base=1.0)
+    medium = ss.BackgroundMedium(n2=bump, box=unit_box) if kind == "soft_in_bump" else None
+    scene = ss.Scene(particles=tuple(ss.generate_cloud(spec, unit_box)), domain=unit_box,
+                     wave=wave_z, background=medium)
+    solution = (solve_hard if kind == "hard" else solve_soft)(scene)
+    cover = ss.GridCover.from_shape(unit_box, 6)
+    empty = np.bincount(cover.cell_index(scene.centers), minlength=cover.n_cells) == 0
+    assert 0 < empty.sum() < cover.n_cells
+    grouped = cover_field_from_solution(solution, scene, cover)[empty]
+    direct = eval_field(solution, scene, cover.centers[empty])
+    assert np.max(np.abs(grouped - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_convergence_rejects_unknown_law(unit_box, wave_z):

@@ -418,6 +418,27 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
         solve_hard(hard_bg)
 
 
+def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
+    centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
+    hard = hard_scene(centers[:2], 0.005, wave_z, unit_box)
+    # the 5M hard system: 10 x 10 complex entries
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 10 * 10 - 1)
+    with pytest.raises(ss.GridTooLarge, match="hard system"):
+        solve_hard(hard)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 10 * 10)
+    assert solve_hard(hard).residual < 1e-10
+    # the dense background-medium kernel: 3 x 3 complex entries
+    bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
+    soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
+                    domain=unit_box, wave=wave_z,
+                    background=ss.BackgroundMedium(n2=bump, box=unit_box))
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 3 * 3 - 1)
+    with pytest.raises(ss.GridTooLarge, match="background kernel"):
+        solve_soft(soft)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 3 * 3)
+    assert solve_soft(soft).residual < 1e-10
+
+
 def test_eval_field_reuses_the_solve_evaluator(unit_box, wave_z, monkeypatch):
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     medium = ss.BackgroundMedium(n2=bump, box=unit_box)
