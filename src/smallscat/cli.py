@@ -11,7 +11,8 @@ reproduce byte-identical tables.  The manifest records input hashes, seed,
 versions, residuals, artifact names, and timings (timings are the only
 fields that vary between identical runs).
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 regime violation.
+Exit codes: 0 success, 2 config error (also a problem too large for memory:
+GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.
 The ``SMALLSCAT_OUT`` environment variable overrides ``--out``; ``--threads``
 caps BLAS threading and must act before the numeric modules load, so heavy
 imports happen inside the command handlers.
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # single funnel so every failure leaves a record
         if isinstance(exc, (ConfigError, DegenerateMesh, DensityInfeasible,
                             DesignInfeasible, GridTooLarge, PointInsideParticle,
-                            KeyError, ValueError)):
+                            KeyError, ValueError, MemoryError)):
             code = EXIT_CONFIG
         elif isinstance(exc, RegimeViolation):
             code = EXIT_REGIME

@@ -46,4 +46,4 @@ class UnsupportedScene(SmallscatError, NotImplementedError):
 
 
 class GridTooLarge(SmallscatError):
-    """A grid exceeds its cell cap, or a dense kernel matrix exceeds the memory budget."""
+    """A grid exceeds its cell cap, or a kernel's stored arrays exceed the memory budget."""

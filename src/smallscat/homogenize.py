@@ -44,8 +44,8 @@ from .fields import ScalarField
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, hard_rhs,
-                       monopole_coupling, solve_impedance, solve_monopole_system,
-                       solve_soft, source_field)
+                       hard_system_apply, monopole_coupling, solve_impedance,
+                       solve_monopole_system, solve_soft, source_field)
 
 logger = logging.getLogger(__name__)
 
@@ -275,13 +275,11 @@ def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
                       dipole_weights: np.ndarray):
     """Matrix-free form of ``assemble_hard_system(cover.centers, k, ...)``.
 
-    Returns ``x -> A x`` for the same unknown layout (values, gradients
-    m-major, Laplacians).  The kernel blocks act on two sources per cell,
-    the monopole ``lap_weights * lap u`` and the dipole ``dipole_weights @
-    grad u``, through one block :class:`LatticeOperator` (16 kernels, 4
-    forward and 5 inverse FFTs per product); the diagonal cell is excluded.
+    Returns ``x -> A x`` through :func:`~smallscat.manybody.hard_system_apply`.
+    The kernel blocks act on the monopole and dipole sources of every cell
+    through one block :class:`LatticeOperator` (16 kernels, 4 forward and 5
+    inverse FFTs per product); the diagonal cell is excluded.
     """
-    p_count = cover.n_cells
     ik = 1j * k
     layout = [(0, 0, 0, 1.0), (4, 0, 0, -k**2)]
     for p in range(3):
@@ -289,17 +287,12 @@ def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
                    (4, 1 + p, _LAP_GP + p, ik)]
         layout += [(1 + s, 1 + p, _DGP[min(s, p), max(s, p)], ik) for s in range(3)]
     kernel = LatticeOperator(cover, lambda d: _hard_kernels(d, k), layout=layout)
-    lap_weights = np.asarray(lap_weights)
-    dipole_weights = np.asarray(dipole_weights)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        grad = x[p_count:4 * p_count].reshape(p_count, 3)
-        sources = np.vstack([lap_weights * x[4 * p_count:],
-                             np.einsum("mpq,mq->pm", dipole_weights, grad)])
-        field = kernel @ sources
-        return x - np.concatenate([field[0], field[1:4].T.ravel(), field[4]])
+    def fields(monopoles: np.ndarray, dipoles: np.ndarray):
+        field = kernel @ np.vstack([monopoles, dipoles.T])
+        return field[0], field[1:4].T, field[4]
 
-    return apply
+    return hard_system_apply(lap_weights, dipole_weights, fields)
 
 
 def neumann_limit_solve(rho_values: np.ndarray, dipole_values: np.ndarray,

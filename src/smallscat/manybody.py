@@ -13,10 +13,11 @@ The hard case couples values, gradients, and Laplacians at the centers
 differentiation of the kernel (finite differences are used only as test
 oracles, never in assembly).  Self interaction is excluded by construction.
 
-Every system is assembled once and solved by GMRES with a checked residual
+Every system is built once and solved by GMRES with a checked residual
 (:func:`~smallscat.lattice.solve_checked`): the free-space monopole kernel as
-a packed symmetric :class:`CloudKernel`, a background-medium kernel and the
-5M hard system as dense matrices.  Solution objects are immutable.
+a packed symmetric :class:`CloudKernel`, a background-medium kernel as a dense
+matrix, and the 5M hard system matrix-free (:func:`hard_cloud_system`, a few
+scalar arrays per pair).  Solution objects are immutable.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ logger = logging.getLogger(__name__)
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000, dense to 11 585 rows
 _BLOCK_ENTRIES: int = 1 << 16
 _HARD_BLOCK_ROWS: int = 96
+_HARD_PAIR_BYTES: int = 5 * 16  # complex pair arrays of hard_cloud_system: M of about 5180
 
 
 @dataclass(frozen=True)
@@ -294,6 +296,11 @@ def assemble_hard_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     sample times cell volume).  Unknown layout: values, then gradients
     (m-major, component-minor), then Laplacians.  Raises GridTooLarge if the
     dense ``5M x 5M`` matrix exceeds ``KERNEL_BYTES_BUDGET`` (M above about 2300).
+
+    This is the dense reference: no solver calls it (:func:`solve_hard` runs
+    :func:`hard_cloud_system`, the lattice solve
+    :func:`~smallscat.homogenize.hard_limit_system`); tests compare both
+    operators against it.
     """
     m = len(centers)
     ik = 1j * k
@@ -322,6 +329,82 @@ def assemble_hard_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     return a
 
 
+def hard_system_apply(lap_weights: np.ndarray, dipole_weights: np.ndarray, fields):
+    """``x -> A x`` of a 5M hard system, given the fields of its sources.
+
+    ``x`` holds values, gradients (m-major) and Laplacians.  Each product
+    forms the monopole ``lap_weights * lap u`` and the dipole
+    ``dipole_weights @ grad u`` of every source and returns ``x`` minus
+    ``fields(monopoles, dipoles)``: the (M,) value, (M, 3) gradient and (M,)
+    Laplacian of all sources, summed at every center with its own excluded.
+    """
+    lap_weights = np.asarray(lap_weights)
+    dipole_weights = np.asarray(dipole_weights)
+    m = len(lap_weights)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        monopoles = lap_weights * x[4 * m:]
+        dipoles = np.einsum("mpq,mq->mp", dipole_weights, x[m:4 * m].reshape(m, 3))
+        value, gradient, laplacian = fields(monopoles, dipoles)
+        return x - np.concatenate([value, gradient.ravel(), laplacian])
+
+    return apply
+
+
+def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
+                      dipole_weights: np.ndarray):
+    """Matrix-free form of :func:`assemble_hard_system` for a particle cloud.
+
+    Returns ``x -> A x`` through :func:`hard_system_apply`.  Five complex
+    scalars per pair are stored (``_HARD_PAIR_BYTES``): ``g``, ``g/r``,
+    ``g'/r``, the ``rhat rhat`` factor ``(g' - g/r)/r^2`` of ``d(g rhat)`` and
+    the factor ``-(k^2 + 2/r^2) g/r`` of ``lap(g rhat)``, all zero on the
+    diagonal.  With coordinates ``X`` centered on the centroid, each product
+    forms ``r (rhat . d_m) = X_i . d_m - X_m . d_m`` for the dipoles ``d``,
+    and the ``rhat`` sums of the gradient rows as ``X C.sum(1) - C X``.
+    Raises GridTooLarge before allocating if the pair arrays exceed
+    ``KERNEL_BYTES_BUDGET`` (M above about 5180).
+    """
+    m = len(centers)
+    if _HARD_PAIR_BYTES * m * m > KERNEL_BYTES_BUDGET:
+        raise GridTooLarge(f"hard operator of {m} particles needs "
+                           f"{_HARD_PAIR_BYTES * m * m / 1024**3:.2f} GiB of pair arrays, "
+                           f"above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
+    ik = 1j * k
+    x = np.asarray(centers, dtype=float)
+    x = x - x.mean(axis=0)
+    r = cdist(x, x)
+    np.fill_diagonal(r, 1.0)
+    g = free_space_green(k, r)
+    np.fill_diagonal(g, 0.0)
+    inv_r = np.reciprocal(r, out=r)
+    g_r = g * inv_r
+    gp_r = (ik - inv_r) * g_r
+    radial = (gp_r - g_r * inv_r) * inv_r
+    lap_r = g_r * (-(k**2) - 2.0 * inv_r**2)
+
+    def fields(monopoles: np.ndarray, dipoles: np.ndarray):
+        d = ik * dipoles
+        xd = np.einsum("mp,mp->m", x, d)
+        sources = np.column_stack([d, xd])
+        mono = g @ monopoles
+        gd = g_r @ sources
+        ld = lap_r @ sources
+        # gradient rows sum C_ij (X_i - X_j), for C_ij = (g'/r) q_j and for
+        # C_ij = (g' - g/r)/r^2 * r (rhat . d_j)
+        pm = gp_r @ np.column_stack([monopoles, monopoles[:, None] * x])
+        c = x @ d.T
+        c -= xd
+        c *= radial
+        cx = c @ np.column_stack([np.ones(m), x])
+        value = mono + np.einsum("mp,mp->m", x, gd[:, :3]) - gd[:, 3]
+        gradient = x * (pm[:, :1] + cx[:, :1]) - pm[:, 1:] - cx[:, 1:] + gd[:, :3]
+        laplacian = -(k**2) * mono + np.einsum("mp,mp->m", x, ld[:, :3]) - ld[:, 3]
+        return value, gradient, laplacian
+
+    return hard_system_apply(lap_weights, dipole_weights, fields)
+
+
 def hard_rhs(wave: IncidentWave, points: np.ndarray) -> np.ndarray:
     """Incident field, gradient and Laplacian at the points, in the 5M unknown layout."""
     return np.concatenate([wave.field_at(points), wave.gradient_at(points).ravel(),
@@ -335,7 +418,9 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
 
     Unknowns are the field, its gradient, and its Laplacian at every center;
     ``Q_m = (lap u)(x_m) |D_m|``.  Requires every particle to carry a
-    polarizability tensor.
+    polarizability tensor.  GMRES runs on the matrix-free
+    :func:`hard_cloud_system`; raises GridTooLarge if its pair arrays exceed
+    ``KERNEL_BYTES_BUDGET``.
     """
     if scene.boundary_kind() != "hard":
         raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")
@@ -351,9 +436,8 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     m = len(centers)
     volumes = np.array([p.volume for p in scene.particles])
     betas = np.array([p.polarizability for p in scene.particles])
-    system = assemble_hard_system(centers, scene.wave.k, volumes,
-                                  betas * volumes[:, None, None])
-    x, residual = solve_checked(lambda v: system @ v, hard_rhs(scene.wave, centers), rtol)
+    system = hard_cloud_system(centers, scene.wave.k, volumes, betas * volumes[:, None, None])
+    x, residual = solve_checked(system, hard_rhs(scene.wave, centers), rtol)
     values = x[:m]
     gradients = x[m:4 * m].reshape(m, 3)
     laplacians = x[4 * m:]
@@ -398,12 +482,18 @@ def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndar
             kernel[exclude] = 0.0
         return u + kernel @ solution.charges
     mono, dipoles = hard_strengths(solution, scene)
-    g, gp, *_ = dipole_kernel_blocks(points, centers, scene.wave.k)
+    r = cdist(points, centers)
+    zero = r == 0.0
+    r[zero] = 1.0
+    g = free_space_green(scene.wave.k, r)
+    g[zero] = 0.0
     if exclude is not None:
         g[exclude] = 0.0
-        gp[exclude] = 0.0
+    # r (rhat . dipole_m), one coordinate axis at a time
+    projected = sum(np.subtract.outer(points[:, p], centers[:, p]) * dipoles[:, p]
+                    for p in range(3))
     ik = 1j * scene.wave.k
-    return u + g @ mono + ik * np.einsum("xmp,mp->x", gp, dipoles)
+    return u + g @ mono + ik * np.einsum("xm,xm->x", g / r, projected)
 
 
 def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,

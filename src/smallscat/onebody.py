@@ -129,25 +129,6 @@ class SurfaceMesh:
 
 
 @dataclass(frozen=True)
-class SurfaceDensity:
-    """Real surface density sampled at triangle centroids."""
-
-    mesh: SurfaceMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if len(vals) != self.mesh.n_triangles:
-            raise ValueError("density length must match the triangle count")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    def total(self) -> float:
-        return float(np.sum(self.values * self.mesh.areas))
-
-
-@dataclass(frozen=True)
 class PolarizabilityTensor:
     beta: np.ndarray
 

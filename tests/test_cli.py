@@ -220,6 +220,18 @@ def test_dense_budget_exceeded_exits_2(tmp_path, monkeypatch):
     assert record["type"] == "GridTooLarge" and record["exit_code"] == 2
 
 
+def test_memory_error_exits_2_with_a_record(tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the kernel")
+
+    monkeypatch.setattr(manybody, "solve_hard", exhausted)
+    out = tmp_path / "out"
+    assert run("solve", CONFIGS / "solve_hard_pair.yaml", out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "cannot allocate the kernel", "type": "MemoryError",
+                      "exit_code": 2}
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # --threads sets the BLAS thread variables in main(); numpy reads them once, on import
     src = Path(__file__).resolve().parents[1] / "src"

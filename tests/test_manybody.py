@@ -421,11 +421,11 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     hard = hard_scene(centers[:2], 0.005, wave_z, unit_box)
-    # the 5M hard system: 10 x 10 complex entries
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 10 * 10 - 1)
-    with pytest.raises(ss.GridTooLarge, match="hard system"):
+    # the hard operator's pair arrays: five complex scalars for each of 2 x 2 pairs
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 5 * 16 * 2 * 2 - 1)
+    with pytest.raises(ss.GridTooLarge, match="hard operator"):
         solve_hard(hard)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 10 * 10)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 5 * 16 * 2 * 2)
     assert solve_hard(hard).residual < 1e-10
     # the dense background-medium kernel: 3 x 3 complex entries
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
@@ -535,6 +535,16 @@ def test_solve_hard_matches_dense_solve_at_m200(wave_z):
     assert np.max(np.abs(got - x)) < 1e-8 * np.max(np.abs(x))
 
 
+def _separated_centers(rng, m, gap):
+    """``m`` uniform points in the unit cube, pairwise at least ``gap`` apart."""
+    centers = []
+    while len(centers) < m:
+        c = rng.uniform(0.0, 1.0, 3)
+        if all(np.linalg.norm(c - other) >= gap for other in centers):
+            centers.append(c)
+    return np.array(centers)
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["soft", "impedance", "hard"]), m=st.integers(1, 40),
        k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
@@ -544,11 +554,7 @@ def test_cloud_solves_match_dense_oracles(kind, m, k, seed):
     alpha = rng.normal(size=3)
     wave = ss.IncidentWave(k=k, alpha=alpha / np.linalg.norm(alpha))
     a = 0.01
-    centers = []
-    while len(centers) < m:  # keep the regime's separation of ten radii
-        c = rng.uniform(0.0, 1.0, 3)
-        if all(np.linalg.norm(c - other) >= 10 * a for other in centers):
-            centers.append(c)
+    centers = _separated_centers(rng, m, 10 * a)  # the regime's separation of ten radii
     bc = {"soft": ss.Soft(), "hard": ss.Hard(),
           "impedance": ss.Impedance(h=complex(*rng.uniform(-2.0, 2.0, 2)), kappa=0.5)}[kind]
     particles = tuple(ss.Particle.sphere(c, a, bc) for c in centers)
@@ -562,3 +568,82 @@ def test_cloud_solves_match_dense_oracles(kind, m, k, seed):
         got, expected = sol.values, _dense_monopole_oracle(scene)
     assert sol.method == "gmres" and sol.residual <= 1e-10
     assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+# ---------------------------------------------------------------------------
+# The matrix-free hard operator
+# ---------------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 40), k=st.floats(0.5, 3.0), size=st.floats(0.01, 1.0),
+       axis=st.integers(0, 2), shift=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed):
+    """Anisotropic, non-symmetric dipole weights; small clouds moved far off the origin,
+    where forming ``rhat . d`` from uncentered coordinates loses digits."""
+    rng = np.random.default_rng(seed)
+    centers = size * _separated_centers(rng, m, 0.1)
+    centers[:, axis] += shift
+    lap_weights = rng.uniform(0.01, 1.0, m)
+    dipole_weights = rng.normal(size=(m, 3, 3))
+    x = rng.normal(size=5 * m) + 1j * rng.normal(size=5 * m)
+    expected = assemble_hard_system(centers, k, lap_weights, dipole_weights) @ x
+    got = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)(x)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _hard_cloud(m, seed):
+    rng = np.random.default_rng(seed)
+    box = ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+    wave = ss.IncidentWave(k=1.3, alpha=[0.0, 0.6, 0.8])
+    return hard_scene(_separated_centers(rng, m, 0.1), 0.01, wave, box)
+
+
+def test_hard_solve_never_assembles_the_dense_system(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("solve_hard assembled the dense 5M system")
+
+    monkeypatch.setattr(manybody, "assemble_hard_system", dense)
+    sol = solve_hard(_hard_cloud(25, 11))
+    assert sol.residual <= 1e-10
+
+
+def test_hard_cloud_solves_where_the_dense_system_exceeds_the_budget(monkeypatch):
+    scene = _hard_cloud(30, 12)
+    m = scene.n_particles
+    expected = _dense_hard_oracle(scene)
+    # above the operator's pair arrays, one byte under the dense 5M x 5M matrix
+    budget = 16 * (5 * m) ** 2 - 1
+    assert manybody._HARD_PAIR_BYTES * m * m <= budget
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+    with pytest.raises(ss.GridTooLarge):
+        _dense_hard_oracle(scene)
+    sol = solve_hard(scene)
+    got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(got - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+def test_hard_source_field_matches_kernel_block_sum(wide_box, wave_z):
+    # unit volumes, anisotropic tensors and O(1) unknowns: the sources dominate u0
+    rng = np.random.default_rng(14)
+    m = 12
+    particles = tuple(ss.Particle(center=c, a=0.01, bc=ss.Hard(), capacitance=1.0,
+                                  surface_factor=FOUR_PI, volume=1.0,
+                                  polarizability=rng.normal(size=(3, 3)))
+                      for c in _separated_centers(rng, m, 0.1))
+    scene = ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
+    laplacians = rng.normal(size=m) + 1j * rng.normal(size=m)
+    sol = ss.EffectiveFieldSolution(kind="hard", values=np.zeros(m, complex),
+                                    charges=laplacians, laplacians=laplacians,
+                                    gradients=rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)))
+    # one point on a center, whose zero-distance pair contributes nothing
+    points = np.vstack([rng.uniform(-0.5, 1.5, size=(40, 3)), scene.centers[3]])
+    exclude = rng.random((len(points), m)) < 0.2
+    mono, dipoles = manybody.hard_strengths(sol, scene)
+    g, gp, *_ = dipole_kernel_blocks(points, scene.centers, scene.wave.k)
+    g[exclude] = 0.0
+    gp[exclude] = 0.0
+    ik = 1j * scene.wave.k
+    expected = scene.wave.field_at(points) + g @ mono + ik * np.einsum("xmp,mp->x", gp, dipoles)
+    got = manybody.source_field(sol, scene, points, exclude=exclude)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)

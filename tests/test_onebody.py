@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smallscat as ss
-from smallscat.onebody import (ShapeFunctionals, SurfaceDensity, amplitude_onebody,
+from smallscat.onebody import (ShapeFunctionals, amplitude_onebody,
                                capacitance_zeroth, charge_hard, charge_impedance,
                                charge_soft, icosphere, load_obj, mesh_particle,
                                polarizability, save_obj, spheroid,
@@ -56,11 +56,6 @@ def test_obj_roundtrip(tmp_path, sphere_mesh_320):
     back = load_obj(path)
     assert np.allclose(back.vertices, sphere_mesh_320.vertices)
     assert np.array_equal(back.triangles, sphere_mesh_320.triangles)
-
-
-def test_surface_density_length_checked(sphere_mesh_320):
-    with pytest.raises(ValueError):
-        SurfaceDensity(sphere_mesh_320, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +125,9 @@ def test_row_sum_identity_exact(sphere_mesh_320):
 
 
 def test_dipole_density_has_zero_total_charge(sphere_mesh_320):
-    sigma = SurfaceDensity(sphere_mesh_320, static_dipole_densities(sphere_mesh_320)[:, 2])
+    values = static_dipole_densities(sphere_mesh_320)[:, 2]
     # continuum total is exactly zero; quadrature leaves a small remainder
-    assert abs(sigma.total()) < 1e-2 * np.max(np.abs(sigma.values))
+    assert abs(np.sum(values * sphere_mesh_320.areas)) < 1e-2 * np.max(np.abs(values))
 
 
 def test_polarizability_sphere(sphere_mesh_1280):
