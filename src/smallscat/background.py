@@ -10,11 +10,11 @@ cube cover of ``D`` (midpoint rule; the self cell uses the mean-value integral
 of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
-solved per source by a truncated series or fixed-point iteration.
+solved by a truncated series or fixed-point iteration, per source or once for
+many point charges (:meth:`GreenEvaluator.induced_charges`).
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
-(same code path, bit for bit).  Evaluators are immutable after construction;
-per-source grid solutions are cached so repeated pair evaluations are cheap.
+(same code path, bit for bit).  Evaluators are immutable after construction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import NonConvergence
-from .fields import ConstantField, ScalarField, probe_points
+from .fields import ScalarField, probe_points
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 
@@ -62,10 +62,6 @@ class BackgroundMedium:
         uniform = bool(np.all(samples == 1.0 + 0.0j))
         object.__setattr__(self, "n0_max", n0_max)
         object.__setattr__(self, "uniform_one", uniform)
-
-    @classmethod
-    def free_space(cls, box: Box) -> "BackgroundMedium":
-        return cls(n2=ConstantField(1.0 + 0.0j), box=box)
 
     def contrast(self, points: np.ndarray) -> np.ndarray:
         """``n0^2(x) - 1`` with zero imposed outside the box."""
@@ -130,7 +126,7 @@ class GreenEvaluator:
     Parameters
     ----------
     medium : BackgroundMedium or None
-        ``None`` means free space.
+        ``None`` means free space, whatever the method.
     k : float
         Wave number.
     grid_n : int
@@ -150,7 +146,6 @@ class GreenEvaluator:
         if method == "free_space" and not uniform:
             raise ValueError("free_space method requires n0^2 == 1")
         self.method = method
-        self._cache: dict = {}
         if method == "free_space" or medium is None:
             self.grid: Optional[GridCover] = None
             return
@@ -161,23 +156,18 @@ class GreenEvaluator:
 
     @property
     def is_free_space(self) -> bool:
-        return self.method == "free_space"
+        return self.grid is None
+
+    def _grid_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(I - K)^{-1} rhs`` on the cover, by the evaluator's method."""
+        if self.method[0] == "born":
+            return born_series(self._kernel, rhs, int(self.method[1]))
+        return fixed_point_solve(self._kernel, rhs, float(self.method[1]))
 
     def _grid_solution(self, source: np.ndarray) -> np.ndarray:
-        key = tuple(np.asarray(source, dtype=float))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        z = self.grid.centers
-        r = np.linalg.norm(z - np.asarray(source, dtype=float), axis=1)
-        r = np.maximum(r, 1e-300)
-        rhs = free_space_green(self.k, r)
-        if self.method[0] == "born":
-            sol = born_series(self._kernel, rhs, int(self.method[1]))
-        else:
-            sol = fixed_point_solve(self._kernel, rhs, float(self.method[1]))
-        self._cache[key] = sol
-        return sol
+        """``G(z_p, y)`` at the cover centers for one source ``y``."""
+        r = np.linalg.norm(self.grid.centers - np.asarray(source, dtype=float), axis=1)
+        return self._grid_solve(free_space_green(self.k, np.maximum(r, 1e-300)))
 
     def pair_values(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
@@ -194,11 +184,20 @@ class GreenEvaluator:
     def grid_correction(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
         """``G(x, y) - g(x, y)`` for every target ``x`` and source ``y``, shape (T, S).
 
-        One target-to-grid kernel applied to all (cached) per-source grid solutions.
+        One grid solve per source, then one target-to-grid kernel applied to all.
         """
         sols = np.stack([self._grid_solution(y) for y in sources], axis=1)
         rt = np.maximum(cdist(targets, self.grid.centers), 1e-300)
         return (self.k**2) * (free_space_green(self.k, rt) @ (self._chi_w[:, None] * sols))
+
+    def induced_charges(self, sources: np.ndarray, charges: np.ndarray) -> np.ndarray:
+        """Cover monopoles ``s`` with ``sum_m (G - g)(x, y_m) Q_m = sum_p g(x, z_p) s_p``.
+
+        ``s = k^2 chi |cell| (I - K)^{-1} g(Z, Y) Q``: one grid solve for all sources.
+        """
+        r = np.maximum(cdist(self.grid.centers, sources), 1e-300)
+        rhs = free_space_green(self.k, r) @ charges
+        return (self.k**2) * self._chi_w * self._grid_solve(rhs)
 
 
 def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:

@@ -7,9 +7,9 @@ amplitudes), ``homogenize`` (limiting-equation collocation), ``design``
 
 Numeric tables are CSV with complex values split into re/im columns and all
 floats printed with 17 significant digits, so identical configs and seeds
-reproduce byte-identical tables.  The manifest records input hashes, seed,
-versions, residuals, artifact names, and timings (timings are the only
-fields that vary between identical runs).
+reproduce byte-identical tables.  The manifest records input hashes, the
+effective seed (``null`` only for explicit particles without ``--seed``),
+versions, residuals, artifact names, and timings (the only varying fields).
 
 Exit codes: 0 success, 2 config error (also a problem too large for memory:
 GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.
@@ -146,11 +146,13 @@ class RunConfig:
 def run_solve(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .config import scene_from_config
+    from .config import effective_seed, scene_from_config
     from .manybody import eval_field, far_field, fibonacci_directions, solve_hard
     from .manybody import solve_impedance, solve_soft
 
     scene = scene_from_config(cfg["scene"], ctx.config_path.parent, seed_override=ctx.seed)
+    if "cloud" in cfg["scene"]:
+        ctx.seed = effective_seed(cfg["scene"]["cloud"], ctx.seed)
     kind = scene.boundary_kind()
     solver = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[kind]
     solution = solver(scene, rtol=ctx.tol)
@@ -314,7 +316,7 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
 
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
-    from .config import box_from_config, wave_from_config
+    from .config import box_from_config, effective_seed, wave_from_config
     from .core import DEFAULT_SEPARATION_FACTOR
     from .fields import field_from_config
     from .homogenize import convergence_study
@@ -325,14 +327,14 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
     base = ctx.config_path.parent
     law = section.get("law", "dirichlet")
     h = field_from_config(section["h"], base) if "h" in section else None
-    seed = int(section.get("seed", 0)) if ctx.seed is None else int(ctx.seed)
+    ctx.seed = effective_seed(section, ctx.seed)
     report = convergence_study(
         law=law,
         density=field_from_config(section["density"], base),
         domain=domain, wave=wave,
         a_levels=[float(a) for a in section["a_levels"]],
         kappa=float(section.get("kappa", 0.5)),
-        h=h, seed=seed, rtol=ctx.tol,
+        h=h, seed=ctx.seed, rtol=ctx.tol,
         separation_factor=float(section.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
     )
     ctx.summary.update({

@@ -104,6 +104,11 @@ def mesh_from_config(cfg: dict, base_dir) -> SurfaceMesh:
     raise ConfigError(f"mesh: unknown kind {kind!r}")
 
 
+def effective_seed(cfg: dict, seed_override: Optional[int] = None) -> int:
+    """The ``--seed`` override if given, else the section's ``seed``, else 0."""
+    return int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
+
+
 def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = None) -> CloudSpec:
     bc_cfg = cfg.get("bc", {"kind": "soft"})
     kind = bc_cfg.get("kind", "soft")
@@ -111,7 +116,6 @@ def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = N
     kappa = float(bc_cfg.get("kappa", cfg.get("kappa", 0.5)))
     if kind == "impedance":
         h_field = field_from_config(_require(bc_cfg, "h", "cloud.bc"), base_dir)
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
     try:
         return CloudSpec(
             density=field_from_config(_require(cfg, "density", "cloud"), base_dir),
@@ -120,7 +124,7 @@ def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = N
             kappa=kappa,
             bc_kind=kind,
             h=h_field,
-            rng_seed=seed,
+            rng_seed=effective_seed(cfg, seed_override),
             separation_factor=float(cfg.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
             strata_n=cfg.get("strata_n"),
             jitter=float(cfg.get("jitter", DEFAULT_JITTER)),

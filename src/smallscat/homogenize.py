@@ -19,8 +19,9 @@ value per cell, the diagonal cell excluded (the weakly singular self-cell
 integral is dropped consistently).  With the free-space kernel every coupling
 depends only on the cell-index offset, so the systems are solved matrix-free:
 GMRES on the zero-padded FFT lattice operator of :mod:`smallscat.lattice`,
-``O(P log P)`` per iteration.  A background-medium kernel is not translation
-invariant and keeps a dense kernel matrix.  Empirical cell statistics of
+``O(P log P)`` per iteration.  The limits are taken in free space; a
+background medium enters only the finite-cloud solves, through
+``scene.background``.  Empirical cell statistics of
 generated clouds estimate the same coefficients, and the convergence study
 compares the cloud solve against the collocation solve level by level in the
 sup norm over cells.
@@ -35,7 +36,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .background import GreenEvaluator, free_space_green
+from .background import free_space_green
 from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
                    SPHERE_SURFACE_FACTOR, CloudSpec, IncidentWave, Particle, Scene,
                    generate_cloud, kind_label)
@@ -44,8 +45,8 @@ from .fields import ScalarField
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, hard_rhs,
-                       hard_system_apply, monopole_coupling, solve_impedance,
-                       solve_monopole_system, solve_soft, source_field)
+                       hard_system_apply, monopole_coupling, solve_impedance, solve_soft,
+                       source_field)
 
 logger = logging.getLogger(__name__)
 
@@ -71,30 +72,18 @@ class CollocationSolution:
 
 
 def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave, *,
-                      greens: Optional[GreenEvaluator] = None,
                       rtol: float = DEFAULT_RTOL) -> CollocationSolution:
     """Solve ``u_q = u0_q - sum_{p != q} g(xi_q, xi_p) q_p u_p |cell|`` on the cover.
 
-    The free-space kernel runs GMRES on the FFT lattice operator (method
-    ``"fft"``); a non-uniform background ``greens`` runs GMRES on its dense
-    kernel matrix through :func:`~smallscat.manybody.solve_monopole_system`
-    (method ``"gmres"``).
+    GMRES on the FFT lattice operator of the free-space kernel (method ``"fft"``).
     """
     q = np.asarray(q_values, dtype=complex).reshape(cover.n_cells)
-    coupling = q * cover.cell_volume
-    rhs = wave.field_at(cover.centers)
-    if greens is None or greens.is_free_space:
-        k = wave.k
-        kernel = LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
-                                 weights=coupling)
-        u, residual = solve_checked(lambda v: v + kernel @ v, rhs, rtol)
-        method = "fft"
-    else:
-        u, residual = solve_monopole_system(cover.centers, wave.k, coupling, rhs,
-                                            rtol=rtol, greens=greens)
-        method = "gmres"
+    k = wave.k
+    kernel = LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
+                             weights=q * cover.cell_volume)
+    u, residual = solve_checked(lambda v: v + kernel @ v, wave.field_at(cover.centers), rtol)
     return CollocationSolution(cover=cover, q_values=q, values=u,
-                               residual=residual, method=method)
+                               residual=residual, method="fft")
 
 
 # ---------------------------------------------------------------------------

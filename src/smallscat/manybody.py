@@ -17,13 +17,14 @@ Every system is built once and solved by GMRES with a checked residual
 (:func:`~smallscat.lattice.solve_checked`): the free-space monopole kernel as
 a packed symmetric :class:`CloudKernel`, a background-medium kernel as a dense
 matrix, and the 5M hard system matrix-free (:func:`hard_cloud_system`, a few
-scalar arrays per pair).  Solution objects are immutable.
+scalar arrays per pair).  A background medium enters only through
+``scene.background``.  Solution objects are immutable and hold no evaluator.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,9 +52,7 @@ class EffectiveFieldSolution:
     ``values`` holds the self-consistent field at the centers; hard scenes
     also carry ``gradients`` (M, 3) and ``laplacians`` (M,).  ``charges`` are
     the monopole strengths Q_m.  ``residual`` is the relative residual of the
-    assembled system at the returned vector.  ``greens`` is the background
-    evaluator the solve used (``None`` for free space); :func:`eval_field`
-    reuses it, with its per-source grid solutions.
+    assembled system at the returned vector.
     """
 
     kind: str
@@ -63,7 +62,6 @@ class EffectiveFieldSolution:
     laplacians: Optional[np.ndarray] = None
     residual: float = 0.0
     method: str = "gmres"
-    greens: Optional[GreenEvaluator] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     residual)``; raises SolveFailure if the relative residual exceeds ``rtol``
     and GridTooLarge if the dense kernel exceeds ``KERNEL_BYTES_BUDGET``.
     """
-    if greens is None or greens.is_free_space:
+    if greens is None:
         kernel = CloudKernel(centers, k)
     else:
         _check_dense_budget(len(centers), "background kernel")
@@ -209,47 +207,40 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     return solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol)
 
 
-def _scene_greens(scene: Scene, greens: Optional[GreenEvaluator]):
-    """Explicit evaluator wins; otherwise a non-uniform scene background builds one."""
-    if greens is not None:
-        return greens
+def _scene_greens(scene: Scene) -> Optional[GreenEvaluator]:
+    """The evaluator of a non-uniform scene background; ``None`` in free space."""
     if scene.background is None or scene.background.uniform_one:
         return None
     return GreenEvaluator(scene.background, k=scene.wave.k)
 
 
-def _solve_monopole_scene(scene: Scene, expected_kind, rtol, greens,
-                          validate) -> EffectiveFieldSolution:
+def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> EffectiveFieldSolution:
     kind = scene.boundary_kind()
     if kind != expected_kind:
         raise ValueError(f"expected an all-{expected_kind} scene, got {kind}")
     _check_regime(scene, validate)
-    greens = _scene_greens(scene, greens)
     coupling = monopole_coupling(scene.particles)
     rhs = scene.wave.field_at(scene.centers)
     u, residual = solve_monopole_system(scene.centers, scene.wave.k, coupling, rhs,
-                                        rtol=rtol, greens=greens)
+                                        rtol=rtol, greens=_scene_greens(scene))
     charges = -coupling * u
     logger.info("solved %s scene: M=%d residual=%.2e", kind, len(u), residual)
-    return EffectiveFieldSolution(kind=kind, values=u, charges=charges,
-                                  residual=residual, greens=greens)
+    return EffectiveFieldSolution(kind=kind, values=u, charges=charges, residual=residual)
 
 
 def solve_soft(scene: Scene, *, rtol: float = DEFAULT_RTOL,
-               greens: Optional[GreenEvaluator] = None,
                validate: bool = True) -> EffectiveFieldSolution:
     """Self-consistent field for an all-soft scene; ``Q_m = -C_m u(x_m)``."""
-    return _solve_monopole_scene(scene, "soft", rtol, greens, validate)
+    return _solve_monopole_scene(scene, "soft", rtol, validate)
 
 
 def solve_impedance(scene: Scene, *, rtol: float = DEFAULT_RTOL,
-                    greens: Optional[GreenEvaluator] = None,
                     validate: bool = True) -> EffectiveFieldSolution:
     """Self-consistent field for an all-impedance scene.
 
     ``Q_m = -h(x_m) a^(2-kappa) b_m u(x_m)`` with ``b_m = |S_m| / a^2``.
     """
-    return _solve_monopole_scene(scene, "impedance", rtol, greens, validate)
+    return _solve_monopole_scene(scene, "impedance", rtol, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +403,6 @@ def hard_rhs(wave: IncidentWave, points: np.ndarray) -> np.ndarray:
 
 
 def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
-               greens: Optional[GreenEvaluator] = None,
                validate: bool = True) -> EffectiveFieldSolution:
     """Coupled 5M solve for an all-hard scene.
 
@@ -420,12 +410,11 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     ``Q_m = (lap u)(x_m) |D_m|``.  Requires every particle to carry a
     polarizability tensor.  GMRES runs on the matrix-free
     :func:`hard_cloud_system`; raises GridTooLarge if its pair arrays exceed
-    ``KERNEL_BYTES_BUDGET``.
+    ``KERNEL_BYTES_BUDGET`` and UnsupportedScene in a non-uniform background.
     """
     if scene.boundary_kind() != "hard":
         raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")
-    greens = _scene_greens(scene, greens)
-    if greens is not None and not greens.is_free_space:
+    if scene.background is not None and not scene.background.uniform_one:
         raise UnsupportedScene("hard solves support the free-space kernel only")
     _check_regime(scene, validate)
     for i, p in enumerate(scene.particles):
@@ -459,45 +448,52 @@ def hard_strengths(solution: EffectiveFieldSolution, scene: Scene):
     return solution.laplacians * volumes, dipoles
 
 
+def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
+    """Positions and charges: the particles, then a medium's induced cover sources."""
+    greens = _scene_greens(scene)
+    if greens is None:
+        return scene.centers, solution.charges
+    induced = greens.induced_charges(scene.centers, solution.charges)
+    return (np.vstack([scene.centers, greens.grid.centers]),
+            np.concatenate([solution.charges, induced]))
+
+
 def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
-                 greens: Optional[GreenEvaluator] = None,
                  exclude: Optional[np.ndarray] = None) -> np.ndarray:
     """``u0`` plus the point sources of a solved scene, summed at ``points``.
 
-    Soft/impedance: ``sum_m G(x, x_m) Q_m``.  Hard: the monopole and the
-    directed dipole term enter with the particle volume.  Pairs where the
-    boolean ``(points, M)`` mask ``exclude`` is true are left out.  The kernel
-    defaults to the evaluator the solve used (``solution.greens``).
+    Soft/impedance: ``sum_m G(x, x_m) Q_m``, the free-space ``g`` summed over
+    :func:`_monopoles`.  Hard: the monopole and the directed dipole term enter
+    with the particle volume.  Particle columns where the boolean ``(points,
+    M)`` mask ``exclude`` is true are left out; cover sources never are.
     """
     u = scene.wave.field_at(points)
     if scene.n_particles == 0:
         return u
-    greens = _scene_greens(scene, solution.greens if greens is None else greens)
+    k = scene.wave.k
     centers = scene.centers
     if solution.kind in ("soft", "impedance"):
-        kernel = free_space_green(scene.wave.k, cdist(points, centers))
-        if greens is not None and not greens.is_free_space:
-            kernel += greens.grid_correction(points, centers)
+        positions, charges = _monopoles(solution, scene)
+        kernel = free_space_green(k, np.maximum(cdist(points, positions), 1e-300))
         if exclude is not None:
-            kernel[exclude] = 0.0
-        return u + kernel @ solution.charges
+            kernel[:, :len(centers)][exclude] = 0.0
+        return u + kernel @ charges
     mono, dipoles = hard_strengths(solution, scene)
     r = cdist(points, centers)
     zero = r == 0.0
     r[zero] = 1.0
-    g = free_space_green(scene.wave.k, r)
+    g = free_space_green(k, r)
     g[zero] = 0.0
     if exclude is not None:
         g[exclude] = 0.0
     # r (rhat . dipole_m), one coordinate axis at a time
     projected = sum(np.subtract.outer(points[:, p], centers[:, p]) * dipoles[:, p]
                     for p in range(3))
-    ik = 1j * scene.wave.k
+    ik = 1j * k
     return u + g @ mono + ik * np.einsum("xm,xm->x", g / r, projected)
 
 
-def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
-               greens: Optional[GreenEvaluator] = None) -> np.ndarray:
+def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray) -> np.ndarray:
     """Total field at points outside every particle's exclusion ball.
 
     The :func:`source_field` of the solution at every point.  The
@@ -508,23 +504,26 @@ def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarra
     if np.any(inside):
         i, j = np.argwhere(inside)[0]
         raise PointInsideParticle(f"point {i} lies inside particle {j}")
-    return source_field(solution, scene, pts, greens)
+    return source_field(solution, scene, pts)
 
 
 def far_field(solution: EffectiveFieldSolution, scene: Scene,
               directions: Sequence[np.ndarray]) -> FarField:
     """Scattering amplitudes ``A(beta) = (1/4pi) sum_m exp(-ik beta.x_m) S_m``.
 
-    ``S_m`` is the monopole charge for soft/impedance scenes; for hard scenes
-    the dipole direction factor is evaluated at its far-field limit ``beta``.
+    For soft/impedance scenes the sum runs over :func:`_monopoles`, so a medium's
+    induced cover sources radiate too; for hard scenes the dipole direction
+    factor is evaluated at its far-field limit ``beta``.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    phases = np.exp(-1j * scene.wave.k * dirs @ scene.centers.T)
+    k = scene.wave.k
     if solution.kind in ("soft", "impedance"):
-        amps = phases @ solution.charges / (4.0 * np.pi)
+        positions, charges = _monopoles(solution, scene)
+        amps = np.exp(-1j * k * dirs @ positions.T) @ charges / (4.0 * np.pi)
     else:
+        phases = np.exp(-1j * k * dirs @ scene.centers.T)
         mono, dipoles = hard_strengths(solution, scene)
-        ik = 1j * scene.wave.k
+        ik = 1j * k
         amps = (phases @ mono + ik * np.einsum("bp,mp,bm->b", dirs, dipoles, phases)) \
             / (4.0 * np.pi)
     return FarField(directions=dirs, amplitudes=amps)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,15 +157,26 @@ def test_smallness_check_examples(unit_box):
     assert diag2.accepted
 
 
-def test_green_cache_reused(unit_box, bump_medium):
+@pytest.mark.parametrize("method", [("born", 2), ("lippmann_schwinger", 1e-10)])
+def test_no_medium_is_free_space_for_every_method(method):
+    ev = GreenEvaluator(None, k=2.0, method=method)
+    assert ev.is_free_space
+    y = np.array([0.9, 0.5, 0.7])
+    targets = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.8]])
+    expected = free_space_green(2.0, np.linalg.norm(targets - y, axis=1))
+    assert np.array_equal(ev.pair_values(targets, y), expected)
+
+
+def test_evaluator_and_solution_unchanged_by_use(unit_box, wave_z, bump_medium):
     ev = GreenEvaluator(bump_medium, k=1.0, grid_n=6)
-    y = np.array([0.4, 0.4, 0.4])
-    green(ev, np.array([0.7, 0.7, 0.7]), y)
-    assert len(ev._cache) == 1
-    green(ev, np.array([0.2, 0.8, 0.3]), y)
-    assert len(ev._cache) == 1
-    green(ev, np.array([0.2, 0.8, 0.3]), y + 0.1)
-    assert len(ev._cache) == 2
+    centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5]])
+    scene = ss.Scene(particles=tuple(ss.Particle.sphere(c, 0.005, ss.Soft()) for c in centers),
+                     domain=unit_box, wave=wave_z, background=bump_medium)
+    sol = ss.solve_soft(scene)
+    before = [pickle.dumps(obj) for obj in (ev, sol, scene)]
+    ev.pair_values(np.array([[0.7, 0.7, 0.7]]), np.array([0.4, 0.4, 0.4]))
+    ss.eval_field(sol, scene, np.array([[0.1, 0.2, 0.3], [0.6, 0.9, 0.2]]))
+    assert [pickle.dumps(obj) for obj in (ev, sol, scene)] == before
 
 
 def test_scattered_plane_wave_zero_contrast(unit_box, wave_z):

@@ -133,6 +133,21 @@ def test_seed_flag_changes_cloud(tmp_path):
     assert (out1 / "particles.csv").read_bytes() != (out2 / "particles.csv").read_bytes()
 
 
+def test_manifest_records_the_effective_seed(tmp_path):
+    def seed(subcommand, config, name, extra=()):
+        assert run(subcommand, config, tmp_path / name, extra) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text())["seed"]
+
+    seven = tmp_path / "solve_cloud_seed7.yaml"
+    text = (CONFIGS / "solve_cloud_soft.yaml").read_text()
+    seven.write_text(text.replace("seed: 0", "seed: 7"))
+    assert seed("solve", CONFIGS / "solve_cloud_soft.yaml", "config") == 0
+    assert seed("solve", seven, "seven") == 7
+    assert seed("solve", seven, "flag", ["--seed", "5"]) == 5
+    assert seed("converge", CONFIGS / "converge_demo.yaml", "converge") == 0
+    assert seed("solve", CONFIGS / "solve_one_soft.yaml", "explicit") is None
+
+
 def test_env_var_overrides_out(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("SMALLSCAT_OUT", str(env_dir))

@@ -49,22 +49,6 @@ def test_collocation_refinement_and_dense_grid_oracle(unit_box, wave_z):
     assert np.max(np.abs(sols[16].interpolant(probes) - u_probes)) < 0.05
 
 
-def test_collocation_accepts_background_kernel(unit_box, wave_z):
-    cover = ss.GridCover.from_shape(unit_box, 3)
-    q = np.full(cover.n_cells, 2.0 + 0j)
-    plain = collocation_solve(q, cover, wave_z)
-    uniform = ss.BackgroundMedium(n2=ss.ConstantField(1.0), box=unit_box)
-    via_green = collocation_solve(q, cover, wave_z,
-                                  greens=ss.GreenEvaluator(uniform, k=wave_z.k))
-    assert np.array_equal(plain.values, via_green.values)
-    bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.3,
-                                base=1.0)
-    medium = ss.BackgroundMedium(n2=bump, box=unit_box)
-    perturbed = collocation_solve(q, cover, wave_z,
-                                  greens=ss.GreenEvaluator(medium, k=wave_z.k, grid_n=6))
-    assert not np.allclose(plain.values, perturbed.values)
-
-
 def test_helmholtz_operator_consistency(unit_box, wave_z):
     """Second-order finite differences applied to the collocation solution
     recover q*u in the interior, with error shrinking under refinement."""

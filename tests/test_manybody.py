@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,15 +404,11 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
     free_sol = solve_soft(scene)
     bump = ss.GaussianBumpField(amplitude=0.3, center=[0.5, 0.5, 0.5], width=0.3, base=1.0)
     medium = ss.BackgroundMedium(n2=bump, box=unit_box)
-    ev = ss.GreenEvaluator(medium, k=wave_z.k, grid_n=8)
-    pert_sol = solve_soft(scene, greens=ev)
-    assert not np.allclose(free_sol.values, pert_sol.values)
-    assert pert_sol.residual < 1e-10
-    # a scene carrying the medium picks the kernel up without an explicit evaluator
     scene_bg = ss.Scene(particles=particles, domain=unit_box, wave=wave_z,
                         background=medium)
-    auto_sol = solve_soft(scene_bg)
-    assert np.allclose(auto_sol.values, pert_sol.values, rtol=1e-10)
+    pert_sol = solve_soft(scene_bg)
+    assert not np.allclose(free_sol.values, pert_sol.values)
+    assert pert_sol.residual < 1e-10
     # hard solves refuse a non-uniform background kernel
     hard_particles = tuple(ss.Particle.sphere(c, 0.005, ss.Hard()) for c in centers)
     hard_bg = ss.Scene(particles=hard_particles, domain=unit_box, wave=wave_z,
@@ -439,13 +438,22 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
     assert solve_soft(soft).residual < 1e-10
 
 
-def test_eval_field_reuses_the_solve_evaluator(unit_box, wave_z, monkeypatch):
-    bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
-    medium = ss.BackgroundMedium(n2=bump, box=unit_box)
+def _bump_scene(unit_box, wave, a, amplitude=0.2, seed=None, centers=None):
+    bump = ss.GaussianBumpField(amplitude=amplitude, center=[0.5, 0.5, 0.5], width=0.2,
+                                base=1.0)
+    if centers is None:
+        spec = ss.CloudSpec(density=ss.ConstantField(1.0), a=a, rng_seed=seed)
+        particles = tuple(ss.generate_cloud(spec, unit_box))
+    else:
+        particles = tuple(ss.Particle.sphere(c, a, ss.Soft()) for c in centers)
+    return ss.Scene(particles=particles, domain=unit_box, wave=wave,
+                    background=ss.BackgroundMedium(n2=bump, box=unit_box))
+
+
+def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
-    particles = tuple(ss.Particle.sphere(c, 0.005, ss.Soft()) for c in centers)
-    scene = ss.Scene(particles=particles, domain=unit_box, wave=wave_z, background=medium)
-    points = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.4]])
+    scene = _bump_scene(unit_box, wave_z, 0.005, centers=centers)
+    points = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.4], [0.5, 0.5, 3.0]])
     solves = []
     fixed_point = ss.background.fixed_point_solve
 
@@ -456,10 +464,47 @@ def test_eval_field_reuses_the_solve_evaluator(unit_box, wave_z, monkeypatch):
     monkeypatch.setattr(ss.background, "fixed_point_solve", counted)
     sol = solve_soft(scene)
     u = eval_field(sol, scene, points)
-    # one grid solve per source: the field evaluation hits the solve's cache
-    assert len(solves) == len(centers)
-    fresh = eval_field(sol, scene, points, greens=ss.GreenEvaluator(medium, k=wave_z.k))
-    assert np.array_equal(u, fresh)
+    # one grid solve per particle for the kernel, one for the read-out
+    assert len(solves) == len(centers) + 1
+    ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
+    oracle = wave_z.field_at(points) + sum(ev.pair_values(points, c) * q
+                                           for c, q in zip(centers, sol.charges))
+    assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle - wave_z.field_at(points)))
+
+
+def test_far_field_includes_the_medium(unit_box):
+    # criterion 9 (radiation consistency) in a strong medium
+    wave = ss.IncidentWave(k=2.0, alpha=[0.0, 0.0, 1.0])
+    scene = _bump_scene(unit_box, wave, 0.02, amplitude=1.0, seed=0)
+    assert scene.n_particles == 50
+    sol = solve_soft(scene)
+    rng = np.random.default_rng(1)
+    dirs = rng.normal(size=(50, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = 1e4 / wave.k
+    amps = far_field(sol, scene, dirs).amplitudes
+    u = eval_field(sol, scene, r * dirs)
+    recovered = r * np.exp(-1j * wave.k * r) * (u - wave.field_at(r * dirs))
+    assert np.max(np.abs(recovered - amps)) <= 1e-3 * np.max(np.abs(amps))
+
+
+def test_medium_read_out_is_thread_safe(unit_box, wave_z):
+    scene = _bump_scene(unit_box, wave_z, 0.01, seed=3)
+    sol = solve_soft(scene)
+    axis = np.linspace(0.05, 0.95, 4)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    gap = np.min(np.linalg.norm(points[:, None, :] - scene.centers[None], axis=-1), axis=1)
+    points = points[gap > 0.02]
+    serial = eval_field(sol, scene, points)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: eval_field(sol, scene, points), range(8),
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8 and all(np.array_equal(serial, u) for u in results)
 
 
 # ---------------------------------------------------------------------------
