@@ -11,7 +11,8 @@ of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
 solved by a truncated series or fixed-point iteration, per source or once for
-many point charges (:meth:`GreenEvaluator.induced_charges`).
+many point charges (:meth:`GreenEvaluator.induced_charges`).  Point-to-point
+kernels (:func:`point_green`) give a cover center its own cell's diagonal.
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
 (same code path, bit for bit).  Evaluators are immutable after construction.
@@ -40,6 +41,26 @@ def free_space_green(k: float, r: np.ndarray) -> np.ndarray:
     """Outgoing free-space kernel ``exp(ikr) / (4 pi r)``."""
     r = np.asarray(r)
     return np.exp(1j * k * r) / (4.0 * np.pi * r)
+
+
+def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
+                self_value=0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """``g(x, y)`` and ``r`` for every target ``x`` and source ``y``, shape (T, S).
+
+    Where a target meets a source, ``g`` is that source's ``self_value`` (0
+    for a particle, :func:`cell_self_green` for a cover center) and ``r`` is 1.
+    """
+    r = cdist(targets, sources)
+    coincident = r == 0.0
+    r[coincident] = 1.0
+    g = free_space_green(k, r)
+    g[coincident] = np.broadcast_to(self_value, g.shape)[coincident]
+    return g, r
+
+
+def cell_self_green(cover: GridCover) -> float:
+    """Mean of ``1/(4 pi r)`` over one cell: the kernel's value where a cell meets itself."""
+    return cover.self_green_integral() / cover.cell_volume
 
 
 @dataclass(frozen=True)
@@ -71,14 +92,10 @@ class BackgroundMedium:
 
 
 def medium_kernel(cover: GridCover, k: float, chi: np.ndarray) -> LatticeOperator:
-    """``v -> k^2 sum_p g(z_q - z_p) chi_p |cell| v_p`` on the cover, self cell kept.
-
-    The diagonal is the mean-value integral of ``1/(4 pi r)`` over one cell.
-    """
-    w = cover.cell_volume
+    """``v -> k^2 sum_p g(z_q - z_p) chi_p |cell| v_p`` on the cover, self cell kept."""
     return LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
-                           self_value=cover.self_green_integral() / w,
-                           weights=(k**2) * chi * w)
+                           self_value=cell_self_green(cover),
+                           weights=(k**2) * chi * cover.cell_volume)
 
 
 def born_series(kernel, rhs: np.ndarray, order: int) -> np.ndarray:
@@ -164,10 +181,9 @@ class GreenEvaluator:
             return born_series(self._kernel, rhs, int(self.method[1]))
         return fixed_point_solve(self._kernel, rhs, float(self.method[1]))
 
-    def _grid_solution(self, source: np.ndarray) -> np.ndarray:
-        """``G(z_p, y)`` at the cover centers for one source ``y``."""
-        r = np.linalg.norm(self.grid.centers - np.asarray(source, dtype=float), axis=1)
-        return self._grid_solve(free_space_green(self.k, np.maximum(r, 1e-300)))
+    def _to_grid(self, points: np.ndarray) -> np.ndarray:
+        """``g(z_p, y)`` from every point ``y`` to the cover centers, (P, len(points))."""
+        return point_green(self.k, self.grid.centers, points, cell_self_green(self.grid))[0]
 
     def pair_values(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
@@ -186,17 +202,15 @@ class GreenEvaluator:
 
         One grid solve per source, then one target-to-grid kernel applied to all.
         """
-        sols = np.stack([self._grid_solution(y) for y in sources], axis=1)
-        rt = np.maximum(cdist(targets, self.grid.centers), 1e-300)
-        return (self.k**2) * (free_space_green(self.k, rt) @ (self._chi_w[:, None] * sols))
+        sols = np.stack([self._grid_solve(rhs) for rhs in self._to_grid(sources).T], axis=1)
+        return (self.k**2) * (self._to_grid(targets).T @ (self._chi_w[:, None] * sols))
 
     def induced_charges(self, sources: np.ndarray, charges: np.ndarray) -> np.ndarray:
         """Cover monopoles ``s`` with ``sum_m (G - g)(x, y_m) Q_m = sum_p g(x, z_p) s_p``.
 
         ``s = k^2 chi |cell| (I - K)^{-1} g(Z, Y) Q``: one grid solve for all sources.
         """
-        r = np.maximum(cdist(self.grid.centers, sources), 1e-300)
-        rhs = free_space_green(self.k, r) @ charges
+        rhs = self._to_grid(sources) @ charges
         return (self.k**2) * self._chi_w * self._grid_solve(rhs)
 
 
@@ -226,7 +240,7 @@ def scattered_plane_wave(chi_values: np.ndarray, cover: GridCover, k: float,
     if points is None:
         return u_grid, u_grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rp = np.maximum(cdist(pts, z), 1e-300)
+    g = point_green(k, pts, z, cell_self_green(cover))[0]
     u_pts = amplitude * np.exp(1j * k * pts @ alpha) \
-        + (k**2) * (free_space_green(k, rp) @ (chi * cover.cell_volume * u_grid))
+        + (k**2) * (g @ (chi * cover.cell_volume * u_grid))
     return u_grid, u_pts

@@ -11,7 +11,10 @@ through its shape functionals and the self-consistent field at its center:
 The hard case couples values, gradients, and Laplacians at the centers
 (5M unknowns); the gradient and Laplacian equations come from analytic
 differentiation of the kernel (finite differences are used only as test
-oracles, never in assembly).  Self interaction is excluded by construction.
+oracles, never in assembly).  Self interaction is excluded by construction;
+in a medium (``G`` for ``g``) that drops the smooth ``(G - g)(x_j, x_j)`` too.
+Every read-out sums point sources, whatever the particle kind: the charges,
+a hard solve's dipoles, and a medium's induced cover monopoles.
 
 Every system is built once and solved by GMRES with a checked residual
 (:func:`~smallscat.lattice.solve_checked`): the free-space monopole kernel as
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.linalg.blas import zspmv
 from scipy.spatial.distance import cdist
 
-from .background import GreenEvaluator, free_space_green
+from .background import GreenEvaluator, cell_self_green, free_space_green, point_green
 from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
@@ -51,8 +54,9 @@ class EffectiveFieldSolution:
 
     ``values`` holds the self-consistent field at the centers; hard scenes
     also carry ``gradients`` (M, 3) and ``laplacians`` (M,).  ``charges`` are
-    the monopole strengths Q_m.  ``residual`` is the relative residual of the
-    assembled system at the returned vector.
+    the monopole strengths Q_m, and ``dipoles`` (M, 3) the hard dipoles
+    ``beta_m grad u(x_m) |D_m|``.  ``residual`` is the relative residual of
+    the assembled system at the returned vector.
     """
 
     kind: str
@@ -60,6 +64,7 @@ class EffectiveFieldSolution:
     charges: np.ndarray
     gradients: Optional[np.ndarray] = None
     laplacians: Optional[np.ndarray] = None
+    dipoles: Optional[np.ndarray] = None
     residual: float = 0.0
     method: str = "gmres"
 
@@ -98,12 +103,10 @@ def fibonacci_directions(n: int) -> np.ndarray:
 def pair_kernel_matrix(centers: np.ndarray, k: float,
                        greens: Optional[GreenEvaluator] = None) -> np.ndarray:
     """Kernel values between all center pairs, zero on the diagonal."""
-    r = cdist(centers, centers)
-    np.fill_diagonal(r, 1.0)
-    out = free_space_green(k, r)
+    out = point_green(k, centers, centers)[0]
     if greens is not None and not greens.is_free_space:
         out += greens.grid_correction(centers, centers)
-    np.fill_diagonal(out, 0.0)
+        np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -364,10 +367,7 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     ik = 1j * k
     x = np.asarray(centers, dtype=float)
     x = x - x.mean(axis=0)
-    r = cdist(x, x)
-    np.fill_diagonal(r, 1.0)
-    g = free_space_green(k, r)
-    np.fill_diagonal(g, 0.0)
+    g, r = point_green(k, x, x)
     inv_r = np.reciprocal(r, out=r)
     g_r = g * inv_r
     gp_r = (ik - inv_r) * g_r
@@ -425,72 +425,58 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     m = len(centers)
     volumes = np.array([p.volume for p in scene.particles])
     betas = np.array([p.polarizability for p in scene.particles])
-    system = hard_cloud_system(centers, scene.wave.k, volumes, betas * volumes[:, None, None])
+    dipole_weights = betas * volumes[:, None, None]
+    system = hard_cloud_system(centers, scene.wave.k, volumes, dipole_weights)
     x, residual = solve_checked(system, hard_rhs(scene.wave, centers), rtol)
-    values = x[:m]
     gradients = x[m:4 * m].reshape(m, 3)
     laplacians = x[4 * m:]
-    charges = laplacians * volumes
     logger.info("solved hard scene: M=%d residual=%.2e", m, residual)
-    return EffectiveFieldSolution(kind="hard", values=values, charges=charges,
+    return EffectiveFieldSolution(kind="hard", values=x[:m], charges=laplacians * volumes,
                                   gradients=gradients, laplacians=laplacians,
+                                  dipoles=np.einsum("mpq,mq->mp", dipole_weights, gradients),
                                   residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # Field evaluation and far field
 # ---------------------------------------------------------------------------
-def hard_strengths(solution: EffectiveFieldSolution, scene: Scene):
-    """Monopole ``lap u(x_m) |D_m|`` and dipole ``beta_m grad u(x_m) |D_m|`` of a hard solve."""
-    volumes = np.array([p.volume for p in scene.particles])
-    betas = np.array([p.polarizability for p in scene.particles])
-    dipoles = np.einsum("mpq,mq->mp", betas, solution.gradients) * volumes[:, None]
-    return solution.laplacians * volumes, dipoles
-
-
 def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
-    """Positions and charges: the particles, then a medium's induced cover sources."""
+    """Positions, charges and :func:`point_green` self values: particles, then cover sources."""
     greens = _scene_greens(scene)
     if greens is None:
-        return scene.centers, solution.charges
+        return scene.centers, solution.charges, 0.0
+    if solution.dipoles is not None:
+        raise UnsupportedScene("dipole read-outs support the free-space kernel only")
     induced = greens.induced_charges(scene.centers, solution.charges)
     return (np.vstack([scene.centers, greens.grid.centers]),
-            np.concatenate([solution.charges, induced]))
+            np.concatenate([solution.charges, induced]),
+            np.repeat([0.0, cell_self_green(greens.grid)], [scene.n_particles, len(induced)]))
 
 
 def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
                  exclude: Optional[np.ndarray] = None) -> np.ndarray:
     """``u0`` plus the point sources of a solved scene, summed at ``points``.
 
-    Soft/impedance: ``sum_m G(x, x_m) Q_m``, the free-space ``g`` summed over
-    :func:`_monopoles`.  Hard: the monopole and the directed dipole term enter
-    with the particle volume.  Particle columns where the boolean ``(points,
-    M)`` mask ``exclude`` is true are left out; cover sources never are.
+    ``sum_m g(x, x_m) Q_m`` over :func:`_monopoles`, plus
+    ``ik (g / r) (x - x_m) . d_m`` for dipoles ``d``.  Particle columns where
+    the boolean ``(points, M)`` mask ``exclude`` is true are left out; cover
+    sources never are.  Targets run in blocks of at most ``_BLOCK_ENTRIES`` pairs.
     """
     u = scene.wave.field_at(points)
-    if scene.n_particles == 0:
-        return u
-    k = scene.wave.k
-    centers = scene.centers
-    if solution.kind in ("soft", "impedance"):
-        positions, charges = _monopoles(solution, scene)
-        kernel = free_space_green(k, np.maximum(cdist(points, positions), 1e-300))
+    m = scene.n_particles
+    positions, charges, self_values = _monopoles(solution, scene)
+    rows = max(1, _BLOCK_ENTRIES // max(len(positions), 1))
+    for t0 in range(0, len(points), rows):
+        block = slice(t0, t0 + rows)
+        g, r = point_green(scene.wave.k, points[block], positions, self_values)
         if exclude is not None:
-            kernel[:, :len(centers)][exclude] = 0.0
-        return u + kernel @ charges
-    mono, dipoles = hard_strengths(solution, scene)
-    r = cdist(points, centers)
-    zero = r == 0.0
-    r[zero] = 1.0
-    g = free_space_green(k, r)
-    g[zero] = 0.0
-    if exclude is not None:
-        g[exclude] = 0.0
-    # r (rhat . dipole_m), one coordinate axis at a time
-    projected = sum(np.subtract.outer(points[:, p], centers[:, p]) * dipoles[:, p]
-                    for p in range(3))
-    ik = 1j * k
-    return u + g @ mono + ik * np.einsum("xm,xm->x", g / r, projected)
+            g[:, :m][exclude[block]] = 0.0
+        field = np.einsum("xm,m->x", g, charges)
+        if solution.dipoles is not None:
+            arm = np.einsum("xmp,mp->xm", points[block, None] - scene.centers, solution.dipoles)
+            field += 1j * scene.wave.k * np.einsum("xm,xm->x", g[:, :m] / r[:, :m], arm)
+        u[block] += field
+    return u
 
 
 def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray) -> np.ndarray:
@@ -500,10 +486,12 @@ def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarra
     higher-order remainder is dropped; no self-term correction is applied.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = cdist(pts, scene.centers) < scene.radii[None, :]
-    if np.any(inside):
-        i, j = np.argwhere(inside)[0]
-        raise PointInsideParticle(f"point {i} lies inside particle {j}")
+    rows = max(1, _BLOCK_ENTRIES // max(scene.n_particles, 1))
+    for t0 in range(0, len(pts), rows):
+        inside = cdist(pts[t0:t0 + rows], scene.centers) < scene.radii[None, :]
+        if np.any(inside):
+            i, j = np.argwhere(inside)[0]
+            raise PointInsideParticle(f"point {t0 + i} lies inside particle {j}")
     return source_field(solution, scene, pts)
 
 
@@ -511,19 +499,16 @@ def far_field(solution: EffectiveFieldSolution, scene: Scene,
               directions: Sequence[np.ndarray]) -> FarField:
     """Scattering amplitudes ``A(beta) = (1/4pi) sum_m exp(-ik beta.x_m) S_m``.
 
-    For soft/impedance scenes the sum runs over :func:`_monopoles`, so a medium's
-    induced cover sources radiate too; for hard scenes the dipole direction
-    factor is evaluated at its far-field limit ``beta``.
+    The sum runs over :func:`_monopoles`, so a medium's induced cover sources
+    radiate too; a dipole's direction factor enters at its far-field limit
+    ``beta``.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     k = scene.wave.k
-    if solution.kind in ("soft", "impedance"):
-        positions, charges = _monopoles(solution, scene)
-        amps = np.exp(-1j * k * dirs @ positions.T) @ charges / (4.0 * np.pi)
-    else:
-        phases = np.exp(-1j * k * dirs @ scene.centers.T)
-        mono, dipoles = hard_strengths(solution, scene)
-        ik = 1j * k
-        amps = (phases @ mono + ik * np.einsum("bp,mp,bm->b", dirs, dipoles, phases)) \
-            / (4.0 * np.pi)
-    return FarField(directions=dirs, amplitudes=amps)
+    positions, charges, _ = _monopoles(solution, scene)
+    phases = np.exp(-1j * k * dirs @ positions.T)
+    amps = phases @ charges
+    if solution.dipoles is not None:
+        amps += 1j * k * np.einsum("bp,mp,bm->b", dirs, solution.dipoles,
+                                   phases[:, :scene.n_particles])
+    return FarField(directions=dirs, amplitudes=amps / (4.0 * np.pi))

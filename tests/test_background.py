@@ -61,6 +61,17 @@ def test_reciprocity(unit_box, bump_medium):
         assert abs(gxy - gyx) <= 1e-6 * abs(gxy)
 
 
+def test_green_with_a_source_on_a_cover_center(unit_box):
+    bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
+    ev = GreenEvaluator(BackgroundMedium(n2=bump, box=unit_box), k=1.0)
+    x = np.array([0.3, 0.4, 0.5])
+    z = np.full(3, 0.5625)
+    assert np.any(np.all(ev.grid.centers == z, axis=1))
+    forward, backward = green(ev, x, z), green(ev, z, x)
+    assert abs(forward / free_space_green(1.0, np.linalg.norm(x - z)) - 1.0) < 0.05
+    assert abs(forward - backward) <= 1e-8 * abs(forward)
+
+
 def test_born_one_equals_single_fixed_point_iteration():
     rng = np.random.default_rng(0)
     kernel = 0.01 * (rng.random((30, 30)) + 1j * rng.random((30, 30)))
@@ -97,7 +108,7 @@ def test_first_born_grid_correction_linear_in_contrast(unit_box):
         medium = BackgroundMedium(n2=bump, box=unit_box)
         ev = GreenEvaluator(medium, k=k, grid_n=8, method=("born", 1))
         rhs = free_space_green(k, np.linalg.norm(ev.grid.centers - y, axis=1))
-        corrections.append(ev._grid_solution(y) - rhs)
+        corrections.append(ev._grid_solve(ev._to_grid(y[None, :])[:, 0]) - rhs)
     assert np.allclose(corrections[1], 2.0 * corrections[0], rtol=1e-12)
 
 

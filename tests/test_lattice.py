@@ -100,7 +100,7 @@ def test_lattice_solves_match_dense_solves(cover, k, seed):
     rhs = free_space_green(k, np.linalg.norm(cover.centers - y, axis=1))
     chi_w = medium.contrast(cover.centers) * w
     dense = eye - (k**2) * _dense_green(cover, k, mean_value) * chi_w[None, :]
-    assert _rel(ev._grid_solution(y), np.linalg.solve(dense, rhs)) <= 1e-9
+    assert _rel(ev._grid_solve(ev._to_grid(y[None, :])[:, 0]), np.linalg.solve(dense, rhs)) <= 1e-9
 
 
 def test_hard_limit_solve_at_16_cubed(unit_box, wave_z):

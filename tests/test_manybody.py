@@ -415,6 +415,12 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
                        background=medium)
     with pytest.raises(ss.UnsupportedScene):
         solve_hard(hard_bg)
+    # and a hard solution refuses a medium read-out, whose induced sources omit the dipoles
+    hard_sol = ss.EffectiveFieldSolution(kind="hard", values=np.ones(2, complex),
+                                         charges=np.ones(2, complex),
+                                         dipoles=np.ones((2, 3), complex))
+    with pytest.raises(ss.UnsupportedScene):
+        eval_field(hard_sol, hard_bg, np.array([[0.1, 0.2, 0.3]]))
 
 
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
@@ -486,6 +492,61 @@ def test_far_field_includes_the_medium(unit_box):
     u = eval_field(sol, scene, r * dirs)
     recovered = r * np.exp(-1j * wave.k * r) * (u - wave.field_at(r * dirs))
     assert np.max(np.abs(recovered - amps)) <= 1e-3 * np.max(np.abs(amps))
+
+
+def test_read_out_on_a_cover_center_is_the_grid_solution(unit_box, wave_z):
+    # the source field there is u0 + g(z_q, x) Q + (K v)_q = u0 + v_q, for
+    # v = (I - K)^{-1} g(Z, x) Q, only if g(z_q, z_q) is the grid's own diagonal
+    scene = _bump_scene(unit_box, wave_z, 0.005, centers=np.array([[0.3, 0.4, 0.5]]))
+    sol = solve_soft(scene)
+    ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
+    z = np.full((1, 3), 0.5625)
+    q = int(ev.grid.cell_index(z)[0])
+    assert np.array_equal(ev.grid.centers[q], z[0])
+    r = np.linalg.norm(ev.grid.centers - scene.centers[0], axis=1)
+    v = ev._grid_solve(free_space_green(wave_z.k, r) * sol.charges[0])
+    u = eval_field(sol, scene, z)
+    assert abs(u[0] - (wave_z.field_at(z)[0] + v[q])) <= 1e-10
+
+
+def test_hard_cloud_radiation_matches_far_field():
+    # criterion 9 for the dipole term of both read-outs
+    box = ss.Box(lo=[-1.0, -1.0, -1.0], hi=[1.0, 1.0, 1.0])
+    wave = ss.IncidentWave(k=1.0, alpha=[0.0, 0.0, 1.0])
+    spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.02, law="hard_volume",
+                        bc_kind="hard", rng_seed=1)
+    scene = ss.Scene(particles=tuple(ss.generate_cloud(spec, box)), domain=box, wave=wave)
+    assert scene.n_particles == 477
+    sol = solve_hard(scene)
+    rng = np.random.default_rng(1)
+    dirs = rng.normal(size=(50, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = 1e4 / wave.k
+    amps = far_field(sol, scene, dirs).amplitudes
+    u = eval_field(sol, scene, r * dirs)
+    recovered = r * np.exp(-1j * wave.k * r) * (u - wave.field_at(r * dirs))
+    assert np.max(np.abs(recovered - amps)) <= 1e-3 * np.max(np.abs(amps))
+
+
+@pytest.mark.parametrize("kind", ["soft", "soft_in_medium", "hard"])
+def test_source_field_blocks_are_bit_identical(unit_box, wave_z, monkeypatch, kind):
+    rng = np.random.default_rng(21)
+    centers = _separated_centers(rng, 15, 0.1)
+    if kind == "soft_in_medium":
+        scene = _bump_scene(unit_box, wave_z, 0.005, centers=centers)
+    else:
+        make = hard_scene if kind == "hard" else soft_scene
+        scene = make(centers, 0.005, wave_z, unit_box)
+    sol = solve_hard(scene) if kind == "hard" else solve_soft(scene)
+    points = np.vstack([rng.uniform(0.0, 1.0, size=(30, 3)), centers[4]])
+    exclude = rng.random((len(points), len(centers))) < 0.3
+    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", 1 << 30)
+    whole = manybody.source_field(sol, scene, points, exclude=exclude)
+    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", 40)
+    assert np.array_equal(manybody.source_field(sol, scene, points, exclude=exclude), whole)
+    # the inside-particle check runs block by block too and names the right point
+    with pytest.raises(ss.PointInsideParticle, match="point 30 lies inside particle 4"):
+        eval_field(sol, scene, points)
 
 
 def test_medium_read_out_is_thread_safe(unit_box, wave_z):
@@ -669,7 +730,7 @@ def test_hard_cloud_solves_where_the_dense_system_exceeds_the_budget(monkeypatch
 
 
 def test_hard_source_field_matches_kernel_block_sum(wide_box, wave_z):
-    # unit volumes, anisotropic tensors and O(1) unknowns: the sources dominate u0
+    # O(1) strengths: the sources dominate u0
     rng = np.random.default_rng(14)
     m = 12
     particles = tuple(ss.Particle(center=c, a=0.01, bc=ss.Hard(), capacitance=1.0,
@@ -677,18 +738,17 @@ def test_hard_source_field_matches_kernel_block_sum(wide_box, wave_z):
                                   polarizability=rng.normal(size=(3, 3)))
                       for c in _separated_centers(rng, m, 0.1))
     scene = ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
-    laplacians = rng.normal(size=m) + 1j * rng.normal(size=m)
+    charges = rng.normal(size=m) + 1j * rng.normal(size=m)
+    dipoles = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
     sol = ss.EffectiveFieldSolution(kind="hard", values=np.zeros(m, complex),
-                                    charges=laplacians, laplacians=laplacians,
-                                    gradients=rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)))
+                                    charges=charges, dipoles=dipoles)
     # one point on a center, whose zero-distance pair contributes nothing
     points = np.vstack([rng.uniform(-0.5, 1.5, size=(40, 3)), scene.centers[3]])
     exclude = rng.random((len(points), m)) < 0.2
-    mono, dipoles = manybody.hard_strengths(sol, scene)
     g, gp, *_ = dipole_kernel_blocks(points, scene.centers, scene.wave.k)
     g[exclude] = 0.0
     gp[exclude] = 0.0
     ik = 1j * scene.wave.k
-    expected = scene.wave.field_at(points) + g @ mono + ik * np.einsum("xmp,mp->x", gp, dipoles)
+    expected = scene.wave.field_at(points) + g @ charges + ik * np.einsum("xmp,mp->x", gp, dipoles)
     got = manybody.source_field(sol, scene, points, exclude=exclude)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
