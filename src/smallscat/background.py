@@ -195,15 +195,18 @@ class GreenEvaluator:
         base = free_space_green(self.k, r)
         if self.is_free_space:
             return base
-        return base + self.grid_correction(targets, source[None, :])[:, 0]
+        return base + (self._to_grid(targets).T @ self.cover_responses(source[None, :]))[:, 0]
 
-    def grid_correction(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """``G(x, y) - g(x, y)`` for every target ``x`` and source ``y``, shape (T, S).
+    def cover_responses(self, sources: np.ndarray) -> np.ndarray:
+        """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces.
 
-        One grid solve per source, then one target-to-grid kernel applied to all.
+        ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, one grid solve per
+        source, so ``(G - g)(x, y_m) = sum_p g(x, z_p) R[p, m]``.
         """
-        sols = np.stack([self._grid_solve(rhs) for rhs in self._to_grid(sources).T], axis=1)
-        return (self.k**2) * (self._to_grid(targets).T @ (self._chi_w[:, None] * sols))
+        out = self._to_grid(sources)
+        for m in range(out.shape[1]):
+            out[:, m] = self._grid_solve(out[:, m])
+        return (self.k**2) * self._chi_w[:, None] * out
 
     def induced_charges(self, sources: np.ndarray, charges: np.ndarray) -> np.ndarray:
         """Cover monopoles ``s`` with ``sum_m (G - g)(x, y_m) Q_m = sum_p g(x, z_p) s_p``.

@@ -428,10 +428,8 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    from .errors import (ConfigError, DegenerateMesh, DensityInfeasible,
-                         DesignInfeasible, GridTooLarge, NonConvergence,
-                         PointInsideParticle, RegimeViolation, SmallscatError,
-                         SolveFailure)
+    from .errors import (ConfigError, DegenerateMesh, DensityInfeasible, DesignInfeasible,
+                         GridTooLarge, PointInsideParticle, RegimeViolation, SmallscatError)
 
     ctx = None
     try:
@@ -450,8 +448,6 @@ def main(argv=None) -> int:
             code = EXIT_CONFIG
         elif isinstance(exc, RegimeViolation):
             code = EXIT_REGIME
-        elif isinstance(exc, (SolveFailure, NonConvergence)):
-            code = EXIT_SOLVER
         elif isinstance(exc, SmallscatError):
             code = EXIT_SOLVER
         else:

@@ -17,11 +17,11 @@ Every read-out sums point sources, whatever the particle kind: the charges,
 a hard solve's dipoles, and a medium's induced cover monopoles.
 
 Every system is built once and solved by GMRES with a checked residual
-(:func:`~smallscat.lattice.solve_checked`): the free-space monopole kernel as
-a packed symmetric :class:`CloudKernel`, a background-medium kernel as a dense
-matrix, and the 5M hard system matrix-free (:func:`hard_cloud_system`, a few
-scalar arrays per pair).  A background medium enters only through
-``scene.background``.  Solution objects are immutable and hold no evaluator.
+(:func:`~smallscat.lattice.solve_checked`): the monopole kernel as a packed
+symmetric :class:`CloudKernel`, plus in a medium the cover monopoles each
+particle induces, and the 5M hard system matrix-free (:func:`hard_cloud_system`,
+a few scalar arrays per pair).  A medium enters only through ``scene.background``.
+Solution objects are immutable and hold no evaluator.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .lattice import DEFAULT_RTOL, solve_checked
 
 logger = logging.getLogger(__name__)
 
-KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000, dense to 11 585 rows
+KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000
 _BLOCK_ENTRIES: int = 1 << 16
 _HARD_BLOCK_ROWS: int = 96
 _HARD_PAIR_BYTES: int = 5 * 16  # complex pair arrays of hard_cloud_system: M of about 5180
@@ -102,19 +102,20 @@ def fibonacci_directions(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def pair_kernel_matrix(centers: np.ndarray, k: float,
                        greens: Optional[GreenEvaluator] = None) -> np.ndarray:
-    """Kernel values between all center pairs, zero on the diagonal."""
+    """Dense reference ``G`` between all center pairs, zero diagonal; no solver calls it."""
     out = point_green(k, centers, centers)[0]
     if greens is not None and not greens.is_free_space:
-        out += greens.grid_correction(centers, centers)
+        cover = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]
+        out += cover @ greens.cover_responses(centers)
         np.fill_diagonal(out, 0.0)
     return out
 
 
-def _check_dense_budget(n: int, what: str) -> None:
-    """Raise GridTooLarge before allocating a dense complex ``n x n`` matrix above the budget."""
-    if 16 * n * n > KERNEL_BYTES_BUDGET:
-        raise GridTooLarge(f"{what} of {n} unknowns needs {16 * n * n / 1024**3:.2f} GiB "
-                           f"dense, above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise GridTooLarge before ``nbytes`` of kernel arrays above the budget are allocated."""
+    if nbytes > KERNEL_BYTES_BUDGET:
+        raise GridTooLarge(f"{what} needs {nbytes / 1024**3:.2f} GiB, "
+                           f"above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
 
 
 def _packed_blocks(centers: np.ndarray, k: float):
@@ -194,20 +195,22 @@ def _check_regime(scene: Scene, validate: bool) -> None:
 def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
                           rhs: np.ndarray, *, rtol: float = DEFAULT_RTOL,
                           greens: Optional[GreenEvaluator] = None):
-    """Solve ``u_j + sum_{m != j} g(x_j, x_m) coupling_m u_m = rhs_j`` by GMRES.
+    """Solve ``u_j + sum_{m != j} G(x_j, x_m) coupling_m u_m = rhs_j`` by GMRES.
 
-    The free-space kernel is a :class:`CloudKernel`; a background ``greens``
-    assembles the dense :func:`pair_kernel_matrix`.  Either is built once and
-    solved by :func:`~smallscat.lattice.solve_checked`.  Returns ``(u,
-    residual)``; raises SolveFailure if the relative residual exceeds ``rtol``
-    and GridTooLarge if the dense kernel exceeds ``KERNEL_BYTES_BUDGET``.
+    ``G`` is ``g`` (a :class:`CloudKernel`), plus in a medium the cover monopoles
+    ``R`` (P, M) of unit charges at the centers, summed there by ``A = g(X, Z)``,
+    less the smooth self term ``(A R)_jj``.  Returns ``(u, residual)`` of
+    :func:`~smallscat.lattice.solve_checked`; raises SolveFailure above ``rtol``
+    and GridTooLarge if ``A`` and ``R`` exceed ``KERNEL_BYTES_BUDGET``.
     """
+    kernel = CloudKernel(centers, k)
     if greens is None:
-        kernel = CloudKernel(centers, k)
-    else:
-        _check_dense_budget(len(centers), "background kernel")
-        kernel = pair_kernel_matrix(centers, k, greens)
-    return solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol)
+        return solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol)
+    _check_budget(32 * greens.grid.n_cells * len(centers), "medium cover sources")
+    a = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]
+    rc = greens.cover_responses(centers) * coupling  # R diag(coupling)
+    own = np.einsum("jp,pj->j", a, rc)
+    return solve_checked(lambda v: v + kernel @ (coupling * v) + a @ (rc @ v) - own * v, rhs, rtol)
 
 
 def _scene_greens(scene: Scene) -> Optional[GreenEvaluator]:
@@ -299,7 +302,7 @@ def assemble_hard_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     m = len(centers)
     ik = 1j * k
     n = 5 * m
-    _check_dense_budget(n, "hard system")
+    _check_budget(16 * n * n, f"dense hard system of {n} unknowns")
     a = np.zeros((n, n), dtype=complex)
     for j0 in range(0, m, _HARD_BLOCK_ROWS):
         j1 = min(j0 + _HARD_BLOCK_ROWS, m)
@@ -360,10 +363,7 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     ``KERNEL_BYTES_BUDGET`` (M above about 5180).
     """
     m = len(centers)
-    if _HARD_PAIR_BYTES * m * m > KERNEL_BYTES_BUDGET:
-        raise GridTooLarge(f"hard operator of {m} particles needs "
-                           f"{_HARD_PAIR_BYTES * m * m / 1024**3:.2f} GiB of pair arrays, "
-                           f"above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
+    _check_budget(_HARD_PAIR_BYTES * m * m, f"hard operator of {m} particles")
     ik = 1j * k
     x = np.asarray(centers, dtype=float)
     x = x - x.mean(axis=0)

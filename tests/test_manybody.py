@@ -359,9 +359,10 @@ def test_mirror_symmetric_scene_field(wide_box, wave_z):
 
 
 def _dense_monopole_oracle(scene):
-    """``np.linalg.solve`` on ``I + pair_kernel_matrix diag(c)``."""
+    """``np.linalg.solve`` on ``I + pair_kernel_matrix diag(c)``, in the scene's medium."""
     coupling = manybody.monopole_coupling(scene.particles)
-    system = pair_kernel_matrix(scene.centers, scene.wave.k) * coupling[None, :]
+    greens = ss.GreenEvaluator(scene.background, k=scene.wave.k)
+    system = pair_kernel_matrix(scene.centers, scene.wave.k, greens) * coupling[None, :]
     system[np.diag_indices_from(system)] += 1.0
     return np.linalg.solve(system, scene.wave.field_at(scene.centers))
 
@@ -432,15 +433,15 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
         solve_hard(hard)
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 5 * 16 * 2 * 2)
     assert solve_hard(hard).residual < 1e-10
-    # the dense background-medium kernel: 3 x 3 complex entries
+    # a medium solve's cover arrays A (3 x 512) and R (512 x 3), complex
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
                     domain=unit_box, wave=wave_z,
                     background=ss.BackgroundMedium(n2=bump, box=unit_box))
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 3 * 3 - 1)
-    with pytest.raises(ss.GridTooLarge, match="background kernel"):
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 2 * 16 * 512 * 3 - 1)
+    with pytest.raises(ss.GridTooLarge, match="medium cover sources"):
         solve_soft(soft)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 3 * 3)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 2 * 16 * 512 * 3)
     assert solve_soft(soft).residual < 1e-10
 
 
@@ -454,6 +455,54 @@ def _bump_scene(unit_box, wave, a, amplitude=0.2, seed=None, centers=None):
         particles = tuple(ss.Particle.sphere(c, a, ss.Soft()) for c in centers)
     return ss.Scene(particles=particles, domain=unit_box, wave=wave,
                     background=ss.BackgroundMedium(n2=bump, box=unit_box))
+
+
+def test_medium_solve_never_assembles_the_dense_kernel(unit_box, wave_z, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a medium solve assembled the dense kernel")
+
+    monkeypatch.setattr(manybody, "pair_kernel_matrix", dense)
+    sol = solve_soft(_bump_scene(unit_box, wave_z, 0.01, seed=3))
+    assert sol.residual <= 1e-10
+
+
+def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box, wave_z,
+                                                                       monkeypatch):
+    scene = _bump_scene(unit_box, wave_z, 0.0009, seed=0)
+    m = scene.n_particles
+    expected = _dense_monopole_oracle(scene)
+    # one byte under the dense M x M kernel, above A, R and the packed free-space kernel
+    budget = 16 * m * m - 1
+    assert 2 * 16 * 512 * m <= budget and 8 * m * (m + 1) <= budget
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+    sol = solve_soft(scene)
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(sol.values - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["soft", "impedance"]), m=st.integers(1, 40),
+       k=st.floats(0.5, 3.0), amplitude=st.floats(0.0, 0.5), width=st.floats(0.1, 0.4),
+       on_cover=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_medium_cloud_solves_match_dense_oracles(kind, m, k, amplitude, width, on_cover, seed):
+    rng = np.random.default_rng(seed)
+    box = ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+    alpha = rng.normal(size=3)
+    wave = ss.IncidentWave(k=k, alpha=alpha / np.linalg.norm(alpha))
+    a = 0.01
+    centers = _separated_centers(rng, m, 10 * a)
+    if on_cover:  # a particle on a center of the 8^3 cover meets its cell's diagonal
+        centers[0] = (np.floor(centers[0] * 8.0) + 0.5) / 8.0
+    bc = {"soft": ss.Soft(),
+          "impedance": ss.Impedance(h=complex(*rng.uniform(-2.0, 2.0, 2)), kappa=0.5)}[kind]
+    bump = ss.GaussianBumpField(amplitude=amplitude, center=rng.uniform(0.0, 1.0, 3),
+                                width=width, base=1.0)
+    scene = ss.Scene(particles=tuple(ss.Particle.sphere(c, a, bc) for c in centers),
+                     domain=box, wave=wave, background=ss.BackgroundMedium(n2=bump, box=box))
+    sol = {"soft": solve_soft, "impedance": solve_impedance}[kind](scene, validate=False)
+    expected = _dense_monopole_oracle(scene)
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(sol.values - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
