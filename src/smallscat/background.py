@@ -10,8 +10,8 @@ cube cover of ``D`` (midpoint rule; the self cell uses the mean-value integral
 of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
-solved by a truncated series or fixed-point iteration, per source or once for
-many point charges (:meth:`GreenEvaluator.induced_charges`).  Point-to-point
+solved by a truncated series or fixed-point iteration once per source
+(:meth:`GreenEvaluator.cover_responses`); no read-out solves.  Point-to-point
 kernels (:func:`point_green`) give a cover center its own cell's diagonal.
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
@@ -207,14 +207,6 @@ class GreenEvaluator:
         for m in range(out.shape[1]):
             out[:, m] = self._grid_solve(out[:, m])
         return (self.k**2) * self._chi_w[:, None] * out
-
-    def induced_charges(self, sources: np.ndarray, charges: np.ndarray) -> np.ndarray:
-        """Cover monopoles ``s`` with ``sum_m (G - g)(x, y_m) Q_m = sum_p g(x, z_p) s_p``.
-
-        ``s = k^2 chi |cell| (I - K)^{-1} g(Z, Y) Q``: one grid solve for all sources.
-        """
-        rhs = self._to_grid(sources) @ charges
-        return (self.k**2) * self._chi_w * self._grid_solve(rhs)
 
 
 def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:

@@ -13,9 +13,10 @@ versions, residuals, artifact names, and timings (the only varying fields).
 
 Exit codes: 0 success, 2 config error (also a problem too large for memory:
 GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.
-The ``SMALLSCAT_OUT`` environment variable overrides ``--out``; ``--threads``
-caps BLAS threading and must act before the numeric modules load, so heavy
-imports happen inside the command handlers.
+The ``SMALLSCAT_OUT`` environment variable overrides ``--out``, and ``--tol`` a
+``green`` method's ``tol``; ``--threads`` (at least 1) caps BLAS threading and
+must act before the numeric modules load, so heavy imports happen inside the
+command handlers.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ class RunConfig:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         self.seed = args.seed
         self.threads = args.threads
+        self.tol_flag = args.tol
         self.tol = args.tol if args.tol is not None else DEFAULT_RTOL
         if self.tol <= 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
@@ -367,12 +369,14 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     k = float(section["k"])
     medium = BackgroundMedium(n2=field_from_config(section["n2"], ctx.config_path.parent),
                               box=domain)
-    method_cfg = section.get("method", {"kind": "lippmann_schwinger", "tol": DEFAULT_RTOL})
+    method_cfg = section.get("method", {"kind": "lippmann_schwinger"})
     kind = method_cfg.get("kind", "lippmann_schwinger")
     if kind == "born":
         method = ("born", int(method_cfg.get("order", 1)))
     elif kind == "lippmann_schwinger":
-        method = ("lippmann_schwinger", float(method_cfg.get("tol", DEFAULT_RTOL)))
+        if ctx.tol_flag is None:  # --tol overrides the config's tolerance
+            ctx.tol = float(method_cfg.get("tol", DEFAULT_RTOL))
+        method = ("lippmann_schwinger", ctx.tol)
     elif kind == "free_space":
         method = "free_space"
     else:
@@ -406,6 +410,12 @@ _HANDLERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smallscat",
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory (env SMALLSCAT_OUT overrides)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
+        p.add_argument("--threads", type=_positive_int, default=None, help="cap BLAS threads")
         p.add_argument("--tol", type=float, default=None, help="solver relative residual")
     return parser
 

@@ -117,17 +117,6 @@ class GridCover:
         nx, ny, nz = self.shape
         return (m[:, 0] * ny + m[:, 1]) * nz + m[:, 2]
 
-    def interior_mask(self, layers: int = 1) -> np.ndarray:
-        """Mask of cells at least ``layers`` cells away from the box boundary."""
-        nx, ny, nz = self.shape
-        ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-        ok = (
-            (ix >= layers) & (ix < nx - layers)
-            & (iy >= layers) & (iy < ny - layers)
-            & (iz >= layers) & (iz < nz - layers)
-        )
-        return ok.ravel()
-
     def self_green_integral(self) -> float:
         """Static-kernel mean-value integral of ``1/(4 pi r)`` over one cell.
 

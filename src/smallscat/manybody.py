@@ -14,7 +14,7 @@ differentiation of the kernel (finite differences are used only as test
 oracles, never in assembly).  Self interaction is excluded by construction;
 in a medium (``G`` for ``g``) that drops the smooth ``(G - g)(x_j, x_j)`` too.
 Every read-out sums point sources, whatever the particle kind: the charges,
-a hard solve's dipoles, and a medium's induced cover monopoles.
+a hard solve's dipoles, and the induced cover monopoles a medium solve stores.
 
 Every system is built once and solved by GMRES with a checked residual
 (:func:`~smallscat.lattice.solve_checked`): the monopole kernel as a packed
@@ -56,7 +56,8 @@ class EffectiveFieldSolution:
     also carry ``gradients`` (M, 3) and ``laplacians`` (M,).  ``charges`` are
     the monopole strengths Q_m, and ``dipoles`` (M, 3) the hard dipoles
     ``beta_m grad u(x_m) |D_m|``.  ``residual`` is the relative residual of
-    the assembled system at the returned vector.
+    the assembled system at the returned vector.  ``cover_charges`` (P,) are the
+    monopoles induced on a medium's cover, ``None`` in free space and for hard solves.
     """
 
     kind: str
@@ -65,6 +66,7 @@ class EffectiveFieldSolution:
     gradients: Optional[np.ndarray] = None
     laplacians: Optional[np.ndarray] = None
     dipoles: Optional[np.ndarray] = None
+    cover_charges: Optional[np.ndarray] = None
     residual: float = 0.0
     method: str = "gmres"
 
@@ -200,17 +202,20 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     ``G`` is ``g`` (a :class:`CloudKernel`), plus in a medium the cover monopoles
     ``R`` (P, M) of unit charges at the centers, summed there by ``A = g(X, Z)``,
     less the smooth self term ``(A R)_jj``.  Returns ``(u, residual)`` of
-    :func:`~smallscat.lattice.solve_checked`; raises SolveFailure above ``rtol``
-    and GridTooLarge if ``A`` and ``R`` exceed ``KERNEL_BYTES_BUDGET``.
+    :func:`~smallscat.lattice.solve_checked` and the induced cover monopoles
+    ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above
+    ``rtol`` and GridTooLarge if ``A`` and ``R`` exceed ``KERNEL_BYTES_BUDGET``.
     """
     kernel = CloudKernel(centers, k)
     if greens is None:
-        return solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol)
+        return (*solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol), None)
     _check_budget(32 * greens.grid.n_cells * len(centers), "medium cover sources")
     a = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]
     rc = greens.cover_responses(centers) * coupling  # R diag(coupling)
     own = np.einsum("jp,pj->j", a, rc)
-    return solve_checked(lambda v: v + kernel @ (coupling * v) + a @ (rc @ v) - own * v, rhs, rtol)
+    u, residual = solve_checked(lambda v: v + kernel @ (coupling * v) + a @ (rc @ v) - own * v,
+                                rhs, rtol)
+    return u, residual, -(rc @ u)
 
 
 def _scene_greens(scene: Scene) -> Optional[GreenEvaluator]:
@@ -226,12 +231,12 @@ def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> Effect
         raise ValueError(f"expected an all-{expected_kind} scene, got {kind}")
     _check_regime(scene, validate)
     coupling = monopole_coupling(scene.particles)
-    rhs = scene.wave.field_at(scene.centers)
-    u, residual = solve_monopole_system(scene.centers, scene.wave.k, coupling, rhs,
-                                        rtol=rtol, greens=_scene_greens(scene))
-    charges = -coupling * u
+    u, residual, cover_charges = solve_monopole_system(
+        scene.centers, scene.wave.k, coupling, scene.wave.field_at(scene.centers), rtol=rtol,
+        greens=_scene_greens(scene))
     logger.info("solved %s scene: M=%d residual=%.2e", kind, len(u), residual)
-    return EffectiveFieldSolution(kind=kind, values=u, charges=charges, residual=residual)
+    return EffectiveFieldSolution(kind=kind, values=u, charges=-coupling * u,
+                                  cover_charges=cover_charges, residual=residual)
 
 
 def solve_soft(scene: Scene, *, rtol: float = DEFAULT_RTOL,
@@ -443,14 +448,14 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
 def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
     """Positions, charges and :func:`point_green` self values: particles, then cover sources."""
     greens = _scene_greens(scene)
+    if (greens is None) != (solution.cover_charges is None):
+        raise UnsupportedScene("the solution was not solved in the scene's medium")
     if greens is None:
         return scene.centers, solution.charges, 0.0
-    if solution.dipoles is not None:
-        raise UnsupportedScene("dipole read-outs support the free-space kernel only")
-    induced = greens.induced_charges(scene.centers, solution.charges)
     return (np.vstack([scene.centers, greens.grid.centers]),
-            np.concatenate([solution.charges, induced]),
-            np.repeat([0.0, cell_self_green(greens.grid)], [scene.n_particles, len(induced)]))
+            np.concatenate([solution.charges, solution.cover_charges]),
+            np.repeat([0.0, cell_self_green(greens.grid)],
+                      [scene.n_particles, greens.grid.n_cells]))
 
 
 def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,

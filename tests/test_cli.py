@@ -113,6 +113,87 @@ def test_green_csv(tmp_path):
     assert len(rows) - 1 == 15
 
 
+def _green_config(tmp_path, method):
+    cfg = tmp_path / "green.yaml"
+    text = (CONFIGS / "green_demo.yaml").read_text()
+    cfg.write_text(text.replace("method: {kind: lippmann_schwinger, tol: 1.0e-10}", method))
+    return cfg
+
+
+def _green_values(out):
+    table = np.loadtxt(out / "green.csv", delimiter=",", skiprows=1)
+    return table[:, 1:4], table[:, 4] + 1j * table[:, 5]
+
+
+def test_green_tol_flag_overrides_the_config_tolerance(tmp_path, monkeypatch):
+    from smallscat import background
+
+    used = []
+    fixed_point = background.fixed_point_solve
+
+    def recorded(kernel, rhs, tol, *args, **kwargs):
+        used.append(tol)
+        return fixed_point(kernel, rhs, tol, *args, **kwargs)
+
+    monkeypatch.setattr(background, "fixed_point_solve", recorded)
+    loose = _green_config(tmp_path, "method: {kind: lippmann_schwinger, tol: 1.0e-6}")
+    for name, config, extra, tol in [("config", CONFIGS / "green_demo.yaml", (), 1e-10),
+                                     ("loose", loose, (), 1e-6),
+                                     ("flag", CONFIGS / "green_demo.yaml", ["--tol", "1e-2"], 1e-2),
+                                     ("flag_loose", loose, ["--tol", "1e-2"], 1e-2)]:
+        used.clear()
+        assert run("green", config, tmp_path / name, extra) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["tolerance"] == tol and set(used) == {tol}
+    csv = {name: (tmp_path / name / "green.csv").read_bytes()
+           for name in ("config", "flag", "flag_loose")}
+    assert csv["flag"] != csv["config"] and csv["flag"] == csv["flag_loose"]
+
+
+def test_green_born_method_writes_the_born_kernel(tmp_path):
+    from smallscat.background import BackgroundMedium, GreenEvaluator
+    from smallscat.config import box_from_config, load_config
+    from smallscat.fields import field_from_config
+
+    cfg = _green_config(tmp_path, "method: {kind: born, order: 1}")
+    assert run("green", cfg, tmp_path / "out") == 0
+    section = load_config(cfg)["green"]
+    medium = BackgroundMedium(n2=field_from_config(section["n2"], tmp_path),
+                              box=box_from_config(section["domain"]))
+    evaluator = GreenEvaluator(medium, section["k"], grid_n=section["grid_n"],
+                               method=("born", 1))
+    points, values = _green_values(tmp_path / "out")
+    expected = evaluator.pair_values(points, np.asarray(section["source"], dtype=float))
+    assert np.max(np.abs(values - expected)) <= 1e-14 * np.max(np.abs(expected))
+    # and not the converged kernel of the demo's lippmann_schwinger method
+    assert run("green", CONFIGS / "green_demo.yaml", tmp_path / "ls") == 0
+    _, converged = _green_values(tmp_path / "ls")
+    assert np.max(np.abs(values - converged)) > 1e-10 * np.max(np.abs(expected))
+
+
+def test_green_unknown_method_exits_2(tmp_path):
+    cfg = _green_config(tmp_path, "method: {kind: multigrid}")
+    out = tmp_path / "out"
+    assert run("green", cfg, out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError" and "multigrid" in record["error"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_2_before_any_thread_variable_is_set(tmp_path, monkeypatch,
+                                                                     capsys, threads):
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        monkeypatch.delenv(var, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("green", CONFIGS / "green_demo.yaml", out, ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not any(var in os.environ for var in variables)
+    assert not out.exists()
+
+
 def test_identical_runs_byte_identical_csv(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run("converge", CONFIGS / "converge_demo.yaml", out1) == 0

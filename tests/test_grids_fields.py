@@ -37,14 +37,6 @@ def test_cover_from_edge_records_request(unit_box):
     assert np.allclose(cover.cell_edges, 0.25)
 
 
-def test_interior_mask(unit_box):
-    cover = GridCover.from_shape(unit_box, 4)
-    mask = cover.interior_mask(1)
-    assert mask.sum() == 8
-    inner = cover.centers[mask]
-    assert np.all((inner > 0.25) & (inner < 0.75))
-
-
 def test_cube_self_potential_against_refinement_oracle():
     # midpoint quadrature of 1/|y - center| over the unit cube, Richardson in h^2
     def midpoint(n):

@@ -416,12 +416,27 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
                        background=medium)
     with pytest.raises(ss.UnsupportedScene):
         solve_hard(hard_bg)
-    # and a hard solution refuses a medium read-out, whose induced sources omit the dipoles
-    hard_sol = ss.EffectiveFieldSolution(kind="hard", values=np.ones(2, complex),
-                                         charges=np.ones(2, complex),
-                                         dipoles=np.ones((2, 3), complex))
-    with pytest.raises(ss.UnsupportedScene):
-        eval_field(hard_sol, hard_bg, np.array([[0.1, 0.2, 0.3]]))
+
+@pytest.mark.parametrize("solved_in, read_in", [("free", "bump"), ("bump", "free"),
+                                                ("hard", "bump")])
+def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, wave_z,
+                                                                     solved_in, read_in):
+    # a solution carries cover sources exactly when it was solved in a non-uniform medium
+    centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5]])
+    scenes = {"free": soft_scene(centers, 0.005, wave_z, unit_box),
+              "bump": _bump_scene(unit_box, wave_z, 0.005, centers=centers),
+              "hard": hard_scene(centers, 0.005, wave_z, unit_box)}
+    sol = solve_hard(scenes["hard"]) if solved_in == "hard" else solve_soft(scenes[solved_in])
+    assert (sol.cover_charges is None) == (solved_in != "bump")
+    read_scene = ss.Scene(particles=scenes[solved_in].particles, domain=unit_box,
+                          wave=wave_z, background=scenes[read_in].background)
+    points = np.array([[0.1, 0.2, 0.3]])
+    for read_out in (lambda: eval_field(sol, read_scene, points),
+                     lambda: far_field(sol, read_scene, fibonacci_directions(2)),
+                     lambda: ss.cover_field_from_solution(sol, read_scene,
+                                                          ss.GridCover.from_shape(unit_box, 2))):
+        with pytest.raises(ss.UnsupportedScene, match="not solved in the scene's medium"):
+            read_out()
 
 
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
@@ -519,12 +534,34 @@ def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
     monkeypatch.setattr(ss.background, "fixed_point_solve", counted)
     sol = solve_soft(scene)
     u = eval_field(sol, scene, points)
-    # one grid solve per particle for the kernel, one for the read-out
-    assert len(solves) == len(centers) + 1
+    # one grid solve per particle for the kernel; the read-out sums the stored cover sources
+    assert len(solves) == len(centers)
     ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
     oracle = wave_z.field_at(points) + sum(ev.pair_values(points, c) * q
                                            for c, q in zip(centers, sol.charges))
     assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle - wave_z.field_at(points)))
+
+
+def test_medium_read_outs_never_solve(unit_box, wave_z, monkeypatch):
+    scene = _bump_scene(unit_box, wave_z, 0.01, seed=3)
+    sol = solve_soft(scene)
+    ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
+    # the stored sources are those of one grid solve on the summed charges
+    induced = (wave_z.k**2) * ev._chi_w * ev._grid_solve(ev._to_grid(scene.centers)
+                                                         @ sol.charges)
+    assert sol.cover_charges.shape == (ev.grid.n_cells,)
+    assert np.max(np.abs(sol.cover_charges - induced)) <= 1e-12 * np.max(np.abs(induced))
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a read-out ran a grid solve")
+
+    monkeypatch.setattr(ss.background, "fixed_point_solve", solve)
+    monkeypatch.setattr(ss.background, "born_series", solve)
+    points = np.array([[0.5, 0.5, 2.0], [-1.0, 0.3, 0.2]])
+    assert np.all(np.isfinite(eval_field(sol, scene, points)))
+    assert np.all(np.isfinite(far_field(sol, scene, fibonacci_directions(6)).amplitudes))
+    cover = ss.GridCover.from_shape(unit_box, 3)
+    assert np.all(np.isfinite(ss.cover_field_from_solution(sol, scene, cover)))
 
 
 def test_far_field_includes_the_medium(unit_box):
