@@ -105,7 +105,6 @@ class RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         self.seed = args.seed
-        self.threads = args.threads
         self.tol_flag = args.tol
         self.tol = args.tol if args.tol is not None else DEFAULT_RTOL
         if self.tol <= 0:
@@ -381,6 +380,8 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
         method = "free_space"
     else:
         raise ConfigError(f"green: unknown method {kind!r}")
+    if kind != "lippmann_schwinger":
+        ctx.tol = None  # the manifest records no tolerance where no solve uses one
     evaluator = GreenEvaluator(medium, k, grid_n=int(section.get("grid_n", 8)),
                                method=method)
     source = np.asarray(section["source"], dtype=float)

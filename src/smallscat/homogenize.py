@@ -44,9 +44,8 @@ from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
-from .manybody import (EffectiveFieldSolution, dipole_kernel_blocks, hard_rhs,
-                       hard_system_apply, monopole_coupling, solve_impedance, solve_soft,
-                       source_field)
+from .manybody import (EffectiveFieldSolution, _radial_factors, hard_rhs, hard_system_apply,
+                       monopole_coupling, solve_impedance, solve_soft, source_field)
 
 logger = logging.getLogger(__name__)
 
@@ -247,17 +246,19 @@ class HardLimitSolution:
     residual: float
 
 
-# Kernels of the hard limit on the lattice, in the column order of
-# ``_hard_kernels``: g, g rhat_p, g' rhat_s, d_s(g rhat_p) (symmetric, upper
-# triangle) and lap(g rhat_p).
-_GP, _DG, _LAP_GP = 1, 4, 13
+# Kernels of the hard limit on the lattice, in the column order of ``_hard_kernels``:
+# g, g rhat_p (from 1), g' rhat_s (from 4), d_s(g rhat_p) (symmetric, upper
+# triangle, ``_DGP``) and lap(g rhat_p) (from 13).
 _DGP = {(0, 0): 7, (0, 1): 8, (0, 2): 9, (1, 1): 10, (1, 2): 11, (2, 2): 12}
 
 
 def _hard_kernels(d: np.ndarray, k: float) -> np.ndarray:
-    g, gp, dg, dgp, _, lap_gp = dipole_kernel_blocks(d, np.zeros((1, 3)), k)
-    upper = [dgp[:, 0, s, p] for s, p in _DGP]
-    return np.column_stack([g[:, 0], gp[:, 0], dg[:, 0], *upper, lap_gp[:, 0]])
+    r = np.linalg.norm(d, axis=1)
+    g = free_space_green(k, r)
+    g_r, gp_r, radial = _radial_factors(g, r, k)
+    upper = [radial * d[:, s] * d[:, p] + (g_r if s == p else 0.0) for s, p in _DGP]
+    return np.column_stack([g, g_r[:, None] * d, gp_r[:, None] * d, *upper,
+                            (radial + 1j * k * gp_r)[:, None] * d])
 
 
 def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
@@ -272,8 +273,7 @@ def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
     ik = 1j * k
     layout = [(0, 0, 0, 1.0), (4, 0, 0, -k**2)]
     for p in range(3):
-        layout += [(0, 1 + p, _GP + p, ik), (1 + p, 0, _DG + p, 1.0),
-                   (4, 1 + p, _LAP_GP + p, ik)]
+        layout += [(0, 1 + p, 1 + p, ik), (1 + p, 0, 4 + p, 1.0), (4, 1 + p, 13 + p, ik)]
         layout += [(1 + s, 1 + p, _DGP[min(s, p), max(s, p)], ik) for s in range(3)]
     kernel = LatticeOperator(cover, lambda d: _hard_kernels(d, k), layout=layout)
 

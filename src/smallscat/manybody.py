@@ -45,7 +45,7 @@ logger = logging.getLogger(__name__)
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000
 _BLOCK_ENTRIES: int = 1 << 16
 _HARD_BLOCK_ROWS: int = 96
-_HARD_PAIR_BYTES: int = 5 * 16  # complex pair arrays of hard_cloud_system: M of about 5180
+_HARD_PAIR_BYTES: int = 73  # build peak of hard_cloud_system, 4 complex arrays and 1/r: M ~ 5420
 
 
 @dataclass(frozen=True)
@@ -340,8 +340,6 @@ def hard_system_apply(lap_weights: np.ndarray, dipole_weights: np.ndarray, field
     ``fields(monopoles, dipoles)``: the (M,) value, (M, 3) gradient and (M,)
     Laplacian of all sources, summed at every center with its own excluded.
     """
-    lap_weights = np.asarray(lap_weights)
-    dipole_weights = np.asarray(dipole_weights)
     m = len(lap_weights)
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -353,49 +351,52 @@ def hard_system_apply(lap_weights: np.ndarray, dipole_weights: np.ndarray, field
     return apply
 
 
+def _radial_factors(g: np.ndarray, r: np.ndarray, k: float):
+    """``g/r``, ``g'/r`` and ``radial = (g' - g/r)/r^2`` of ``g(r)``; ``r`` becomes ``1/r``.
+
+    With ``D = r rhat``, ``d_s(g rhat_p) = radial D_s D_p + (g/r) delta_sp`` and
+    ``lap(g rhat) = (radial + ik g'/r) D``.  Only the three results are allocated.
+    """
+    inv_r = np.reciprocal(r, out=r)
+    g_r = g * inv_r
+    gp_r = g_r * (1j * k)
+    radial = g_r * inv_r
+    gp_r -= radial
+    np.subtract(gp_r, radial, out=radial)
+    radial *= inv_r
+    return g_r, gp_r, radial
+
+
 def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
                       dipole_weights: np.ndarray):
     """Matrix-free form of :func:`assemble_hard_system` for a particle cloud.
 
-    Returns ``x -> A x`` through :func:`hard_system_apply`.  Five complex
-    scalars per pair are stored (``_HARD_PAIR_BYTES``): ``g``, ``g/r``,
-    ``g'/r``, the ``rhat rhat`` factor ``(g' - g/r)/r^2`` of ``d(g rhat)`` and
-    the factor ``-(k^2 + 2/r^2) g/r`` of ``lap(g rhat)``, all zero on the
-    diagonal.  With coordinates ``X`` centered on the centroid, each product
-    forms ``r (rhat . d_m) = X_i . d_m - X_m . d_m`` for the dipoles ``d``,
-    and the ``rhat`` sums of the gradient rows as ``X C.sum(1) - C X``.
-    Raises GridTooLarge before allocating if the pair arrays exceed
-    ``KERNEL_BYTES_BUDGET`` (M above about 5180).
+    Returns ``x -> A x`` through :func:`hard_system_apply`.  It stores ``g`` and
+    the :func:`_radial_factors` of every pair, four complex symmetric arrays with
+    zero diagonals.  With ``X`` centered on the centroid a pair sum
+    ``sum_m f_im (X_i - X_m) c_m`` is ``X_i (f @ c) - f @ (X c)``, so a product is
+    four BLAS products with source columns and allocates nothing per pair.  Raises
+    GridTooLarge before allocating if the build's peak, ``_HARD_PAIR_BYTES`` per
+    pair, exceeds ``KERNEL_BYTES_BUDGET`` (M above about 5420).
     """
     m = len(centers)
     _check_budget(_HARD_PAIR_BYTES * m * m, f"hard operator of {m} particles")
-    ik = 1j * k
-    x = np.asarray(centers, dtype=float)
-    x = x - x.mean(axis=0)
+    x = centers - np.mean(centers, axis=0)
     g, r = point_green(k, x, x)
-    inv_r = np.reciprocal(r, out=r)
-    g_r = g * inv_r
-    gp_r = (ik - inv_r) * g_r
-    radial = (gp_r - g_r * inv_r) * inv_r
-    lap_r = g_r * (-(k**2) - 2.0 * inv_r**2)
+    g_r, gp_r, radial = _radial_factors(g, r, k)
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
-        d = ik * dipoles
-        xd = np.einsum("mp,mp->m", x, d)
-        sources = np.column_stack([d, xd])
+        d = 1j * k * dipoles
+        dx = np.column_stack([d, np.einsum("mp,mp->m", x, d)])
         mono = g @ monopoles
-        gd = g_r @ sources
-        ld = lap_r @ sources
-        # gradient rows sum C_ij (X_i - X_j), for C_ij = (g'/r) q_j and for
-        # C_ij = (g' - g/r)/r^2 * r (rhat . d_j)
-        pm = gp_r @ np.column_stack([monopoles, monopoles[:, None] * x])
-        c = x @ d.T
-        c -= xd
-        c *= radial
-        cx = c @ np.column_stack([np.ones(m), x])
-        value = mono + np.einsum("mp,mp->m", x, gd[:, :3]) - gd[:, 3]
-        gradient = x * (pm[:, :1] + cx[:, :1]) - pm[:, 1:] - cx[:, 1:] + gd[:, :3]
-        laplacian = -(k**2) * mono + np.einsum("mp,mp->m", x, ld[:, :3]) - ld[:, 3]
+        pm = gp_r @ np.column_stack([monopoles, monopoles[:, None] * x, dx])
+        rd = radial @ np.column_stack([dx, (x[:, :, None] * dx[:, None, :]).reshape(m, 12)])
+        # a 4-column block f @ [c, X.c] gives arm = sum_m f_im (X_i - X_m).c_m, for c = d, X_s d
+        sums = np.hstack([g_r @ dx, pm[:, 4:], rd]).reshape(m, 6, 4)
+        arm = np.einsum("mp,mbp->mb", x, sums[..., :3]) - sums[..., 3]
+        value = mono + arm[:, 0]
+        gradient = x * (pm[:, :1] + arm[:, 2:3]) - pm[:, 1:4] - arm[:, 3:] + sums[:, 0, :3]
+        laplacian = -(k**2) * mono + arm[:, 2] + 1j * k * arm[:, 1]
         return value, gradient, laplacian
 
     return hard_system_apply(lap_weights, dipole_weights, fields)

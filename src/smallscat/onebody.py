@@ -31,12 +31,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import manybody
 from .core import BoundaryKind, Hard, Impedance, IncidentWave, Particle, Soft
 from .errors import DegenerateMesh, MissingFunctional, SolveFailure
 
 logger = logging.getLogger(__name__)
 
 _AREA_TOL_REL: float = 1e-12
+_PANEL_PAIR_BYTES: int = 64  # traced peak of the dense panel arrays, checked against the budget
 
 
 @dataclass(frozen=True)
@@ -258,15 +260,19 @@ def capacitance_zeroth(mesh: SurfaceMesh) -> float:
 
     Off-diagonal panel pairs use centroid quadrature; the diagonal uses the
     analytic self-panel integral.  Scales linearly under dilation and is
-    translation invariant.
+    translation invariant.  Rows run in blocks of at most 2048 that fit the
+    kernel budget; raises GridTooLarge if one row does not.
     """
     c, w = mesh.centroids, mesh.areas
+    row_bytes = _PANEL_PAIR_BYTES * len(c)
+    manybody._check_budget(row_bytes, f"capacitance row of {len(c)} panels")
     total = 0.0
-    step = 2048
+    step = min(2048, manybody.KERNEL_BYTES_BUDGET // row_bytes)
     for i in range(0, len(c), step):
         d = np.linalg.norm(c[i:i + step, None, :] - c[None, :, :], axis=-1)
         block = (w[i:i + step, None] * w[None, :]) / np.where(d > 0, d, np.inf)
         total += float(block.sum())
+        del d, block  # so the next block's peak does not add this one's
     total += float((w * _self_potentials(mesh)).sum())
     return 4.0 * np.pi * mesh.area_total**2 / total
 
@@ -276,8 +282,11 @@ def static_double_layer_matrix(mesh: SurfaceMesh) -> np.ndarray:
 
     Entry (i, j) applies 2 * d/dN_i [1 / (4 pi |s_i - t|)] integrated over
     panel j; diagonal entries are set so every row applied to the all-ones
-    density gives exactly -1.
+    density gives exactly -1.  Raises GridTooLarge before assembling if the
+    assembly's arrays (``_PANEL_PAIR_BYTES`` per panel pair) exceed the budget.
     """
+    f = mesh.n_triangles
+    manybody._check_budget(_PANEL_PAIR_BYTES * f * f, f"double-layer matrix of {f} panels")
     c, n, w = mesh.centroids, mesh.normals, mesh.areas
     diff = c[:, None, :] - c[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
@@ -292,7 +301,8 @@ def static_double_layer_matrix(mesh: SurfaceMesh) -> np.ndarray:
 def static_dipole_densities(mesh: SurfaceMesh) -> np.ndarray:
     """Solve ``sigma_q = A0 sigma_q - 2 N_q`` for the three axis-aligned dipole densities.
 
-    Returns the centroid values, shape ``(F, 3)``, column ``q`` for axis ``q``.
+    Returns the centroid values, shape ``(F, 3)``, column ``q`` for axis ``q``;
+    raises GridTooLarge as :func:`static_double_layer_matrix` does.
     """
     # assembled before np.eye, so the identity is not held through the assembly's peak
     a0 = static_double_layer_matrix(mesh)

@@ -40,3 +40,9 @@ def rotation_matrix(axis, angle):
         [-axis[1], axis[0], 0.0],
     ])
     return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(axis, axis)
+
+
+def pytest_configure(config):
+    # Tier-1 turns numpy's RuntimeWarning (a divide by zero, an overflow, an invalid value
+    # in the kernel algebra) into a failure instead of a printed warning.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")

@@ -171,6 +171,18 @@ def test_green_born_method_writes_the_born_kernel(tmp_path):
     assert np.max(np.abs(values - converged)) > 1e-10 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("method", ["{kind: born, order: 1}", "{kind: free_space}"])
+def test_green_methods_without_a_solve_record_no_tolerance(tmp_path, method):
+    cfg = _green_config(tmp_path, f"method: {method}")
+    if "free_space" in method:  # the free-space kernel needs a uniform medium
+        cfg.write_text(cfg.read_text().replace("amplitude: 0.1", "amplitude: 0.0"))
+    for name, extra in [("default", ()), ("flag", ["--tol", "1e-3"])]:
+        assert run("green", cfg, tmp_path / name, extra) == 0
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["tolerance"] is None
+    csv = [(tmp_path / name / "green.csv").read_bytes() for name in ("default", "flag")]
+    assert csv[0] == csv[1]
+
+
 def test_green_unknown_method_exits_2(tmp_path):
     cfg = _green_config(tmp_path, "method: {kind: multigrid}")
     out = tmp_path / "out"
@@ -259,6 +271,17 @@ def test_missing_mesh_file_exits_2(tmp_path):
     out = tmp_path / "out"
     assert run("onebody", cfg, out) == 2
     assert json.loads((out / "error.json").read_text())["type"] == "ConfigError"
+
+
+def test_onebody_mesh_above_the_budget_exits_2(tmp_path, monkeypatch):
+    # the demo's 320 panels; the double-layer assembly peaks at 64 bytes per panel pair
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 320 * 320 - 1)
+    out = tmp_path / "out"
+    assert run("onebody", CONFIGS / "onebody_hard_sphere.yaml", out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "GridTooLarge" and "double-layer matrix of 320" in record["error"]
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 320 * 320)
+    assert run("onebody", CONFIGS / "onebody_hard_sphere.yaml", tmp_path / "fits") == 0
 
 
 def test_infeasible_design_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -442,11 +443,12 @@ def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, w
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     hard = hard_scene(centers[:2], 0.005, wave_z, unit_box)
-    # the hard operator's pair arrays: five complex scalars for each of 2 x 2 pairs
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 5 * 16 * 2 * 2 - 1)
+    # the hard operator's build peak: four complex pair arrays and 1/r, 73 bytes for each
+    # of 2 x 2 pairs
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 73 * 2 * 2 - 1)
     with pytest.raises(ss.GridTooLarge, match="hard operator"):
         solve_hard(hard)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 5 * 16 * 2 * 2)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 73 * 2 * 2)
     assert solve_hard(hard).residual < 1e-10
     # a medium solve's cover arrays A (3 x 512) and R (512 x 3), complex
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
@@ -788,6 +790,32 @@ def _hard_cloud(m, seed):
     box = ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
     wave = ss.IncidentWave(k=1.3, alpha=[0.0, 0.6, 0.8])
     return hard_scene(_separated_centers(rng, m, 0.1), 0.01, wave, box)
+
+
+def test_hard_cloud_products_allocate_no_pair_array():
+    """The seed-0 ``hard_volume`` cloud of the benchmark (M = 933): four stored pair arrays,
+    a build within ``_HARD_PAIR_BYTES`` per pair, and no M x M temporary in a product."""
+    spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.008, law="hard_volume",
+                        bc_kind="hard", rng_seed=0)
+    particles = ss.generate_cloud(spec, ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0]))
+    m = len(particles)
+    centers = np.array([p.center for p in particles])
+    volumes = np.array([p.volume for p in particles])
+    dipole_weights = np.array([p.polarizability * p.volume for p in particles])
+    x = np.random.default_rng(0).normal(size=5 * m) + 0j
+    tracemalloc.start()
+    try:
+        system = manybody.hard_cloud_system(centers, 1.0, volumes, dipole_weights)
+        stored, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        system(x)
+        product_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m > 900
+    assert stored <= 4 * 16 * m * m + 1024 * m
+    assert build_peak <= manybody._HARD_PAIR_BYTES * m * m
+    assert product_peak - stored <= 2048 * m
 
 
 def test_hard_solve_never_assembles_the_dense_system(monkeypatch):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smallscat as ss
+from smallscat import manybody
 from smallscat.onebody import (ShapeFunctionals, amplitude_onebody,
                                capacitance_zeroth, charge_hard, charge_impedance,
                                charge_soft, icosphere, load_obj, mesh_particle,
@@ -223,6 +226,25 @@ def test_amplitude_hard_forward_and_zero(wave_z):
     # (1 - 1.5 cos(theta)) vanishes at cos(theta) = 2/3
     beta = np.array([np.sqrt(1 - (2 / 3) ** 2), 0.0, 2 / 3])
     assert abs(amplitude_onebody(ss.Hard(), fun, wave_z, beta)) < 1e-18
+
+
+def test_panel_arrays_checked_against_the_budget(sphere_mesh_320, monkeypatch):
+    full = capacitance_zeroth(sphere_mesh_320)
+    # blocks of 100 rows of 320 panels, at 64 bytes per panel pair
+    budget = 64 * 320 * 100
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        blocked = capacitance_zeroth(sphere_mesh_320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked == pytest.approx(full, rel=1e-14) and peak <= 1.05 * budget
+    with pytest.raises(ss.GridTooLarge, match="double-layer matrix of 320 panels"):
+        static_dipole_densities(sphere_mesh_320)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 320 - 1)
+    with pytest.raises(ss.GridTooLarge, match="capacitance row"):
+        capacitance_zeroth(sphere_mesh_320)
 
 
 def test_amplitude_hard_general_field_reduces_to_plane_wave(wave_z):
