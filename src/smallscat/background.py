@@ -37,10 +37,23 @@ logger = logging.getLogger(__name__)
 _LS_MAX_ITER: int = 200
 
 
-def free_space_green(k: float, r: np.ndarray) -> np.ndarray:
-    """Outgoing free-space kernel ``exp(ikr) / (4 pi r)``."""
-    r = np.asarray(r)
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
+def free_space_green(k: float, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Outgoing free-space kernel ``exp(ikr) / (4 pi r)``, into ``out`` if given.
+
+    ``cos(kr)`` and ``sin(kr)`` go straight into the real and imaginary parts,
+    which are then scaled by ``1 / (4 pi r)``: the same bits as the complex
+    ``exp`` and division (which multiplies by that reciprocal), with one real
+    temporary instead of three complex ones.  A scalar ``r`` gives a scalar.
+    """
+    r = np.asarray(r, dtype=float)
+    g = np.empty(r.shape, dtype=complex) if out is None else out
+    kr = np.multiply(k, r, out=np.empty(r.shape))
+    np.cos(kr, out=g.real)
+    np.sin(kr, out=g.imag)
+    scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=kr), out=kr)
+    g.real *= scale
+    g.imag *= scale
+    return g[()] if out is None and g.ndim == 0 else g
 
 
 def point_green(k: float, targets: np.ndarray, sources: np.ndarray,

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .background import BackgroundMedium
 from .errors import DensityInfeasible
-from .fields import ScalarField
+from .fields import ConstantField, GaussianBumpField, GriddedField, ScalarField
 from .grids import Box
 
 logger = logging.getLogger(__name__)
@@ -307,25 +307,37 @@ def _bisection_counts(masses: np.ndarray, total: int) -> np.ndarray:
     The running remainder is distributed along a bisection tree over the
     C-ordered cell list: every tree block receives the rounded share of its
     mass, so |count - target| <= 1 holds per cell and remainders cannot pile
-    up across the domain the way plain sequential accumulation allows.
+    up across the domain the way plain sequential accumulation allows.  A
+    block's mass is its numpy slice sum, which adds fewer than 8 values one by
+    one from 0.0, so short blocks are summed the same way on plain floats.
     """
     flat = np.asarray(masses, dtype=float).ravel()
+    values = flat.tolist()
     counts = np.zeros(flat.size, dtype=int)
 
-    def rec(lo: int, hi: int, n: int) -> None:
+    def mass(lo: int, hi: int) -> float:
+        if hi - lo >= 8:
+            return float(flat[lo:hi].sum())
+        s = 0.0
+        for v in values[lo:hi]:
+            s += v
+        return s
+
+    stack = [(0, flat.size, total, None)]
+    while stack:
+        lo, hi, n, m_all = stack.pop()
         if n == 0:
-            return
+            continue
         if hi - lo == 1:
             counts[lo] = n
-            return
+            continue
         mid = (lo + hi) // 2
-        m_all = float(flat[lo:hi].sum())
-        n_lo = n // 2 if m_all <= 0.0 else int(round(n * (float(flat[lo:mid].sum()) / m_all)))
+        m_all = mass(lo, hi) if m_all is None else m_all
+        m_lo = mass(lo, mid)
+        n_lo = n // 2 if m_all <= 0.0 else int(round(n * (m_lo / m_all)))
         n_lo = min(max(n_lo, 0), n)
-        rec(lo, mid, n_lo)
-        rec(mid, hi, n - n_lo)
-
-    rec(0, flat.size, total)
+        stack.append((mid, hi, n - n_lo, None))
+        stack.append((lo, mid, n_lo, m_lo))
     return counts
 
 
@@ -350,12 +362,39 @@ def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int])
     return masses, sub_max
 
 
+# Fields whose many-point sample equals each point sampled alone, bit for bit.
+_ROWWISE_FIELDS = (ConstantField, GaussianBumpField, GriddedField)
+_KEY: int = 1 << 32  # stride of the separation grid's linear cell keys
+
+
+def _sample_each(field: ScalarField, points: np.ndarray) -> np.ndarray:
+    """``field`` at each point, as a one-point sample gives it.
+
+    ``AffineField`` samples through ``p @ gradient``, whose many-row BLAS path
+    may round differently from one row, so it and unknown fields go point by point.
+    """
+    if isinstance(field, _ROWWISE_FIELDS):
+        return field.sample(points)
+    return np.array([field.sample(p[None, :])[0] for p in points])
+
+
+def _shrink(spec: CloudSpec, attempt: int) -> float:
+    return spec.jitter * (1.0 - attempt / PLACEMENT_RETRY_CAP)
+
+
 def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
     """Place particles following the counting law of ``spec`` inside ``domain``.
 
     Deterministic given ``rng_seed`` (single stream, fixed stratum order).
     Raises DensityInfeasible when the separation constraint cannot be met
     within the retry cap, ValueError when the law yields no particles.
+
+    Every attempt draws three jitter uniforms and, where the stratum's density
+    bound is positive, one acceptance uniform, in stream order.  The uniforms
+    are drawn in batches (``random(3)`` then ``random()`` draws what ``random(4)``
+    does), and the first attempts of a run of particles are formed and tested
+    against the density as arrays on the guess that each succeeds; a retry ends
+    the run.  Separation is tested on plain floats against a grid hash.
     """
     if spec.strata_n is not None:
         n_strata = int(spec.strata_n)
@@ -375,68 +414,119 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
         )
     counts = _bisection_counts(masses, m_total)
 
-    rng = np.random.default_rng(spec.rng_seed)
-    d_min = spec.separation_factor * spec.a
+    # one row per particle, strata in C order: stratum midpoint and density bound
     edges = domain.lengths / n_strata
-    occupied: dict = {}
-    positions: List[np.ndarray] = []
+    strata = np.repeat(np.arange(counts.size), counts)
+    mids = domain.lo + np.stack(np.unravel_index(strata, shape), axis=1) * edges + 0.5 * edges
+    bound = density_max[strata]
+    width = np.where(bound > 0, 4, 3)  # uniforms per attempt
+    rng = np.random.default_rng(spec.rng_seed)
+    uniforms = np.empty(0)
 
-    def separated(p: np.ndarray) -> bool:
-        if d_min <= 0:
-            return True
-        key = tuple(np.floor((p - domain.lo) / d_min).astype(int))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for q in occupied.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
-                        if np.dot(p - q, p - q) < d_min * d_min:
-                            return False
+    def drawn(end: int) -> np.ndarray:
+        nonlocal uniforms
+        if end > len(uniforms):
+            more = max(end - len(uniforms), len(uniforms), 4096)
+            uniforms = np.concatenate([uniforms, rng.random(more)])
+        return uniforms
+
+    def first_attempts(i: int, j: int, pos: int) -> list:
+        """``(x, y, z, rejected)`` of the first attempts of particles ``i..j-1``."""
+        starts = pos + np.concatenate(([0], np.cumsum(width[i:j - 1])))
+        u = drawn(int(starts[-1]) + 4)[starts[:, None] + np.arange(4)]
+        cand = mids[i:j] + ((u[:, :3] - 0.5) * edges) * _shrink(spec, 0)
+        rejected = np.zeros(j - i, dtype=bool)
+        tested = bound[i:j] > 0
+        if np.any(tested):
+            dens = np.real(_sample_each(spec.density, cand[tested]))
+            rejected[tested] = u[tested, 3] * bound[i:j][tested] > dens
+        return [(*c, r) for c, r in zip(cand.tolist(), rejected.tolist())]
+
+    d_min = spec.separation_factor * spec.a
+    d2 = d_min * d_min
+    # plain-float squares round within 1e-15 of the dot product the test is defined by
+    sure, unsure = d2 * (1.0 - 1e-12), d2 * (1.0 + 1e-12)
+    lo_x, lo_y, lo_z = domain.lo.tolist()
+    cells: dict = {}
+    near = [(dx * _KEY + dy) * _KEY + dz for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1)]
+
+    def separated(key: int, x: float, y: float, z: float) -> bool:
+        for off in near:
+            bucket = cells.get(key + off)
+            if bucket is None:
+                continue
+            for qx, qy, qz in bucket:
+                d = (x - qx, y - qy, z - qz)
+                s = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+                if s < unsure and (s < sure or np.dot(d, d) < d2):
+                    return False
         return True
 
-    flat = 0
-    for ix in range(n_strata):
-        for iy in range(n_strata):
-            for iz in range(n_strata):
-                n_here = int(counts[flat])
-                nmax = density_max[flat]
-                flat += 1
-                if n_here == 0:
-                    continue
-                lo = domain.lo + np.array([ix, iy, iz]) * edges
-                mid = lo + 0.5 * edges
-                for _ in range(n_here):
-                    placed = False
-                    for attempt in range(PLACEMENT_RETRY_CAP):
-                        shrink = spec.jitter * (1.0 - attempt / PLACEMENT_RETRY_CAP)
-                        cand = mid + (rng.random(3) - 0.5) * edges * shrink
-                        if nmax > 0:
-                            accept = rng.random() * nmax
-                            if accept > np.real(spec.density.sample(cand[None, :]))[0]:
-                                continue
-                        if separated(cand):
-                            placed = True
-                            break
-                    if not placed:
-                        raise DensityInfeasible(
-                            f"could not place particle in stratum ({ix},{iy},{iz}) after "
-                            f"{PLACEMENT_RETRY_CAP} retries at min distance {d_min:.4g}"
-                        )
-                    if d_min > 0:
-                        key = tuple(np.floor((cand - domain.lo) / d_min).astype(int))
-                        occupied.setdefault(key, []).append(cand)
-                    positions.append(cand)
-
-    h_field = spec.h
-    particles = []
-    for pos in positions:
-        if spec.bc_kind == "soft":
-            bc: BoundaryKind = Soft()
-        elif spec.bc_kind == "hard":
-            bc = Hard()
+    ex, ey, ez = edges.tolist()
+    positions = []
+    guesses: list = []
+    run_start, pos = 0, 0
+    for i, ((mx, my, mz), w, nmax) in enumerate(zip(mids.tolist(), width.tolist(),
+                                                   bound.tolist())):
+        if i - run_start >= len(guesses):
+            guesses = first_attempts(i, min(m_total, i + 2 * (i - run_start) + 1), pos)
+            run_start = i
+        for attempt in range(PLACEMENT_RETRY_CAP):
+            if attempt == 0:
+                x, y, z, rejected = guesses[i - run_start]
+            else:
+                shrink = _shrink(spec, attempt)
+                u = drawn(pos + 4)[pos:pos + 4].tolist()
+                x = mx + ((u[0] - 0.5) * ex) * shrink
+                y = my + ((u[1] - 0.5) * ey) * shrink
+                z = mz + ((u[2] - 0.5) * ez) * shrink
+                rejected = w == 4 and u[3] * nmax > float(
+                    np.real(spec.density.sample(np.array([[x, y, z]])))[0])
+            pos += w
+            if rejected:
+                continue
+            if d_min <= 0:
+                break
+            key = (math.floor((x - lo_x) / d_min) * _KEY + math.floor((y - lo_y) / d_min)) \
+                * _KEY + math.floor((z - lo_z) / d_min)
+            if separated(key, x, y, z):
+                cells.setdefault(key, []).append((x, y, z))
+                break
         else:
-            h_val = complex(h_field.sample(pos[None, :])[0])
-            bc = Impedance(h=h_val, kappa=spec.kappa)
-        particles.append(Particle.sphere(pos, spec.a, bc))
+            ix, iy, iz = np.unravel_index(strata[i], shape)
+            raise DensityInfeasible(
+                f"could not place particle in stratum ({ix},{iy},{iz}) after "
+                f"{PLACEMENT_RETRY_CAP} retries at min distance {d_min:.4g}"
+            )
+        if attempt > 0:  # the guesses after a retry start from the wrong draws
+            guesses = guesses[:i - run_start + 1]
+        positions.append((x, y, z))
+
+    particles = _spheres(np.array(positions), spec)
     logger.info("generated cloud: law=%s a=%g M=%d strata=%d^3", spec.law, spec.a,
                 len(particles), n_strata)
+    return particles
+
+
+def _spheres(centers: np.ndarray, spec: CloudSpec) -> List[Particle]:
+    """:meth:`Particle.sphere` at each center, built and checked once.
+
+    The particles differ only in center, boundary condition and their own copy
+    of the polarizability, so each is a copy of one checked prototype.
+    """
+    if spec.bc_kind == "impedance":
+        bcs = [Impedance(h=h, kappa=spec.kappa) for h in _sample_each(spec.h, centers).tolist()]
+    else:
+        bcs = [Soft() if spec.bc_kind == "soft" else Hard()] * len(centers)
+    prototype = vars(Particle.sphere(np.zeros(3), spec.a, bcs[0]))
+    betas = [None] * len(centers)
+    if spec.bc_kind == "hard":
+        betas = np.empty((len(centers), 3, 3))
+        betas[:] = prototype["polarizability"]
+    particles = []
+    for center, bc, beta in zip(centers, bcs, betas):
+        p = object.__new__(Particle)
+        p.__dict__.update(prototype, center=center, bc=bc, polarizability=beta)
+        particles.append(p)
     return particles

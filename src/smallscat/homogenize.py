@@ -323,8 +323,8 @@ def cover_field_from_solution(solution: EffectiveFieldSolution, scene: Scene,
     collocation values approximate: :func:`~smallscat.manybody.source_field`
     with the own-cell pairs excluded.
     """
-    own = cover.cell_index(scene.centers)[None, :] == np.arange(cover.n_cells)[:, None]
-    return source_field(solution, scene, cover.centers, exclude=own)
+    return source_field(solution, scene, cover.centers,
+                        exclude_cells=(np.arange(cover.n_cells), cover.cell_index(scene.centers)))
 
 
 @dataclass(frozen=True)

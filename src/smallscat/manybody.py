@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.blas import zspmv
@@ -45,7 +45,7 @@ logger = logging.getLogger(__name__)
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000
 _BLOCK_ENTRIES: int = 1 << 16
 _HARD_BLOCK_ROWS: int = 96
-_HARD_PAIR_BYTES: int = 73  # build peak of hard_cloud_system, 4 complex arrays and 1/r: M ~ 5420
+_HARD_PAIR_BYTES: int = 73  # checked for hard_cloud_system, 4 complex arrays and 1/r: M ~ 5420
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,13 @@ def _check_budget(nbytes: int, what: str) -> None:
                            f"above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
 
 
-def _packed_blocks(centers: np.ndarray, k: float):
+def _packed_blocks(centers: np.ndarray, k: float, packed: Optional[np.ndarray] = None):
     """Upper triangle of the zero-diagonal free-space kernel, by column blocks.
 
     Yields ``(j0, j1, upper, values)``: rows ``0..j`` of columns ``j0..j1-1``
     in BLAS packed order (from position ``j0 (j0 + 1) / 2``), and their mask
     in the transposed ``(j1 - j0, j1)`` block of at most ``_BLOCK_ENTRIES``.
+    With ``packed`` the values are written into it and ``values`` is its slice.
     """
     m = len(centers)
     j0 = 0
@@ -137,7 +138,8 @@ def _packed_blocks(centers: np.ndarray, k: float):
         r = cdist(centers[j0:j1], centers[:j1])[upper]
         diagonal = (cols * (cols + 3) - j0 * (j0 + 1)) // 2
         r[diagonal] = 1.0
-        values = free_space_green(k, r)
+        start = j0 * (j0 + 1) // 2
+        values = free_space_green(k, r, None if packed is None else packed[start:start + len(r)])
         values[diagonal] = 0.0
         yield j0, j1, upper, values
         j0 = j1
@@ -160,9 +162,8 @@ class CloudKernel:
         self.packed: Optional[np.ndarray] = None
         if 8 * m * (m + 1) <= KERNEL_BYTES_BUDGET:
             self.packed = np.empty(m * (m + 1) // 2, dtype=complex)
-            for j0, _, _, values in _packed_blocks(self.centers, self.k):
-                start = j0 * (j0 + 1) // 2
-                self.packed[start:start + len(values)] = values
+            for _ in _packed_blocks(self.centers, self.k, self.packed):
+                pass  # each block is written into packed as it is made
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
@@ -375,15 +376,20 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     the :func:`_radial_factors` of every pair, four complex symmetric arrays with
     zero diagonals.  With ``X`` centered on the centroid a pair sum
     ``sum_m f_im (X_i - X_m) c_m`` is ``X_i (f @ c) - f @ (X c)``, so a product is
-    four BLAS products with source columns and allocates nothing per pair.  Raises
-    GridTooLarge before allocating if the build's peak, ``_HARD_PAIR_BYTES`` per
-    pair, exceeds ``KERNEL_BYTES_BUDGET`` (M above about 5420).
+    four BLAS products with source columns and allocates nothing per pair.  The
+    arrays are filled by row blocks of at most ``_BLOCK_ENTRIES`` pairs, so ``r``
+    never exists whole.  Raises GridTooLarge before allocating if
+    ``_HARD_PAIR_BYTES`` per pair exceed ``KERNEL_BYTES_BUDGET`` (M above about 5420).
     """
     m = len(centers)
     _check_budget(_HARD_PAIR_BYTES * m * m, f"hard operator of {m} particles")
     x = centers - np.mean(centers, axis=0)
-    g, r = point_green(k, x, x)
-    g_r, gp_r, radial = _radial_factors(g, r, k)
+    g, g_r, gp_r, radial = (np.empty((m, m), dtype=complex) for _ in range(4))
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    for i0 in range(0, m, rows):
+        block = slice(i0, i0 + rows)
+        g[block], r = point_green(k, x[block], x)
+        g_r[block], gp_r[block], radial[block] = _radial_factors(g[block], r, k)
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
         d = 1j * k * dipoles
@@ -460,13 +466,14 @@ def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
 
 
 def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
-                 exclude: Optional[np.ndarray] = None) -> np.ndarray:
+                 exclude_cells: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """``u0`` plus the point sources of a solved scene, summed at ``points``.
 
     ``sum_m g(x, x_m) Q_m`` over :func:`_monopoles`, plus
-    ``ik (g / r) (x - x_m) . d_m`` for dipoles ``d``.  Particle columns where
-    the boolean ``(points, M)`` mask ``exclude`` is true are left out; cover
-    sources never are.  Targets run in blocks of at most ``_BLOCK_ENTRIES`` pairs.
+    ``ik (g / r) (x - x_m) . d_m`` for dipoles ``d``.  ``exclude_cells`` is a
+    cell index per point and per particle; a particle in its point's cell is
+    left out, cover sources never are.  Targets run in blocks of at most
+    ``_BLOCK_ENTRIES`` pairs, and no array grows with points times particles.
     """
     u = scene.wave.field_at(points)
     m = scene.n_particles
@@ -475,8 +482,9 @@ def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndar
     for t0 in range(0, len(points), rows):
         block = slice(t0, t0 + rows)
         g, r = point_green(scene.wave.k, points[block], positions, self_values)
-        if exclude is not None:
-            g[:, :m][exclude[block]] = 0.0
+        if exclude_cells is not None:
+            point_cells, particle_cells = exclude_cells
+            g[:, :m][point_cells[block, None] == particle_cells[None, :]] = 0.0
         field = np.einsum("xm,m->x", g, charges)
         if solution.dipoles is not None:
             arm = np.einsum("xmp,mp->xm", points[block, None] - scene.centers, solution.dipoles)

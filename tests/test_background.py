@@ -195,3 +195,18 @@ def test_scattered_plane_wave_zero_contrast(unit_box, wave_z):
     u_grid, _ = scattered_plane_wave(np.zeros(cover.n_cells), cover, wave_z.k,
                                      wave_z.alpha)
     assert np.allclose(u_grid, wave_z.field_at(cover.centers), rtol=1e-14)
+
+
+@pytest.mark.parametrize("k", [0.1, 1.0, 3.7, 20.0])
+def test_free_space_green_matches_the_complex_exponential(k):
+    r = np.random.default_rng(4).uniform(1e-4, 5.0, size=(40, 25))
+    for arg in (r, r[:, 3], r[::3, ::2], np.array(0.37), 0.37, 2):
+        got = free_space_green(k, arg)
+        want = np.exp(1j * k * np.asarray(arg)) / (4.0 * np.pi * np.asarray(arg))
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == complex
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        if np.ndim(arg) == 0:
+            assert isinstance(got, complex) and not isinstance(got, np.ndarray)
+    out = np.empty(r.shape, dtype=complex)
+    assert free_space_green(k, r, out) is out
+    assert np.array_equal(out, free_space_green(k, r))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import smallscat as ss
+from cloud_oracle import oracle_bisection_counts, oracle_cloud
 from smallscat.core import CloudSpec, _bisection_counts, generate_cloud
 from smallscat.fields import ScalarField
 
@@ -200,3 +201,110 @@ def test_mixed_kind_scene_rejected(wide_box, wave_z):
     scene = ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
     with pytest.raises(ValueError):
         scene.boundary_kind()
+
+
+# ---------------------------------------------------------------------------
+# Placement against the scalar oracle, bit for bit
+
+class CountedField(ScalarField):
+    """A field unknown to the placement code, counting its sample calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def sample(self, points):
+        self.calls += 1
+        return self.inner.sample(points)
+
+
+def _density(kind, scale):
+    if kind == "constant":
+        return ss.ConstantField(scale)
+    if kind == "affine":
+        return ss.AffineField(0.4 * scale, scale * np.array([0.9, -0.3, 0.55]))
+    if kind == "bump":
+        return ss.GaussianBumpField(2.0 * scale, [0.4, 0.6, 0.5], 0.3, base=0.05 * scale)
+    axes = [np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)]
+    values = np.random.default_rng(3).uniform(0.2, 1.5, size=(4, 3, 5)) * scale
+    return ss.GriddedField(axes, values)
+
+
+# (law, radius, density scale): about 100 to 300 particles on the unit cube
+_LAWS = {"dirichlet": (0.004, 1.0), "impedance": (0.003, 0.05), "hard_volume": (0.012, 0.002)}
+_H_FIELDS = [ss.AffineField(1.0 - 0.5j, [0.3, -0.2, 0.1]), ss.ConstantField(2.0 - 0.1j),
+             ss.GaussianBumpField(1.0 - 1.0j, [0.5, 0.5, 0.5], 0.4, base=0.5)]
+
+
+def _assert_same_cloud(spec, box):
+    centers, h = oracle_cloud(spec, box)
+    cloud = generate_cloud(spec, box)
+    assert np.array_equal(np.array([p.center for p in cloud]), centers)
+    if h is not None:
+        assert np.array_equal(np.array([p.bc.h for p in cloud]), h)
+    for p in cloud[:3]:
+        ref = ss.Particle.sphere(p.center, spec.a, p.bc)
+        assert ((p.a, p.capacitance, p.surface_factor, p.volume, p.shape)
+                == (ref.a, ref.capacitance, ref.surface_factor, ref.volume, ref.shape))
+        assert (p.polarizability is None) == (ref.polarizability is None)
+        if ref.polarizability is not None:
+            assert np.array_equal(p.polarizability, ref.polarizability)
+            assert not np.shares_memory(p.polarizability, cloud[-1].polarizability)
+    return cloud
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("density", ["constant", "affine", "bump", "grid"])
+def test_placement_matches_scalar_oracle(unit_box, density, law):
+    i = ["constant", "affine", "bump", "grid"].index(density) + sorted(_LAWS).index(law)
+    bc_kind = ("soft", "impedance", "hard")[i % 3]
+    a, scale = _LAWS[law]
+    spec = CloudSpec(density=_density(density, scale), a=a, law=law, bc_kind=bc_kind,
+                     h=_H_FIELDS[i % 3], rng_seed=i, separation_factor=4.0)
+    cloud = _assert_same_cloud(spec, unit_box)
+    assert 60 <= len(cloud) <= 400
+
+
+@pytest.mark.parametrize("seed, strata_n, jitter", [(0, None, 0.6), (1, 3, 1.0), (2, 7, 0.0),
+                                                    (3, None, 1.0), (4, 5, 0.6)])
+def test_placement_settings_match_scalar_oracle(unit_box, seed, strata_n, jitter):
+    # strata of 7^3 hold at most one particle each, so jitter 0 still places them
+    spec = CloudSpec(density=_density("bump", 1.0), a=0.005, law="dirichlet",
+                     bc_kind="impedance", h=_H_FIELDS[0], rng_seed=seed, strata_n=strata_n,
+                     jitter=jitter, separation_factor=3.0)
+    _assert_same_cloud(spec, unit_box)
+
+
+def test_placement_with_many_retries_matches_scalar_oracle(unit_box):
+    # 10a = 0.1 against a mean spacing of 0.126: about one retry per particle
+    density = CountedField(ss.ConstantField(0.002))
+    spec = CloudSpec(density=density, a=0.01, law="hard_volume", bc_kind="hard", rng_seed=5)
+    m = len(_assert_same_cloud(spec, unit_box))
+    centers, _ = oracle_cloud(spec, unit_box)
+    density.calls = 0
+    oracle_cloud(spec, unit_box)
+    assert density.calls > 1.5 * m  # one one-point sample per attempt
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.6])
+def test_infeasible_placement_fails_like_the_scalar_oracle(unit_box, jitter):
+    # jitter 0 puts the second particle of a 3^3 stratum on the first one
+    spec = CloudSpec(density=ss.ConstantField(1.0), a=0.05, law="impedance", kappa=0.5,
+                     bc_kind="impedance", h=ss.ConstantField(1.0), rng_seed=0,
+                     separation_factor=10.0 if jitter else 0.5, jitter=jitter,
+                     strata_n=None if jitter else 3)
+    with pytest.raises(ss.DensityInfeasible) as want:
+        oracle_cloud(spec, unit_box)
+    with pytest.raises(ss.DensityInfeasible) as got:
+        generate_cloud(spec, unit_box)
+    assert str(got.value) == str(want.value)
+
+
+def test_bisection_counts_match_recursive_oracle():
+    rng = np.random.default_rng(9)
+    cases = [(rng.random((7, 7, 7)), 300), (np.ones((9, 9, 9)), 500), (np.ones(13), 6),
+             (np.r_[np.zeros(20), rng.random(11), np.zeros(5)], 17), (np.zeros(10), 4),
+             (rng.random((17, 17, 17)) ** 4, 4000)]
+    for masses, total in cases:
+        assert np.array_equal(_bisection_counts(masses, total),
+                              oracle_bisection_counts(masses, total))
