@@ -11,8 +11,8 @@ of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
 solved by a truncated series or fixed-point iteration once per source
-(:meth:`GreenEvaluator.cover_responses`); no read-out solves.  Point-to-point
-kernels (:func:`point_green`) give a cover center its own cell's diagonal.
+(:meth:`GreenEvaluator.cover_responses`).  No read-out solves: each is one blocked
+:func:`point_source_sum`, whose :func:`point_green` gives a cover center its cell's diagonal.
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
 (same code path, bit for bit).  Evaluators are immutable after construction.
@@ -35,6 +35,7 @@ from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 logger = logging.getLogger(__name__)
 
 _LS_MAX_ITER: int = 200
+_BLOCK_ENTRIES: int = 1 << 16
 
 
 def free_space_green(k: float, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -69,6 +70,28 @@ def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
     g = free_space_green(k, r)
     g[coincident] = np.broadcast_to(self_value, g.shape)[coincident]
     return g, r
+
+
+def point_source_sum(k: float, targets: np.ndarray, sources: np.ndarray, charges: np.ndarray,
+                     self_values=0.0, dipoles=None, exclude_cells=None) -> np.ndarray:
+    """``sum_m g(x, y_m) q_m`` at every target ``x``, by blocks of ``_BLOCK_ENTRIES`` pairs.
+
+    ``self_values`` as in :func:`point_green`; ``dipoles`` (S, 3) add ``ik (g / r) (x - y_m).d_m``;
+    ``exclude_cells`` (cells of the targets and of the first E sources) drops same-cell pairs.
+    """
+    out = np.empty(len(targets), dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // max(len(sources), 1))
+    for t0 in range(0, len(targets), rows):
+        block = slice(t0, t0 + rows)
+        g, r = point_green(k, targets[block], sources, self_values)
+        if exclude_cells is not None:
+            target_cells, source_cells = exclude_cells
+            g[:, :len(source_cells)][target_cells[block, None] == source_cells[None, :]] = 0.0
+        out[block] = np.einsum("xm,m->x", g, charges)
+        if dipoles is not None:
+            arm = np.einsum("xmp,mp->xm", targets[block, None] - sources, dipoles)
+            out[block] += 1j * k * np.einsum("xm,xm->x", g / r, arm)
+    return out
 
 
 def cell_self_green(cover: GridCover) -> float:
@@ -194,10 +217,6 @@ class GreenEvaluator:
             return born_series(self._kernel, rhs, int(self.method[1]))
         return fixed_point_solve(self._kernel, rhs, float(self.method[1]))
 
-    def _to_grid(self, points: np.ndarray) -> np.ndarray:
-        """``g(z_p, y)`` from every point ``y`` to the cover centers, (P, len(points))."""
-        return point_green(self.k, self.grid.centers, points, cell_self_green(self.grid))[0]
-
     def pair_values(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -208,7 +227,9 @@ class GreenEvaluator:
         base = free_space_green(self.k, r)
         if self.is_free_space:
             return base
-        return base + (self._to_grid(targets).T @ self.cover_responses(source[None, :]))[:, 0]
+        return base + point_source_sum(self.k, targets, self.grid.centers,
+                                       self.cover_responses(source[None, :])[:, 0],
+                                       cell_self_green(self.grid))
 
     def cover_responses(self, sources: np.ndarray) -> np.ndarray:
         """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces.
@@ -216,7 +237,7 @@ class GreenEvaluator:
         ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, one grid solve per
         source, so ``(G - g)(x, y_m) = sum_p g(x, z_p) R[p, m]``.
         """
-        out = self._to_grid(sources)
+        out = point_green(self.k, self.grid.centers, sources, cell_self_green(self.grid))[0]
         for m in range(out.shape[1]):
             out[:, m] = self._grid_solve(out[:, m])
         return (self.k**2) * self._chi_w[:, None] * out
@@ -248,7 +269,5 @@ def scattered_plane_wave(chi_values: np.ndarray, cover: GridCover, k: float,
     if points is None:
         return u_grid, u_grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    g = point_green(k, pts, z, cell_self_green(cover))[0]
-    u_pts = amplitude * np.exp(1j * k * pts @ alpha) \
-        + (k**2) * (g @ (chi * cover.cell_volume * u_grid))
-    return u_grid, u_pts
+    return u_grid, amplitude * np.exp(1j * k * pts @ alpha) \
+        + point_source_sum(k, pts, z, kernel.weights * u_grid, cell_self_green(cover))

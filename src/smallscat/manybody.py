@@ -13,7 +13,7 @@ The hard case couples values, gradients, and Laplacians at the centers
 differentiation of the kernel (finite differences are used only as test
 oracles, never in assembly).  Self interaction is excluded by construction;
 in a medium (``G`` for ``g``) that drops the smooth ``(G - g)(x_j, x_j)`` too.
-Every read-out sums point sources, whatever the particle kind: the charges,
+Every read-out is one :func:`~smallscat.background.point_source_sum` of the charges,
 a hard solve's dipoles, and the induced cover monopoles a medium solve stores.
 
 Every system is built once and solved by GMRES with a checked residual
@@ -34,6 +34,7 @@ import numpy as np
 from scipy.linalg.blas import zspmv
 from scipy.spatial.distance import cdist
 
+from . import background
 from .background import GreenEvaluator, cell_self_green, free_space_green, point_green
 from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
@@ -43,9 +44,8 @@ from .lattice import DEFAULT_RTOL, solve_checked
 logger = logging.getLogger(__name__)
 
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000
-_BLOCK_ENTRIES: int = 1 << 16
 _HARD_BLOCK_ROWS: int = 96
-_HARD_PAIR_BYTES: int = 73  # checked for hard_cloud_system, 4 complex arrays and 1/r: M ~ 5420
+_HARD_PAIR_BYTES: int = 64  # hard_cloud_system: 4 complex pair arrays, as much again per block
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _packed_blocks(centers: np.ndarray, k: float, packed: Optional[np.ndarray] =
     m = len(centers)
     j0 = 0
     while j0 < m:
-        width = int((np.sqrt(j0 * j0 + 4.0 * _BLOCK_ENTRIES) - j0) / 2.0)
+        width = int((np.sqrt(j0 * j0 + 4.0 * background._BLOCK_ENTRIES) - j0) / 2.0)
         j1 = min(m, j0 + max(width, 1))
         cols = np.arange(j0, j1)
         upper = np.arange(j1)[None, :] <= cols[:, None]
@@ -378,14 +378,14 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     ``sum_m f_im (X_i - X_m) c_m`` is ``X_i (f @ c) - f @ (X c)``, so a product is
     four BLAS products with source columns and allocates nothing per pair.  The
     arrays are filled by row blocks of at most ``_BLOCK_ENTRIES`` pairs, so ``r``
-    never exists whole.  Raises GridTooLarge before allocating if
-    ``_HARD_PAIR_BYTES`` per pair exceed ``KERNEL_BYTES_BUDGET`` (M above about 5420).
+    never exists whole.  Raises GridTooLarge before allocating if ``_HARD_PAIR_BYTES``
+    per pair, stored or in a block, exceed ``KERNEL_BYTES_BUDGET`` (M above about 5790).
     """
     m = len(centers)
-    _check_budget(_HARD_PAIR_BYTES * m * m, f"hard operator of {m} particles")
+    rows = max(1, background._BLOCK_ENTRIES // max(m, 1))
+    _check_budget(_HARD_PAIR_BYTES * m * (m + min(m, rows)), f"hard operator of {m} particles")
     x = centers - np.mean(centers, axis=0)
     g, g_r, gp_r, radial = (np.empty((m, m), dtype=complex) for _ in range(4))
-    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
     for i0 in range(0, m, rows):
         block = slice(i0, i0 + rows)
         g[block], r = point_green(k, x[block], x)
@@ -461,36 +461,18 @@ def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
         return scene.centers, solution.charges, 0.0
     return (np.vstack([scene.centers, greens.grid.centers]),
             np.concatenate([solution.charges, solution.cover_charges]),
-            np.repeat([0.0, cell_self_green(greens.grid)],
-                      [scene.n_particles, greens.grid.n_cells]))
+            np.repeat([0.0, cell_self_green(greens.grid)], [scene.n_particles, greens.grid.n_cells]))
 
 
 def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,
                  exclude_cells: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """``u0`` plus the point sources of a solved scene, summed at ``points``.
 
-    ``sum_m g(x, x_m) Q_m`` over :func:`_monopoles`, plus
-    ``ik (g / r) (x - x_m) . d_m`` for dipoles ``d``.  ``exclude_cells`` is a
-    cell index per point and per particle; a particle in its point's cell is
-    left out, cover sources never are.  Targets run in blocks of at most
-    ``_BLOCK_ENTRIES`` pairs, and no array grows with points times particles.
+    ``exclude_cells`` is a cell index per point and per particle; a particle in
+    its point's cell is left out, cover sources never are.
     """
-    u = scene.wave.field_at(points)
-    m = scene.n_particles
-    positions, charges, self_values = _monopoles(solution, scene)
-    rows = max(1, _BLOCK_ENTRIES // max(len(positions), 1))
-    for t0 in range(0, len(points), rows):
-        block = slice(t0, t0 + rows)
-        g, r = point_green(scene.wave.k, points[block], positions, self_values)
-        if exclude_cells is not None:
-            point_cells, particle_cells = exclude_cells
-            g[:, :m][point_cells[block, None] == particle_cells[None, :]] = 0.0
-        field = np.einsum("xm,m->x", g, charges)
-        if solution.dipoles is not None:
-            arm = np.einsum("xmp,mp->xm", points[block, None] - scene.centers, solution.dipoles)
-            field += 1j * scene.wave.k * np.einsum("xm,xm->x", g[:, :m] / r[:, :m], arm)
-        u[block] += field
-    return u
+    return scene.wave.field_at(points) + background.point_source_sum(
+        scene.wave.k, points, *_monopoles(solution, scene), solution.dipoles, exclude_cells)
 
 
 def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray) -> np.ndarray:
@@ -500,7 +482,7 @@ def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarra
     higher-order remainder is dropped; no self-term correction is applied.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = max(1, _BLOCK_ENTRIES // max(scene.n_particles, 1))
+    rows = max(1, background._BLOCK_ENTRIES // max(scene.n_particles, 1))
     for t0 in range(0, len(pts), rows):
         inside = cdist(pts[t0:t0 + rows], scene.centers) < scene.radii[None, :]
         if np.any(inside):
@@ -523,6 +505,5 @@ def far_field(solution: EffectiveFieldSolution, scene: Scene,
     phases = np.exp(-1j * k * dirs @ positions.T)
     amps = phases @ charges
     if solution.dipoles is not None:
-        amps += 1j * k * np.einsum("bp,mp,bm->b", dirs, solution.dipoles,
-                                   phases[:, :scene.n_particles])
+        amps += 1j * k * np.einsum("bp,mp,bm->b", dirs, solution.dipoles, phases)
     return FarField(directions=dirs, amplitudes=amps / (4.0 * np.pi))

@@ -1,12 +1,13 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import smallscat as ss
 from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
-                                  fixed_point_solve, free_space_green, green,
-                                  scattered_plane_wave)
+                                  cell_self_green, fixed_point_solve, free_space_green,
+                                  green, point_green, scattered_plane_wave)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,8 @@ def test_first_born_grid_correction_linear_in_contrast(unit_box):
         medium = BackgroundMedium(n2=bump, box=unit_box)
         ev = GreenEvaluator(medium, k=k, grid_n=8, method=("born", 1))
         rhs = free_space_green(k, np.linalg.norm(ev.grid.centers - y, axis=1))
-        corrections.append(ev._grid_solve(ev._to_grid(y[None, :])[:, 0]) - rhs)
+        to_grid = point_green(k, ev.grid.centers, y[None, :], cell_self_green(ev.grid))[0]
+        corrections.append(ev._grid_solve(to_grid[:, 0]) - rhs)
     assert np.allclose(corrections[1], 2.0 * corrections[0], rtol=1e-12)
 
 
@@ -188,6 +190,24 @@ def test_evaluator_and_solution_unchanged_by_use(unit_box, wave_z, bump_medium):
     ev.pair_values(np.array([[0.7, 0.7, 0.7]]), np.array([0.4, 0.4, 0.4]))
     ss.eval_field(sol, scene, np.array([[0.1, 0.2, 0.3], [0.6, 0.9, 0.2]]))
     assert [pickle.dumps(obj) for obj in (ev, sol, scene)] == before
+
+
+def test_cover_read_outs_allocate_no_target_by_cell_array(unit_box, wave_z, bump_medium):
+    # one dense (targets, cells) complex kernel alone would be 131 MB
+    ev = GreenEvaluator(bump_medium, k=wave_z.k, grid_n=16)
+    chi = bump_medium.contrast(ev.grid.centers)
+    targets = np.random.default_rng(0).uniform(-0.5, 1.5, size=(2000, 3))
+    y = np.array([2.0, 0.5, 0.5])
+    read_outs = (lambda: ev.pair_values(targets, y),
+                 lambda: scattered_plane_wave(chi, ev.grid, wave_z.k, wave_z.alpha, points=targets))
+    for read_out in read_outs:
+        tracemalloc.start()
+        try:
+            read_out()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024**2
 
 
 def test_scattered_plane_wave_zero_contrast(unit_box, wave_z):

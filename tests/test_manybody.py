@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import smallscat as ss
 from smallscat import manybody
-from smallscat.background import free_space_green
+from smallscat.background import cell_self_green, free_space_green, point_green
 from smallscat.manybody import (CloudKernel, assemble_hard_system, dipole_kernel_blocks,
                                 eval_field, far_field, fibonacci_directions,
                                 pair_kernel_matrix, solve_hard, solve_impedance, solve_soft)
@@ -443,12 +443,12 @@ def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, w
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     hard = hard_scene(centers[:2], 0.005, wave_z, unit_box)
-    # the hard operator's build peak: four complex pair arrays and 1/r, 73 bytes for each
-    # of 2 x 2 pairs
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 73 * 2 * 2 - 1)
+    # the hard operator's build peak: four complex pair arrays, 64 bytes for each of 2 x 2
+    # pairs, and at most as much again for its one row block of the same 2 x 2 pairs
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * (2 * 2 + 2 * 2) - 1)
     with pytest.raises(ss.GridTooLarge, match="hard operator"):
         solve_hard(hard)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 73 * 2 * 2)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * (2 * 2 + 2 * 2))
     assert solve_hard(hard).residual < 1e-10
     # a medium solve's cover arrays A (3 x 512) and R (512 x 3), complex
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
@@ -549,8 +549,8 @@ def test_medium_read_outs_never_solve(unit_box, wave_z, monkeypatch):
     sol = solve_soft(scene)
     ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
     # the stored sources are those of one grid solve on the summed charges
-    induced = (wave_z.k**2) * ev._chi_w * ev._grid_solve(ev._to_grid(scene.centers)
-                                                         @ sol.charges)
+    to_grid = point_green(wave_z.k, ev.grid.centers, scene.centers, cell_self_green(ev.grid))[0]
+    induced = (wave_z.k**2) * ev._chi_w * ev._grid_solve(to_grid @ sol.charges)
     assert sol.cover_charges.shape == (ev.grid.n_cells,)
     assert np.max(np.abs(sol.cover_charges - induced)) <= 1e-12 * np.max(np.abs(induced))
 
@@ -616,28 +616,58 @@ def test_hard_cloud_radiation_matches_far_field():
     assert np.max(np.abs(recovered - amps)) <= 1e-3 * np.max(np.abs(amps))
 
 
-@pytest.mark.parametrize("kind", ["soft", "soft_in_medium", "hard"])
+def _cover_read_out(kind, medium, wave, points):
+    """A read-out that sums a medium's cover sources, and the dense formula it replaced."""
+    k = wave.k
+    if kind == "plane_wave":
+        cover = ss.GridCover.from_shape(medium.box, 8)
+        chi = medium.contrast(cover.centers)
+        u_grid = ss.scattered_plane_wave(chi, cover, k, wave.alpha)[0]
+        g = point_green(k, points, cover.centers, cell_self_green(cover))[0]
+        dense = wave.field_at(points) + (k**2) * (g @ (chi * cover.cell_volume * u_grid))
+        return lambda: ss.scattered_plane_wave(chi, cover, k, wave.alpha, points=points)[1], dense
+    ev = ss.GreenEvaluator(medium, k=k)
+    y = np.array([0.2, 0.7, 0.4])
+    g = point_green(k, ev.grid.centers, points, cell_self_green(ev.grid))[0]
+    dense = free_space_green(k, np.linalg.norm(points - y, axis=1)) \
+        + (g.T @ ev.cover_responses(y[None, :]))[:, 0]
+    return lambda: ev.pair_values(points, y), dense
+
+
+@pytest.mark.parametrize("kind", ["soft", "soft_in_medium", "hard", "plane_wave", "green"])
 def test_source_field_blocks_are_bit_identical(unit_box, wave_z, monkeypatch, kind):
     rng = np.random.default_rng(21)
     centers = _separated_centers(rng, 15, 0.1)
-    if kind == "soft_in_medium":
+    if kind in ("soft_in_medium", "plane_wave", "green"):
         scene = _bump_scene(unit_box, wave_z, 0.005, centers=centers)
     else:
         make = hard_scene if kind == "hard" else soft_scene
         scene = make(centers, 0.005, wave_z, unit_box)
-    sol = solve_hard(scene) if kind == "hard" else solve_soft(scene)
     points = np.vstack([rng.uniform(0.0, 1.0, size=(30, 3)), centers[4]])
     cells = (rng.integers(0, 3, size=len(points)), rng.integers(0, 3, size=len(centers)))
-    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", 1 << 30)
-    whole = manybody.source_field(sol, scene, points, exclude_cells=cells)
-    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", 40)
-    assert np.array_equal(manybody.source_field(sol, scene, points, exclude_cells=cells), whole)
-    # the exclusion drops exactly the particle columns of a point's own cell
+    expected = None
+    if kind in ("plane_wave", "green"):
+        # one target on a cover center, which takes its cell's self value
+        points = np.vstack([points, [0.5625, 0.5625, 0.5625]])
+        read_out, expected = _cover_read_out(kind, scene.background, wave_z, points)
+    else:
+        sol = solve_hard(scene) if kind == "hard" else solve_soft(scene)
+
+        def read_out():
+            return manybody.source_field(sol, scene, points, exclude_cells=cells)
     if kind == "soft":
+        # the exclusion drops exactly the particle columns of a point's own cell
         g = manybody.point_green(scene.wave.k, points, scene.centers)[0]
         g[cells[0][:, None] == cells[1][None, :]] = 0.0
         expected = scene.wave.field_at(points) + g @ sol.charges
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 30)
+    whole = read_out()
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 40)
+    assert np.array_equal(read_out(), whole)
+    if expected is not None:
         assert np.max(np.abs(whole - expected)) <= 1e-14 * np.max(np.abs(expected))
+    if kind in ("plane_wave", "green"):
+        return
     # the inside-particle check runs block by block too and names the right point
     with pytest.raises(ss.PointInsideParticle, match="point 30 lies inside particle 4"):
         eval_field(sol, scene, points)
@@ -676,7 +706,7 @@ def _unpack(packed, m):
 
 @pytest.mark.parametrize("block_entries", [1 << 20, 997])
 def test_packed_kernel_unpacks_to_pair_matrix(monkeypatch, block_entries):
-    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(4)
     centers = rng.uniform(0.0, 1.0, size=(173, 3))
     kernel = CloudKernel(centers, 1.7)
@@ -691,7 +721,7 @@ def test_streamed_kernel_products_match_stored(monkeypatch):
     v = rng.normal(size=300) + 1j * rng.normal(size=300)
     stored = CloudKernel(centers, 1.3)
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 0)
-    monkeypatch.setattr(manybody, "_BLOCK_ENTRIES", 5000)
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
     streamed = CloudKernel(centers, 1.3)
     assert stored.packed is not None and streamed.packed is None
     expected = stored @ v
@@ -801,7 +831,7 @@ def _hard_cloud(m, seed):
 
 def test_hard_cloud_products_allocate_no_pair_array():
     """The seed-0 ``hard_volume`` cloud of the benchmark (M = 933): four stored pair arrays,
-    a build within ``_HARD_PAIR_BYTES`` per pair, and no M x M temporary in a product."""
+    a build within the budget check, and no M x M temporary in a product."""
     spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.008, law="hard_volume",
                         bc_kind="hard", rng_seed=0)
     particles = ss.generate_cloud(spec, ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0]))
@@ -821,7 +851,8 @@ def test_hard_cloud_products_allocate_no_pair_array():
         tracemalloc.stop()
     assert m > 900
     assert stored <= 4 * 16 * m * m + 1024 * m
-    assert build_peak <= manybody._HARD_PAIR_BYTES * m * m
+    # the budget check: 64 bytes per stored pair and per pair of one row block
+    assert build_peak <= 64 * m * (m + ss.background._BLOCK_ENTRIES // m)
     assert product_peak - stored <= 2048 * m
 
 
