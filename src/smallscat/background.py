@@ -36,6 +36,7 @@ logger = logging.getLogger(__name__)
 
 _LS_MAX_ITER: int = 200
 _BLOCK_ENTRIES: int = 1 << 16
+DEFAULT_GRID_N: int = 8  # cells per axis of a medium's cover
 
 
 def free_space_green(k: float, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -57,17 +58,18 @@ def free_space_green(k: float, r: np.ndarray, out: Optional[np.ndarray] = None) 
     return g[()] if out is None and g.ndim == 0 else g
 
 
-def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
-                self_value=0.0) -> Tuple[np.ndarray, np.ndarray]:
+def point_green(k: float, targets: np.ndarray, sources: np.ndarray, self_value=0.0,
+                out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """``g(x, y)`` and ``r`` for every target ``x`` and source ``y``, shape (T, S).
 
     Where a target meets a source, ``g`` is that source's ``self_value`` (0
     for a particle, :func:`cell_self_green` for a cover center) and ``r`` is 1.
+    ``g`` goes into ``out`` if given.
     """
     r = cdist(targets, sources)
     coincident = r == 0.0
     r[coincident] = 1.0
-    g = free_space_green(k, r)
+    g = free_space_green(k, r, out=out)
     g[coincident] = np.broadcast_to(self_value, g.shape)[coincident]
     return g, r
 
@@ -189,7 +191,7 @@ class GreenEvaluator:
         fixed-point evaluation at tolerance ``DEFAULT_RTOL``.
     """
 
-    def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = 8,
+    def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = DEFAULT_GRID_N,
                  method="auto"):
         self.medium = medium
         self.k = float(k)

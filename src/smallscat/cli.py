@@ -357,7 +357,7 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
 def run_green(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .background import BackgroundMedium, GreenEvaluator, free_space_green
+    from .background import DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, free_space_green
     from .config import box_from_config
     from .errors import ConfigError
     from .fields import field_from_config
@@ -382,7 +382,7 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
         raise ConfigError(f"green: unknown method {kind!r}")
     if kind != "lippmann_schwinger":
         ctx.tol = None  # the manifest records no tolerance where no solve uses one
-    evaluator = GreenEvaluator(medium, k, grid_n=int(section.get("grid_n", 8)),
+    evaluator = GreenEvaluator(medium, k, grid_n=int(section.get("grid_n", DEFAULT_GRID_N)),
                                method=method)
     source = np.asarray(section["source"], dtype=float)
     seg = section["segment"]

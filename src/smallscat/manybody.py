@@ -20,13 +20,15 @@ Every system is built once and solved by GMRES with a checked residual
 (:func:`~smallscat.lattice.solve_checked`): the monopole kernel as a packed
 symmetric :class:`CloudKernel`, plus in a medium the cover monopoles each
 particle induces, and the 5M hard system matrix-free (:func:`hard_cloud_system`,
-a few scalar arrays per pair).  A medium enters only through ``scene.background``.
+four complex symmetric pair arrays stored on the tiles above the diagonal only).
+A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -35,17 +37,21 @@ from scipy.linalg.blas import zspmv
 from scipy.spatial.distance import cdist
 
 from . import background
-from .background import GreenEvaluator, cell_self_green, free_space_green, point_green
+from .background import (DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, cell_self_green,
+                         free_space_green, point_green)
 from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
+from .grids import GridCover
 from .lattice import DEFAULT_RTOL, solve_checked
 
 logger = logging.getLogger(__name__)
 
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000
 _HARD_BLOCK_ROWS: int = 96
-_HARD_PAIR_BYTES: int = 64  # hard_cloud_system: 4 complex pair arrays, as much again per block
+# hard_cloud_system: 4 complex arrays per pair of the tiles I <= J, as much again per pair of
+# the one tile being built
+_HARD_PAIR_BYTES: int = 64
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,11 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     return u, residual, -(rc @ u)
 
 
-def _scene_greens(scene: Scene) -> Optional[GreenEvaluator]:
-    """The evaluator of a non-uniform scene background; ``None`` in free space."""
+def _scene_medium(scene: Scene) -> Optional[BackgroundMedium]:
+    """The scene background if it is non-uniform; ``None`` in free space."""
     if scene.background is None or scene.background.uniform_one:
         return None
-    return GreenEvaluator(scene.background, k=scene.wave.k)
+    return scene.background
 
 
 def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> EffectiveFieldSolution:
@@ -232,9 +238,10 @@ def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> Effect
         raise ValueError(f"expected an all-{expected_kind} scene, got {kind}")
     _check_regime(scene, validate)
     coupling = monopole_coupling(scene.particles)
+    medium = _scene_medium(scene)
     u, residual, cover_charges = solve_monopole_system(
         scene.centers, scene.wave.k, coupling, scene.wave.field_at(scene.centers), rtol=rtol,
-        greens=_scene_greens(scene))
+        greens=None if medium is None else GreenEvaluator(medium, k=scene.wave.k))
     logger.info("solved %s scene: M=%d residual=%.2e", kind, len(u), residual)
     return EffectiveFieldSolution(kind=kind, values=u, charges=-coupling * u,
                                   cover_charges=cover_charges, residual=residual)
@@ -352,20 +359,38 @@ def hard_system_apply(lap_weights: np.ndarray, dipole_weights: np.ndarray, field
     return apply
 
 
-def _radial_factors(g: np.ndarray, r: np.ndarray, k: float):
+def _radial_factors(g: np.ndarray, r: np.ndarray, k: float, out=None):
     """``g/r``, ``g'/r`` and ``radial = (g' - g/r)/r^2`` of ``g(r)``; ``r`` becomes ``1/r``.
 
     With ``D = r rhat``, ``d_s(g rhat_p) = radial D_s D_p + (g/r) delta_sp`` and
-    ``lap(g rhat) = (radial + ik g'/r) D``.  Only the three results are allocated.
+    ``lap(g rhat) = (radial + ik g'/r) D``.  Only the three results are
+    allocated, or none if ``out`` holds three arrays of ``g``'s shape for them.
     """
+    g_r, gp_r, radial = (np.empty_like(g) for _ in range(3)) if out is None else out
     inv_r = np.reciprocal(r, out=r)
-    g_r = g * inv_r
-    gp_r = g_r * (1j * k)
-    radial = g_r * inv_r
+    np.multiply(g, inv_r, out=g_r)
+    np.multiply(g_r, 1j * k, out=gp_r)
+    np.multiply(g_r, inv_r, out=radial)
     gp_r -= radial
     np.subtract(gp_r, radial, out=radial)
     radial *= inv_r
     return g_r, gp_r, radial
+
+
+def _symmetric_tile_products(tiles, columns):
+    """``f @ c`` for every stored symmetric pair array ``f`` and its column block ``c``.
+
+    ``tiles`` holds ``(rows, cols, factors)`` for the tiles on and above the
+    diagonal, one array of ``factors`` per column block; a tile below it is the
+    transpose of its mirror, which BLAS applies to the transposed view.
+    """
+    out = [np.zeros(c.shape, dtype=complex) for c in columns]
+    for rows, cols, factors in tiles:
+        for f, c, y in zip(factors, columns, out):
+            y[rows] += f @ c[cols]
+            if rows.start < cols.start:
+                y[cols] += f.T @ c[rows]
+    return out
 
 
 def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
@@ -374,31 +399,41 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
 
     Returns ``x -> A x`` through :func:`hard_system_apply`.  It stores ``g`` and
     the :func:`_radial_factors` of every pair, four complex symmetric arrays with
-    zero diagonals.  With ``X`` centered on the centroid a pair sum
-    ``sum_m f_im (X_i - X_m) c_m`` is ``X_i (f @ c) - f @ (X c)``, so a product is
-    four BLAS products with source columns and allocates nothing per pair.  The
-    arrays are filled by row blocks of at most ``_BLOCK_ENTRIES`` pairs, so ``r``
-    never exists whole.  Raises GridTooLarge before allocating if ``_HARD_PAIR_BYTES``
-    per pair, stored or in a block, exceed ``KERNEL_BYTES_BUDGET`` (M above about 5790).
+    zero diagonals, on the tiles ``I <= J`` of a tiling of the centers by
+    ``isqrt(_BLOCK_ENTRIES)``: each tile holds at most one block of pairs and is
+    built once, so ``r`` never exists whole.  With ``X`` centered on the
+    centroid a pair sum ``sum_m f_im (X_i - X_m) c_m`` is ``X_i (f @ c) - f @ (X c)``,
+    so a product is four tiled BLAS products with source columns and allocates
+    nothing per pair.  Raises GridTooLarge before allocating if ``_HARD_PAIR_BYTES``
+    per pair, stored or in one tile, exceed ``KERNEL_BYTES_BUDGET`` (M above about 8050).
     """
     m = len(centers)
-    rows = max(1, background._BLOCK_ENTRIES // max(m, 1))
-    _check_budget(_HARD_PAIR_BYTES * m * (m + min(m, rows)), f"hard operator of {m} particles")
+    edge = max(1, math.isqrt(background._BLOCK_ENTRIES))
+    starts = range(0, m, edge)
+    stored = (m * m + sum(min(edge, m - i) ** 2 for i in starts)) // 2
+    _check_budget(_HARD_PAIR_BYTES * (stored + min(edge, m) ** 2),
+                  f"hard operator of {m} particles")
     x = centers - np.mean(centers, axis=0)
-    g, g_r, gp_r, radial = (np.empty((m, m), dtype=complex) for _ in range(4))
-    for i0 in range(0, m, rows):
-        block = slice(i0, i0 + rows)
-        g[block], r = point_green(k, x[block], x)
-        g_r[block], gp_r[block], radial[block] = _radial_factors(g[block], r, k)
+    # one array holds every tile (numpy asks for huge pages for it), so a build
+    # takes few page faults, not four fresh arrays per tile
+    store, used, tiles = np.empty((4, stored), dtype=complex), 0, []
+    for i0 in starts:
+        for j0 in range(i0, m, edge):
+            rows, cols = slice(i0, i0 + edge), slice(j0, j0 + edge)
+            shape = (min(edge, m - i0), min(edge, m - j0))
+            g, *factors = (f[used:used + shape[0] * shape[1]].reshape(shape) for f in store)
+            used += shape[0] * shape[1]
+            _radial_factors(g, point_green(k, x[rows], x[cols], out=g)[1], k, out=factors)
+            tiles.append((rows, cols, (g, *factors)))
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
         d = 1j * k * dipoles
         dx = np.column_stack([d, np.einsum("mp,mp->m", x, d)])
-        mono = g @ monopoles
-        pm = gp_r @ np.column_stack([monopoles, monopoles[:, None] * x, dx])
-        rd = radial @ np.column_stack([dx, (x[:, :, None] * dx[:, None, :]).reshape(m, 12)])
+        mono, g_dx, pm, rd = _symmetric_tile_products(tiles, [
+            monopoles, dx, np.column_stack([monopoles, monopoles[:, None] * x, dx]),
+            np.column_stack([dx, (x[:, :, None] * dx[:, None, :]).reshape(m, 12)])])
         # a 4-column block f @ [c, X.c] gives arm = sum_m f_im (X_i - X_m).c_m, for c = d, X_s d
-        sums = np.hstack([g_r @ dx, pm[:, 4:], rd]).reshape(m, 6, 4)
+        sums = np.hstack([g_dx, pm[:, 4:], rd]).reshape(m, 6, 4)
         arm = np.einsum("mp,mbp->mb", x, sums[..., :3]) - sums[..., 3]
         value = mono + arm[:, 0]
         gradient = x * (pm[:, :1] + arm[:, 2:3]) - pm[:, 1:4] - arm[:, 3:] + sums[:, 0, :3]
@@ -453,15 +488,20 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
 # Field evaluation and far field
 # ---------------------------------------------------------------------------
 def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
-    """Positions, charges and :func:`point_green` self values: particles, then cover sources."""
-    greens = _scene_greens(scene)
-    if (greens is None) != (solution.cover_charges is None):
+    """Positions, charges and :func:`point_green` self values: particles, then cover sources.
+
+    The cover is the one a medium solve's :class:`GreenEvaluator` lays on the
+    medium box at ``DEFAULT_GRID_N``; no evaluator is built to read it.
+    """
+    medium = _scene_medium(scene)
+    if (medium is None) != (solution.cover_charges is None):
         raise UnsupportedScene("the solution was not solved in the scene's medium")
-    if greens is None:
+    if medium is None:
         return scene.centers, solution.charges, 0.0
-    return (np.vstack([scene.centers, greens.grid.centers]),
+    cover = GridCover.from_shape(medium.box, DEFAULT_GRID_N)
+    return (np.vstack([scene.centers, cover.centers]),
             np.concatenate([solution.charges, solution.cover_charges]),
-            np.repeat([0.0, cell_self_green(greens.grid)], [scene.n_particles, greens.grid.n_cells]))
+            np.repeat([0.0, cell_self_green(cover)], [scene.n_particles, cover.n_cells]))
 
 
 def source_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarray,

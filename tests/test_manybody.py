@@ -1,15 +1,17 @@
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smallscat as ss
 from smallscat import manybody
 from smallscat.background import cell_self_green, free_space_green, point_green
+from smallscat.lattice import LatticeOperator
 from smallscat.manybody import (CloudKernel, assemble_hard_system, dipole_kernel_blocks,
                                 eval_field, far_field, fibonacci_directions,
                                 pair_kernel_matrix, solve_hard, solve_impedance, solve_soft)
@@ -442,14 +444,18 @@ def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, w
 
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
-    hard = hard_scene(centers[:2], 0.005, wave_z, unit_box)
-    # the hard operator's build peak: four complex pair arrays, 64 bytes for each of 2 x 2
-    # pairs, and at most as much again for its one row block of the same 2 x 2 pairs
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * (2 * 2 + 2 * 2) - 1)
-    with pytest.raises(ss.GridTooLarge, match="hard operator"):
-        solve_hard(hard)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * (2 * 2 + 2 * 2))
-    assert solve_hard(hard).residual < 1e-10
+    hard = hard_scene(centers, 0.005, wave_z, unit_box)
+    # the hard operator's build peak: four complex pair arrays, 64 bytes for each pair of the
+    # tiles I <= J, and as much again for the pairs of one tile.  One 3 x 3 tile holds
+    # 9 + 9 pairs; tiles of 2 centers hold 4 + 2 + 1 stored and 4 of one tile.
+    for block_entries, pairs in ((1 << 16, 9 + 9), (4, 7 + 4)):
+        monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * pairs - 1)
+        with pytest.raises(ss.GridTooLarge, match="hard operator"):
+            solve_hard(hard)
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * pairs)
+        assert solve_hard(hard).residual < 1e-10
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 16)
     # a medium solve's cover arrays A (3 x 512) and R (512 x 3), complex
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
@@ -554,13 +560,25 @@ def test_medium_read_outs_never_solve(unit_box, wave_z, monkeypatch):
     assert sol.cover_charges.shape == (ev.grid.n_cells,)
     assert np.max(np.abs(sol.cover_charges - induced)) <= 1e-12 * np.max(np.abs(induced))
 
+    points = np.array([[0.5, 0.5, 2.0], [-1.0, 0.3, 0.2]])
+    # the read-out sums the cover sources on the solve's evaluator grid, bit for bit
+    expected = wave_z.field_at(points) + ss.background.point_source_sum(
+        wave_z.k, points, np.vstack([scene.centers, ev.grid.centers]),
+        np.concatenate([sol.charges, sol.cover_charges]),
+        np.repeat([0.0, cell_self_green(ev.grid)], [scene.n_particles, ev.grid.n_cells]))
+
     def solve(*args, **kwargs):
         raise AssertionError("a read-out ran a grid solve")
 
+    def build(*args, **kwargs):
+        raise AssertionError("a read-out built an evaluator's FFT kernel")
+
     monkeypatch.setattr(ss.background, "fixed_point_solve", solve)
     monkeypatch.setattr(ss.background, "born_series", solve)
-    points = np.array([[0.5, 0.5, 2.0], [-1.0, 0.3, 0.2]])
-    assert np.all(np.isfinite(eval_field(sol, scene, points)))
+    monkeypatch.setattr(LatticeOperator, "__init__", build)
+    with pytest.raises(AssertionError, match="FFT kernel"):
+        ss.GreenEvaluator(scene.background, k=wave_z.k)
+    assert np.array_equal(eval_field(sol, scene, points), expected)
     assert np.all(np.isfinite(far_field(sol, scene, fibonacci_directions(6)).amplitudes))
     cover = ss.GridCover.from_shape(unit_box, 3)
     assert np.all(np.isfinite(ss.cover_field_from_solution(sol, scene, cover)))
@@ -807,10 +825,15 @@ def test_cloud_solves_match_dense_oracles(kind, m, k, seed):
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 40), k=st.floats(0.5, 3.0), size=st.floats(0.01, 1.0),
        axis=st.integers(0, 2), shift=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
-       seed=st.integers(0, 2**32 - 1))
-def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed):
+       seed=st.integers(0, 2**32 - 1), block_entries=st.sampled_from([1 << 16, 49]))
+@example(m=1, k=1.0, size=1.0, axis=0, shift=0.0, seed=0, block_entries=49)
+@example(m=7, k=1.0, size=1.0, axis=0, shift=0.0, seed=1, block_entries=49)
+@example(m=40, k=2.0, size=0.5, axis=1, shift=50.0, seed=2, block_entries=49)
+def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed, block_entries):
     """Anisotropic, non-symmetric dipole weights; small clouds moved far off the origin,
-    where forming ``rhat . d`` from uncentered coordinates loses digits."""
+    where forming ``rhat . d`` from uncentered coordinates loses digits.  With 49 block
+    entries the tiles have 7 centers a side, so a cloud spans several, the last one ragged
+    (or fills exactly one, at M = 7)."""
     rng = np.random.default_rng(seed)
     centers = size * _separated_centers(rng, m, 0.1)
     centers[:, axis] += shift
@@ -818,7 +841,9 @@ def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed):
     dipole_weights = rng.normal(size=(m, 3, 3))
     x = rng.normal(size=5 * m) + 1j * rng.normal(size=5 * m)
     expected = assemble_hard_system(centers, k, lap_weights, dipole_weights) @ x
-    got = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)(x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
+        got = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)(x)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -829,9 +854,16 @@ def _hard_cloud(m, seed):
     return hard_scene(_separated_centers(rng, m, 0.1), 0.01, wave, box)
 
 
+def _hard_check_bytes(m, edge):
+    """The hard budget check: 64 bytes per pair of the tiles ``I <= J`` and of one tile."""
+    sizes = np.diff(np.append(np.arange(0, m, edge), m))
+    return 64 * ((m * m + int(np.sum(sizes**2))) // 2 + min(edge, m) ** 2)
+
+
 def test_hard_cloud_products_allocate_no_pair_array():
-    """The seed-0 ``hard_volume`` cloud of the benchmark (M = 933): four stored pair arrays,
-    a build within the budget check, and no M x M temporary in a product."""
+    """The seed-0 ``hard_volume`` cloud of the benchmark (M = 933): four pair arrays stored on
+    the tiles ``I <= J`` only, a build within the budget check, and no M x M temporary in a
+    product."""
     spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.008, law="hard_volume",
                         bc_kind="hard", rng_seed=0)
     particles = ss.generate_cloud(spec, ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0]))
@@ -850,9 +882,10 @@ def test_hard_cloud_products_allocate_no_pair_array():
     finally:
         tracemalloc.stop()
     assert m > 900
-    assert stored <= 4 * 16 * m * m + 1024 * m
-    # the budget check: 64 bytes per stored pair and per pair of one row block
-    assert build_peak <= 64 * m * (m + ss.background._BLOCK_ENTRIES // m)
+    edge = math.isqrt(ss.background._BLOCK_ENTRIES)
+    # half of the four full arrays' 64 M^2 bytes, plus the diagonal tiles' lower halves
+    assert stored <= 64 * (m * m + edge * m) // 2 + 1024 * m
+    assert build_peak <= _hard_check_bytes(m, edge)
     assert product_peak - stored <= 2048 * m
 
 
@@ -879,6 +912,34 @@ def test_hard_cloud_solves_where_the_dense_system_exceeds_the_budget(monkeypatch
     got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
     assert sol.residual <= 1e-10
     assert np.max(np.abs(got - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+def test_hard_cloud_solves_where_the_row_block_check_refused(monkeypatch):
+    # tiles of 7 centers: 30 particles span five, the last of 2 centers
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 49)
+    scene = _hard_cloud(30, 12)
+    m = scene.n_particles
+    expected = _dense_hard_oracle(scene)
+    budget = _hard_check_bytes(m, 7)
+    # the full-array check counted 64 bytes per pair and per pair of one row block
+    assert 64 * m * (m + max(1, 49 // m)) > budget
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+    sol = solve_hard(scene)
+    got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(got - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+def test_hard_cap_at_the_default_budget():
+    budget, edge = manybody.KERNEL_BYTES_BUDGET, math.isqrt(ss.background._BLOCK_ENTRIES)
+    assert budget == 2 * 1024**3 and edge == 256
+    assert _hard_check_bytes(8057, edge) <= budget < _hard_check_bytes(8058, edge)
+    # the full arrays with one row block of 65 536 pairs stopped at 5787
+    assert 64 * 5787 * (5787 + 65536 // 5787) <= budget < 64 * 5788 * (5788 + 65536 // 5788)
+    # the check refuses before anything is allocated
+    centers = np.random.default_rng(0).uniform(size=(8058, 3))
+    with pytest.raises(ss.GridTooLarge, match="hard operator of 8058 particles"):
+        manybody.hard_cloud_system(centers, 1.0, np.ones(8058), np.zeros((8058, 3, 3)))
 
 
 def test_hard_source_field_matches_kernel_block_sum(wide_box, wave_z):
