@@ -37,6 +37,7 @@ SPHERE_POLARIZABILITY: float = -1.5
 DEFAULT_JITTER: float = 0.6
 PLACEMENT_RETRY_CAP: int = 200
 _MASS_SUBSAMPLES: int = 4
+_MASS_SLAB_POINTS: int = 1 << 18  # density samples held at once by _cell_masses
 
 
 @dataclass(frozen=True)
@@ -342,24 +343,34 @@ def _bisection_counts(masses: np.ndarray, total: int) -> np.ndarray:
 
 
 def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int]):
-    """Per-cell integrals of the density (subsampled midpoint rule)."""
+    """Per-cell integrals of the density (subsampled midpoint rule) and per-cell sample maxima.
+
+    The samples are taken in x-slabs of whole cells, at most ``_MASS_SLAB_POINTS``
+    (or one layer of cells) at a time; each cell sees the same samples as from one array.
+    """
     ns = _MASS_SUBSAMPLES
     nx, ny, nz = shape
-    axes = [
+    xs, ys, zs = (
         domain.lo[d] + (np.arange(n * ns) + 0.5) * domain.lengths[d] / (n * ns)
         for d, n in zip(range(3), shape)
-    ]
-    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    vals = np.real(density.sample(pts)).reshape(nx * ns, ny * ns, nz * ns)
-    if np.min(vals) < -1e-12:
-        raise ValueError("density must be nonnegative on the domain")
-    vals = np.maximum(vals, 0.0)
-    block = vals.reshape(nx, ns, ny, ns, nz, ns).mean(axis=(1, 3, 5))
+    )
     cell_vol = domain.volume / (nx * ny * nz)
-    masses = block * cell_vol
-    sub_max = vals.reshape(nx, ns, ny, ns, nz, ns).max(axis=(1, 3, 5)).ravel()
-    return masses, sub_max
+    masses, sub_max = np.empty(shape), np.empty(shape)
+    layers = max(1, _MASS_SLAB_POINTS // (ns**3 * ny * nz))
+    for i0 in range(0, nx, layers):
+        slab = slice(i0, min(nx, i0 + layers))
+        slab_xs = xs[slab.start * ns:slab.stop * ns]
+        pts = np.empty((len(slab_xs), len(ys), len(zs), 3))
+        pts[..., 0] = slab_xs[:, None, None]
+        pts[..., 1] = ys[:, None]
+        pts[..., 2] = zs
+        vals = np.real(density.sample(pts.reshape(-1, 3)))
+        if np.min(vals) < -1e-12:
+            raise ValueError("density must be nonnegative on the domain")
+        vals = np.maximum(vals, 0.0).reshape(-1, ns, ny, ns, nz, ns)
+        masses[slab] = vals.mean(axis=(1, 3, 5)) * cell_vol
+        sub_max[slab] = vals.max(axis=(1, 3, 5))
+    return masses, sub_max.ravel()
 
 
 # Fields whose many-point sample equals each point sampled alone, bit for bit.

@@ -17,23 +17,24 @@ Every read-out is one :func:`~smallscat.background.point_source_sum` of the char
 a hard solve's dipoles, and the induced cover monopoles a medium solve stores.
 
 Every system is built once and solved by GMRES with a checked residual
-(:func:`~smallscat.lattice.solve_checked`): the monopole kernel as a packed
-symmetric :class:`CloudKernel`, plus in a medium the cover monopoles each
-particle induces, and the 5M hard system matrix-free (:func:`hard_cloud_system`,
-four complex symmetric pair arrays stored on the tiles above the diagonal only).
+(:func:`~smallscat.lattice.solve_checked`): the monopole kernel as a
+:class:`CloudKernel` (its singular real part stored on the tiles on and above the
+diagonal, its smooth imaginary part as a plane-wave factor), plus in a medium the
+cover monopoles each particle induces, and the 5M hard system matrix-free
+(:func:`hard_cloud_system`, four complex symmetric pair arrays on the same tiles).
 A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import zspmv
 from scipy.spatial.distance import cdist
 
 from . import background
@@ -47,7 +48,7 @@ from .lattice import DEFAULT_RTOL, solve_checked
 
 logger = logging.getLogger(__name__)
 
-KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # packed kernels to M of about 16 000
+KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # stored cloud kernels to M of about 22 800 (kD <= 1.8)
 _HARD_BLOCK_ROWS: int = 96
 # hard_cloud_system: 4 complex arrays per pair of the tiles I <= J, as much again per pair of
 # the one tile being built
@@ -126,62 +127,178 @@ def _check_budget(nbytes: int, what: str) -> None:
                            f"above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
 
 
-def _packed_blocks(centers: np.ndarray, k: float, packed: Optional[np.ndarray] = None):
-    """Upper triangle of the zero-diagonal free-space kernel, by column blocks.
+def _cos_green(k: float, targets: np.ndarray, sources: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``cos(kr) / (4 pi r)`` between two point sets into ``out``, 0 where they meet.
 
-    Yields ``(j0, j1, upper, values)``: rows ``0..j`` of columns ``j0..j1-1``
-    in BLAS packed order (from position ``j0 (j0 + 1) / 2``), and their mask
-    in the transposed ``(j1 - j0, j1)`` block of at most ``_BLOCK_ENTRIES``.
-    With ``packed`` the values are written into it and ``values`` is its slice.
+    The real part of :func:`~smallscat.background.point_green`, bit for bit.
     """
-    m = len(centers)
-    j0 = 0
-    while j0 < m:
-        width = int((np.sqrt(j0 * j0 + 4.0 * background._BLOCK_ENTRIES) - j0) / 2.0)
-        j1 = min(m, j0 + max(width, 1))
-        cols = np.arange(j0, j1)
-        upper = np.arange(j1)[None, :] <= cols[:, None]
-        r = cdist(centers[j0:j1], centers[:j1])[upper]
-        diagonal = (cols * (cols + 3) - j0 * (j0 + 1)) // 2
-        r[diagonal] = 1.0
-        start = j0 * (j0 + 1) // 2
-        values = free_space_green(k, r, None if packed is None else packed[start:start + len(r)])
-        values[diagonal] = 0.0
-        yield j0, j1, upper, values
-        j0 = j1
+    r = cdist(targets, sources)
+    coincident = r == 0.0
+    r[coincident] = 1.0
+    np.cos(np.multiply(k, r, out=out), out=out)
+    out *= np.reciprocal(np.multiply(4.0 * np.pi, r, out=r), out=r)
+    out[coincident] = 0.0
+    return out
+
+
+def _rule_shape(degree: int) -> Tuple[int, int]:
+    """``(n_theta, n_phi)`` of :func:`_sphere_rule`: Gauss-Legendre points in ``cos(theta) > 0``,
+    half of a rule exact to degree ``4 n_theta - 1 >= degree``, and trapezoid points in
+    ``phi``, exact for ``exp(i m phi)`` with ``|m| <= degree``."""
+    return -(-(degree + 1) // 4), degree + 1
+
+
+@functools.lru_cache(maxsize=32)
+def _sphere_rule(degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit nodes (Q, 3) with ``z > 0`` and weights (Q,) summing to 1 whose sum of an even
+    function (``f(-s) = f(s)``) of degree at most ``degree`` is its mean over the sphere.
+
+    A product rule: the positive half of Gauss-Legendre in ``cos(theta)``, whose weights
+    sum to 1 and give the mean over ``[-1, 1]`` of an even function's ``phi`` mean, times
+    the trapezoid rule in ``phi``.  The cached arrays are read-only.
+    """
+    n_theta, n_phi = _rule_shape(degree)
+    t, w = np.polynomial.legendre.leggauss(2 * n_theta)
+    t, w = t[n_theta:], w[n_theta:] / n_phi
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    rho = np.sqrt(1.0 - t * t)
+    nodes = np.column_stack([np.outer(rho, np.cos(phi)).ravel(),
+                             np.outer(rho, np.sin(phi)).ravel(), np.repeat(t, n_phi)])
+    weights = np.repeat(w, n_phi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _rule_degree(kd: float, m: int) -> int:
+    """Smallest ``L`` with ``(2L + 1) (kd)^L / (2L + 1)!! <= 1e-17``; 0 at ``kd = 0``.
+
+    In ``exp(ik s.d) = sum_l (2l + 1) i^l j_l(k|d|) P_l(s.d / |d|)`` the terms past degree
+    ``L`` are then below rounding for every ``|d| <= D`` (``kd = kD``), as
+    ``|j_l(x)| <= x^l / (2l + 1)!!``.  At ``kd = 0`` only the constant term is left, and
+    the one-node rule of degree 0 gives ``F F^T = 1`` exactly.  Raises GridTooLarge once
+    the factor of ``m`` centers would exceed the budget, so the search ends for any ``kd``.
+    """
+    if kd == 0.0:
+        return 0
+    degree, term = 0, 1.0  # term = (kd)^L / (2L + 1)!!
+    while (2 * degree + 1) * term > 1e-17:
+        degree += 1
+        term *= kd / (2 * degree + 1)
+        _check_budget(16 * m * math.prod(_rule_shape(degree)),
+                      f"plane-wave factor of {m} particles at kD = {kd:.3g}")
+    return degree
+
+
+def _upper_tiles(m: int):
+    """``(rows, cols, shape)`` of the tiles ``I <= J`` of a tiling of ``m`` centers.
+
+    The tile edge is ``isqrt(_BLOCK_ENTRIES)``, so a tile holds at most one block of pairs;
+    the first tile is the largest.
+    """
+    edge = max(1, math.isqrt(background._BLOCK_ENTRIES))
+    return [(slice(i0, i0 + edge), slice(j0, j0 + edge), (min(edge, m - i0), min(edge, m - j0)))
+            for i0 in range(0, m, edge) for j0 in range(i0, m, edge)]
+
+
+def _tile_pairs(tiles) -> Tuple[int, int]:
+    """Pairs held by all the tiles and by the largest one."""
+    sizes = [rows * cols for _, _, (rows, cols) in tiles]
+    return sum(sizes), max(sizes, default=0)
+
+
+def _tile_store(tiles, depth: int, dtype) -> list:
+    """``(rows, cols, arrays)`` per tile: ``depth`` arrays of its shape, views of one array.
+
+    One array (numpy asks for huge pages for it) takes few page faults to fill, not a
+    fresh array per tile.
+    """
+    store, used, views = np.empty((depth, _tile_pairs(tiles)[0]), dtype=dtype), 0, []
+    for rows, cols, shape in tiles:
+        views.append((rows, cols, tuple(f[used:used + shape[0] * shape[1]].reshape(shape)
+                                        for f in store)))
+        used += shape[0] * shape[1]
+    return views
+
+
+def _symmetric_tile_products(tiles, columns):
+    """``f @ c`` for every stored symmetric pair array ``f`` and its column block ``c``.
+
+    ``tiles`` holds ``(rows, cols, factors)`` for the tiles on and above the
+    diagonal, one array of ``factors`` per column block; a tile below it is the
+    transpose of its mirror, which BLAS applies to the transposed view.  Each sum has
+    its column block's dtype.
+    """
+    out = [np.zeros(c.shape, dtype=c.dtype) for c in columns]
+    for rows, cols, factors in tiles:
+        for f, c, y in zip(factors, columns, out):
+            y[rows] += f @ c[cols]
+            if rows.start < cols.start:
+                y[cols] += f.T @ c[rows]
+    return out
+
+
+def _stored_kernel_bytes(m: int, nodes: int) -> int:
+    """What a stored :class:`CloudKernel` of ``m`` centers and ``nodes`` rule nodes takes:
+    8 bytes per pair of its tiles and of one tile more (the build's distances), and ``F``."""
+    stored, tile = _tile_pairs(_upper_tiles(m))
+    return 8 * (stored + tile) + 16 * m * nodes
 
 
 class CloudKernel:
     """Zero-diagonal free-space kernel ``g(|x_i - x_j|)`` between cloud centers.
 
-    The kernel is complex symmetric, so only its upper triangle is evaluated,
-    ``M (M + 1) / 2`` values packed column by column, and ``@`` applies it with
-    BLAS ``zspmv``.  When the packed triangle (``8 M (M + 1)`` bytes) exceeds
-    ``KERNEL_BYTES_BUDGET`` the same column blocks are recomputed on every
-    product instead of stored.
+    Only the real part ``cos(kr) / (4 pi r)`` is singular.  It is stored as float64 on
+    the tiles ``I <= J`` of :func:`_upper_tiles` (8 bytes per pair) and applied by
+    :func:`_symmetric_tile_products` to the real ``(M, 2)`` view of a complex vector.
+    The imaginary part ``sin(kr) / (4 pi r) = (k / 4 pi) j0(kr)`` is smooth, and
+    ``j0(k |x - y|)`` is the sphere mean of ``cos(k s.(x - y))`` (Funk-Hecke), which
+    :func:`_sphere_rule` sums exactly to rounding at the degree :func:`_rule_degree` picks
+    for ``D``, twice the largest distance from the centroid.  So it is ``(k / 4 pi)
+    (F F^T - I)`` with ``F = sqrt(w_q) [cos(k X s_q), sin(k X s_q)]`` in centered
+    coordinates ``X``.  ``F`` has two columns per node (200 at ``kD = sqrt(3)``), and the
+    nodes grow as ``(kD)^2``: the factor stops paying once they approach M.
+
+    When :func:`_stored_kernel_bytes` exceed ``KERNEL_BYTES_BUDGET`` each product
+    recomputes the tiles into one scratch tile instead; GridTooLarge if ``F`` and that
+    tile alone exceed it.
     """
 
     def __init__(self, centers: np.ndarray, k: float):
         self.centers = np.asarray(centers, dtype=float)
         self.k = float(k)
         m = len(self.centers)
-        self.packed: Optional[np.ndarray] = None
-        if 8 * m * (m + 1) <= KERNEL_BYTES_BUDGET:
-            self.packed = np.empty(m * (m + 1) // 2, dtype=complex)
-            for _ in _packed_blocks(self.centers, self.k, self.packed):
-                pass  # each block is written into packed as it is made
+        x = self.centers - (np.mean(self.centers, axis=0) if m else 0.0)
+        reach = 2.0 * float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
+        nodes, weights = _sphere_rule(_rule_degree(self.k * reach, m))
+        self.tiles = _upper_tiles(m)
+        self.stored = None
+        if _stored_kernel_bytes(m, len(weights)) <= KERNEL_BYTES_BUDGET:
+            self.stored = _tile_store(self.tiles, 1, float)
+            for rows, cols, (tile,) in self.stored:
+                _cos_green(self.k, self.centers[rows], self.centers[cols], tile)
+        else:
+            _check_budget(8 * _tile_pairs(self.tiles)[1] + 16 * m * len(weights),
+                          f"cloud kernel of {m} particles")
+        phase = np.multiply(self.k, x @ nodes.T)
+        self.factor = np.empty((m, 2 * len(weights)))
+        np.cos(phase, out=self.factor[:, :len(weights)])
+        np.sin(phase, out=self.factor[:, len(weights):])
+        self.factor.reshape(m, 2, len(weights))[...] *= np.sqrt(weights)
+
+    def _streamed(self):
+        """Each tile recomputed into one scratch tile, the same values as stored."""
+        scratch = np.empty(_tile_pairs(self.tiles)[1])
+        for rows, cols, shape in self.tiles:
+            tile = scratch[:shape[0] * shape[1]].reshape(shape)
+            yield rows, cols, (_cos_green(self.k, self.centers[rows], self.centers[cols], tile),)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        if self.packed is not None:
-            return zspmv(len(v), 1.0, self.packed, v)
-        out = np.zeros(len(v), dtype=complex)
-        for j0, j1, upper, values in _packed_blocks(self.centers, self.k):
-            block = np.zeros(upper.shape, dtype=complex)
-            block[upper] = values
-            out[:j1] += block.T @ v[j0:j1]
-            out[j0:j1] += block @ v[:j1]
-        return out
+        v = np.ascontiguousarray(v, dtype=complex)
+        pairs = v.view(float).reshape(-1, 2)
+        real, = _symmetric_tile_products(self._streamed() if self.stored is None
+                                         else self.stored, [pairs])
+        smooth = self.factor @ (self.factor.T @ pairs) - pairs
+        return real.view(complex)[:, 0] + (1j * self.k / (4.0 * np.pi)) * smooth.view(complex)[:, 0]
 
 
 def monopole_coupling(particles: Sequence[Particle]) -> np.ndarray:
@@ -377,54 +494,28 @@ def _radial_factors(g: np.ndarray, r: np.ndarray, k: float, out=None):
     return g_r, gp_r, radial
 
 
-def _symmetric_tile_products(tiles, columns):
-    """``f @ c`` for every stored symmetric pair array ``f`` and its column block ``c``.
-
-    ``tiles`` holds ``(rows, cols, factors)`` for the tiles on and above the
-    diagonal, one array of ``factors`` per column block; a tile below it is the
-    transpose of its mirror, which BLAS applies to the transposed view.
-    """
-    out = [np.zeros(c.shape, dtype=complex) for c in columns]
-    for rows, cols, factors in tiles:
-        for f, c, y in zip(factors, columns, out):
-            y[rows] += f @ c[cols]
-            if rows.start < cols.start:
-                y[cols] += f.T @ c[rows]
-    return out
-
-
 def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
                       dipole_weights: np.ndarray):
     """Matrix-free form of :func:`assemble_hard_system` for a particle cloud.
 
     Returns ``x -> A x`` through :func:`hard_system_apply`.  It stores ``g`` and
     the :func:`_radial_factors` of every pair, four complex symmetric arrays with
-    zero diagonals, on the tiles ``I <= J`` of a tiling of the centers by
-    ``isqrt(_BLOCK_ENTRIES)``: each tile holds at most one block of pairs and is
-    built once, so ``r`` never exists whole.  With ``X`` centered on the
-    centroid a pair sum ``sum_m f_im (X_i - X_m) c_m`` is ``X_i (f @ c) - f @ (X c)``,
-    so a product is four tiled BLAS products with source columns and allocates
-    nothing per pair.  Raises GridTooLarge before allocating if ``_HARD_PAIR_BYTES``
-    per pair, stored or in one tile, exceed ``KERNEL_BYTES_BUDGET`` (M above about 8050).
+    zero diagonals, on the tiles ``I <= J`` of :func:`_upper_tiles`: each tile holds
+    at most one block of pairs and is built once, so ``r`` never exists whole.  With
+    ``X`` centered on the centroid a pair sum ``sum_m f_im (X_i - X_m) c_m`` is
+    ``X_i (f @ c) - f @ (X c)``, so a product is four tiled BLAS products with source
+    columns and allocates nothing per pair.  Raises GridTooLarge before allocating if
+    ``_HARD_PAIR_BYTES`` per pair, stored or in one tile, exceed ``KERNEL_BYTES_BUDGET``
+    (M above about 8050).
     """
     m = len(centers)
-    edge = max(1, math.isqrt(background._BLOCK_ENTRIES))
-    starts = range(0, m, edge)
-    stored = (m * m + sum(min(edge, m - i) ** 2 for i in starts)) // 2
-    _check_budget(_HARD_PAIR_BYTES * (stored + min(edge, m) ** 2),
-                  f"hard operator of {m} particles")
+    tiles = _upper_tiles(m)
+    stored, tile = _tile_pairs(tiles)
+    _check_budget(_HARD_PAIR_BYTES * (stored + tile), f"hard operator of {m} particles")
     x = centers - np.mean(centers, axis=0)
-    # one array holds every tile (numpy asks for huge pages for it), so a build
-    # takes few page faults, not four fresh arrays per tile
-    store, used, tiles = np.empty((4, stored), dtype=complex), 0, []
-    for i0 in starts:
-        for j0 in range(i0, m, edge):
-            rows, cols = slice(i0, i0 + edge), slice(j0, j0 + edge)
-            shape = (min(edge, m - i0), min(edge, m - j0))
-            g, *factors = (f[used:used + shape[0] * shape[1]].reshape(shape) for f in store)
-            used += shape[0] * shape[1]
-            _radial_factors(g, point_green(k, x[rows], x[cols], out=g)[1], k, out=factors)
-            tiles.append((rows, cols, (g, *factors)))
+    tiles = _tile_store(tiles, 4, complex)
+    for rows, cols, (g, *factors) in tiles:
+        _radial_factors(g, point_green(k, x[rows], x[cols], out=g)[1], k, out=factors)
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
         d = 1j * k * dipoles

@@ -7,7 +7,9 @@ uniforms and, where the stratum's density bound is positive, one acceptance
 uniform, then test the density and the separation.  It returns the centers and
 the impedance values ``h`` (``None`` unless ``bc_kind == "impedance"``) and
 raises the same ``DensityInfeasible``.  Tests compare the array-speed
-production code against it bit for bit.
+production code against it bit for bit.  ``oracle_cell_masses`` samples the
+density for the stratum masses in one array, where the production code takes
+bounded slabs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,21 @@ import math
 
 import numpy as np
 
-from smallscat.core import PLACEMENT_RETRY_CAP, _cell_masses
+from smallscat.core import _MASS_SUBSAMPLES, PLACEMENT_RETRY_CAP, _cell_masses
 from smallscat.errors import DensityInfeasible
+
+
+def oracle_cell_masses(density, domain, shape):
+    """Per-cell subsampled midpoint masses and sample maxima, every sample in one array."""
+    ns = _MASS_SUBSAMPLES
+    nx, ny, nz = shape
+    axes = [domain.lo[d] + (np.arange(n * ns) + 0.5) * domain.lengths[d] / (n * ns)
+            for d, n in zip(range(3), shape)]
+    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    vals = np.maximum(np.real(density.sample(pts)), 0.0).reshape(nx, ns, ny, ns, nz, ns)
+    masses = vals.mean(axis=(1, 3, 5)) * (domain.volume / (nx * ny * nz))
+    return masses, vals.max(axis=(1, 3, 5)).ravel()
 
 
 def oracle_bisection_counts(masses, total):

@@ -494,9 +494,10 @@ def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box,
     scene = _bump_scene(unit_box, wave_z, 0.0009, seed=0)
     m = scene.n_particles
     expected = _dense_monopole_oracle(scene)
-    # one byte under the dense M x M kernel, above A, R and the packed free-space kernel
+    # one byte under the dense M x M kernel, above A, R and the stored free-space kernel
     budget = 16 * m * m - 1
-    assert 2 * 16 * 512 * m <= budget and 8 * m * (m + 1) <= budget
+    nodes = CloudKernel(scene.centers, wave_z.k).factor.shape[1] // 2
+    assert 2 * 16 * 512 * m <= budget and manybody._stored_kernel_bytes(m, nodes) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     sol = solve_soft(scene)
     assert sol.residual <= 1e-10
@@ -711,41 +712,57 @@ def test_medium_read_out_is_thread_safe(unit_box, wave_z):
 
 
 # ---------------------------------------------------------------------------
-# The packed cloud kernel
+# The cloud kernel: real tiles plus a plane-wave factor
 # ---------------------------------------------------------------------------
-def _unpack(packed, m):
-    """Full symmetric matrix from the column-major packed upper triangle."""
-    cols, rows = np.tril_indices(m)
-    full = np.zeros((m, m), dtype=complex)
-    full[rows, cols] = packed
-    full[cols, rows] = packed
+def _tiles_to_matrix(tiles, m):
+    """Full symmetric matrix from the stored tiles ``I <= J``."""
+    full = np.zeros((m, m))
+    for rows, cols, (tile,) in tiles:
+        full[rows, cols] = tile
+        full[cols, rows] = tile.T
     return full
 
 
 @pytest.mark.parametrize("block_entries", [1 << 20, 997])
-def test_packed_kernel_unpacks_to_pair_matrix(monkeypatch, block_entries):
+def test_stored_kernel_tiles_match_pair_matrix(monkeypatch, block_entries):
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(4)
     centers = rng.uniform(0.0, 1.0, size=(173, 3))
     kernel = CloudKernel(centers, 1.7)
-    assert kernel.packed.shape == (173 * 174 // 2,)
+    edge = math.isqrt(block_entries)
+    assert len(kernel.stored) == len(range(0, 173, edge)) * (len(range(0, 173, edge)) + 1) // 2
     dense = pair_kernel_matrix(centers, 1.7)
-    assert np.max(np.abs(_unpack(kernel.packed, 173) - dense)) <= 1e-15 * np.max(np.abs(dense))
+    assert np.array_equal(_tiles_to_matrix(kernel.stored, 173), dense.real)
+    f = kernel.factor
+    scale = 1.7 / FOUR_PI
+    # rounding of the 276-term sums: 1.7e-15 to 2.7e-15 at every rule degree from 19 to 35
+    assert np.max(np.abs(scale * (f @ f.T - np.eye(173)) - dense.imag)) <= 4e-15 * scale
 
 
 def test_streamed_kernel_products_match_stored(monkeypatch):
     rng = np.random.default_rng(5)
-    centers = rng.uniform(0.0, 1.0, size=(300, 3))
-    v = rng.normal(size=300) + 1j * rng.normal(size=300)
-    stored = CloudKernel(centers, 1.3)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 0)
+    m = 300
+    centers = rng.uniform(0.0, 1.0, size=(m, 3))
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
+    stored = CloudKernel(centers, 1.3)
+    nodes = stored.factor.shape[1] // 2
+    tile = math.isqrt(5000) ** 2
+    # one byte under the stored kernel: the tiles are recomputed on every product
+    budget = manybody._stored_kernel_bytes(m, nodes) - 1
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     streamed = CloudKernel(centers, 1.3)
-    assert stored.packed is not None and streamed.packed is None
+    assert stored.stored is not None and streamed.stored is None
     expected = stored @ v
-    assert np.linalg.norm(streamed @ v - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(streamed @ v, expected)
     assert np.linalg.norm(expected - pair_kernel_matrix(centers, 1.3) @ v) \
-        <= 1e-12 * np.linalg.norm(expected)
+        <= 1e-13 * np.linalg.norm(expected)
+    # streaming still needs the factor and one scratch tile
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 8 * tile + 16 * m * nodes - 1)
+    with pytest.raises(ss.GridTooLarge, match="cloud kernel of 300 particles"):
+        CloudKernel(centers, 1.3)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 8 * tile + 16 * m * nodes)
+    assert np.array_equal(CloudKernel(centers, 1.3) @ v, expected)
 
 
 def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
@@ -753,22 +770,65 @@ def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
     rng = np.random.default_rng(8)
     centers = rng.uniform(-1.0, 1.0, size=(300, 3))
     counts = []
-    green = manybody.free_space_green
+    real_green = manybody._cos_green
 
-    def counted(k, r, out=None):
-        counts[-1] += np.size(r)
-        return green(k, r, out)
+    def counted(k, targets, sources, out):
+        counts[-1] += out.size
+        return real_green(k, targets, sources, out)
 
-    monkeypatch.setattr(manybody, "free_space_green", counted)
+    monkeypatch.setattr(manybody, "_cos_green", counted)
     m = len(centers)
+    edge = math.isqrt(ss.background._BLOCK_ENTRIES)
     for h in (0.05, 5.0 - 2.0j):
         counts.append(0)
         sol = solve_impedance(imp_scene(centers, 0.002, h, 0.5, wave_z, wide_box),
                               validate=False)
         assert sol.residual < 1e-10
-        # every pair goes through the counted kernel: the count cannot pass vacuously
-        assert m * (m - 1) // 2 <= counts[-1] <= m * (m + 1) // 2 + m
+        # every pair goes through the counted kernel: the count cannot pass vacuously; the
+        # diagonal tiles hold both halves
+        assert m * (m - 1) // 2 <= counts[-1] <= (m * m + edge * m) // 2
     assert counts[0] == counts[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 300), k=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       size=st.floats(0.01, 2.0), shape=st.sampled_from(["cube", "flat", "line"]),
+       shift=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)), seed=st.integers(0, 2**32 - 1))
+@example(m=1, k=2.0, size=1.0, shape="cube", shift=500.0, seed=0)
+@example(m=2, k=4.0, size=2.0, shape="line", shift=0.0, seed=1)
+@example(m=300, k=4.0, size=2.0, shape="cube", shift=1000.0, seed=2)
+@example(m=300, k=0.0, size=1.0, shape="flat", shift=0.0, seed=3)
+def test_cloud_kernel_products_match_pair_matrix(m, k, size, shape, shift, seed):
+    """Clouds far off the origin, where an uncentered plane-wave phase loses digits, and
+    flat or collinear clouds, whose rule still spans the sphere."""
+    rng = np.random.default_rng(seed)
+    centers = size * rng.uniform(0.0, 1.0, size=(m, 3))
+    if shape != "cube":
+        frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        centers = centers * ([1.0, 1.0, 0.0] if shape == "flat" else [1.0, 0.0, 0.0]) @ frame
+    centers += shift * rng.normal(size=3)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    kernel = CloudKernel(centers, k)
+    expected = pair_kernel_matrix(centers, k) @ v
+    assert np.linalg.norm(kernel @ v - expected) <= 1e-13 * np.linalg.norm(expected)
+    if k == 0.0:  # no imaginary part at all: a real vector maps to a real vector
+        assert np.all((kernel @ v.real).imag == 0.0)
+
+
+def test_cloud_kernel_cap_at_the_default_budget():
+    """The stored kernel's byte formula, for clouds in the unit cube at k = 1, stores the
+    a = 0.00125 level of the impedance study (M = 22627); packed complex storage, 8 M (M + 1)
+    bytes, stopped at M = 16383.  Arithmetic only: nothing of that size is allocated."""
+    budget = manybody.KERNEL_BYTES_BUDGET
+    assert budget == 2 * 1024**3
+    nodes = len(manybody._sphere_rule(manybody._rule_degree(math.sqrt(3.0), 22627))[1])
+    assert nodes == 100
+    lo, hi = 1, 1 << 16  # bytes(lo) <= budget < bytes(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if manybody._stored_kernel_bytes(mid, nodes) <= budget else (lo, mid)
+    assert lo >= 22627
+    assert 8 * 16383 * 16384 <= budget < 8 * 16384 * 16385
 
 
 def test_solve_hard_matches_dense_solve_at_m200(wave_z):
