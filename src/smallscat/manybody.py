@@ -19,7 +19,8 @@ a hard solve's dipoles, and the induced cover monopoles a medium solve stores.
 Every system is built once and solved by GMRES with a checked residual
 (:func:`~smallscat.lattice.solve_checked`): the monopole kernel as a
 :class:`CloudKernel` (its singular real part stored on the tiles on and above the
-diagonal, its smooth imaginary part as a plane-wave factor), plus in a medium the
+diagonal, its smooth imaginary part as a plane-wave factor, or for small clouds and
+large ``kD`` as a second layer of the tiles), plus in a medium the
 cover monopoles each particle induces, and the 5M hard system matrix-free
 (:func:`hard_cloud_system`, four complex symmetric pair arrays on the same tiles).
 A medium enters only through ``scene.background``.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import background
 from .background import (DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, cell_self_green,
@@ -127,18 +128,35 @@ def _check_budget(nbytes: int, what: str) -> None:
                            f"above the {KERNEL_BYTES_BUDGET / 1024**3:.2f} GiB budget")
 
 
-def _cos_green(k: float, targets: np.ndarray, sources: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``cos(kr) / (4 pi r)`` between two point sets into ``out``, 0 where they meet.
+def _green_layers(k: float, r: np.ndarray, layers) -> None:
+    """``cos(kr) / (4 pi r)`` into ``layers[0]`` and, given a second layer, ``sin(kr) / (4 pi r)``
+    into it; 0 where ``r`` is 0.  ``r`` is overwritten.
 
-    The real part of :func:`~smallscat.background.point_green`, bit for bit.
+    The real and imaginary parts of :func:`~smallscat.background.point_green`, bit for bit.
     """
-    r = cdist(targets, sources)
     coincident = r == 0.0
     r[coincident] = 1.0
-    np.cos(np.multiply(k, r, out=out), out=out)
-    out *= np.reciprocal(np.multiply(4.0 * np.pi, r, out=r), out=r)
-    out[coincident] = 0.0
-    return out
+    np.multiply(k, r, out=layers[0])
+    if len(layers) == 2:
+        np.sin(layers[0], out=layers[1])
+    np.cos(layers[0], out=layers[0])
+    scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=r), out=r)
+    for layer in layers:
+        layer *= scale
+        layer[coincident] = 0.0
+
+
+def _fill_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:
+    """The kernel layers of the tile ``(rows, cols)``; a diagonal tile is evaluated on its upper
+    triangle only and mirrored."""
+    if rows != cols:
+        _green_layers(k, cdist(centers[rows], centers[cols]), layers)
+        return
+    r = pdist(centers[rows])
+    parts = [np.empty_like(r) for _ in layers]
+    _green_layers(k, r, parts)
+    for part, layer in zip(parts, layers):
+        layer[...] = squareform(part, checks=False)
 
 
 def _rule_shape(degree: int) -> Tuple[int, int]:
@@ -169,24 +187,23 @@ def _sphere_rule(degree: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _rule_degree(kd: float, m: int) -> int:
-    """Smallest ``L`` with ``(2L + 1) (kd)^L / (2L + 1)!! <= 1e-17``; 0 at ``kd = 0``.
+def _rule_degree(kd: float, most_nodes: int) -> Optional[int]:
+    """Smallest ``L`` with ``(2L + 1) (kd)^L / (2L + 1)!! <= 1e-17``, or None if that rule
+    has more than ``most_nodes`` nodes; 0 at ``kd = 0``.
 
     In ``exp(ik s.d) = sum_l (2l + 1) i^l j_l(k|d|) P_l(s.d / |d|)`` the terms past degree
     ``L`` are then below rounding for every ``|d| <= D`` (``kd = kD``), as
     ``|j_l(x)| <= x^l / (2l + 1)!!``.  At ``kd = 0`` only the constant term is left, and
-    the one-node rule of degree 0 gives ``F F^T = 1`` exactly.  Raises GridTooLarge once
-    the factor of ``m`` centers would exceed the budget, so the search ends for any ``kd``.
+    the one-node rule of degree 0 gives ``F F^T = 1`` exactly.  The term is kept as a
+    logarithm, which cannot overflow, and the node cap ends the search for any ``kd``.
     """
-    if kd == 0.0:
-        return 0
-    degree, term = 0, 1.0  # term = (kd)^L / (2L + 1)!!
-    while (2 * degree + 1) * term > 1e-17:
+    degree, log_term = 0, 0.0  # log of (kd)^L / (2L + 1)!!
+    while math.prod(_rule_shape(degree)) <= most_nodes:
+        if kd == 0.0 or math.log(2 * degree + 1) + log_term <= math.log(1e-17):
+            return degree
         degree += 1
-        term *= kd / (2 * degree + 1)
-        _check_budget(16 * m * math.prod(_rule_shape(degree)),
-                      f"plane-wave factor of {m} particles at kD = {kd:.3g}")
-    return degree
+        log_term += math.log(kd / (2 * degree + 1))
+    return None
 
 
 def _upper_tiles(m: int):
@@ -237,11 +254,13 @@ def _symmetric_tile_products(tiles, columns):
     return out
 
 
-def _stored_kernel_bytes(m: int, nodes: int) -> int:
-    """What a stored :class:`CloudKernel` of ``m`` centers and ``nodes`` rule nodes takes:
-    8 bytes per pair of its tiles and of one tile more (the build's distances), and ``F``."""
-    stored, tile = _tile_pairs(_upper_tiles(m))
-    return 8 * (stored + tile) + 16 * m * nodes
+def _kernel_bytes(m: int, nodes: Optional[int], stored: bool = True) -> int:
+    """What a :class:`CloudKernel` of ``m`` centers takes: 8 bytes per pair of each layer
+    (``cos``, and ``sin`` when ``nodes`` is None) on its tiles, or on one scratch tile when
+    not ``stored``, one tile more (the build's distances), and ``F`` of ``nodes`` nodes."""
+    pairs, tile = _tile_pairs(_upper_tiles(m))
+    layers = 2 if nodes is None else 1
+    return 8 * layers * (pairs if stored else tile) + 8 * tile + 16 * m * (nodes or 0)
 
 
 class CloudKernel:
@@ -256,11 +275,14 @@ class CloudKernel:
     for ``D``, twice the largest distance from the centroid.  So it is ``(k / 4 pi)
     (F F^T - I)`` with ``F = sqrt(w_q) [cos(k X s_q), sin(k X s_q)]`` in centered
     coordinates ``X``.  ``F`` has two columns per node (200 at ``kD = sqrt(3)``), and the
-    nodes grow as ``(kD)^2``: the factor stops paying once they approach M.
+    nodes grow as ``(kD)^2``: where ``F`` would take as many sines and cosines as the
+    tiles of ``sin(kr) / (4 pi r)`` (``M <= 4 Q + 1``: small clouds, or large ``kD``),
+    that is stored as a second layer of the tiles instead (``factor`` is None), at
+    8 bytes more per pair.
 
-    When :func:`_stored_kernel_bytes` exceed ``KERNEL_BYTES_BUDGET`` each product
-    recomputes the tiles into one scratch tile instead; GridTooLarge if ``F`` and that
-    tile alone exceed it.
+    When :func:`_kernel_bytes` exceed ``KERNEL_BYTES_BUDGET`` each product recomputes
+    the tiles into one scratch tile per layer instead; GridTooLarge if ``F`` and those
+    tiles alone exceed it.
     """
 
     def __init__(self, centers: np.ndarray, k: float):
@@ -269,36 +291,48 @@ class CloudKernel:
         m = len(self.centers)
         x = self.centers - (np.mean(self.centers, axis=0) if m else 0.0)
         reach = 2.0 * float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
-        nodes, weights = _sphere_rule(_rule_degree(self.k * reach, m))
         self.tiles = _upper_tiles(m)
+        # F only where its 2 M Q sines and cosines are fewer than the M (M - 1) / 2 sines of
+        # a second layer: 4 Q < M - 1
+        degree = _rule_degree(self.k * reach, (m - 2) // 4)
+        rule = None if degree is None else _sphere_rule(degree)
+        nodes = None if rule is None else len(rule[1])
+        self.layers = 2 if nodes is None else 1
         self.stored = None
-        if _stored_kernel_bytes(m, len(weights)) <= KERNEL_BYTES_BUDGET:
-            self.stored = _tile_store(self.tiles, 1, float)
-            for rows, cols, (tile,) in self.stored:
-                _cos_green(self.k, self.centers[rows], self.centers[cols], tile)
+        if _kernel_bytes(m, nodes) <= KERNEL_BYTES_BUDGET:
+            self.stored = _tile_store(self.tiles, self.layers, float)
+            for rows, cols, layers in self.stored:
+                _fill_tile(self.k, self.centers, rows, cols, layers)
         else:
-            _check_budget(8 * _tile_pairs(self.tiles)[1] + 16 * m * len(weights),
-                          f"cloud kernel of {m} particles")
-        phase = np.multiply(self.k, x @ nodes.T)
-        self.factor = np.empty((m, 2 * len(weights)))
-        np.cos(phase, out=self.factor[:, :len(weights)])
-        np.sin(phase, out=self.factor[:, len(weights):])
-        self.factor.reshape(m, 2, len(weights))[...] *= np.sqrt(weights)
+            _check_budget(_kernel_bytes(m, nodes, stored=False), f"cloud kernel of {m} particles")
+        self.factor = None
+        if rule is not None:
+            directions, weights = rule
+            phase = np.multiply(self.k, x @ directions.T)
+            self.factor = np.empty((m, 2 * nodes))
+            np.cos(phase, out=self.factor[:, :nodes])
+            np.sin(phase, out=self.factor[:, nodes:])
+            self.factor.reshape(m, 2, nodes)[...] *= np.sqrt(weights)
 
     def _streamed(self):
-        """Each tile recomputed into one scratch tile, the same values as stored."""
-        scratch = np.empty(_tile_pairs(self.tiles)[1])
+        """Each tile recomputed into one scratch tile per layer, the same values as stored."""
+        scratch = np.empty((self.layers, _tile_pairs(self.tiles)[1]))
         for rows, cols, shape in self.tiles:
-            tile = scratch[:shape[0] * shape[1]].reshape(shape)
-            yield rows, cols, (_cos_green(self.k, self.centers[rows], self.centers[cols], tile),)
+            layers = tuple(s[:shape[0] * shape[1]].reshape(shape) for s in scratch)
+            _fill_tile(self.k, self.centers, rows, cols, layers)
+            yield rows, cols, layers
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=complex)
         pairs = v.view(float).reshape(-1, 2)
-        real, = _symmetric_tile_products(self._streamed() if self.stored is None
-                                         else self.stored, [pairs])
-        smooth = self.factor @ (self.factor.T @ pairs) - pairs
-        return real.view(complex)[:, 0] + (1j * self.k / (4.0 * np.pi)) * smooth.view(complex)[:, 0]
+        parts = _symmetric_tile_products(self._streamed() if self.stored is None
+                                         else self.stored, [pairs] * self.layers)
+        if self.factor is None:
+            real, imag = parts
+        else:
+            real, = parts
+            imag = (self.k / (4.0 * np.pi)) * (self.factor @ (self.factor.T @ pairs) - pairs)
+        return real.view(complex)[:, 0] + 1j * imag.view(complex)[:, 0]
 
 
 def monopole_coupling(particles: Sequence[Particle]) -> np.ndarray:

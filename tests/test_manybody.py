@@ -496,8 +496,8 @@ def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box,
     expected = _dense_monopole_oracle(scene)
     # one byte under the dense M x M kernel, above A, R and the stored free-space kernel
     budget = 16 * m * m - 1
-    nodes = CloudKernel(scene.centers, wave_z.k).factor.shape[1] // 2
-    assert 2 * 16 * 512 * m <= budget and manybody._stored_kernel_bytes(m, nodes) <= budget
+    nodes = _nodes(CloudKernel(scene.centers, wave_z.k))
+    assert 2 * 16 * 512 * m <= budget and manybody._kernel_bytes(m, nodes) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     sol = solve_soft(scene)
     assert sol.residual <= 1e-10
@@ -714,29 +714,46 @@ def test_medium_read_out_is_thread_safe(unit_box, wave_z):
 # ---------------------------------------------------------------------------
 # The cloud kernel: real tiles plus a plane-wave factor
 # ---------------------------------------------------------------------------
-def _tiles_to_matrix(tiles, m):
-    """Full symmetric matrix from the stored tiles ``I <= J``."""
+def _tiles_to_matrix(tiles, m, layer):
+    """Full symmetric matrix from one layer of the stored tiles ``I <= J``."""
     full = np.zeros((m, m))
-    for rows, cols, (tile,) in tiles:
-        full[rows, cols] = tile
-        full[cols, rows] = tile.T
+    for rows, cols, layers in tiles:
+        full[rows, cols] = layers[layer]
+        full[cols, rows] = layers[layer].T
     return full
+
+
+def _nodes(kernel):
+    """Rule nodes of a kernel's plane-wave factor; None where it stores a sine layer."""
+    return None if kernel.factor is None else kernel.factor.shape[1] // 2
 
 
 @pytest.mark.parametrize("block_entries", [1 << 20, 997])
 def test_stored_kernel_tiles_match_pair_matrix(monkeypatch, block_entries):
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(4)
-    centers = rng.uniform(0.0, 1.0, size=(173, 3))
-    kernel = CloudKernel(centers, 1.7)
     edge = math.isqrt(block_entries)
-    assert len(kernel.stored) == len(range(0, 173, edge)) * (len(range(0, 173, edge)) + 1) // 2
-    dense = pair_kernel_matrix(centers, 1.7)
-    assert np.array_equal(_tiles_to_matrix(kernel.stored, 173), dense.real)
-    f = kernel.factor
-    scale = 1.7 / FOUR_PI
-    # rounding of the 276-term sums: 1.7e-15 to 2.7e-15 at every rule degree from 19 to 35
-    assert np.max(np.abs(scale * (f @ f.T - np.eye(173)) - dense.imag)) <= 4e-15 * scale
+    # at k = 1.7 in the unit cube 173 centers store a sine layer (4 Q >= M - 1), 600 take
+    # the plane-wave factor
+    for m, layers in ((173, 2), (600, 1)):
+        centers = rng.uniform(0.0, 1.0, size=(m, 3))
+        if layers == 2:  # coincident centers in one tile and in two; both layers give 0
+            centers[[7, 100]] = centers[[3, 5]]
+        kernel = CloudKernel(centers, 1.7)
+        n = len(range(0, m, edge))
+        assert len(kernel.stored) == n * (n + 1) // 2 and kernel.layers == layers
+        dense = pair_kernel_matrix(centers, 1.7)
+        assert np.array_equal(_tiles_to_matrix(kernel.stored, m, 0), dense.real)
+        if layers == 2:
+            assert kernel.factor is None
+            assert np.array_equal(_tiles_to_matrix(kernel.stored, m, 1), dense.imag)
+            continue
+        assert 4 * _nodes(kernel) < m - 1
+        f = kernel.factor
+        scale = 1.7 / FOUR_PI
+        # rounding of the 288-term sums, as of the 276-term sums at M = 173 (1.7e-15 to
+        # 2.7e-15 at every rule degree from 19 to 35)
+        assert np.max(np.abs(scale * (f @ f.T - np.eye(m)) - dense.imag)) <= 4e-15 * scale
 
 
 def test_streamed_kernel_products_match_stored(monkeypatch):
@@ -745,24 +762,30 @@ def test_streamed_kernel_products_match_stored(monkeypatch):
     centers = rng.uniform(0.0, 1.0, size=(m, 3))
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
-    stored = CloudKernel(centers, 1.3)
-    nodes = stored.factor.shape[1] // 2
     tile = math.isqrt(5000) ** 2
-    # one byte under the stored kernel: the tiles are recomputed on every product
-    budget = manybody._stored_kernel_bytes(m, nodes) - 1
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
-    streamed = CloudKernel(centers, 1.3)
-    assert stored.stored is not None and streamed.stored is None
-    expected = stored @ v
-    assert np.array_equal(streamed @ v, expected)
-    assert np.linalg.norm(expected - pair_kernel_matrix(centers, 1.3) @ v) \
-        <= 1e-13 * np.linalg.norm(expected)
-    # streaming still needs the factor and one scratch tile
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 8 * tile + 16 * m * nodes - 1)
-    with pytest.raises(ss.GridTooLarge, match="cloud kernel of 300 particles"):
-        CloudKernel(centers, 1.3)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 8 * tile + 16 * m * nodes)
-    assert np.array_equal(CloudKernel(centers, 1.3) @ v, expected)
+    default = manybody.KERNEL_BYTES_BUDGET
+    # k = 0.3 takes the plane-wave factor, k = 1.3 a sine layer
+    for k, layers in ((0.3, 1), (1.3, 2)):
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", default)
+        stored = CloudKernel(centers, k)
+        nodes = _nodes(stored)
+        assert stored.layers == layers and (nodes is None) == (layers == 2)
+        # one byte under the stored kernel: the tiles are recomputed on every product
+        budget = manybody._kernel_bytes(m, nodes) - 1
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+        streamed = CloudKernel(centers, k)
+        assert stored.stored is not None and streamed.stored is None
+        expected = stored @ v
+        assert np.array_equal(streamed @ v, expected)
+        assert np.linalg.norm(expected - pair_kernel_matrix(centers, k) @ v) \
+            <= 1e-13 * np.linalg.norm(expected)
+        # streaming still needs the factor, one scratch tile per layer and the distances
+        least = 8 * (layers + 1) * tile + 16 * m * (nodes or 0)
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", least - 1)
+        with pytest.raises(ss.GridTooLarge, match="cloud kernel of 300 particles"):
+            CloudKernel(centers, k)
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", least)
+        assert np.array_equal(CloudKernel(centers, k) @ v, expected)
 
 
 def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
@@ -770,37 +793,43 @@ def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
     rng = np.random.default_rng(8)
     centers = rng.uniform(-1.0, 1.0, size=(300, 3))
     counts = []
-    real_green = manybody._cos_green
+    real_layers = manybody._green_layers
 
-    def counted(k, targets, sources, out):
-        counts[-1] += out.size
-        return real_green(k, targets, sources, out)
+    def counted(k, r, layers):
+        counts[-1] += r.size
+        return real_layers(k, r, layers)
 
-    monkeypatch.setattr(manybody, "_cos_green", counted)
+    monkeypatch.setattr(manybody, "_green_layers", counted)
     m = len(centers)
-    edge = math.isqrt(ss.background._BLOCK_ENTRIES)
     for h in (0.05, 5.0 - 2.0j):
         counts.append(0)
         sol = solve_impedance(imp_scene(centers, 0.002, h, 0.5, wave_z, wide_box),
                               validate=False)
         assert sol.residual < 1e-10
-        # every pair goes through the counted kernel: the count cannot pass vacuously; the
-        # diagonal tiles hold both halves
-        assert m * (m - 1) // 2 <= counts[-1] <= (m * m + edge * m) // 2
+        # every pair goes through the counted kernel once: the upper triangle of each
+        # diagonal tile, all of each tile above it
+        assert counts[-1] == m * (m - 1) // 2
     assert counts[0] == counts[1]
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 300), k=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+@given(m=st.integers(1, 300),
+       k=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(4.0, 3000.0)),
        size=st.floats(0.01, 2.0), shape=st.sampled_from(["cube", "flat", "line"]),
        shift=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)), seed=st.integers(0, 2**32 - 1))
 @example(m=1, k=2.0, size=1.0, shape="cube", shift=500.0, seed=0)
 @example(m=2, k=4.0, size=2.0, shape="line", shift=0.0, seed=1)
 @example(m=300, k=4.0, size=2.0, shape="cube", shift=1000.0, seed=2)
 @example(m=300, k=0.0, size=1.0, shape="flat", shift=0.0, seed=3)
+@example(m=300, k=1.0, size=0.3, shape="cube", shift=1000.0, seed=4)
+@example(m=300, k=1.0, size=0.3, shape="line", shift=0.0, seed=5)
+@example(m=2, k=3000.0, size=1.0, shape="cube", shift=0.0, seed=7)
+@example(m=40, k=3000.0, size=1.0, shape="cube", shift=0.0, seed=6)
 def test_cloud_kernel_products_match_pair_matrix(m, k, size, shape, shift, seed):
-    """Clouds far off the origin, where an uncentered plane-wave phase loses digits, and
-    flat or collinear clouds, whose rule still spans the sphere."""
+    """Clouds far off the origin, where an uncentered plane-wave phase loses digits, flat or
+    collinear clouds, whose rule still spans the sphere, and large ``kD``, where the sine
+    layer is stored: the last two examples have kD of 2176 and 4698, past the 1420 at which
+    ``(kD)^L / (2L + 1)!!`` overflows a float."""
     rng = np.random.default_rng(seed)
     centers = size * rng.uniform(0.0, 1.0, size=(m, 3))
     if shape != "cube":
@@ -815,20 +844,39 @@ def test_cloud_kernel_products_match_pair_matrix(m, k, size, shape, shift, seed)
         assert np.all((kernel @ v.real).imag == 0.0)
 
 
+def test_cloud_kernel_solves_where_the_factor_exceeds_the_budget(monkeypatch):
+    """At kD of about 100 the rule needs thousands of nodes: the sine layer is stored, or
+    streamed one byte under it, where the factor alone would exceed the budget."""
+    rng = np.random.default_rng(9)
+    m, k = 600, 58.0
+    centers = rng.uniform(0.0, 1.0, size=(m, 3))
+    kd = 2.0 * k * np.max(np.linalg.norm(centers - centers.mean(axis=0), axis=1))
+    nodes = len(manybody._sphere_rule(manybody._rule_degree(kd, 1 << 30))[1])
+    budget = manybody._kernel_bytes(m, None)
+    assert 16 * m * nodes > budget
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    expected = pair_kernel_matrix(centers, k) @ v
+    for b in (budget, budget - 1):
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", b)
+        kernel = CloudKernel(centers, k)
+        assert kernel.factor is None and (kernel.stored is None) == (b < budget)
+        assert np.linalg.norm(kernel @ v - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_cloud_kernel_cap_at_the_default_budget():
     """The stored kernel's byte formula, for clouds in the unit cube at k = 1, stores the
-    a = 0.00125 level of the impedance study (M = 22627); packed complex storage, 8 M (M + 1)
-    bytes, stopped at M = 16383.  Arithmetic only: nothing of that size is allocated."""
+    a = 0.00125 level of the impedance study (M = 22627).  Arithmetic only: nothing of that
+    size is allocated."""
     budget = manybody.KERNEL_BYTES_BUDGET
     assert budget == 2 * 1024**3
-    nodes = len(manybody._sphere_rule(manybody._rule_degree(math.sqrt(3.0), 22627))[1])
+    degree = manybody._rule_degree(math.sqrt(3.0), (22627 - 2) // 4)
+    nodes = len(manybody._sphere_rule(degree)[1])
     assert nodes == 100
     lo, hi = 1, 1 << 16  # bytes(lo) <= budget < bytes(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if manybody._stored_kernel_bytes(mid, nodes) <= budget else (lo, mid)
+        lo, hi = (mid, hi) if manybody._kernel_bytes(mid, nodes) <= budget else (lo, mid)
     assert lo >= 22627
-    assert 8 * 16383 * 16384 <= budget < 8 * 16384 * 16385
 
 
 def test_solve_hard_matches_dense_solve_at_m200(wave_z):
