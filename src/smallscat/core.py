@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .background import BackgroundMedium
+from .background import BackgroundMedium, expi
 from .errors import DensityInfeasible
 from .fields import ConstantField, GaussianBumpField, GriddedField, ScalarField
 from .grids import Box
@@ -61,7 +61,7 @@ class IncidentWave:
 
     def field_at(self, points: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.amplitude * np.exp(1j * self.k * (p @ self.alpha))
+        return self.amplitude * expi(self.k * (p @ self.alpha))
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
         return 1j * self.k * self.field_at(points)[:, None] * self.alpha[None, :]

@@ -40,7 +40,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import background
 from .background import (DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, cell_self_green,
-                         free_space_green, point_green)
+                         cos_sin, expi, free_space_green, point_green)
 from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
@@ -132,14 +132,13 @@ def _green_layers(k: float, r: np.ndarray, layers) -> None:
     """``cos(kr) / (4 pi r)`` into ``layers[0]`` and, given a second layer, ``sin(kr) / (4 pi r)``
     into it; 0 where ``r`` is 0.  ``r`` is overwritten.
 
-    The real and imaginary parts of :func:`~smallscat.background.point_green`, bit for bit.
+    Both layers come from one ``tan`` of :func:`~smallscat.background.cos_sin`, as
+    :func:`~smallscat.background.point_green` does, so they are its real and imaginary
+    parts bit for bit.
     """
     coincident = r == 0.0
     r[coincident] = 1.0
-    np.multiply(k, r, out=layers[0])
-    if len(layers) == 2:
-        np.sin(layers[0], out=layers[1])
-    np.cos(layers[0], out=layers[0])
+    cos_sin(np.multiply(k, r, out=layers[0]), *layers)
     scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=r), out=r)
     for layer in layers:
         layer *= scale
@@ -310,8 +309,8 @@ class CloudKernel:
             directions, weights = rule
             phase = np.multiply(self.k, x @ directions.T)
             self.factor = np.empty((m, 2 * nodes))
-            np.cos(phase, out=self.factor[:, :nodes])
-            np.sin(phase, out=self.factor[:, nodes:])
+            cos_sin(phase, self.factor[:, :nodes], phase)
+            self.factor[:, nodes:] = phase
             self.factor.reshape(m, 2, nodes)[...] *= np.sqrt(weights)
 
     def _streamed(self):
@@ -667,7 +666,7 @@ def far_field(solution: EffectiveFieldSolution, scene: Scene,
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     k = scene.wave.k
     positions, charges, _ = _monopoles(solution, scene)
-    phases = np.exp(-1j * k * dirs @ positions.T)
+    phases = expi(-k * dirs @ positions.T)
     amps = phases @ charges
     if solution.dipoles is not None:
         amps += 1j * k * np.einsum("bp,mp,bm->b", dirs, solution.dipoles, phases)

@@ -6,8 +6,8 @@ import pytest
 
 import smallscat as ss
 from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
-                                  cell_self_green, fixed_point_solve, free_space_green,
-                                  green, point_green, scattered_plane_wave)
+                                  cell_self_green, cos_sin, expi, fixed_point_solve,
+                                  free_space_green, green, point_green, scattered_plane_wave)
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +230,53 @@ def test_free_space_green_matches_the_complex_exponential(k):
     out = np.empty(r.shape, dtype=complex)
     assert free_space_green(k, r, out) is out
     assert np.array_equal(out, free_space_green(k, r))
+
+
+def _cos_sin_calls(x):
+    """``(cos, sin)`` of ``x`` from every way of calling :func:`cos_sin`."""
+    cos, sin = np.empty_like(x), np.empty_like(x)
+    cos_sin(x, cos, sin)
+    yield cos, sin
+    cos_only = np.empty_like(x)
+    cos_sin(x, cos_only)
+    yield cos_only, sin
+    aliased, sin = x.copy(), np.empty_like(x)
+    cos_sin(aliased, aliased, sin)
+    yield aliased, sin
+    aliased, cos = x.copy(), np.empty_like(x)
+    cos_sin(aliased, cos, aliased)
+    yield cos, aliased
+    both = np.empty(x.shape, dtype=complex)
+    cos_sin(x, both.real, both.imag)
+    yield both.real, both.imag
+    phasor = expi(x)
+    yield phasor.real, phasor.imag
+
+
+def test_cos_sin_matches_libm():
+    rng = np.random.default_rng(5)
+    samples = [rng.uniform(0.0, 2.0, 4000), rng.uniform(0.0, 1e4, 4000),
+               rng.uniform(-1e9, 1e9, 4000), np.arange(20001) * (np.pi / 2),
+               rng.uniform(-3.0, 3.0, (30, 17))[:, ::2], np.array(2.5), np.array(0.0)]
+    for x in samples:
+        for cos, sin in _cos_sin_calls(x):
+            assert cos.shape == sin.shape == x.shape
+            assert np.max(np.abs(cos - np.cos(x))) <= 4.5e-16
+            assert np.max(np.abs(sin - np.sin(x))) <= 4.5e-16
+    for cos, sin in _cos_sin_calls(np.zeros(3)):
+        assert np.array_equal(cos, np.ones(3)) and np.array_equal(sin, np.zeros(3))
+
+
+def test_free_space_green_holds_one_real_temporary():
+    # the trig runs in one contiguous real buffer: np.copyto between the real and imaginary
+    # views of one 2-d complex array would copy a whole view to rule out their overlap
+    r = np.random.default_rng(6).uniform(1e-3, 2.0, size=(512, 4096))
+    mib = 1024**2
+    for out, bound in ((None, (16 + 32 + 1) * mib), (np.empty(r.shape, dtype=complex), 17 * mib)):
+        tracemalloc.start()
+        try:
+            free_space_green(3.0, r, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
