@@ -10,8 +10,10 @@ cube cover of ``D`` (midpoint rule; the self cell uses the mean-value integral
 of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
-solved by a truncated series or fixed-point iteration once per source
-(:meth:`GreenEvaluator.cover_responses`).  No read-out solves: each is one blocked
+solved by a truncated series or fixed-point iteration.  One source is solved on
+that FFT operator; a block of sources (:meth:`GreenEvaluator.cover_responses`)
+is solved at once on the dense cover kernel, one BLAS product per iteration
+for a chunk of columns.  No read-out solves: each is one blocked
 :func:`point_source_sum`, whose :func:`point_green` gives a cover center its cell's diagonal.
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
@@ -36,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 _LS_MAX_ITER: int = 200
 _BLOCK_ENTRIES: int = 1 << 16
+_COLUMN_CHUNK: int = 64  # right-hand sides a block solve iterates together
 DEFAULT_GRID_N: int = 8  # cells per axis of a medium's cover
 
 
@@ -166,8 +169,31 @@ def medium_kernel(cover: GridCover, k: float, chi: np.ndarray) -> LatticeOperato
                            weights=(k**2) * chi * cover.cell_volume)
 
 
-def born_series(kernel, rhs: np.ndarray, order: int) -> np.ndarray:
-    """Truncated series ``sum_{n<=order} kernel^n rhs``."""
+def _by_column_chunks(solve, rhs: np.ndarray, out: Optional[np.ndarray], *args) -> np.ndarray:
+    """``solve(rhs, *args)`` for one right-hand side (P,), or for a block (P, S) on each
+    chunk of ``_COLUMN_CHUNK`` columns in turn; into ``out`` if given, which may be ``rhs``,
+    as a chunk is written only once it is solved."""
+    if rhs.ndim == 1:
+        if out is None:
+            return solve(rhs, *args)
+        out[:] = solve(rhs, *args)
+        return out
+    out = np.empty(rhs.shape, dtype=complex) if out is None else out
+    for c0 in range(0, rhs.shape[1], _COLUMN_CHUNK):
+        chunk = slice(c0, c0 + _COLUMN_CHUNK)
+        out[:, chunk] = solve(rhs[:, chunk], *args)
+    return out
+
+
+def born_series(kernel, rhs: np.ndarray, order: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Truncated series ``sum_{n<=order} kernel^n rhs``, of one right-hand side (P,) or of
+    each column of a block (P, S), which needs a ``kernel`` that multiplies one (a matrix).
+    Into ``out`` if given, which may be ``rhs``."""
+    return _by_column_chunks(_born_series, rhs, out, kernel, order)
+
+
+def _born_series(rhs: np.ndarray, kernel, order: int) -> np.ndarray:
     term = rhs
     out = rhs.copy()
     for _ in range(order):
@@ -176,29 +202,48 @@ def born_series(kernel, rhs: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def fixed_point_solve(kernel, rhs: np.ndarray, tol: float,
-                      max_iter: int = _LS_MAX_ITER) -> np.ndarray:
-    """Iterate ``u <- rhs + kernel u`` from ``u = rhs``.
+def fixed_point_solve(kernel, rhs: np.ndarray, tol: float, max_iter: int = _LS_MAX_ITER,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Iterate ``u <- rhs + kernel u`` from ``u = rhs``, for one right-hand side (P,) or for
+    each column of a block (P, S).
 
-    ``kernel`` is anything with ``@``: a matrix or a
+    ``kernel`` is anything with ``@``: a matrix or, for one right-hand side, a
     :class:`~smallscat.lattice.LatticeOperator`.  One iteration reproduces
-    :func:`born_series` at order 1 exactly.  Raises NonConvergence when the
-    update norm grows persistently or the iteration cap is hit.
+    :func:`born_series` at order 1 exactly.  Each column is tested on its own: it stops
+    changing once its update norm is within ``tol`` of its norm, and raises NonConvergence
+    when its update norm grows persistently; so does the iteration cap.  A block runs
+    ``_COLUMN_CHUNK`` columns at a time, into ``out`` if given, which may be ``rhs``.
     """
+    return _by_column_chunks(_fixed_point, rhs, out, kernel, tol, max_iter)
+
+
+def _norms(x: np.ndarray):
+    """2-norm of a vector, or of each column of a block, summed from its real view with no
+    temporary."""
+    if x.ndim == 1:
+        return np.linalg.norm(x)
+    parts = np.ascontiguousarray(x).view(float)  # (P, 2 S) for a complex block
+    return np.sqrt(np.einsum("pj,pj->j", parts, parts).reshape(x.shape[1], -1).sum(axis=1))
+
+
+def _fixed_point(rhs: np.ndarray, kernel, tol: float, max_iter: int) -> np.ndarray:
     u = rhs.copy()
+    live = np.ones(rhs.shape[1:], dtype=bool)  # columns still iterating
     prev_delta = np.inf
     growth = 0
     for iteration in range(1, max_iter + 1):
         u_next = rhs + kernel @ u
-        delta = float(np.linalg.norm(u_next - u))
-        scale = float(np.linalg.norm(u_next))
-        u = u_next
-        if delta <= tol * max(scale, 1e-300):
+        delta = _norms(u_next - u)
+        scale = _norms(u_next)
+        u = np.where(live, u_next, u)
+        live &= ~(delta <= tol * np.maximum(scale, 1e-300))
+        if not live.any():
             return u
-        growth = growth + 1 if delta > prev_delta else 0
-        if growth >= 5:
+        growth = np.where(delta > prev_delta, growth + 1, 0)
+        if np.any(live & (growth >= 5)):
+            worst = float(np.max(delta, where=live & (growth >= 5), initial=0.0))
             raise NonConvergence(
-                f"fixed-point iteration diverging (update norm {delta:.3e} "
+                f"fixed-point iteration diverging (update norm {worst:.3e} "
                 f"growing at iteration {iteration})"
             )
         prev_delta = delta
@@ -243,11 +288,13 @@ class GreenEvaluator:
     def is_free_space(self) -> bool:
         return self.grid is None
 
-    def _grid_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(I - K)^{-1} rhs`` on the cover, by the evaluator's method."""
+    def _grid_solve(self, rhs: np.ndarray, kernel=None, out=None) -> np.ndarray:
+        """``(I - K)^{-1} rhs`` on the cover, by the evaluator's method, with ``K`` the FFT
+        operator or the given ``kernel``; into ``out`` if given."""
+        kernel = self._kernel if kernel is None else kernel
         if self.method[0] == "born":
-            return born_series(self._kernel, rhs, int(self.method[1]))
-        return fixed_point_solve(self._kernel, rhs, float(self.method[1]))
+            return born_series(kernel, rhs, int(self.method[1]), out=out)
+        return fixed_point_solve(kernel, rhs, float(self.method[1]), out=out)
 
     def pair_values(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
@@ -259,20 +306,36 @@ class GreenEvaluator:
         base = free_space_green(self.k, r)
         if self.is_free_space:
             return base
-        return base + point_source_sum(self.k, targets, self.grid.centers,
-                                       self.cover_responses(source[None, :])[:, 0],
-                                       cell_self_green(self.grid))
+        z, self_value = self.grid.centers, cell_self_green(self.grid)
+        # one source: a grid solve on the FFT operator, not a dense kernel build
+        response = self._grid_solve(point_green(self.k, z, source[None, :], self_value)[0][:, 0])
+        return base + point_source_sum(self.k, targets, z, (self.k**2) * self._chi_w * response,
+                                       self_value)
 
     def cover_responses(self, sources: np.ndarray) -> np.ndarray:
         """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces.
 
-        ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, one grid solve per
-        source, so ``(G - g)(x, y_m) = sum_p g(x, z_p) R[p, m]``.
+        ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, so ``(G - g)(x, y_m) =
+        sum_p g(x, z_p) R[p, m]``.  All sources are one block solve on the dense
+        ``K = g(Z, Z) diag(k^2 chi |cell|)`` (16 P^2 bytes), built in row blocks of
+        ``_BLOCK_ENTRIES`` pairs with the cell self value on the diagonal: the entries the
+        FFT operator samples.  An iteration is then one BLAS product per column chunk.
         """
-        out = point_green(self.k, self.grid.centers, sources, cell_self_green(self.grid))[0]
-        for m in range(out.shape[1]):
-            out[:, m] = self._grid_solve(out[:, m])
-        return (self.k**2) * self._chi_w[:, None] * out
+        z, self_value = self.grid.centers, cell_self_green(self.grid)
+
+        def from_cover(points):  # g(Z, points), by row blocks
+            g = np.empty((len(z), len(points)), dtype=complex)
+            rows = max(1, _BLOCK_ENTRIES // max(len(points), 1))
+            for r0 in range(0, len(z), rows):
+                point_green(self.k, z[r0:r0 + rows], points, self_value, out=g[r0:r0 + rows])
+            return g
+
+        out = from_cover(sources)
+        kernel = from_cover(z)
+        kernel *= self._kernel.weights
+        self._grid_solve(out, kernel, out=out)
+        out *= (self.k**2) * self._chi_w[:, None]
+        return out
 
 
 def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:

@@ -201,7 +201,7 @@ def _rule_degree(kd: float, most_nodes: int) -> Optional[int]:
         if kd == 0.0 or math.log(2 * degree + 1) + log_term <= math.log(1e-17):
             return degree
         degree += 1
-        log_term += math.log(kd / (2 * degree + 1))
+        log_term += math.log(kd) - math.log(2 * degree + 1)  # kd / (2L + 1) may underflow
     return None
 
 
@@ -361,14 +361,22 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     less the smooth self term ``(A R)_jj``.  Returns ``(u, residual)`` of
     :func:`~smallscat.lattice.solve_checked` and the induced cover monopoles
     ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above
-    ``rtol`` and GridTooLarge if ``A`` and ``R`` exceed ``KERNEL_BYTES_BUDGET``.
+    ``rtol``, and GridTooLarge before anything is allocated if ``A`` and ``R``, with the
+    dense ``(P, P)`` cover kernel and the three ``(P, min(M, 64))`` column chunks of
+    :meth:`~smallscat.background.GreenEvaluator.cover_responses`, exceed
+    ``KERNEL_BYTES_BUDGET``.  ``R`` comes first, so the cover kernel is freed before ``A``
+    and the cloud kernel are built.
     """
-    kernel = CloudKernel(centers, k)
     if greens is None:
+        kernel = CloudKernel(centers, k)
         return (*solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol), None)
-    _check_budget(32 * greens.grid.n_cells * len(centers), "medium cover sources")
+    p, m = greens.grid.n_cells, len(centers)
+    _check_budget(16 * p * (2 * m + p + 3 * min(m, background._COLUMN_CHUNK)),
+                  "medium cover sources")
+    rc = greens.cover_responses(centers)
+    rc *= coupling  # R diag(coupling)
     a = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]
-    rc = greens.cover_responses(centers) * coupling  # R diag(coupling)
+    kernel = CloudKernel(centers, k)
     own = np.einsum("jp,pj->j", a, rc)
     u, residual = solve_checked(lambda v: v + kernel @ (coupling * v) + a @ (rc @ v) - own * v,
                                 rhs, rtol)

@@ -456,15 +456,16 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
         monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * pairs)
         assert solve_hard(hard).residual < 1e-10
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 16)
-    # a medium solve's cover arrays A (3 x 512) and R (512 x 3), complex
+    # a medium solve's cover arrays A (3 x 512) and R (512 x 3), the dense 512 x 512 cover
+    # kernel and the block solve's three 512 x 3 column chunks, complex
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
                     domain=unit_box, wave=wave_z,
                     background=ss.BackgroundMedium(n2=bump, box=unit_box))
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 2 * 16 * 512 * 3 - 1)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (2 * 3 + 512 + 3 * 3) - 1)
     with pytest.raises(ss.GridTooLarge, match="medium cover sources"):
         solve_soft(soft)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 2 * 16 * 512 * 3)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (2 * 3 + 512 + 3 * 3))
     assert solve_soft(soft).residual < 1e-10
 
 
@@ -491,13 +492,15 @@ def test_medium_solve_never_assembles_the_dense_kernel(unit_box, wave_z, monkeyp
 
 def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box, wave_z,
                                                                        monkeypatch):
-    scene = _bump_scene(unit_box, wave_z, 0.0009, seed=0)
+    scene = _bump_scene(unit_box, wave_z, 0.0007, seed=0)
     m = scene.n_particles
     expected = _dense_monopole_oracle(scene)
-    # one byte under the dense M x M kernel, above A, R and the stored free-space kernel
+    # one byte under the dense M x M kernel, above A, R, the dense 512-cell cover kernel with
+    # its column chunks, and the stored free-space kernel
     budget = 16 * m * m - 1
     nodes = _nodes(CloudKernel(scene.centers, wave_z.k))
-    assert 2 * 16 * 512 * m <= budget and manybody._kernel_bytes(m, nodes) <= budget
+    assert 16 * 512 * (2 * m + 512 + 3 * 64) <= budget
+    assert manybody._kernel_bytes(m, nodes) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     sol = solve_soft(scene)
     assert sol.residual <= 1e-10
@@ -529,6 +532,28 @@ def test_medium_cloud_solves_match_dense_oracles(kind, m, k, amplitude, width, o
     assert np.max(np.abs(sol.values - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
+def test_medium_budget_counts_the_dense_cover_before_allocating(unit_box, wave_z, monkeypatch):
+    scene = _bump_scene(unit_box, wave_z, 0.01, seed=3)
+    m = scene.n_particles
+    assert m > 64  # past one column chunk
+    # A (M x 512) and R (512 x M), the dense cover kernel, three 512 x 64 column chunks
+    total = 16 * 512 * (2 * m + 512 + 3 * 64)
+    expected = solve_soft(scene)
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("a medium solve allocated before its budget check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(manybody, "KERNEL_BYTES_BUDGET", total - 1)
+        for owner, name in ((manybody, "CloudKernel"), (manybody, "point_green"),
+                            (ss.GreenEvaluator, "cover_responses")):
+            patch.setattr(owner, name, allocated)
+        with pytest.raises(ss.GridTooLarge, match="medium cover sources"):
+            solve_soft(scene)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total)
+    assert np.array_equal(solve_soft(scene).values, expected.values)
+
+
 def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     scene = _bump_scene(unit_box, wave_z, 0.005, centers=centers)
@@ -536,15 +561,17 @@ def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
     solves = []
     fixed_point = ss.background.fixed_point_solve
 
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return fixed_point(*args, **kwargs)
+    def counted(kernel, rhs, *args, **kwargs):
+        solves.append(rhs.shape)
+        return fixed_point(kernel, rhs, *args, **kwargs)
 
     monkeypatch.setattr(ss.background, "fixed_point_solve", counted)
     sol = solve_soft(scene)
+    # one block grid solve, a column per particle, for the kernel
+    assert solves == [(ss.GridCover.from_shape(unit_box, 8).n_cells, len(centers))]
     u = eval_field(sol, scene, points)
-    # one grid solve per particle for the kernel; the read-out sums the stored cover sources
-    assert len(solves) == len(centers)
+    # the read-out sums the stored cover sources
+    assert len(solves) == 1
     ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
     oracle = wave_z.field_at(points) + sum(ev.pair_values(points, c) * q
                                            for c, q in zip(centers, sol.charges))
@@ -877,6 +904,12 @@ def test_cloud_kernel_cap_at_the_default_budget():
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if manybody._kernel_bytes(mid, nodes) <= budget else (lo, mid)
     assert lo >= 22627
+
+
+def test_rule_degree_at_a_subnormal_kd():
+    # kd / 3 underflows to 0, whose logarithm the search must not take
+    assert manybody._rule_degree(5e-324, 1 << 30) == 1
+    assert manybody._rule_degree(5e-324, 1) is None
 
 
 def test_solve_hard_matches_dense_solve_at_m200(wave_z):
