@@ -9,12 +9,13 @@ with ``g(r) = exp(ikr) / (4 pi r)``.  The volume integral is discretized on a
 cube cover of ``D`` (midpoint rule; the self cell uses the mean-value integral
 of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
-(:class:`~smallscat.lattice.LatticeOperator`), and the discrete equation is
-solved by a truncated series or fixed-point iteration.  One source is solved on
-that FFT operator; a block of sources (:meth:`GreenEvaluator.cover_responses`)
-is solved at once on the dense cover kernel, one BLAS product per iteration
-for a chunk of columns.  No read-out solves: each is one blocked
-:func:`point_source_sum`, whose :func:`point_green` gives a cover center its cell's diagonal.
+(:class:`~smallscat.lattice.LatticeOperator`).  The discrete equation
+``(I - K) v = b`` is solved with its residual checked: one source by GMRES on that
+FFT operator (:func:`~smallscat.lattice.solve_checked`), a block of sources
+(:meth:`GreenEvaluator.cover_responses`) by one LU of the dense ``I - K``.  The
+truncated series and the fixed-point iteration run only where a method names them.
+No read-out solves: each is one blocked :func:`point_source_sum`, whose
+:func:`point_green` gives a cover center its cell's diagonal.
 
 With ``n0^2 == 1`` the evaluator degenerates to the free-space kernel exactly
 (same code path, bit for bit).  Evaluators are immutable after construction.
@@ -27,9 +28,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.spatial.distance import cdist
 
-from .errors import NonConvergence
+from .errors import NonConvergence, SolveFailure
 from .fields import ScalarField, probe_points
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
@@ -38,7 +40,6 @@ logger = logging.getLogger(__name__)
 
 _LS_MAX_ITER: int = 200
 _BLOCK_ENTRIES: int = 1 << 16
-_COLUMN_CHUNK: int = 64  # right-hand sides a block solve iterates together
 DEFAULT_GRID_N: int = 8  # cells per axis of a medium's cover
 
 
@@ -169,31 +170,8 @@ def medium_kernel(cover: GridCover, k: float, chi: np.ndarray) -> LatticeOperato
                            weights=(k**2) * chi * cover.cell_volume)
 
 
-def _by_column_chunks(solve, rhs: np.ndarray, out: Optional[np.ndarray], *args) -> np.ndarray:
-    """``solve(rhs, *args)`` for one right-hand side (P,), or for a block (P, S) on each
-    chunk of ``_COLUMN_CHUNK`` columns in turn; into ``out`` if given, which may be ``rhs``,
-    as a chunk is written only once it is solved."""
-    if rhs.ndim == 1:
-        if out is None:
-            return solve(rhs, *args)
-        out[:] = solve(rhs, *args)
-        return out
-    out = np.empty(rhs.shape, dtype=complex) if out is None else out
-    for c0 in range(0, rhs.shape[1], _COLUMN_CHUNK):
-        chunk = slice(c0, c0 + _COLUMN_CHUNK)
-        out[:, chunk] = solve(rhs[:, chunk], *args)
-    return out
-
-
-def born_series(kernel, rhs: np.ndarray, order: int,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Truncated series ``sum_{n<=order} kernel^n rhs``, of one right-hand side (P,) or of
-    each column of a block (P, S), which needs a ``kernel`` that multiplies one (a matrix).
-    Into ``out`` if given, which may be ``rhs``."""
-    return _by_column_chunks(_born_series, rhs, out, kernel, order)
-
-
-def _born_series(rhs: np.ndarray, kernel, order: int) -> np.ndarray:
+def born_series(kernel, rhs: np.ndarray, order: int) -> np.ndarray:
+    """Truncated series ``sum_{n<=order} kernel^n rhs``."""
     term = rhs
     out = rhs.copy()
     for _ in range(order):
@@ -202,48 +180,29 @@ def _born_series(rhs: np.ndarray, kernel, order: int) -> np.ndarray:
     return out
 
 
-def fixed_point_solve(kernel, rhs: np.ndarray, tol: float, max_iter: int = _LS_MAX_ITER,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Iterate ``u <- rhs + kernel u`` from ``u = rhs``, for one right-hand side (P,) or for
-    each column of a block (P, S).
+def fixed_point_solve(kernel, rhs: np.ndarray, tol: float,
+                      max_iter: int = _LS_MAX_ITER) -> np.ndarray:
+    """Iterate ``u <- rhs + kernel u`` from ``u = rhs``.
 
-    ``kernel`` is anything with ``@``: a matrix or, for one right-hand side, a
+    ``kernel`` is anything with ``@``: a matrix or a
     :class:`~smallscat.lattice.LatticeOperator`.  One iteration reproduces
-    :func:`born_series` at order 1 exactly.  Each column is tested on its own: it stops
-    changing once its update norm is within ``tol`` of its norm, and raises NonConvergence
-    when its update norm grows persistently; so does the iteration cap.  A block runs
-    ``_COLUMN_CHUNK`` columns at a time, into ``out`` if given, which may be ``rhs``.
+    :func:`born_series` at order 1 exactly.  Raises NonConvergence when the
+    update norm grows persistently or the iteration cap is hit.
     """
-    return _by_column_chunks(_fixed_point, rhs, out, kernel, tol, max_iter)
-
-
-def _norms(x: np.ndarray):
-    """2-norm of a vector, or of each column of a block, summed from its real view with no
-    temporary."""
-    if x.ndim == 1:
-        return np.linalg.norm(x)
-    parts = np.ascontiguousarray(x).view(float)  # (P, 2 S) for a complex block
-    return np.sqrt(np.einsum("pj,pj->j", parts, parts).reshape(x.shape[1], -1).sum(axis=1))
-
-
-def _fixed_point(rhs: np.ndarray, kernel, tol: float, max_iter: int) -> np.ndarray:
     u = rhs.copy()
-    live = np.ones(rhs.shape[1:], dtype=bool)  # columns still iterating
     prev_delta = np.inf
     growth = 0
     for iteration in range(1, max_iter + 1):
         u_next = rhs + kernel @ u
-        delta = _norms(u_next - u)
-        scale = _norms(u_next)
-        u = np.where(live, u_next, u)
-        live &= ~(delta <= tol * np.maximum(scale, 1e-300))
-        if not live.any():
+        delta = float(np.linalg.norm(u_next - u))
+        scale = float(np.linalg.norm(u_next))
+        u = u_next
+        if delta <= tol * max(scale, 1e-300):
             return u
-        growth = np.where(delta > prev_delta, growth + 1, 0)
-        if np.any(live & (growth >= 5)):
-            worst = float(np.max(delta, where=live & (growth >= 5), initial=0.0))
+        growth = growth + 1 if delta > prev_delta else 0
+        if growth >= 5:
             raise NonConvergence(
-                f"fixed-point iteration diverging (update norm {worst:.3e} "
+                f"fixed-point iteration diverging (update norm {delta:.3e} "
                 f"growing at iteration {iteration})"
             )
         prev_delta = delta
@@ -262,8 +221,11 @@ class GreenEvaluator:
     grid_n : int
         Cells per axis of the quadrature cover of the medium box.
     method : "auto" | "free_space" | ("born", order) | ("lippmann_schwinger", tol)
-        ``auto`` picks free space iff the medium is uniformly 1, else the
-        fixed-point evaluation at tolerance ``DEFAULT_RTOL``.
+        ``auto`` picks free space iff the medium is uniformly 1, else solves the grid
+        equation ``(I - K) v = b`` with its residual checked against ``DEFAULT_RTOL``
+        (SolveFailure above it): by GMRES on the FFT operator for one source
+        (:meth:`pair_values`).  The series and the fixed-point iteration at ``tol`` run
+        only when named.  :meth:`cover_responses` is a direct solve whatever the method.
     """
 
     def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = DEFAULT_GRID_N,
@@ -271,8 +233,8 @@ class GreenEvaluator:
         self.medium = medium
         self.k = float(k)
         uniform = medium is None or medium.uniform_one
-        if method == "auto":
-            method = "free_space" if uniform else ("lippmann_schwinger", DEFAULT_RTOL)
+        if method == "auto" and uniform:
+            method = "free_space"
         if method == "free_space" and not uniform:
             raise ValueError("free_space method requires n0^2 == 1")
         self.method = method
@@ -288,13 +250,14 @@ class GreenEvaluator:
     def is_free_space(self) -> bool:
         return self.grid is None
 
-    def _grid_solve(self, rhs: np.ndarray, kernel=None, out=None) -> np.ndarray:
-        """``(I - K)^{-1} rhs`` on the cover, by the evaluator's method, with ``K`` the FFT
-        operator or the given ``kernel``; into ``out`` if given."""
-        kernel = self._kernel if kernel is None else kernel
+    def _grid_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(I - K)^{-1} rhs`` on the cover for one right-hand side, by the evaluator's
+        method, with ``K`` the FFT operator."""
+        if self.method == "auto":
+            return solve_checked(lambda v: v - self._kernel @ v, rhs, DEFAULT_RTOL)[0]
         if self.method[0] == "born":
-            return born_series(kernel, rhs, int(self.method[1]), out=out)
-        return fixed_point_solve(kernel, rhs, float(self.method[1]), out=out)
+            return born_series(self._kernel, rhs, int(self.method[1]))
+        return fixed_point_solve(self._kernel, rhs, float(self.method[1]))
 
     def pair_values(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
@@ -316,24 +279,43 @@ class GreenEvaluator:
         """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces.
 
         ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, so ``(G - g)(x, y_m) =
-        sum_p g(x, z_p) R[p, m]``.  All sources are one block solve on the dense
-        ``K = g(Z, Z) diag(k^2 chi |cell|)`` (16 P^2 bytes), built in row blocks of
-        ``_BLOCK_ENTRIES`` pairs with the cell self value on the diagonal: the entries the
-        FFT operator samples.  An iteration is then one BLAS product per column chunk.
+        sum_p g(x, z_p) R[p, m]``.  ``K = g(Z, Z) diag(k^2 chi |cell|)`` and the right-hand
+        sides are built in row blocks of ``_BLOCK_ENTRIES`` pairs, with the cell self value on
+        the diagonal (the entries the FFT operator samples).  The dense ``I - K`` is solved
+        for all sources by one LU, whatever the evaluator's method, and the LU and the solve
+        overwrite ``I - K`` and the right-hand sides, so the solve holds 16 P (P + S) bytes.
+        Each column's relative residual is then recomputed from rebuilt row blocks; raises
+        SolveFailure if one is not within ``DEFAULT_RTOL``.
         """
         z, self_value = self.grid.centers, cell_self_green(self.grid)
+        points = np.vstack([z, sources])
+        step = max(1, _BLOCK_ENTRIES // len(points))
+        block = np.empty((step, len(points)), dtype=complex)
 
-        def from_cover(points):  # g(Z, points), by row blocks
-            g = np.empty((len(z), len(points)), dtype=complex)
-            rows = max(1, _BLOCK_ENTRIES // max(len(points), 1))
-            for r0 in range(0, len(z), rows):
-                point_green(self.k, z[r0:r0 + rows], points, self_value, out=g[r0:r0 + rows])
-            return g
+        def cover_rows():  # (rows, K[rows], g(Z[rows], sources)) by row blocks, in one buffer
+            for r0 in range(0, len(z), step):
+                rows = slice(r0, r0 + step)
+                g = point_green(self.k, z[rows], points, self_value, out=block[:len(z[rows])])[0]
+                g[:, :len(z)] *= self._kernel.weights
+                yield rows, g[:, :len(z)], g[:, len(z):]
 
-        out = from_cover(sources)
-        kernel = from_cover(z)
-        kernel *= self._kernel.weights
-        self._grid_solve(out, kernel, out=out)
+        # Fortran order, so that the LU and the solve overwrite them in place
+        system = np.eye(len(z), dtype=complex, order="F")
+        out = np.empty((len(z), len(sources)), dtype=complex, order="F")
+        for rows, kernel, rhs in cover_rows():
+            system[rows] -= kernel
+            out[rows] = rhs
+        out = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), out,
+                       overwrite_b=True, check_finite=False)
+        del system
+        squares = np.zeros((2, len(sources)))  # squared norms of the rhs and the residual
+        for rows, kernel, rhs in cover_rows():
+            squares[0] += np.linalg.norm(rhs, axis=0) ** 2
+            squares[1] += np.linalg.norm(rhs - out[rows] + kernel @ out, axis=0) ** 2
+        residual = np.max(np.sqrt(squares[1] / np.maximum(squares[0], 1e-300)), initial=0.0)
+        if not residual <= DEFAULT_RTOL:  # a NaN fails too
+            raise SolveFailure(f"cover solve residual {residual:.3e} "
+                               f"above tolerance {DEFAULT_RTOL:.1e}")
         out *= (self.k**2) * self._chi_w[:, None]
         return out
 

@@ -21,7 +21,8 @@ Every system is built once and solved by GMRES with a checked residual
 :class:`CloudKernel` (its singular real part stored on the tiles on and above the
 diagonal, its smooth imaginary part as a plane-wave factor, or for small clouds and
 large ``kD`` as a second layer of the tiles), plus in a medium the
-cover monopoles each particle induces, and the 5M hard system matrix-free
+cover monopoles each particle induces (one LU of the cover's grid equation, its
+residual checked), and the 5M hard system matrix-free
 (:func:`hard_cloud_system`, four complex symmetric pair arrays on the same tiles).
 A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
@@ -361,18 +362,17 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     less the smooth self term ``(A R)_jj``.  Returns ``(u, residual)`` of
     :func:`~smallscat.lattice.solve_checked` and the induced cover monopoles
     ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above
-    ``rtol``, and GridTooLarge before anything is allocated if ``A`` and ``R``, with the
-    dense ``(P, P)`` cover kernel and the three ``(P, min(M, 64))`` column chunks of
-    :meth:`~smallscat.background.GreenEvaluator.cover_responses`, exceed
-    ``KERNEL_BYTES_BUDGET``.  ``R`` comes first, so the cover kernel is freed before ``A``
-    and the cloud kernel are built.
+    ``rtol``, and GridTooLarge before anything is allocated if the cover arrays exceed
+    ``KERNEL_BYTES_BUDGET``: the dense ``(P, P)`` ``I - K`` that
+    :meth:`~smallscat.background.GreenEvaluator.cover_responses` factors in place, ``R``,
+    which its solve writes over the right-hand sides, and ``A``.  ``R`` comes first, so
+    ``I - K`` is freed before ``A`` and the cloud kernel are built.
     """
     if greens is None:
         kernel = CloudKernel(centers, k)
         return (*solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol), None)
     p, m = greens.grid.n_cells, len(centers)
-    _check_budget(16 * p * (2 * m + p + 3 * min(m, background._COLUMN_CHUNK)),
-                  "medium cover sources")
+    _check_budget(16 * p * (p + 2 * m), "medium cover sources")
     rc = greens.cover_responses(centers)
     rc *= coupling  # R diag(coupling)
     a = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]

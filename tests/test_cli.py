@@ -373,3 +373,26 @@ def test_solver_failure_exits_3(tmp_path):
         "  segment: {start: [0.6, 0.5, 0.5], stop: [0.9, 0.5, 0.5], n: 5}\n"
     )
     assert run("green", cfg, tmp_path / "out") == 3
+
+
+def test_failed_cover_solve_exits_3(tmp_path, monkeypatch):
+    # a direct solve that returns NaN is a solver failure, not a config error
+    from smallscat import background
+
+    monkeypatch.setattr(background, "lu_solve", lambda lu, b, **kwargs: np.full_like(b, np.nan))
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(
+        "scene:\n"
+        "  wave: {k: 1.0, alpha: [0, 0, 1]}\n"
+        "  domain: {lo: [0, 0, 0], hi: [1, 1, 1]}\n"
+        "  background:\n"
+        "    n2: {kind: gaussian_bump, amplitude: 0.2, center: [0.5, 0.5, 0.5],"
+        " width: 0.2, base: 1.0}\n"
+        "  particles:\n"
+        "    - {center: [0.3, 0.5, 0.5], a: 0.005, bc: {kind: soft}}\n"
+        "    - {center: [0.7, 0.5, 0.5], a: 0.005, bc: {kind: soft}}\n"
+    )
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "SolveFailure" and record["exit_code"] == 3

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import smallscat as ss
 from smallscat import manybody
 from smallscat.background import cell_self_green, free_space_green, point_green
-from smallscat.lattice import LatticeOperator
+from smallscat.lattice import DEFAULT_RTOL, LatticeOperator
 from smallscat.manybody import (CloudKernel, assemble_hard_system, dipole_kernel_blocks,
                                 eval_field, far_field, fibonacci_directions,
                                 pair_kernel_matrix, solve_hard, solve_impedance, solve_soft)
@@ -456,16 +456,16 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
         monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * pairs)
         assert solve_hard(hard).residual < 1e-10
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 16)
-    # a medium solve's cover arrays A (3 x 512) and R (512 x 3), the dense 512 x 512 cover
-    # kernel and the block solve's three 512 x 3 column chunks, complex
+    # a medium solve's cover arrays: the dense 512 x 512 I - K, factored in place, R (512 x 3),
+    # solved in place of its right-hand sides, and A (3 x 512), complex
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
                     domain=unit_box, wave=wave_z,
                     background=ss.BackgroundMedium(n2=bump, box=unit_box))
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (2 * 3 + 512 + 3 * 3) - 1)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (512 + 2 * 3) - 1)
     with pytest.raises(ss.GridTooLarge, match="medium cover sources"):
         solve_soft(soft)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (2 * 3 + 512 + 3 * 3))
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (512 + 2 * 3))
     assert solve_soft(soft).residual < 1e-10
 
 
@@ -495,11 +495,11 @@ def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box,
     scene = _bump_scene(unit_box, wave_z, 0.0007, seed=0)
     m = scene.n_particles
     expected = _dense_monopole_oracle(scene)
-    # one byte under the dense M x M kernel, above A, R, the dense 512-cell cover kernel with
-    # its column chunks, and the stored free-space kernel
+    # one byte under the dense M x M kernel, above A, the direct solve of the 512-cell cover
+    # and the stored free-space kernel
     budget = 16 * m * m - 1
     nodes = _nodes(CloudKernel(scene.centers, wave_z.k))
-    assert 16 * 512 * (2 * m + 512 + 3 * 64) <= budget
+    assert 16 * 512 * (512 + 2 * m) <= budget
     assert manybody._kernel_bytes(m, nodes) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     sol = solve_soft(scene)
@@ -535,9 +535,9 @@ def test_medium_cloud_solves_match_dense_oracles(kind, m, k, amplitude, width, o
 def test_medium_budget_counts_the_dense_cover_before_allocating(unit_box, wave_z, monkeypatch):
     scene = _bump_scene(unit_box, wave_z, 0.01, seed=3)
     m = scene.n_particles
-    assert m > 64  # past one column chunk
-    # A (M x 512) and R (512 x M), the dense cover kernel, three 512 x 64 column chunks
-    total = 16 * 512 * (2 * m + 512 + 3 * 64)
+    # the dense 512 x 512 I - K, factored in place, R (512 x M), solved in place of its
+    # right-hand sides, and A (M x 512)
+    total = 16 * 512 * (512 + 2 * m)
     expected = solve_soft(scene)
 
     def allocated(*args, **kwargs):
@@ -558,24 +558,55 @@ def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     scene = _bump_scene(unit_box, wave_z, 0.005, centers=centers)
     points = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.4], [0.5, 0.5, 3.0]])
-    solves = []
-    fixed_point = ss.background.fixed_point_solve
+    factored = []
+    lu_factor = ss.background.lu_factor
 
-    def counted(kernel, rhs, *args, **kwargs):
-        solves.append(rhs.shape)
-        return fixed_point(kernel, rhs, *args, **kwargs)
+    def counted(system, **kwargs):
+        factored.append(system.shape)
+        return lu_factor(system, **kwargs)
 
-    monkeypatch.setattr(ss.background, "fixed_point_solve", counted)
+    def iterated(*args, **kwargs):
+        raise AssertionError("a medium solve ran a series or fixed-point iteration")
+
+    monkeypatch.setattr(ss.background, "lu_factor", counted)
+    monkeypatch.setattr(ss.background, "fixed_point_solve", iterated)
+    monkeypatch.setattr(ss.background, "born_series", iterated)
     sol = solve_soft(scene)
-    # one block grid solve, a column per particle, for the kernel
-    assert solves == [(ss.GridCover.from_shape(unit_box, 8).n_cells, len(centers))]
+    # one direct solve of the 512-cell cover, a column per particle, for the kernel
+    assert factored == [(512, 512)]
     u = eval_field(sol, scene, points)
     # the read-out sums the stored cover sources
-    assert len(solves) == 1
+    assert len(factored) == 1
     ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
     oracle = wave_z.field_at(points) + sum(ev.pair_values(points, c) * q
                                            for c, q in zip(centers, sol.charges))
     assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle - wave_z.field_at(points)))
+
+
+def test_soft_cloud_solves_where_the_fixed_point_diverges(unit_box):
+    # the fixed-point iteration of this medium's cover diverges; its discrete problem is well posed
+    wave = ss.IncidentWave(k=6.0, alpha=[0.0, 0.0, 1.0])
+    bump = ss.GaussianBumpField(amplitude=4.0, center=[0.5, 0.5, 0.5], width=0.35, base=1.0)
+    medium = ss.BackgroundMedium(n2=bump, box=unit_box)
+    spec = ss.CloudSpec(density=ss.ConstantField(1.0), a=0.005, rng_seed=0)
+    scene = ss.Scene(particles=tuple(ss.generate_cloud(spec, unit_box)), domain=unit_box,
+                     wave=wave, background=medium)
+    assert scene.n_particles == 200
+    ls = ss.GreenEvaluator(medium, k=wave.k, method=("lippmann_schwinger", DEFAULT_RTOL))
+    with pytest.raises(ss.NonConvergence):
+        ls.pair_values(scene.centers[:1], scene.centers[1])
+    sol = solve_soft(scene)
+    assert sol.residual <= 1e-10
+    # a dense oracle whose columns are one-source kernels, not cover_responses
+    ev = ss.GreenEvaluator(medium, k=wave.k)
+    m, centers = scene.n_particles, scene.centers
+    g = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        others = np.arange(m) != j
+        g[others, j] = ev.pair_values(centers[others], centers[j])
+    system = np.eye(m) + g * manybody.monopole_coupling(scene.particles)[None, :]
+    expected = np.linalg.solve(system, wave.field_at(centers))
+    assert np.max(np.abs(sol.values - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 def test_medium_read_outs_never_solve(unit_box, wave_z, monkeypatch):
