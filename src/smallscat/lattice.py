@@ -103,7 +103,7 @@ def solve_checked(system: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     from ``x = rhs``, which is returned exactly when ``K`` vanishes.  The
     Krylov tolerance is ``min(rtol * 1e-2, 1e-12)``; the relative residual is
     recomputed through ``system`` at the returned vector.  Raises
-    SolveFailure when GMRES stops early or the residual exceeds ``rtol``.
+    SolveFailure when GMRES stops early or the residual exceeds ``rtol`` or is NaN.
     """
     n = len(rhs)
     op = LinearOperator((n, n), matvec=system, dtype=complex)
@@ -112,6 +112,6 @@ def solve_checked(system: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     if info != 0:
         raise SolveFailure(f"gmres did not converge (info={info})")
     residual = float(np.linalg.norm(rhs - system(x)) / max(np.linalg.norm(rhs), 1e-300))
-    if residual > rtol:
+    if not residual <= rtol:
         raise SolveFailure(f"residual {residual:.3e} above tolerance {rtol:.1e}")
     return x, residual

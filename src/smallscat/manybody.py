@@ -52,9 +52,6 @@ logger = logging.getLogger(__name__)
 
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # stored cloud kernels to M of about 22 800 (kD <= 1.8)
 _HARD_BLOCK_ROWS: int = 96
-# hard_cloud_system: 4 complex arrays per pair of the tiles I <= J, as much again per pair of
-# the one tile being built
-_HARD_PAIR_BYTES: int = 64
 
 
 @dataclass(frozen=True)
@@ -217,24 +214,47 @@ def _upper_tiles(m: int):
             for i0 in range(0, m, edge) for j0 in range(i0, m, edge)]
 
 
-def _tile_pairs(tiles) -> Tuple[int, int]:
-    """Pairs held by all the tiles and by the largest one."""
-    sizes = [rows * cols for _, _, (rows, cols) in tiles]
-    return sum(sizes), max(sizes, default=0)
+def _kernel_bytes(m: int, pair_bytes: int, extra: int = 0, stored: bool = True) -> int:
+    """``pair_bytes`` per pair of the tiles ``I <= J`` of ``m`` centers (of one scratch tile
+    when not ``stored``) and of one tile more (the build's distances), plus ``extra``."""
+    sizes = [rows * cols for _, _, (rows, cols) in _upper_tiles(m)] or [0]
+    return pair_bytes * ((sum(sizes) if stored else sizes[0]) + sizes[0]) + extra
 
 
-def _tile_store(tiles, depth: int, dtype) -> list:
-    """``(rows, cols, arrays)`` per tile: ``depth`` arrays of its shape, views of one array.
+class _EachPass:
+    """Iterates over a fresh ``passes()`` every time."""
 
-    One array (numpy asks for huge pages for it) takes few page faults to fill, not a
-    fresh array per tile.
+    def __init__(self, passes):
+        self.passes = passes
+
+    def __iter__(self):
+        return self.passes()
+
+
+def _pair_tiles(m: int, fill, dtype, depth: int, extra: int, what: str):
+    """``(rows, cols, layers)`` for the tiles ``I <= J`` of :func:`_upper_tiles`, ``depth``
+    arrays of each tile's shape that ``fill(rows, cols, layers)`` writes in place.
+
+    Where :func:`_kernel_bytes` fit ``KERNEL_BYTES_BUDGET``, each tile is filled once into
+    views of one array (numpy asks for huge pages for it, so few page faults).  Otherwise
+    every pass recomputes them into a scratch tile of its own, so concurrent products share
+    none; GridTooLarge if that does not fit.
     """
-    store, used, views = np.empty((depth, _tile_pairs(tiles)[0]), dtype=dtype), 0, []
-    for rows, cols, shape in tiles:
-        views.append((rows, cols, tuple(f[used:used + shape[0] * shape[1]].reshape(shape)
-                                        for f in store)))
-        used += shape[0] * shape[1]
-    return views
+    tiles = _upper_tiles(m)
+    sizes = [rows * cols for _, _, (rows, cols) in tiles] or [0]
+    pair_bytes = depth * np.dtype(dtype).itemsize
+    stored = _kernel_bytes(m, pair_bytes, extra) <= KERNEL_BYTES_BUDGET
+    _check_budget(_kernel_bytes(m, pair_bytes, extra, stored), what)
+
+    def filled():
+        store, used = np.empty((depth, sum(sizes) if stored else sizes[0]), dtype=dtype), 0
+        for (rows, cols, shape), size in zip(tiles, sizes):
+            view = rows, cols, tuple(s[used:used + size].reshape(shape) for s in store)
+            fill(*view)
+            yield view
+            used += size if stored else 0
+
+    return list(filled()) if stored else _EachPass(filled)
 
 
 def _symmetric_tile_products(tiles, columns):
@@ -254,15 +274,6 @@ def _symmetric_tile_products(tiles, columns):
     return out
 
 
-def _kernel_bytes(m: int, nodes: Optional[int], stored: bool = True) -> int:
-    """What a :class:`CloudKernel` of ``m`` centers takes: 8 bytes per pair of each layer
-    (``cos``, and ``sin`` when ``nodes`` is None) on its tiles, or on one scratch tile when
-    not ``stored``, one tile more (the build's distances), and ``F`` of ``nodes`` nodes."""
-    pairs, tile = _tile_pairs(_upper_tiles(m))
-    layers = 2 if nodes is None else 1
-    return 8 * layers * (pairs if stored else tile) + 8 * tile + 16 * m * (nodes or 0)
-
-
 class CloudKernel:
     """Zero-diagonal free-space kernel ``g(|x_i - x_j|)`` between cloud centers.
 
@@ -280,9 +291,8 @@ class CloudKernel:
     that is stored as a second layer of the tiles instead (``factor`` is None), at
     8 bytes more per pair.
 
-    When :func:`_kernel_bytes` exceed ``KERNEL_BYTES_BUDGET`` each product recomputes
-    the tiles into one scratch tile per layer instead; GridTooLarge if ``F`` and those
-    tiles alone exceed it.
+    :func:`_pair_tiles` stores the tiles, 8 bytes per pair of each layer with ``F`` counted
+    too, or past ``KERNEL_BYTES_BUDGET`` recomputes them on every product.
     """
 
     def __init__(self, centers: np.ndarray, k: float):
@@ -291,20 +301,15 @@ class CloudKernel:
         m = len(self.centers)
         x = self.centers - (np.mean(self.centers, axis=0) if m else 0.0)
         reach = 2.0 * float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
-        self.tiles = _upper_tiles(m)
         # F only where its 2 M Q sines and cosines are fewer than the M (M - 1) / 2 sines of
         # a second layer: 4 Q < M - 1
         degree = _rule_degree(self.k * reach, (m - 2) // 4)
         rule = None if degree is None else _sphere_rule(degree)
         nodes = None if rule is None else len(rule[1])
         self.layers = 2 if nodes is None else 1
-        self.stored = None
-        if _kernel_bytes(m, nodes) <= KERNEL_BYTES_BUDGET:
-            self.stored = _tile_store(self.tiles, self.layers, float)
-            for rows, cols, layers in self.stored:
-                _fill_tile(self.k, self.centers, rows, cols, layers)
-        else:
-            _check_budget(_kernel_bytes(m, nodes, stored=False), f"cloud kernel of {m} particles")
+        self.tiles = _pair_tiles(m, functools.partial(_fill_tile, self.k, self.centers),
+                                 float, self.layers, 16 * m * (nodes or 0),
+                                 f"cloud kernel of {m} particles")
         self.factor = None
         if rule is not None:
             directions, weights = rule
@@ -314,19 +319,10 @@ class CloudKernel:
             self.factor[:, nodes:] = phase
             self.factor.reshape(m, 2, nodes)[...] *= np.sqrt(weights)
 
-    def _streamed(self):
-        """Each tile recomputed into one scratch tile per layer, the same values as stored."""
-        scratch = np.empty((self.layers, _tile_pairs(self.tiles)[1]))
-        for rows, cols, shape in self.tiles:
-            layers = tuple(s[:shape[0] * shape[1]].reshape(shape) for s in scratch)
-            _fill_tile(self.k, self.centers, rows, cols, layers)
-            yield rows, cols, layers
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=complex)
         pairs = v.view(float).reshape(-1, 2)
-        parts = _symmetric_tile_products(self._streamed() if self.stored is None
-                                         else self.stored, [pairs] * self.layers)
+        parts = _symmetric_tile_products(self.tiles, [pairs] * self.layers)
         if self.factor is None:
             real, imag = parts
         else:
@@ -545,18 +541,17 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     at most one block of pairs and is built once, so ``r`` never exists whole.  With
     ``X`` centered on the centroid a pair sum ``sum_m f_im (X_i - X_m) c_m`` is
     ``X_i (f @ c) - f @ (X c)``, so a product is four tiled BLAS products with source
-    columns and allocates nothing per pair.  Raises GridTooLarge before allocating if
-    ``_HARD_PAIR_BYTES`` per pair, stored or in one tile, exceed ``KERNEL_BYTES_BUDGET``
-    (M above about 8050).
+    columns and allocates nothing per pair.  The tiles come from :func:`_pair_tiles` at
+    64 bytes per pair: past ``KERNEL_BYTES_BUDGET`` (M above 8057 at 2 GiB) every product
+    recomputes them into one scratch tile, and GridTooLarge if that tile exceeds it too.
     """
     m = len(centers)
-    tiles = _upper_tiles(m)
-    stored, tile = _tile_pairs(tiles)
-    _check_budget(_HARD_PAIR_BYTES * (stored + tile), f"hard operator of {m} particles")
     x = centers - np.mean(centers, axis=0)
-    tiles = _tile_store(tiles, 4, complex)
-    for rows, cols, (g, *factors) in tiles:
-        _radial_factors(g, point_green(k, x[rows], x[cols], out=g)[1], k, out=factors)
+
+    def fill(rows, cols, layers):
+        _radial_factors(*point_green(k, x[rows], x[cols], out=layers[0]), k, out=layers[1:])
+
+    tiles = _pair_tiles(m, fill, complex, 4, 0, f"hard operator of {m} particles")
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
         d = 1j * k * dipoles
@@ -588,8 +583,9 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     Unknowns are the field, its gradient, and its Laplacian at every center;
     ``Q_m = (lap u)(x_m) |D_m|``.  Requires every particle to carry a
     polarizability tensor.  GMRES runs on the matrix-free
-    :func:`hard_cloud_system`; raises GridTooLarge if its pair arrays exceed
-    ``KERNEL_BYTES_BUDGET`` and UnsupportedScene in a non-uniform background.
+    :func:`hard_cloud_system`, whose tiles are recomputed on every product where storing
+    them would exceed ``KERNEL_BYTES_BUDGET``; raises GridTooLarge if one tile exceeds it
+    and UnsupportedScene in a non-uniform background.
     """
     if scene.boundary_kind() != "hard":
         raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")

@@ -339,6 +339,23 @@ def test_dense_budget_exceeded_exits_2(tmp_path, monkeypatch):
     assert record["type"] == "GridTooLarge" and record["exit_code"] == 2
 
 
+def test_nan_residual_exits_3(tmp_path, monkeypatch):
+    # a cloud kernel whose products turn NaN after the first: GMRES stops at its start, and
+    # the NaN residual recomputed there fails the solve instead of passing it
+    calls = []
+
+    def nan_after_first(kernel, v):
+        calls.append(1)
+        return np.zeros_like(v) if len(calls) == 1 else np.full_like(v, np.nan)
+
+    monkeypatch.setattr(manybody.CloudKernel, "__matmul__", nan_after_first)
+    out = tmp_path / "out"
+    assert run("solve", CONFIGS / "solve_cloud_soft.yaml", out) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "SolveFailure" and "residual nan" in record["error"]
+    assert len(calls) == 2
+
+
 def test_memory_error_exits_2_with_a_record(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the kernel")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -7,7 +8,7 @@ import smallscat as ss
 from smallscat.background import (cell_self_green, free_space_green, point_green,
                                   scattered_plane_wave)
 from smallscat.homogenize import collocation_solve, hard_limit_system, neumann_limit_solve
-from smallscat.lattice import LatticeOperator
+from smallscat.lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 from smallscat.manybody import assemble_hard_system
 
 covers = st.builds(
@@ -103,6 +104,20 @@ def test_lattice_solves_match_dense_solves(cover, k, seed):
     dense = eye - (k**2) * _dense_green(cover, k, mean_value) * chi_w[None, :]
     to_grid = point_green(k, ev.grid.centers, y[None, :], cell_self_green(ev.grid))[0]
     assert _rel(ev._grid_solve(to_grid[:, 0]), np.linalg.solve(dense, rhs)) <= 1e-9
+
+
+def test_nan_residual_raises_solve_failure():
+    # products that turn NaN after the first: the start x = rhs solves the first one exactly,
+    # so GMRES returns it at once, and the residual recomputed there is NaN
+    calls = []
+
+    def system(x):
+        calls.append(1)
+        return x.copy() if len(calls) == 1 else np.full_like(x, np.nan)
+
+    with pytest.raises(ss.SolveFailure, match="residual nan"):
+        solve_checked(system, np.arange(1.0, 6.0) + 0j, DEFAULT_RTOL)
+    assert len(calls) == 2
 
 
 def test_hard_limit_solve_at_16_cubed(unit_box, wave_z):

@@ -446,15 +446,17 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     hard = hard_scene(centers, 0.005, wave_z, unit_box)
     # the hard operator's build peak: four complex pair arrays, 64 bytes for each pair of the
-    # tiles I <= J, and as much again for the pairs of one tile.  One 3 x 3 tile holds
-    # 9 + 9 pairs; tiles of 2 centers hold 4 + 2 + 1 stored and 4 of one tile.
-    for block_entries, pairs in ((1 << 16, 9 + 9), (4, 7 + 4)):
+    # tiles I <= J and of one tile more, or, recomputed on every product, of two tiles.  One
+    # 3 x 3 tile holds 9 pairs, so both read 9 + 9; tiles of 2 centers hold 4 + 2 + 1 stored
+    # and 4 of one tile, so below 7 + 4 they are recomputed and only below 4 + 4 it raises.
+    for block_entries, stored, least in ((1 << 16, 9 + 9, 9 + 9), (4, 7 + 4, 4 + 4)):
         monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
-        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * pairs - 1)
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * least - 1)
         with pytest.raises(ss.GridTooLarge, match="hard operator"):
             solve_hard(hard)
-        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * pairs)
-        assert solve_hard(hard).residual < 1e-10
+        for budget in (64 * least, 64 * stored):
+            monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+            assert solve_hard(hard).residual < 1e-10
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 16)
     # a medium solve's cover arrays: the dense 512 x 512 I - K, factored in place, R (512 x 3),
     # solved in place of its right-hand sides, and A (3 x 512), complex
@@ -500,7 +502,7 @@ def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box,
     budget = 16 * m * m - 1
     nodes = _nodes(CloudKernel(scene.centers, wave_z.k))
     assert 16 * 512 * (512 + 2 * m) <= budget
-    assert manybody._kernel_bytes(m, nodes) <= budget
+    assert _cloud_bytes(m, nodes) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     sol = solve_soft(scene)
     assert sol.residual <= 1e-10
@@ -786,6 +788,17 @@ def _nodes(kernel):
     return None if kernel.factor is None else kernel.factor.shape[1] // 2
 
 
+def _cloud_bytes(m, nodes, stored=True):
+    """``_kernel_bytes`` of a cloud kernel: 8 bytes per pair of each layer (``cos``, and
+    ``sin`` where ``nodes`` is None), and ``F`` of ``nodes`` nodes."""
+    return manybody._kernel_bytes(m, 16 if nodes is None else 8, 16 * m * (nodes or 0), stored)
+
+
+def _stored(tiles):
+    """Whether a kernel's tiles are stored, or recomputed on every pass."""
+    return isinstance(tiles, list)
+
+
 @pytest.mark.parametrize("block_entries", [1 << 20, 997])
 def test_stored_kernel_tiles_match_pair_matrix(monkeypatch, block_entries):
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
@@ -799,12 +812,13 @@ def test_stored_kernel_tiles_match_pair_matrix(monkeypatch, block_entries):
             centers[[7, 100]] = centers[[3, 5]]
         kernel = CloudKernel(centers, 1.7)
         n = len(range(0, m, edge))
-        assert len(kernel.stored) == n * (n + 1) // 2 and kernel.layers == layers
+        assert _stored(kernel.tiles) and kernel.layers == layers
+        assert len(kernel.tiles) == n * (n + 1) // 2
         dense = pair_kernel_matrix(centers, 1.7)
-        assert np.array_equal(_tiles_to_matrix(kernel.stored, m, 0), dense.real)
+        assert np.array_equal(_tiles_to_matrix(kernel.tiles, m, 0), dense.real)
         if layers == 2:
             assert kernel.factor is None
-            assert np.array_equal(_tiles_to_matrix(kernel.stored, m, 1), dense.imag)
+            assert np.array_equal(_tiles_to_matrix(kernel.tiles, m, 1), dense.imag)
             continue
         assert 4 * _nodes(kernel) < m - 1
         f = kernel.factor
@@ -820,25 +834,30 @@ def test_streamed_kernel_products_match_stored(monkeypatch):
     centers = rng.uniform(0.0, 1.0, size=(m, 3))
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
-    tile = math.isqrt(5000) ** 2
+    pairs, tile = _tile_pairs(m, math.isqrt(5000))
     default = manybody.KERNEL_BYTES_BUDGET
     # k = 0.3 takes the plane-wave factor, k = 1.3 a sine layer
     for k, layers in ((0.3, 1), (1.3, 2)):
         monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", default)
+        nodes = _nodes(CloudKernel(centers, k))
+        # 8 bytes per pair of each layer on the stored tiles and one tile more, and F: the
+        # tiles are stored at exactly that total and recomputed on every product one byte under
+        total = 8 * layers * (pairs + tile) + 16 * m * (nodes or 0)
+        assert _cloud_bytes(m, nodes) == total
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total)
         stored = CloudKernel(centers, k)
-        nodes = _nodes(stored)
         assert stored.layers == layers and (nodes is None) == (layers == 2)
-        # one byte under the stored kernel: the tiles are recomputed on every product
-        budget = manybody._kernel_bytes(m, nodes) - 1
-        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total - 1)
         streamed = CloudKernel(centers, k)
-        assert stored.stored is not None and streamed.stored is None
+        assert _stored(stored.tiles) and not _stored(streamed.tiles)
         expected = stored @ v
         assert np.array_equal(streamed @ v, expected)
+        assert np.array_equal(streamed @ v, expected)  # the scratch tile is refilled
         assert np.linalg.norm(expected - pair_kernel_matrix(centers, k) @ v) \
             <= 1e-13 * np.linalg.norm(expected)
-        # streaming still needs the factor, one scratch tile per layer and the distances
-        least = 8 * (layers + 1) * tile + 16 * m * (nodes or 0)
+        # streaming still needs the factor and, per layer, one scratch tile and one tile more
+        least = 16 * layers * tile + 16 * m * (nodes or 0)
+        assert _cloud_bytes(m, nodes, stored=False) == least
         monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", least - 1)
         with pytest.raises(ss.GridTooLarge, match="cloud kernel of 300 particles"):
             CloudKernel(centers, k)
@@ -910,31 +929,34 @@ def test_cloud_kernel_solves_where_the_factor_exceeds_the_budget(monkeypatch):
     centers = rng.uniform(0.0, 1.0, size=(m, 3))
     kd = 2.0 * k * np.max(np.linalg.norm(centers - centers.mean(axis=0), axis=1))
     nodes = len(manybody._sphere_rule(manybody._rule_degree(kd, 1 << 30))[1])
-    budget = manybody._kernel_bytes(m, None)
+    budget = _cloud_bytes(m, None)
     assert 16 * m * nodes > budget
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     expected = pair_kernel_matrix(centers, k) @ v
     for b in (budget, budget - 1):
         monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", b)
         kernel = CloudKernel(centers, k)
-        assert kernel.factor is None and (kernel.stored is None) == (b < budget)
+        assert kernel.factor is None and _stored(kernel.tiles) == (b >= budget)
         assert np.linalg.norm(kernel @ v - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_cloud_kernel_cap_at_the_default_budget():
     """The stored kernel's byte formula, for clouds in the unit cube at k = 1, stores the
-    a = 0.00125 level of the impedance study (M = 22627).  Arithmetic only: nothing of that
-    size is allocated."""
+    a = 0.00125 level of the impedance study (M = 22627) with ``F``, and two layers up to
+    M = 16 252.  Arithmetic only: nothing of that size is allocated."""
     budget = manybody.KERNEL_BYTES_BUDGET
     assert budget == 2 * 1024**3
     degree = manybody._rule_degree(math.sqrt(3.0), (22627 - 2) // 4)
     nodes = len(manybody._sphere_rule(degree)[1])
     assert nodes == 100
-    lo, hi = 1, 1 << 16  # bytes(lo) <= budget < bytes(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if manybody._kernel_bytes(mid, nodes) <= budget else (lo, mid)
-    assert lo >= 22627
+    caps = []
+    for layer_nodes in (nodes, None):
+        lo, hi = 1, 1 << 16  # bytes(lo) <= budget < bytes(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _cloud_bytes(mid, layer_nodes) <= budget else (lo, mid)
+        caps.append(lo)
+    assert caps == [22842, 16252]
 
 
 def test_rule_degree_at_a_subnormal_kd():
@@ -1026,10 +1048,27 @@ def _hard_cloud(m, seed):
     return hard_scene(_separated_centers(rng, m, 0.1), 0.01, wave, box)
 
 
+def _tile_pairs(m, edge):
+    """Pairs of the tiles ``I <= J`` of ``m`` centers, ``edge`` a side, and of one tile."""
+    sizes = np.diff(np.append(np.arange(0, m, edge), m))
+    return (m * m + int(np.sum(sizes**2))) // 2, min(edge, m) ** 2
+
+
 def _hard_check_bytes(m, edge):
     """The hard budget check: 64 bytes per pair of the tiles ``I <= J`` and of one tile."""
-    sizes = np.diff(np.append(np.arange(0, m, edge), m))
-    return 64 * ((m * m + int(np.sum(sizes**2))) // 2 + min(edge, m) ** 2)
+    return 64 * sum(_tile_pairs(m, edge))
+
+
+def _count_calls(monkeypatch, name):
+    """A list that gains an entry at every call of ``manybody.<name>``."""
+    calls, real = [], getattr(manybody, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(manybody, name, counted)
+    return calls
 
 
 def test_hard_cloud_products_allocate_no_pair_array():
@@ -1076,7 +1115,7 @@ def test_hard_cloud_solves_where_the_dense_system_exceeds_the_budget(monkeypatch
     expected = _dense_hard_oracle(scene)
     # above the operator's pair arrays, one byte under the dense 5M x 5M matrix
     budget = 16 * (5 * m) ** 2 - 1
-    assert manybody._HARD_PAIR_BYTES * m * m <= budget
+    assert _hard_check_bytes(m, math.isqrt(ss.background._BLOCK_ENTRIES)) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     with pytest.raises(ss.GridTooLarge):
         _dense_hard_oracle(scene)
@@ -1102,16 +1141,101 @@ def test_hard_cloud_solves_where_the_row_block_check_refused(monkeypatch):
     assert np.max(np.abs(got - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
-def test_hard_cap_at_the_default_budget():
+def test_hard_cap_at_the_default_budget(monkeypatch):
     budget, edge = manybody.KERNEL_BYTES_BUDGET, math.isqrt(ss.background._BLOCK_ENTRIES)
     assert budget == 2 * 1024**3 and edge == 256
     assert _hard_check_bytes(8057, edge) <= budget < _hard_check_bytes(8058, edge)
+    assert manybody._kernel_bytes(8057, 64) <= budget < manybody._kernel_bytes(8058, 64)
     # the full arrays with one row block of 65 536 pairs stopped at 5787
     assert 64 * 5787 * (5787 + 65536 // 5787) <= budget < 64 * 5788 * (5788 + 65536 // 5788)
-    # the check refuses before anything is allocated
+    # past the cap the tiles are recomputed on every product: the build fills none and
+    # allocates less than one tile of four complex layers (4 MiB), only the tile list
+    fills = _count_calls(monkeypatch, "point_green")
     centers = np.random.default_rng(0).uniform(size=(8058, 3))
-    with pytest.raises(ss.GridTooLarge, match="hard operator of 8058 particles"):
+    tracemalloc.start()
+    try:
         manybody.hard_cloud_system(centers, 1.0, np.ones(8058), np.zeros((8058, 3, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not fills and peak <= 2 << 20
+
+
+def test_recomputed_hard_products_match_stored(monkeypatch):
+    """Stored at exactly 64 bytes per pair of the tiles ``I <= J`` and of one tile more; one
+    byte under, every product recomputes them into one scratch tile, bit for bit the stored
+    products; one byte under two tiles it raises."""
+    rng = np.random.default_rng(17)
+    m = 300
+    centers = rng.uniform(0.0, 1.0, size=(m, 3))
+    lap_weights = rng.uniform(0.01, 1.0, m)
+    dipole_weights = rng.normal(size=(m, 3, 3))
+    x = rng.normal(size=5 * m) + 1j * rng.normal(size=5 * m)
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
+    tile = math.isqrt(5000) ** 2
+    dense = assemble_hard_system(centers, 1.3, lap_weights, dipole_weights) @ x
+    total = _hard_check_bytes(m, 70)
+    assert manybody._kernel_bytes(m, 64) == total
+    fills = _count_calls(monkeypatch, "point_green")
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total)
+    stored = manybody.hard_cloud_system(centers, 1.3, lap_weights, dipole_weights)
+    expected = stored(x)
+    assert len(fills) == 15  # 5 row blocks of 70: 15 tiles, each filled once
+    assert np.linalg.norm(expected - dense) <= 1e-12 * np.linalg.norm(dense)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total - 1)
+    recomputed = manybody.hard_cloud_system(centers, 1.3, lap_weights, dipole_weights)
+    assert len(fills) == 15  # the build fills none
+    for n in (1, 2):
+        assert np.array_equal(recomputed(x), expected)
+        assert len(fills) == 15 * (n + 1)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 2 * tile - 1)
+    with pytest.raises(ss.GridTooLarge, match="hard operator of 300 particles"):
+        manybody.hard_cloud_system(centers, 1.3, lap_weights, dipole_weights)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 2 * tile)
+    assert np.array_equal(manybody.hard_cloud_system(centers, 1.3, lap_weights,
+                                                     dipole_weights)(x), expected)
+
+
+def test_recomputed_products_share_no_scratch_between_threads(monkeypatch):
+    """Concurrent products of one kernel or hard operator whose tiles are recomputed each
+    fill a scratch tile of their own, so every thread gets the serial result."""
+    rng = np.random.default_rng(18)
+    m = 300
+    centers = rng.uniform(0.0, 1.0, size=(m, 3))
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 2 * math.isqrt(5000) ** 2)
+    kernel = CloudKernel(centers, 1.3)
+    hard = manybody.hard_cloud_system(centers, 1.3, rng.uniform(0.01, 1.0, m),
+                                      rng.normal(size=(m, 3, 3)))
+    assert not _stored(kernel.tiles)
+    for apply, n in ((kernel.__matmul__, m), (hard, 5 * m)):
+        inputs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(8)]
+        serial = [apply(x) for x in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(apply, inputs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(serial, results))
+
+
+def test_hard_cloud_solves_with_recomputed_tiles(monkeypatch):
+    # tiles of 7 centers: 30 particles span five, fifteen tiles I <= J
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 49)
+    scene = _hard_cloud(30, 12)
+    m = scene.n_particles
+    expected = _dense_hard_oracle(scene)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", _hard_check_bytes(m, 7) - 1)
+    fills = _count_calls(monkeypatch, "point_green")
+    sol = solve_hard(scene)
+    # every product fills all fifteen tiles again, the build none
+    assert len(fills) % 15 == 0 and len(fills) >= 2 * 15
+    got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(got - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
 def test_hard_source_field_matches_kernel_block_sum(wide_box, wave_z):
