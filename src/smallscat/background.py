@@ -11,9 +11,9 @@ of the static ``1/(4 pi r)`` kernel).  The discrete kernel is translation
 invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`).  The discrete equation
 ``(I - K) v = b`` is solved with its residual checked: one source by GMRES on that
-FFT operator (:func:`~smallscat.lattice.solve_checked`), a block of sources
-(:meth:`GreenEvaluator.cover_responses`) by one LU of the dense ``I - K``.  The
-truncated series and the fixed-point iteration run only where a method names them.
+FFT operator (:func:`~smallscat.lattice.solve_checked`, :class:`GreenEvaluator`), a
+block of sources (:func:`cover_responses`, a cloud's) by one LU of the dense ``I - K``.
+The truncated series and the fixed-point iteration run only where a method names them.
 No read-out solves: each is one blocked :func:`point_source_sum`, whose
 :func:`point_green` gives a cover center its cell's diagonal.
 
@@ -210,7 +210,7 @@ def fixed_point_solve(kernel, rhs: np.ndarray, tol: float,
 
 
 class GreenEvaluator:
-    """Kernel evaluator for a background medium.
+    """Kernel evaluator for a background medium, one source at a time: ``smallscat green``.
 
     Parameters
     ----------
@@ -220,35 +220,27 @@ class GreenEvaluator:
         Wave number.
     grid_n : int
         Cells per axis of the quadrature cover of the medium box.
-    method : "auto" | "free_space" | ("born", order) | ("lippmann_schwinger", tol)
+    method : "auto" | ("born", order) | ("lippmann_schwinger", tol)
         ``auto`` picks free space iff the medium is uniformly 1, else solves the grid
-        equation ``(I - K) v = b`` with its residual checked against ``DEFAULT_RTOL``
-        (SolveFailure above it): by GMRES on the FFT operator for one source
-        (:meth:`pair_values`).  The series and the fixed-point iteration at ``tol`` run
-        only when named.  :meth:`cover_responses` is a direct solve whatever the method.
+        equation ``(I - K) v = b`` by GMRES on the FFT operator with its residual checked
+        against ``DEFAULT_RTOL`` (SolveFailure above it).  The series and the fixed-point
+        iteration at ``tol`` run only when named.
     """
 
     def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = DEFAULT_GRID_N,
                  method="auto"):
+        if method != "auto" and method[0] not in ("born", "lippmann_schwinger"):
+            raise ValueError(f"unknown Green method {method!r}")
         self.medium = medium
         self.k = float(k)
-        uniform = medium is None or medium.uniform_one
-        if method == "auto" and uniform:
-            method = "free_space"
-        if method == "free_space" and not uniform:
-            raise ValueError("free_space method requires n0^2 == 1")
         self.method = method
-        if method == "free_space" or medium is None:
+        if medium is None or (method == "auto" and medium.uniform_one):
             self.grid: Optional[GridCover] = None
             return
         self.grid = GridCover.from_shape(medium.box, grid_n)
         chi = medium.contrast(self.grid.centers)
         self._kernel = medium_kernel(self.grid, self.k, chi)
         self._chi_w = chi * self.grid.cell_volume
-
-    @property
-    def is_free_space(self) -> bool:
-        return self.grid is None
 
     def _grid_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``(I - K)^{-1} rhs`` on the cover for one right-hand side, by the evaluator's
@@ -267,7 +259,7 @@ class GreenEvaluator:
         if np.any(r <= 0):
             raise ValueError("green requires x != y")
         base = free_space_green(self.k, r)
-        if self.is_free_space:
+        if self.grid is None:  # free space
             return base
         z, self_value = self.grid.centers, cell_self_green(self.grid)
         # one source: a grid solve on the FFT operator, not a dense kernel build
@@ -275,49 +267,54 @@ class GreenEvaluator:
         return base + point_source_sum(self.k, targets, z, (self.k**2) * self._chi_w * response,
                                        self_value)
 
-    def cover_responses(self, sources: np.ndarray) -> np.ndarray:
-        """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces.
 
-        ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, so ``(G - g)(x, y_m) =
-        sum_p g(x, z_p) R[p, m]``.  ``K = g(Z, Z) diag(k^2 chi |cell|)`` and the right-hand
-        sides are built in row blocks of ``_BLOCK_ENTRIES`` pairs, with the cell self value on
-        the diagonal (the entries the FFT operator samples).  The dense ``I - K`` is solved
-        for all sources by one LU, whatever the evaluator's method, and the LU and the solve
-        overwrite ``I - K`` and the right-hand sides, so the solve holds 16 P (P + S) bytes.
-        Each column's relative residual is then recomputed from rebuilt row blocks; raises
-        SolveFailure if one is not within ``DEFAULT_RTOL``.
-        """
-        z, self_value = self.grid.centers, cell_self_green(self.grid)
-        points = np.vstack([z, sources])
-        step = max(1, _BLOCK_ENTRIES // len(points))
-        block = np.empty((step, len(points)), dtype=complex)
+def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.ndarray):
+    """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces, and ``g(Z, Y)``.
 
-        def cover_rows():  # (rows, K[rows], g(Z[rows], sources)) by row blocks, in one buffer
-            for r0 in range(0, len(z), step):
-                rows = slice(r0, r0 + step)
-                g = point_green(self.k, z[rows], points, self_value, out=block[:len(z[rows])])[0]
-                g[:, :len(z)] *= self._kernel.weights
-                yield rows, g[:, :len(z)], g[:, len(z):]
+    ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, so ``(G - g)(x, y_m) =
+    sum_p g(x, z_p) R[p, m]``.  ``K = g(Z, Z) diag(k^2 chi |cell|)`` and the right-hand
+    sides are built in row blocks of ``_BLOCK_ENTRIES`` pairs, with the cell self value on
+    the diagonal (the entries the FFT operator of :func:`medium_kernel` samples).  The
+    dense ``I - K`` is solved for all sources by one LU, and the LU and the solve overwrite
+    ``I - K`` and the right-hand sides, so the solve holds 16 P (P + S) bytes.  Each column's
+    relative residual is then recomputed from rebuilt row blocks (SolveFailure if one is
+    not within ``DEFAULT_RTOL``), whose right-hand sides are kept as ``g(Z, Y)`` (P, S), in
+    Fortran order so that its transpose ``g(Y, Z)`` is C-contiguous.
+    """
+    z, self_value = cover.centers, cell_self_green(cover)
+    weights = (k**2) * chi * cover.cell_volume
+    points = np.vstack([z, sources])
+    step = max(1, _BLOCK_ENTRIES // len(points))
+    block = np.empty((step, len(points)), dtype=complex)
 
-        # Fortran order, so that the LU and the solve overwrite them in place
-        system = np.eye(len(z), dtype=complex, order="F")
-        out = np.empty((len(z), len(sources)), dtype=complex, order="F")
-        for rows, kernel, rhs in cover_rows():
-            system[rows] -= kernel
-            out[rows] = rhs
-        out = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), out,
-                       overwrite_b=True, check_finite=False)
-        del system
-        squares = np.zeros((2, len(sources)))  # squared norms of the rhs and the residual
-        for rows, kernel, rhs in cover_rows():
-            squares[0] += np.linalg.norm(rhs, axis=0) ** 2
-            squares[1] += np.linalg.norm(rhs - out[rows] + kernel @ out, axis=0) ** 2
-        residual = np.max(np.sqrt(squares[1] / np.maximum(squares[0], 1e-300)), initial=0.0)
-        if not residual <= DEFAULT_RTOL:  # a NaN fails too
-            raise SolveFailure(f"cover solve residual {residual:.3e} "
-                               f"above tolerance {DEFAULT_RTOL:.1e}")
-        out *= (self.k**2) * self._chi_w[:, None]
-        return out
+    def cover_rows():  # (rows, K[rows], g(Z[rows], sources)) by row blocks, in one buffer
+        for r0 in range(0, len(z), step):
+            rows = slice(r0, r0 + step)
+            g = point_green(k, z[rows], points, self_value, out=block[:len(z[rows])])[0]
+            g[:, :len(z)] *= weights
+            yield rows, g[:, :len(z)], g[:, len(z):]
+
+    # Fortran order, so that the LU and the solve overwrite them in place
+    system = np.eye(len(z), dtype=complex, order="F")
+    out = np.empty((len(z), len(sources)), dtype=complex, order="F")
+    for rows, kernel, rhs in cover_rows():
+        system[rows] -= kernel
+        out[rows] = rhs
+    out = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), out,
+                   overwrite_b=True, check_finite=False)
+    del system
+    to_sources = np.empty((len(z), len(sources)), dtype=complex, order="F")
+    squares = np.zeros((2, len(sources)))  # squared norms of the rhs and the residual
+    for rows, kernel, rhs in cover_rows():
+        to_sources[rows] = rhs
+        squares[0] += np.linalg.norm(rhs, axis=0) ** 2
+        squares[1] += np.linalg.norm(rhs - out[rows] + kernel @ out, axis=0) ** 2
+    residual = np.max(np.sqrt(squares[1] / np.maximum(squares[0], 1e-300)), initial=0.0)
+    if not residual <= DEFAULT_RTOL:  # a NaN fails too
+        raise SolveFailure(f"cover solve residual {residual:.3e} "
+                           f"above tolerance {DEFAULT_RTOL:.1e}")
+    out *= (k**2) * (chi * cover.cell_volume)[:, None]
+    return out, to_sources
 
 
 def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:

@@ -376,8 +376,6 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
         if ctx.tol_flag is None:  # --tol overrides the config's tolerance
             ctx.tol = float(method_cfg.get("tol", DEFAULT_RTOL))
         method = ("lippmann_schwinger", ctx.tol)
-    elif kind == "free_space":
-        method = "free_space"
     else:
         raise ConfigError(f"green: unknown method {kind!r}")
     if kind != "lippmann_schwinger":
@@ -455,7 +453,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # single funnel so every failure leaves a record
         if isinstance(exc, (ConfigError, DegenerateMesh, DensityInfeasible,
                             DesignInfeasible, GridTooLarge, PointInsideParticle,
-                            KeyError, ValueError, MemoryError)):
+                            KeyError, TypeError, ValueError, MemoryError)):
             code = EXIT_CONFIG
         elif isinstance(exc, RegimeViolation):
             code = EXIT_REGIME

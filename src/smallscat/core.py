@@ -246,9 +246,10 @@ def validate_scene(scene: Scene) -> ValidationReport:
                 f"d/a = {ratio:.4g} < {scene.separation_factor:.4g} (min distance {d_min:.4g})"
             )
 
-    for i, p in enumerate(scene.particles):
-        if isinstance(p.bc, Impedance) and np.imag(p.bc.h) > 1e-15:
-            violations.append(f"Im h > 0 on particle {i}")
+    gain = [i for i, p in enumerate(scene.particles)
+            if isinstance(p.bc, Impedance) and np.imag(p.bc.h) > 1e-15]
+    if gain:
+        violations.append(f"Im h > 0 on {len(gain)} particle(s), first index {gain[0]}")
 
     return ValidationReport(violations, metrics)
 

@@ -40,8 +40,8 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import background
-from .background import (DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, cell_self_green,
-                         cos_sin, expi, free_space_green, point_green)
+from .background import (DEFAULT_GRID_N, BackgroundMedium, cell_self_green, cos_sin, expi,
+                         free_space_green, point_green)
 from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
@@ -108,15 +108,9 @@ def fibonacci_directions(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
-def pair_kernel_matrix(centers: np.ndarray, k: float,
-                       greens: Optional[GreenEvaluator] = None) -> np.ndarray:
-    """Dense reference ``G`` between all center pairs, zero diagonal; no solver calls it."""
-    out = point_green(k, centers, centers)[0]
-    if greens is not None and not greens.is_free_space:
-        cover = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]
-        out += cover @ greens.cover_responses(centers)
-        np.fill_diagonal(out, 0.0)
-    return out
+def pair_kernel_matrix(centers: np.ndarray, k: float) -> np.ndarray:
+    """Dense reference ``g`` between all center pairs, zero diagonal; no solver calls it."""
+    return point_green(k, centers, centers)[0]
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -350,28 +344,31 @@ def _check_regime(scene: Scene, validate: bool) -> None:
 
 def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
                           rhs: np.ndarray, *, rtol: float = DEFAULT_RTOL,
-                          greens: Optional[GreenEvaluator] = None):
+                          medium: Optional[BackgroundMedium] = None):
     """Solve ``u_j + sum_{m != j} G(x_j, x_m) coupling_m u_m = rhs_j`` by GMRES.
 
-    ``G`` is ``g`` (a :class:`CloudKernel`), plus in a medium the cover monopoles
-    ``R`` (P, M) of unit charges at the centers, summed there by ``A = g(X, Z)``,
-    less the smooth self term ``(A R)_jj``.  Returns ``(u, residual)`` of
+    ``G`` is ``g`` (a :class:`CloudKernel`), plus in a ``medium`` (a scene's, as
+    :func:`_scene_medium` gives it) the cover monopoles ``R`` (P, M) of unit charges at the
+    centers on :func:`_medium_cover`, summed there by ``A = g(X, Z)``, less the smooth self
+    term ``(A R)_jj``.  Returns ``(u, residual)`` of
     :func:`~smallscat.lattice.solve_checked` and the induced cover monopoles
-    ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above
-    ``rtol``, and GridTooLarge before anything is allocated if the cover arrays exceed
+    ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above ``rtol``, and
+    GridTooLarge before anything is allocated if the cover arrays exceed
     ``KERNEL_BYTES_BUDGET``: the dense ``(P, P)`` ``I - K`` that
-    :meth:`~smallscat.background.GreenEvaluator.cover_responses` factors in place, ``R``,
-    which its solve writes over the right-hand sides, and ``A``.  ``R`` comes first, so
-    ``I - K`` is freed before ``A`` and the cloud kernel are built.
+    :func:`~smallscat.background.cover_responses` factors in place, ``R``, which its solve
+    writes over the right-hand sides, and ``g(Z, X)``, which it returns and whose transpose
+    is ``A``.  Both come first, so ``I - K`` is freed before the cloud kernel is built.
     """
-    if greens is None:
+    if medium is None:
         kernel = CloudKernel(centers, k)
         return (*solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol), None)
-    p, m = greens.grid.n_cells, len(centers)
+    cover = _medium_cover(medium)
+    p, m = cover.n_cells, len(centers)
     _check_budget(16 * p * (p + 2 * m), "medium cover sources")
-    rc = greens.cover_responses(centers)
+    rc, to_centers = background.cover_responses(cover, k, medium.contrast(cover.centers),
+                                                centers)
     rc *= coupling  # R diag(coupling)
-    a = point_green(k, centers, greens.grid.centers, cell_self_green(greens.grid))[0]
+    a = to_centers.T
     kernel = CloudKernel(centers, k)
     own = np.einsum("jp,pj->j", a, rc)
     u, residual = solve_checked(lambda v: v + kernel @ (coupling * v) + a @ (rc @ v) - own * v,
@@ -386,6 +383,11 @@ def _scene_medium(scene: Scene) -> Optional[BackgroundMedium]:
     return scene.background
 
 
+def _medium_cover(medium: BackgroundMedium) -> GridCover:
+    """The cover of a medium's cloud solves and their read-outs: ``DEFAULT_GRID_N`` per axis."""
+    return GridCover.from_shape(medium.box, DEFAULT_GRID_N)
+
+
 def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> EffectiveFieldSolution:
     kind = scene.boundary_kind()
     if kind != expected_kind:
@@ -395,7 +397,7 @@ def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> Effect
     medium = _scene_medium(scene)
     u, residual, cover_charges = solve_monopole_system(
         scene.centers, scene.wave.k, coupling, scene.wave.field_at(scene.centers), rtol=rtol,
-        greens=None if medium is None else GreenEvaluator(medium, k=scene.wave.k))
+        medium=medium)
     logger.info("solved %s scene: M=%d residual=%.2e", kind, len(u), residual)
     return EffectiveFieldSolution(kind=kind, values=u, charges=-coupling * u,
                                   cover_charges=cover_charges, residual=residual)
@@ -589,7 +591,7 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     """
     if scene.boundary_kind() != "hard":
         raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")
-    if scene.background is not None and not scene.background.uniform_one:
+    if _scene_medium(scene) is not None:
         raise UnsupportedScene("hard solves support the free-space kernel only")
     _check_regime(scene, validate)
     for i, p in enumerate(scene.particles):
@@ -616,17 +618,14 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
 # Field evaluation and far field
 # ---------------------------------------------------------------------------
 def _monopoles(solution: EffectiveFieldSolution, scene: Scene):
-    """Positions, charges and :func:`point_green` self values: particles, then cover sources.
-
-    The cover is the one a medium solve's :class:`GreenEvaluator` lays on the
-    medium box at ``DEFAULT_GRID_N``; no evaluator is built to read it.
-    """
+    """Positions, charges and :func:`point_green` self values: particles, then the cover
+    sources of a medium solve on :func:`_medium_cover`."""
     medium = _scene_medium(scene)
     if (medium is None) != (solution.cover_charges is None):
         raise UnsupportedScene("the solution was not solved in the scene's medium")
     if medium is None:
         return scene.centers, solution.charges, 0.0
-    cover = GridCover.from_shape(medium.box, DEFAULT_GRID_N)
+    cover = _medium_cover(medium)
     return (np.vstack([scene.centers, cover.centers]),
             np.concatenate([solution.charges, solution.cover_charges]),
             np.repeat([0.0, cell_self_green(cover)], [scene.n_particles, cover.n_cells]))

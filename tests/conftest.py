@@ -44,5 +44,7 @@ def rotation_matrix(axis, angle):
 
 def pytest_configure(config):
     # Tier-1 turns numpy's RuntimeWarning (a divide by zero, an overflow, an invalid value
-    # in the kernel algebra) into a failure instead of a printed warning.
+    # in the kernel algebra) and scipy's warning of a singular or ill-conditioned LU into a
+    # failure instead of a printed warning.
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")

@@ -6,8 +6,9 @@ import pytest
 
 import smallscat as ss
 from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
-                                  cell_self_green, cos_sin, expi, fixed_point_solve,
-                                  free_space_green, green, point_green, scattered_plane_wave)
+                                  cell_self_green, cos_sin, cover_responses, expi,
+                                  fixed_point_solve, free_space_green, green, point_green,
+                                  scattered_plane_wave)
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +35,19 @@ def test_medium_uniform_detection(unit_box, bump_medium):
 def test_uniform_medium_reproduces_free_space_bitwise(unit_box):
     medium = BackgroundMedium(n2=ss.ConstantField(1.0), box=unit_box)
     ev = GreenEvaluator(medium, k=2.0)
-    assert ev.is_free_space
+    assert ev.grid is None  # free space
     y = np.array([0.9, 0.5, 0.7])
     targets = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.8]])
     expected = free_space_green(2.0, np.linalg.norm(targets - y, axis=1))
     assert np.array_equal(ev.pair_values(targets, y), expected)
 
 
-def test_free_space_method_requires_uniform(unit_box, bump_medium):
-    with pytest.raises(ValueError):
-        GreenEvaluator(bump_medium, k=1.0, method="free_space")
+@pytest.mark.parametrize("method", ["free_space", ("multigrid", 2)])
+def test_unknown_method_rejected(unit_box, method):
+    # auto already gives the free-space kernel in a uniform medium
+    with pytest.raises(ValueError, match="unknown Green method"):
+        GreenEvaluator(BackgroundMedium(n2=ss.ConstantField(1.0), box=unit_box), k=1.0,
+                       method=method)
 
 
 def test_green_requires_distinct_points(unit_box, bump_medium):
@@ -93,42 +97,54 @@ def test_block_with_one_diverging_column_raises():
         fixed_point_solve(kernel, diverging, tol=1e-10)
 
 
-def _auto_grid_responses(ev, sources):
-    """``R`` of ``sources`` from one checked GMRES solve per source on the FFT operator of an
-    ``auto`` evaluator on ``ev``'s medium and cover."""
-    auto = GreenEvaluator(ev.medium, k=ev.k, grid_n=ev.grid.shape)
-    z, self_value = auto.grid.centers, cell_self_green(auto.grid)
-    return np.stack([auto.k**2 * auto._chi_w
-                     * auto._grid_solve(point_green(auto.k, z, y[None, :], self_value)[0][:, 0])
+def _grid_responses(medium, k, grid_n, sources, method="auto"):
+    """``R`` of ``sources`` from one grid solve per source, by an evaluator of ``method`` on
+    ``medium`` and a cover of ``grid_n`` cells per axis: under ``auto`` a checked GMRES solve
+    on the FFT operator."""
+    ev = GreenEvaluator(medium, k=k, grid_n=grid_n, method=method)
+    z, self_value = ev.grid.centers, cell_self_green(ev.grid)
+    return np.stack([ev.k**2 * ev._chi_w
+                     * ev._grid_solve(point_green(ev.k, z, y[None, :], self_value)[0][:, 0])
                      for y in sources], axis=1)
+
+
+def _cover_responses(medium, k, grid_n, sources):
+    cover = ss.GridCover.from_shape(medium.box, grid_n)
+    return cover_responses(cover, k, medium.contrast(cover.centers), sources)
 
 
 def _column_errors(got, want):
     return np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
 
 
-@pytest.mark.parametrize("method", [("lippmann_schwinger", 1e-12), ("born", 2)])
+@pytest.mark.parametrize("method", [("lippmann_schwinger", 1e-12), ("born", 10)])
 def test_cover_responses_match_per_source_grid_solves(unit_box, bump_medium, method):
-    # the direct solve, whatever the evaluator's method
-    ev = GreenEvaluator(bump_medium, k=1.5, grid_n=6, method=method)
+    # the one direct solve against per-source solves by each iterative method, which both
+    # converge on this weak bump
+    cover = ss.GridCover.from_shape(unit_box, 6)
     # one source on a cover center and some outside the box
     sources = np.vstack([np.random.default_rng(8).uniform(-0.5, 1.5, size=(69, 3)),
-                         ev.grid.centers[40]])
-    got = ev.cover_responses(sources)
-    assert got.shape == (ev.grid.n_cells, len(sources))
-    assert np.max(_column_errors(got, _auto_grid_responses(ev, sources))) <= 1e-12
+                         cover.centers[40]])
+    got, to_sources = _cover_responses(bump_medium, 1.5, 6, sources)
+    assert got.shape == to_sources.shape == (cover.n_cells, len(sources))
+    assert np.max(_column_errors(got, _grid_responses(bump_medium, 1.5, 6, sources,
+                                                      method))) <= 1e-12
+    # the kernel it returns is the one it solved with, the cell self value on a cover center
+    assert np.array_equal(to_sources,
+                          point_green(1.5, cover.centers, sources, cell_self_green(cover))[0])
+    assert to_sources.T.flags.c_contiguous
 
 
 def test_cover_responses_solve_in_place(unit_box, bump_medium):
     # I - K and R, as the medium budget counts them, plus the row-block buffer and the
     # distance and phase temporaries of point_green (1 MiB, 0.5 MiB and 0.5 MiB); a copy of
-    # either dense array would exceed it
-    ev = GreenEvaluator(bump_medium, k=1.0)
+    # either dense array would exceed it.  The kernel g(Z, Y) it returns is built once I - K
+    # is freed, and is smaller than I - K here.
     sources = np.random.default_rng(9).uniform(0.0, 1.0, size=(300, 3))
-    p = ev.grid.n_cells
+    p = 512
     tracemalloc.start()
     try:
-        ev.cover_responses(sources)
+        _cover_responses(bump_medium, 1.0, 8, sources)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -136,10 +152,9 @@ def test_cover_responses_solve_in_place(unit_box, bump_medium):
 
 
 def test_cover_responses_raise_solve_failure_on_a_failed_lu(unit_box, bump_medium, monkeypatch):
-    ev = GreenEvaluator(bump_medium, k=1.5, grid_n=6)
     monkeypatch.setattr(ss.background, "lu_solve", lambda lu, b, **kwargs: np.full_like(b, np.nan))
     with pytest.raises(ss.SolveFailure, match="cover solve residual nan"):
-        ev.cover_responses(np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
+        _cover_responses(bump_medium, 1.5, 6, np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
 
 
 def test_born_one_equals_ls_iteration_on_evaluator(unit_box, bump_medium):
@@ -208,8 +223,8 @@ def test_fixed_point_nonconvergence_reported(unit_box):
         green(ev, np.array([0.2, 0.2, 0.2]), np.array([0.8, 0.8, 0.8]))
     # where the iteration diverges, a cloud's cover responses still solve
     sources = np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
-    assert np.max(_column_errors(ev.cover_responses(sources),
-                                 _auto_grid_responses(ev, sources))) <= 1e-11
+    assert np.max(_column_errors(_cover_responses(medium, 3.0, 6, sources)[0],
+                                 _grid_responses(medium, 3.0, 6, sources))) <= 1e-11
 
 
 def test_smallness_check_examples(unit_box):
@@ -236,7 +251,7 @@ def test_smallness_check_examples(unit_box):
 @pytest.mark.parametrize("method", [("born", 2), ("lippmann_schwinger", 1e-10)])
 def test_no_medium_is_free_space_for_every_method(method):
     ev = GreenEvaluator(None, k=2.0, method=method)
-    assert ev.is_free_space
+    assert ev.grid is None  # free space
     y = np.array([0.9, 0.5, 0.7])
     targets = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.8]])
     expected = free_space_green(2.0, np.linalg.norm(targets - y, axis=1))

@@ -171,11 +171,9 @@ def test_green_born_method_writes_the_born_kernel(tmp_path):
     assert np.max(np.abs(values - converged)) > 1e-10 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("method", ["{kind: born, order: 1}", "{kind: free_space}"])
+@pytest.mark.parametrize("method", ["{kind: born, order: 1}"])
 def test_green_methods_without_a_solve_record_no_tolerance(tmp_path, method):
     cfg = _green_config(tmp_path, f"method: {method}")
-    if "free_space" in method:  # the free-space kernel needs a uniform medium
-        cfg.write_text(cfg.read_text().replace("amplitude: 0.1", "amplitude: 0.0"))
     for name, extra in [("default", ()), ("flag", ["--tol", "1e-3"])]:
         assert run("green", cfg, tmp_path / name, extra) == 0
         assert json.loads((tmp_path / name / "manifest.json").read_text())["tolerance"] is None
@@ -184,11 +182,26 @@ def test_green_methods_without_a_solve_record_no_tolerance(tmp_path, method):
 
 
 def test_green_unknown_method_exits_2(tmp_path):
-    cfg = _green_config(tmp_path, "method: {kind: multigrid}")
+    # free_space is no method: auto gives the free-space kernel in a uniform medium, and
+    # green.csv prints g beside G
+    for kind in ("multigrid", "free_space"):
+        cfg = _green_config(tmp_path, f"method: {{kind: {kind}}}")
+        out = tmp_path / kind
+        assert run("green", cfg, out) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["type"] == "ConfigError" and kind in record["error"]
+
+
+@pytest.mark.parametrize("subcommand, config, old, new", [
+    ("green", "green_demo.yaml", "k: 2.0", "k: [1, 2]"),
+    ("solve", "solve_one_soft.yaml", "k: 1.0", "k: [1, 2]")], ids=["green", "solve"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, subcommand, config, old, new):
+    cfg = tmp_path / config
+    cfg.write_text((CONFIGS / config).read_text().replace(old, new))
     out = tmp_path / "out"
-    assert run("green", cfg, out) == 2
+    assert run(subcommand, cfg, out) == 2
     record = json.loads((out / "error.json").read_text())
-    assert record["type"] == "ConfigError" and "multigrid" in record["error"]
+    assert record["type"] == "TypeError" and record["exit_code"] == 2
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -75,6 +75,19 @@ def test_validate_flags_positive_im_h(wide_box, wave_z):
     assert any("Im h > 0" in v for v in report.violations)
 
 
+def test_positive_im_h_is_one_violation_for_the_whole_cloud(unit_box, wave_z):
+    # a 10^3 lattice, d/a = 10: particles 0-2 passive, the other 997 with gain
+    axis = np.linspace(0.05, 0.95, 10)
+    centers = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    bcs = [ss.Impedance(h=0.1, kappa=0.5)] * 3 + [ss.Impedance(h=0.1 + 0.2j, kappa=0.5)] * 997
+    particles = tuple(ss.Particle.sphere(c, 0.01, bc) for c, bc in zip(centers, bcs))
+    scene = ss.Scene(particles=particles, domain=unit_box, wave=wave_z, separation_factor=3.0)
+    assert ss.validate_scene(scene).violations == ["Im h > 0 on 997 particle(s), first index 3"]
+    with pytest.raises(ss.RegimeViolation) as raised:
+        ss.solve_impedance(scene)
+    assert str(raised.value) == "Im h > 0 on 997 particle(s), first index 3"
+
+
 def test_validate_flags_large_ka_and_outside_center(unit_box):
     wave = ss.IncidentWave(k=30.0, alpha=[0, 0, 1])
     particles = (ss.Particle.sphere([0.5, 0.5, 0.5], 0.01, ss.Soft()),

@@ -361,11 +361,38 @@ def test_mirror_symmetric_scene_field(wide_box, wave_z):
     assert np.max(np.abs(u - um)) < 1e-9
 
 
+def _numpy_green(k, targets, sources, self_value):
+    """``exp(ikr) / (4 pi r)`` by numpy's ``exp``, ``self_value`` where ``r`` is 0."""
+    r = np.linalg.norm(targets[:, None, :] - sources[None, :, :], axis=-1)
+    coincident = r == 0.0
+    r[coincident] = 1.0
+    return np.where(coincident, self_value, np.exp(1j * k * r) / (FOUR_PI * r))
+
+
+def _medium_pair_matrix(centers, k, medium=None):
+    """Dense ``G`` between all center pairs, zero diagonal: ``pair_kernel_matrix`` plus, in
+    ``medium``, ``(G - g)(x, y) = g(x, Z) R`` on the 8^3 cover of its box.  ``R = W (I - K)^{-1}
+    g(Z, Y)`` for ``W = diag(k^2 chi |cell|)`` and ``K = g(Z, Z) W``, with the cell's mean of
+    ``1/(4 pi r)`` on the diagonal, is one ``np.linalg.solve`` of the dense ``I - K``."""
+    out = pair_kernel_matrix(centers, k)
+    if medium is None:
+        return out
+    cover = ss.GridCover.from_shape(medium.box, 8)
+    z, self_value = cover.centers, cover.self_green_integral() / cover.cell_volume
+    weights = k**2 * medium.contrast(z) * cover.cell_volume
+    to_centers = _numpy_green(k, z, centers, self_value)
+    system = np.eye(len(z)) - _numpy_green(k, z, z, self_value) * weights[None, :]
+    out += to_centers.T @ (weights[:, None] * np.linalg.solve(system, to_centers))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def _dense_monopole_oracle(scene):
-    """``np.linalg.solve`` on ``I + pair_kernel_matrix diag(c)``, in the scene's medium."""
+    """``np.linalg.solve`` on ``I + G diag(c)``, ``G`` of :func:`_medium_pair_matrix` in the
+    scene's medium."""
     coupling = manybody.monopole_coupling(scene.particles)
-    greens = ss.GreenEvaluator(scene.background, k=scene.wave.k)
-    system = pair_kernel_matrix(scene.centers, scene.wave.k, greens) * coupling[None, :]
+    system = _medium_pair_matrix(scene.centers, scene.wave.k, scene.background) \
+        * coupling[None, :]
     system[np.diag_indices_from(system)] += 1.0
     return np.linalg.solve(system, scene.wave.field_at(scene.centers))
 
@@ -393,12 +420,11 @@ def test_solver_paths_agree_at_m500(unit_box, wave_z):
 
 
 def test_background_kernel_pair_matrix_uniform_is_bitwise_free(unit_box, wave_z):
+    # the dense medium oracle adds exactly nothing at zero contrast
     centers = np.array([[0.2, 0.2, 0.2], [0.8, 0.7, 0.6], [0.5, 0.4, 0.9]])
     medium = ss.BackgroundMedium(n2=ss.ConstantField(1.0), box=unit_box)
-    ev = ss.GreenEvaluator(medium, k=wave_z.k)
-    k_free = pair_kernel_matrix(centers, wave_z.k, greens=None)
-    k_medium = pair_kernel_matrix(centers, wave_z.k, greens=ev)
-    assert np.array_equal(k_free, k_medium)
+    assert np.array_equal(_medium_pair_matrix(centers, wave_z.k, medium),
+                          pair_kernel_matrix(centers, wave_z.k))
 
 
 def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
@@ -459,7 +485,7 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
             assert solve_hard(hard).residual < 1e-10
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 16)
     # a medium solve's cover arrays: the dense 512 x 512 I - K, factored in place, R (512 x 3),
-    # solved in place of its right-hand sides, and A (3 x 512), complex
+    # solved in place of its right-hand sides, and g(Z, X) (512 x 3), whose transpose is A
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
                     domain=unit_box, wave=wave_z,
@@ -490,6 +516,32 @@ def test_medium_solve_never_assembles_the_dense_kernel(unit_box, wave_z, monkeyp
     monkeypatch.setattr(manybody, "pair_kernel_matrix", dense)
     sol = solve_soft(_bump_scene(unit_box, wave_z, 0.01, seed=3))
     assert sol.residual <= 1e-10
+
+
+def test_medium_solves_and_read_outs_build_no_evaluator(unit_box, wave_z, monkeypatch):
+    # the cover solve returns the kernel g(Z, X) it checked, so a solve builds no second one
+    soft = _bump_scene(unit_box, wave_z, 0.01, seed=3)
+    bc = ss.Impedance(h=1.0 - 0.5j, kappa=0.5)
+    impedance = ss.Scene(particles=tuple(ss.Particle.sphere(c, 0.01, bc) for c in soft.centers),
+                         domain=unit_box, wave=wave_z, background=soft.background)
+    points = np.array([[0.5, 0.5, 2.0], [-1.0, 0.3, 0.2]])
+    directions = fibonacci_directions(6)
+
+    def outputs():
+        for scene, solve in ((soft, solve_soft), (impedance, solve_impedance)):
+            sol = solve(scene)
+            yield sol.values, sol.cover_charges, eval_field(sol, scene, points), \
+                far_field(sol, scene, directions).amplitudes
+
+    expected = list(outputs())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a medium solve or read-out built an evaluator or a kernel")
+
+    monkeypatch.setattr(ss.GreenEvaluator, "__init__", refuse)
+    monkeypatch.setattr(manybody, "point_green", refuse)
+    for got, want in zip(outputs(), expected):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box, wave_z,
@@ -538,7 +590,7 @@ def test_medium_budget_counts_the_dense_cover_before_allocating(unit_box, wave_z
     scene = _bump_scene(unit_box, wave_z, 0.01, seed=3)
     m = scene.n_particles
     # the dense 512 x 512 I - K, factored in place, R (512 x M), solved in place of its
-    # right-hand sides, and A (M x 512)
+    # right-hand sides, and g(Z, X) (512 x M), whose transpose is A
     total = 16 * 512 * (512 + 2 * m)
     expected = solve_soft(scene)
 
@@ -548,7 +600,7 @@ def test_medium_budget_counts_the_dense_cover_before_allocating(unit_box, wave_z
     with monkeypatch.context() as patch:
         patch.setattr(manybody, "KERNEL_BYTES_BUDGET", total - 1)
         for owner, name in ((manybody, "CloudKernel"), (manybody, "point_green"),
-                            (ss.GreenEvaluator, "cover_responses")):
+                            (ss.background, "cover_responses")):
             patch.setattr(owner, name, allocated)
         with pytest.raises(ss.GridTooLarge, match="medium cover sources"):
             solve_soft(scene)
@@ -708,8 +760,9 @@ def _cover_read_out(kind, medium, wave, points):
     ev = ss.GreenEvaluator(medium, k=k)
     y = np.array([0.2, 0.7, 0.4])
     g = point_green(k, ev.grid.centers, points, cell_self_green(ev.grid))[0]
-    dense = free_space_green(k, np.linalg.norm(points - y, axis=1)) \
-        + (g.T @ ev.cover_responses(y[None, :]))[:, 0]
+    responses = ss.background.cover_responses(ev.grid, k, medium.contrast(ev.grid.centers),
+                                              y[None, :])[0]
+    dense = free_space_green(k, np.linalg.norm(points - y, axis=1)) + (g.T @ responses)[:, 0]
     return lambda: ev.pair_values(points, y), dense
 
 
