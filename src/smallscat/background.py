@@ -215,16 +215,16 @@ class GreenEvaluator:
     Parameters
     ----------
     medium : BackgroundMedium or None
-        ``None`` means free space, whatever the method.
+        ``None``, or a medium uniformly 1, means free space, whatever the method: the grid
+        correction would be exactly 0, so no grid is built and nothing is solved.
     k : float
         Wave number.
     grid_n : int
         Cells per axis of the quadrature cover of the medium box.
     method : "auto" | ("born", order) | ("lippmann_schwinger", tol)
-        ``auto`` picks free space iff the medium is uniformly 1, else solves the grid
-        equation ``(I - K) v = b`` by GMRES on the FFT operator with its residual checked
-        against ``DEFAULT_RTOL`` (SolveFailure above it).  The series and the fixed-point
-        iteration at ``tol`` run only when named.
+        ``auto`` solves the grid equation ``(I - K) v = b`` by GMRES on the FFT operator
+        with its residual checked against ``DEFAULT_RTOL`` (SolveFailure above it).  The
+        series and the fixed-point iteration at ``tol`` run only when named.
     """
 
     def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = DEFAULT_GRID_N,
@@ -234,7 +234,7 @@ class GreenEvaluator:
         self.medium = medium
         self.k = float(k)
         self.method = method
-        if medium is None or (method == "auto" and medium.uniform_one):
+        if medium is None or medium.uniform_one:
             self.grid: Optional[GridCover] = None
             return
         self.grid = GridCover.from_shape(medium.box, grid_n)

@@ -378,7 +378,7 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
         method = ("lippmann_schwinger", ctx.tol)
     else:
         raise ConfigError(f"green: unknown method {kind!r}")
-    if kind != "lippmann_schwinger":
+    if kind != "lippmann_schwinger" or medium.uniform_one:
         ctx.tol = None  # the manifest records no tolerance where no solve uses one
     evaluator = GreenEvaluator(medium, k, grid_n=int(section.get("grid_n", DEFAULT_GRID_N)),
                                method=method)

@@ -23,7 +23,9 @@ diagonal, its smooth imaginary part as a plane-wave factor, or for small clouds 
 large ``kD`` as a second layer of the tiles), plus in a medium the
 cover monopoles each particle induces (one LU of the cover's grid equation, its
 residual checked), and the 5M hard system matrix-free
-(:func:`hard_cloud_system`, four complex symmetric pair arrays on the same tiles).
+(:func:`hard_cloud_system`: ``g`` and its radial factors as six float64 layers on the same
+tiles, the smooth ``Im g`` and its gradient through the same plane-wave factor, or for
+small clouds and large ``kD`` all eight layers).
 A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
 """
@@ -52,6 +54,7 @@ logger = logging.getLogger(__name__)
 
 KERNEL_BYTES_BUDGET: int = 2 * 1024**3  # stored cloud kernels to M of about 22 800 (kD <= 1.8)
 _HARD_BLOCK_ROWS: int = 96
+_STRIP_PAIRS: int = 1 << 14  # pairs of a hard tile filled at once: 128 KiB a float array
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,45 @@ def _green_layers(k: float, r: np.ndarray, layers) -> None:
         layer[coincident] = 0.0
 
 
+def _hard_layers(k: float, r: np.ndarray, parts) -> None:
+    """``Re g``, ``Re(g/r)``, ``Im(g/r)``, ``Re(g'/r)``, ``Re radial`` and ``Im radial``
+    (:func:`_radial_factors`) into six ``parts``, then ``Im g`` and ``Im(g'/r)`` where there
+    are eight.  0 where ``r`` is 0; ``r`` is overwritten.
+
+    One ``tan`` of :func:`~smallscat.background.cos_sin` and no scratch: the unfinished values
+    pass through the layers still to be written.  The real arithmetic is that of
+    :func:`~smallscat.background.point_green` and :func:`_radial_factors`, step for step.
+    """
+    re_g, re_gr, im_gr, re_gp, re_rad, im_rad = parts[:6]
+    im_g, im_gp = parts[6:] or (im_gr, re_gp)  # or where they are formed on the way
+    coincident = r == 0.0
+    coincident = coincident if coincident.any() else None  # only where centers meet
+    if coincident is not None:
+        r[coincident] = 1.0
+    cos_sin(np.multiply(k, r, out=re_g), re_g, im_g)
+    scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=re_rad), out=re_rad)
+    inv_r = np.reciprocal(r, out=r)
+    re_g *= scale
+    im_g *= scale
+    np.multiply(re_g, inv_r, out=re_gr)
+    np.multiply(im_g, inv_r, out=im_gr)
+    # g'/r = ik g/r - g/r^2 and radial = (g'/r - g/r^2) / r, the imaginary part first, so
+    # that Im(g'/r) may pass through the slot of Re(g'/r)
+    np.multiply(im_gr, inv_r, out=im_rad)
+    np.multiply(re_gr, k, out=im_gp)
+    im_gp -= im_rad
+    np.subtract(im_gp, im_rad, out=im_rad)
+    im_rad *= inv_r
+    np.multiply(re_gr, inv_r, out=re_rad)
+    np.multiply(im_gr, -k, out=re_gp)
+    re_gp -= re_rad
+    np.subtract(re_gp, re_rad, out=re_rad)
+    re_rad *= inv_r
+    if coincident is not None:
+        for part in parts:
+            part[coincident] = 0.0
+
+
 def _fill_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:
     """The kernel layers of the tile ``(rows, cols)``; a diagonal tile is evaluated on its upper
     triangle only and mirrored."""
@@ -148,6 +190,22 @@ def _fill_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) 
     _green_layers(k, r, parts)
     for part, layer in zip(parts, layers):
         layer[...] = squareform(part, checks=False)
+
+
+def _hard_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:
+    """The :func:`_hard_layers` of the tile ``(rows, cols)`` into its real layers and the one
+    complex ``radial``, by strips of ``_STRIP_PAIRS`` pairs, so that the temporaries stay in
+    cache: the two parts of ``radial`` are formed contiguous and copied in.  A diagonal tile
+    is evaluated whole: mirroring its upper half into six layers cost more than it saved.
+    """
+    targets, sources = centers[rows], centers[cols]
+    step = max(1, _STRIP_PAIRS // len(sources))
+    scratch = np.empty((2, min(step, len(targets)), len(sources)))
+    for i0 in range(0, len(targets), step):
+        strip = [layer[i0:i0 + step] for layer in layers]
+        radial, parts = strip[4], scratch[:, :len(strip[0])]
+        _hard_layers(k, cdist(targets[i0:i0 + step], sources), [*strip[:4], *parts, *strip[5:]])
+        radial.real, radial.imag = parts
 
 
 def _rule_shape(degree: int) -> Tuple[int, int]:
@@ -178,23 +236,48 @@ def _sphere_rule(degree: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _rule_degree(kd: float, most_nodes: int) -> Optional[int]:
-    """Smallest ``L`` with ``(2L + 1) (kd)^L / (2L + 1)!! <= 1e-17``, or None if that rule
-    has more than ``most_nodes`` nodes; 0 at ``kd = 0``.
+def _rule_degree(kd: float, most_nodes: int, offset: int = 0) -> Optional[int]:
+    """``offset`` plus the smallest ``L`` with ``(2L + 1) (kd)^L / (2L + 1)!! <= 1e-17``, or
+    None if that rule has more than ``most_nodes`` nodes; ``offset`` at ``kd = 0``.
 
     In ``exp(ik s.d) = sum_l (2l + 1) i^l j_l(k|d|) P_l(s.d / |d|)`` the terms past degree
     ``L`` are then below rounding for every ``|d| <= D`` (``kd = kD``), as
     ``|j_l(x)| <= x^l / (2l + 1)!!``.  At ``kd = 0`` only the constant term is left, and
-    the one-node rule of degree 0 gives ``F F^T = 1`` exactly.  The term is kept as a
-    logarithm, which cannot overflow, and the node cap ends the search for any ``kd``.
+    the one-node rule of degree 0 gives ``F F^T = 1`` exactly.  A gradient multiplies the
+    series by ``ik s``, one degree more for the rule to integrate: ``offset = 1``.  The term
+    is kept as a logarithm, which cannot overflow, and the node cap ends the search for any
+    ``kd``.
     """
     degree, log_term = 0, 0.0  # log of (kd)^L / (2L + 1)!!
-    while math.prod(_rule_shape(degree)) <= most_nodes:
+    while math.prod(_rule_shape(degree + offset)) <= most_nodes:
         if kd == 0.0 or math.log(2 * degree + 1) + log_term <= math.log(1e-17):
-            return degree
+            return degree + offset
         degree += 1
         log_term += math.log(kd) - math.log(2 * degree + 1)  # kd / (2L + 1) may underflow
     return None
+
+
+def _plane_wave_rule(k: float, x: np.ndarray, offset: int = 0):
+    """The :func:`_sphere_rule` of the plane-wave factor of centered points ``x``, at the
+    :func:`_rule_degree` of ``kD`` (``D`` twice the largest ``|x|``) and ``offset``; None
+    where its ``2 M Q`` sines and cosines would not be fewer than the ``M (M - 1) / 2`` of
+    one stored layer: ``4 Q >= M - 1``, small clouds or large ``kD``."""
+    reach = 2.0 * float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
+    degree = _rule_degree(k * reach, (len(x) - 2) // 4, offset)
+    return None if degree is None else _sphere_rule(degree)
+
+
+def _plane_wave_factor(k: float, x: np.ndarray, rule) -> np.ndarray:
+    """``F = sqrt(w_q) [cos(k x.s_q), sin(k x.s_q)]`` (M, 2Q) of a rule's nodes ``s_q`` and
+    weights ``w_q``, so that ``(F F^T)_ij`` is its sum of ``cos(k s_q.(x_i - x_j))``."""
+    directions, weights = rule
+    m, nodes = len(x), len(weights)
+    phase = np.multiply(k, x @ directions.T)
+    factor = np.empty((m, 2 * nodes))
+    cos_sin(phase, factor[:, :nodes], phase)
+    factor[:, nodes:] = phase
+    factor.reshape(m, 2, nodes)[...] *= np.sqrt(weights)
+    return factor
 
 
 def _upper_tiles(m: int):
@@ -225,23 +308,29 @@ class _EachPass:
         return self.passes()
 
 
-def _pair_tiles(m: int, fill, dtype, depth: int, extra: int, what: str):
-    """``(rows, cols, layers)`` for the tiles ``I <= J`` of :func:`_upper_tiles`, ``depth``
-    arrays of each tile's shape that ``fill(rows, cols, layers)`` writes in place.
+def _pair_tiles(m: int, fill, dtypes, extra: int, what: str):
+    """``(rows, cols, layers)`` for the tiles ``I <= J`` of :func:`_upper_tiles`, one array of
+    each tile's shape per dtype of ``dtypes``, which ``fill(rows, cols, layers)`` writes in
+    place.
 
     Where :func:`_kernel_bytes` fit ``KERNEL_BYTES_BUDGET``, each tile is filled once into
-    views of one array (numpy asks for huge pages for it, so few page faults).  Otherwise
-    every pass recomputes them into a scratch tile of its own, so concurrent products share
-    none; GridTooLarge if that does not fit.
+    views of one float64 array (numpy asks for huge pages for it, so few page faults).
+    Otherwise every pass recomputes them into a scratch tile of its own, so concurrent
+    products share none; GridTooLarge if that does not fit.
     """
     tiles = _upper_tiles(m)
     sizes = [rows * cols for _, _, (rows, cols) in tiles] or [0]
-    pair_bytes = depth * np.dtype(dtype).itemsize
+    widths = [np.dtype(dtype).itemsize // 8 for dtype in dtypes]  # float64 numbers per pair
+    pair_bytes = 8 * sum(widths)
     stored = _kernel_bytes(m, pair_bytes, extra) <= KERNEL_BYTES_BUDGET
     _check_budget(_kernel_bytes(m, pair_bytes, extra, stored), what)
 
     def filled():
-        store, used = np.empty((depth, sum(sizes) if stored else sizes[0]), dtype=dtype), 0
+        pairs = sum(sizes) if stored else sizes[0]
+        store, offsets = np.empty(pair_bytes // 8 * pairs), np.cumsum([0] + widths)
+        store = [store[pairs * a:pairs * b].view(dtype)
+                 for a, b, dtype in zip(offsets, offsets[1:], dtypes)]
+        used = 0
         for (rows, cols, shape), size in zip(tiles, sizes):
             view = rows, cols, tuple(s[used:used + size].reshape(shape) for s in store)
             fill(*view)
@@ -257,11 +346,14 @@ def _symmetric_tile_products(tiles, columns):
     ``tiles`` holds ``(rows, cols, factors)`` for the tiles on and above the
     diagonal, one array of ``factors`` per column block; a tile below it is the
     transpose of its mirror, which BLAS applies to the transposed view.  Each sum has
-    its column block's dtype.
+    its column block's dtype; a real ``f`` applies to the real ``(M, 2n)`` view of a
+    complex ``(M, n)`` block.
     """
     out = [np.zeros(c.shape, dtype=c.dtype) for c in columns]
     for rows, cols, factors in tiles:
         for f, c, y in zip(factors, columns, out):
+            if f.dtype != c.dtype:
+                c, y = c.view(f.dtype), y.view(f.dtype)
             y[rows] += f @ c[cols]
             if rows.start < cols.start:
                 y[cols] += f.T @ c[rows]
@@ -279,11 +371,12 @@ class CloudKernel:
     :func:`_sphere_rule` sums exactly to rounding at the degree :func:`_rule_degree` picks
     for ``D``, twice the largest distance from the centroid.  So it is ``(k / 4 pi)
     (F F^T - I)`` with ``F = sqrt(w_q) [cos(k X s_q), sin(k X s_q)]`` in centered
-    coordinates ``X``.  ``F`` has two columns per node (200 at ``kD = sqrt(3)``), and the
-    nodes grow as ``(kD)^2``: where ``F`` would take as many sines and cosines as the
-    tiles of ``sin(kr) / (4 pi r)`` (``M <= 4 Q + 1``: small clouds, or large ``kD``),
-    that is stored as a second layer of the tiles instead (``factor`` is None), at
-    8 bytes more per pair.
+    coordinates ``X`` (:func:`_plane_wave_factor`, shared with :func:`hard_cloud_system`).
+    ``F`` has two columns per node (200 at ``kD = sqrt(3)``), and the nodes grow as
+    ``(kD)^2``: where ``F`` would take as many sines and cosines as the tiles of
+    ``sin(kr) / (4 pi r)`` (:func:`_plane_wave_rule`, ``M <= 4 Q + 1``: small clouds, or
+    large ``kD``), that is stored as a second layer of the tiles instead (``factor`` is
+    None), at 8 bytes more per pair.
 
     :func:`_pair_tiles` stores the tiles, 8 bytes per pair of each layer with ``F`` counted
     too, or past ``KERNEL_BYTES_BUDGET`` recomputes them on every product.
@@ -294,24 +387,13 @@ class CloudKernel:
         self.k = float(k)
         m = len(self.centers)
         x = self.centers - (np.mean(self.centers, axis=0) if m else 0.0)
-        reach = 2.0 * float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
-        # F only where its 2 M Q sines and cosines are fewer than the M (M - 1) / 2 sines of
-        # a second layer: 4 Q < M - 1
-        degree = _rule_degree(self.k * reach, (m - 2) // 4)
-        rule = None if degree is None else _sphere_rule(degree)
-        nodes = None if rule is None else len(rule[1])
-        self.layers = 2 if nodes is None else 1
+        rule = _plane_wave_rule(self.k, x)
+        self.layers = 2 if rule is None else 1
         self.tiles = _pair_tiles(m, functools.partial(_fill_tile, self.k, self.centers),
-                                 float, self.layers, 16 * m * (nodes or 0),
+                                 (float,) * self.layers,
+                                 0 if rule is None else 16 * m * len(rule[1]),
                                  f"cloud kernel of {m} particles")
-        self.factor = None
-        if rule is not None:
-            directions, weights = rule
-            phase = np.multiply(self.k, x @ directions.T)
-            self.factor = np.empty((m, 2 * nodes))
-            cos_sin(phase, self.factor[:, :nodes], phase)
-            self.factor[:, nodes:] = phase
-            self.factor.reshape(m, 2, nodes)[...] *= np.sqrt(weights)
+        self.factor = None if rule is None else _plane_wave_factor(self.k, x, rule)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=complex)
@@ -515,14 +597,13 @@ def hard_system_apply(lap_weights: np.ndarray, dipole_weights: np.ndarray, field
     return apply
 
 
-def _radial_factors(g: np.ndarray, r: np.ndarray, k: float, out=None):
+def _radial_factors(g: np.ndarray, r: np.ndarray, k: float):
     """``g/r``, ``g'/r`` and ``radial = (g' - g/r)/r^2`` of ``g(r)``; ``r`` becomes ``1/r``.
 
     With ``D = r rhat``, ``d_s(g rhat_p) = radial D_s D_p + (g/r) delta_sp`` and
-    ``lap(g rhat) = (radial + ik g'/r) D``.  Only the three results are
-    allocated, or none if ``out`` holds three arrays of ``g``'s shape for them.
+    ``lap(g rhat) = (radial + ik g'/r) D``.  Only the three results are allocated.
     """
-    g_r, gp_r, radial = (np.empty_like(g) for _ in range(3)) if out is None else out
+    g_r, gp_r, radial = (np.empty_like(g) for _ in range(3))
     inv_r = np.reciprocal(r, out=r)
     np.multiply(g, inv_r, out=g_r)
     np.multiply(g_r, 1j * k, out=gp_r)
@@ -537,36 +618,79 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
                       dipole_weights: np.ndarray):
     """Matrix-free form of :func:`assemble_hard_system` for a particle cloud.
 
-    Returns ``x -> A x`` through :func:`hard_system_apply`.  It stores ``g`` and
-    the :func:`_radial_factors` of every pair, four complex symmetric arrays with
-    zero diagonals, on the tiles ``I <= J`` of :func:`_upper_tiles`: each tile holds
-    at most one block of pairs and is built once, so ``r`` never exists whole.  With
-    ``X`` centered on the centroid a pair sum ``sum_m f_im (X_i - X_m) c_m`` is
-    ``X_i (f @ c) - f @ (X c)``, so a product is four tiled BLAS products with source
-    columns and allocates nothing per pair.  The tiles come from :func:`_pair_tiles` at
-    64 bytes per pair: past ``KERNEL_BYTES_BUDGET`` (M above 8057 at 2 GiB) every product
+    Returns ``x -> A x`` through :func:`hard_system_apply`.  It stores ``g`` and the
+    :func:`_radial_factors` of every pair, symmetric with zero diagonals, as float64 layers
+    (:func:`_hard_tile`) on the tiles ``I <= J`` of :func:`_upper_tiles`: each tile holds at
+    most one block of pairs and is built once, so ``r`` never exists whole.  With ``X``
+    centered on the centroid a pair sum ``sum_m f_im (X_i - X_m) c_m`` is
+    ``X_i (f @ c) - f @ (X c)``, so a product is tiled BLAS products with source columns and
+    allocates nothing per pair.
+
+    The layers are ``Re g``, ``Re(g/r)``, ``Im(g/r)`` and ``Re(g'/r)``, each applied to the
+    real ``(M, 2n)`` view of its complex column block, and ``radial`` as one complex layer
+    (its 16 columns take one complex product; ``g/r``'s 4 run faster as two real ones).  The
+    smooth ``Im g = (k / 4 pi) j0(kr)`` is ``(k / 4 pi) (F F^T - I)`` with the plane-wave
+    factor ``F`` of :class:`CloudKernel` (:func:`_plane_wave_factor`), and ``Im(g'/r)``
+    enters only as ``sum_m Im(g'/r)_im (X_i - X_m) c_m``, the gradient of that sum, which is
+    ``F`` times the swapped sine and cosine halves of ``F^T c`` weighted by ``k s_q`` (the
+    rule a degree higher, :func:`_rule_degree`).  So a product adds one ``F^T`` and one
+    ``F`` product, and the tiles take 48 bytes per pair.  Where ``F`` would not be cheaper
+    than a stored layer (:func:`_plane_wave_rule`: small clouds, such as the two-particle
+    demo, or large ``kD``), ``Im g`` and ``Im(g'/r)`` are stored too: all eight real
+    layers, 64 bytes per pair.  The tiles come from :func:`_pair_tiles`: past
+    ``KERNEL_BYTES_BUDGET`` (M above 9284 in the unit cube at k = 1, at 2 GiB) every product
     recomputes them into one scratch tile, and GridTooLarge if that tile exceeds it too.
     """
     m = len(centers)
     x = centers - np.mean(centers, axis=0)
+    rule = _plane_wave_rule(k, x, offset=1)
+    tiles = _pair_tiles(m, functools.partial(_hard_tile, k, x),
+                        (float,) * 4 + (complex,) + ((float,) * 2 if rule is None else ()),
+                        0 if rule is None else 16 * m * len(rule[1]),
+                        f"hard operator of {m} particles")
+    factor = None if rule is None else _plane_wave_factor(k, x, rule)
 
-    def fill(rows, cols, layers):
-        _radial_factors(*point_green(k, x[rows], x[cols], out=layers[0]), k, out=layers[1:])
-
-    tiles = _pair_tiles(m, fill, complex, 4, 0, f"hard operator of {m} particles")
+    def plane_wave(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """``i`` times ``(Im g) @ q``, ``sum_m Im(g'/r)_im (X_i - X_m) q_m`` and ``sum_m
+        Im(g'/r)_im (X_i - X_m).d_m`` (M, 5), from one ``F^T`` and one ``F`` product."""
+        nodes = len(rule[1])
+        weights = k * np.vstack([rule[0], rule[0]])  # k s_q, for both halves of F
+        t = factor.T @ np.column_stack([q, d]).view(float)
+        turned = np.concatenate([t[nodes:], -t[:nodes]])
+        parts = np.hstack([t[:, :2], (weights[:, :, None] * turned[:, None, :2]).reshape(-1, 6),
+                           np.einsum("ap,apc->ac", weights, turned[:, 2:].reshape(-1, 3, 2))])
+        scale = 1j * k / (4.0 * np.pi)
+        parts.view(complex)[...] *= scale
+        out = (factor @ parts).view(complex)
+        out[:, 0] -= scale * q[:, 0]  # j0(0) = 1
+        return out
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
+        q = monopoles[:, None]
         d = 1j * k * dipoles
         dx = np.column_stack([d, np.einsum("mp,mp->m", x, d)])
-        mono, g_dx, pm, rd = _symmetric_tile_products(tiles, [
-            monopoles, dx, np.column_stack([monopoles, monopoles[:, None] * x, dx]),
-            np.column_stack([dx, (x[:, :, None] * dx[:, None, :]).reshape(m, 12)])])
+        pm_columns = np.column_stack([q, q * x, dx])
+        columns = [q, dx, dx, pm_columns,
+                   np.column_stack([dx, (x[:, :, None] * dx[:, None, :]).reshape(m, 12)])]
+        if factor is None:  # Im g and Im(g'/r) are stored layers too
+            columns += [q, pm_columns]
+        mono, g_dx, g_dx_imag, pm, rd, *imag = _symmetric_tile_products(tiles, columns)
+        g_dx += 1j * g_dx_imag
+        if imag:
+            mono += 1j * imag[0]
+            pm += 1j * imag[1]
         # a 4-column block f @ [c, X.c] gives arm = sum_m f_im (X_i - X_m).c_m, for c = d, X_s d
         sums = np.hstack([g_dx, pm[:, 4:], rd]).reshape(m, 6, 4)
         arm = np.einsum("mp,mbp->mb", x, sums[..., :3]) - sums[..., 3]
-        value = mono + arm[:, 0]
-        gradient = x * (pm[:, :1] + arm[:, 2:3]) - pm[:, 1:4] - arm[:, 3:] + sums[:, 0, :3]
-        laplacian = -(k**2) * mono + arm[:, 2] + 1j * k * arm[:, 1]
+        grad_mono = x * pm[:, :1] - pm[:, 1:4]
+        if factor is not None:
+            im = plane_wave(q, d)
+            mono += im[:, :1]
+            grad_mono += im[:, 1:4]
+            arm[:, 1] += im[:, 4]
+        value = mono[:, 0] + arm[:, 0]
+        gradient = grad_mono + x * arm[:, 2:3] - arm[:, 3:] + sums[:, 0, :3]
+        laplacian = -(k**2) * mono[:, 0] + arm[:, 2] + 1j * k * arm[:, 1]
         return value, gradient, laplacian
 
     return hard_system_apply(lap_weights, dipole_weights, fields)
@@ -585,9 +709,10 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     Unknowns are the field, its gradient, and its Laplacian at every center;
     ``Q_m = (lap u)(x_m) |D_m|``.  Requires every particle to carry a
     polarizability tensor.  GMRES runs on the matrix-free
-    :func:`hard_cloud_system`, whose tiles are recomputed on every product where storing
-    them would exceed ``KERNEL_BYTES_BUDGET``; raises GridTooLarge if one tile exceeds it
-    and UnsupportedScene in a non-uniform background.
+    :func:`hard_cloud_system` (48 bytes per pair of the tiles ``I <= J`` and the plane-wave
+    factor, or 64 bytes per pair for small clouds), whose tiles are recomputed on every
+    product where storing them would exceed ``KERNEL_BYTES_BUDGET``; raises GridTooLarge if
+    one tile exceeds it and UnsupportedScene in a non-uniform background.
     """
     if scene.boundary_kind() != "hard":
         raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")

@@ -181,6 +181,31 @@ def test_green_methods_without_a_solve_record_no_tolerance(tmp_path, method):
     assert csv[0] == csv[1]
 
 
+@pytest.mark.parametrize("method", ["{kind: lippmann_schwinger, tol: 1.0e-10}",
+                                    "{kind: born, order: 2}"], ids=["lippmann_schwinger", "born"])
+def test_green_in_a_uniform_medium_is_free_space(tmp_path, monkeypatch, method):
+    """n0^2 = 1 builds no grid and solves nothing under any method, so the manifest records no
+    tolerance; G is g digit for digit, as the grid solve's correction of exactly 0 left it."""
+    from smallscat import background
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a uniform medium built a grid operator")
+
+    monkeypatch.setattr(background, "medium_kernel", refuse)
+    cfg = _green_config(tmp_path, f"method: {method}")
+    text = cfg.read_text()
+    bump = "n2: {kind: gaussian_bump, amplitude: 0.1, center: [0.5, 0.5, 0.5], width: 0.2, base: 1.0}"
+    assert bump in text
+    cfg.write_text(text.replace(bump, "n2: {kind: constant, value: 1.0}"))
+    for name, extra in [("default", ()), ("flag", ["--tol", "1e-3"])]:
+        assert run("green", cfg, tmp_path / name, extra) == 0
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["tolerance"] is None
+    csv = [(tmp_path / name / "green.csv").read_bytes() for name in ("default", "flag")]
+    assert csv[0] == csv[1]
+    rows = [line.split(",") for line in csv[0].decode().splitlines()[1:]]
+    assert len(rows) == 15 and all(row[4:6] == row[6:8] for row in rows)
+
+
 def test_green_unknown_method_exits_2(tmp_path):
     # free_space is no method: auto gives the free-space kernel in a uniform medium, and
     # green.csv prints g beside G

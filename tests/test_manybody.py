@@ -471,8 +471,9 @@ def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, w
 def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch):
     centers = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5], [0.5, 0.3, 0.6]])
     hard = hard_scene(centers, 0.005, wave_z, unit_box)
-    # the hard operator's build peak: four complex pair arrays, 64 bytes for each pair of the
-    # tiles I <= J and of one tile more, or, recomputed on every product, of two tiles.  One
+    # the hard operator's build peak: three centers store all eight real layers, 64 bytes for
+    # each pair of the tiles I <= J and of one tile more, or, recomputed on every product, of
+    # two tiles.  One
     # 3 x 3 tile holds 9 pairs, so both read 9 + 9; tiles of 2 centers hold 4 + 2 + 1 stored
     # and 4 of one tile, so below 7 + 4 they are recomputed and only below 4 + 4 it raises.
     for block_entries, stored, least in ((1 << 16, 9 + 9, 9 + 9), (4, 7 + 4, 4 + 4)):
@@ -1070,17 +1071,25 @@ def test_cloud_solves_match_dense_oracles(kind, m, k, seed):
 # The matrix-free hard operator
 # ---------------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 40), k=st.floats(0.5, 3.0), size=st.floats(0.01, 1.0),
-       axis=st.integers(0, 2), shift=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
-       seed=st.integers(0, 2**32 - 1), block_entries=st.sampled_from([1 << 16, 49]))
-@example(m=1, k=1.0, size=1.0, axis=0, shift=0.0, seed=0, block_entries=49)
-@example(m=7, k=1.0, size=1.0, axis=0, shift=0.0, seed=1, block_entries=49)
-@example(m=40, k=2.0, size=0.5, axis=1, shift=50.0, seed=2, block_entries=49)
-def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed, block_entries):
+@given(m=st.one_of(st.integers(1, 40), st.integers(120, 220)), k=st.floats(0.5, 3.0),
+       size=st.one_of(st.floats(0.01, 1.0), st.floats(0.01, 0.03)), axis=st.integers(0, 2),
+       shift=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), seed=st.integers(0, 2**32 - 1),
+       block_entries=st.sampled_from([1 << 16, 49]), stored=st.booleans())
+@example(m=1, k=1.0, size=1.0, axis=0, shift=0.0, seed=0, block_entries=49, stored=True)
+@example(m=7, k=1.0, size=1.0, axis=0, shift=0.0, seed=1, block_entries=49, stored=True)
+@example(m=40, k=2.0, size=0.5, axis=1, shift=50.0, seed=2, block_entries=49, stored=False)
+@example(m=200, k=1.0, size=0.02, axis=2, shift=0.0, seed=3, block_entries=1 << 16,
+         stored=True)
+@example(m=150, k=3.0, size=0.02, axis=0, shift=100.0, seed=4, block_entries=49, stored=False)
+def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed, block_entries,
+                                                stored):
     """Anisotropic, non-symmetric dipole weights; small clouds moved far off the origin,
-    where forming ``rhat . d`` from uncentered coordinates loses digits.  With 49 block
-    entries the tiles have 7 centers a side, so a cloud spans several, the last one ragged
-    (or fills exactly one, at M = 7)."""
+    where forming ``rhat . d`` from uncentered coordinates loses digits.  Clouds of more than
+    ``4 Q + 1`` centers (small ``kD``: the last two examples) take the plane-wave factor and
+    six real layers, smaller ones all eight.  With 49 block entries the tiles have 7 centers
+    a side, so a cloud spans several, the last one ragged (or fills exactly one, at M = 7).
+    Without ``stored`` the budget is one byte under the stored tiles, so every product of a
+    cloud of more than one tile recomputes them."""
     rng = np.random.default_rng(seed)
     centers = size * _separated_centers(rng, m, 0.1)
     centers[:, axis] += shift
@@ -1088,9 +1097,20 @@ def test_hard_cloud_products_match_dense_matrix(m, k, size, axis, shift, seed, b
     dipole_weights = rng.normal(size=(m, 3, 3))
     x = rng.normal(size=5 * m) + 1j * rng.normal(size=5 * m)
     expected = assemble_hard_system(centers, k, lap_weights, dipole_weights) @ x
+    nodes = _hard_nodes(centers, k)
+    assert nodes is None or m >= 120
+    edge = math.isqrt(block_entries)
+    n = len(range(0, m, edge))
+    stored = stored or n == 1  # one tile is its own scratch tile
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
-        got = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)(x)
+        if not stored:
+            patch.setattr(manybody, "KERNEL_BYTES_BUDGET", _hard_check_bytes(m, edge, nodes) - 1)
+        fills = _count_calls(patch, "_hard_tile")
+        system = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)
+        tiles = len(fills)
+        got = system(x)
+    assert (tiles, len(fills)) == ((n * (n + 1) // 2,) * 2 if stored else (0, n * (n + 1) // 2))
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -1107,13 +1127,22 @@ def _tile_pairs(m, edge):
     return (m * m + int(np.sum(sizes**2))) // 2, min(edge, m) ** 2
 
 
-def _hard_check_bytes(m, edge):
-    """The hard budget check: 64 bytes per pair of the tiles ``I <= J`` and of one tile."""
-    return 64 * sum(_tile_pairs(m, edge))
+def _hard_nodes(centers, k):
+    """Rule nodes of the plane-wave factor a hard operator takes; None where it stores all
+    eight real layers."""
+    rule = manybody._plane_wave_rule(k, centers - centers.mean(axis=0), offset=1)
+    return None if rule is None else len(rule[1])
+
+
+def _hard_check_bytes(m, edge, nodes=None):
+    """The hard budget check: 48 bytes per pair of the tiles ``I <= J`` and of one tile, and
+    ``F``'s 16 bytes per center and node; 64 bytes per pair where ``nodes`` is None."""
+    return (64 if nodes is None else 48) * sum(_tile_pairs(m, edge)) + 16 * m * (nodes or 0)
 
 
 def _count_calls(monkeypatch, name):
-    """A list that gains an entry at every call of ``manybody.<name>``."""
+    """A list that gains an entry at every call of ``manybody.<name>``; ``_hard_tile`` fills
+    one tile of a hard operator."""
     calls, real = [], getattr(manybody, name)
 
     def counted(*args, **kwargs):
@@ -1125,9 +1154,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_hard_cloud_products_allocate_no_pair_array():
-    """The seed-0 ``hard_volume`` cloud of the benchmark (M = 933): four pair arrays stored on
-    the tiles ``I <= J`` only, a build within the budget check, and no M x M temporary in a
-    product."""
+    """The seed-0 ``hard_volume`` cloud of the benchmark (M = 933): six real layers stored on
+    the tiles ``I <= J`` only and the plane-wave factor, a build within the budget check, and
+    no M x M temporary in a product."""
     spec = ss.CloudSpec(density=ss.ConstantField(0.002), a=0.008, law="hard_volume",
                         bc_kind="hard", rng_seed=0)
     particles = ss.generate_cloud(spec, ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0]))
@@ -1146,10 +1175,11 @@ def test_hard_cloud_products_allocate_no_pair_array():
     finally:
         tracemalloc.stop()
     assert m > 900
-    edge = math.isqrt(ss.background._BLOCK_ENTRIES)
-    # half of the four full arrays' 64 M^2 bytes, plus the diagonal tiles' lower halves
-    assert stored <= 64 * (m * m + edge * m) // 2 + 1024 * m
-    assert build_peak <= _hard_check_bytes(m, edge)
+    edge, nodes = math.isqrt(ss.background._BLOCK_ENTRIES), _hard_nodes(centers, 1.0)
+    assert nodes == 126
+    # half of the six full layers' 48 M^2 bytes, plus the diagonal tiles' lower halves, and F
+    assert stored <= 48 * (m * m + edge * m) // 2 + 16 * m * nodes + 1024 * m
+    assert build_peak <= _hard_check_bytes(m, edge, nodes)
     assert product_peak - stored <= 2048 * m
 
 
@@ -1195,29 +1225,38 @@ def test_hard_cloud_solves_where_the_row_block_check_refused(monkeypatch):
 
 
 def test_hard_cap_at_the_default_budget(monkeypatch):
+    """In the unit cube at k = 1 the operator stores six real layers and ``F`` of 126 nodes
+    (the rule a degree above the cloud kernel's 100, for the gradient) up to M = 9284; all
+    eight layers would stop at 8057.  Arithmetic, and a build past the cap that stores no
+    tile."""
     budget, edge = manybody.KERNEL_BYTES_BUDGET, math.isqrt(ss.background._BLOCK_ENTRIES)
     assert budget == 2 * 1024**3 and edge == 256
+    nodes = len(manybody._sphere_rule(manybody._rule_degree(math.sqrt(3.0), (9284 - 2) // 4, 1))[1])
+    assert nodes == 126
+    assert _hard_check_bytes(9284, edge, nodes) <= budget < _hard_check_bytes(9285, edge, nodes)
     assert _hard_check_bytes(8057, edge) <= budget < _hard_check_bytes(8058, edge)
     assert manybody._kernel_bytes(8057, 64) <= budget < manybody._kernel_bytes(8058, 64)
     # the full arrays with one row block of 65 536 pairs stopped at 5787
     assert 64 * 5787 * (5787 + 65536 // 5787) <= budget < 64 * 5788 * (5788 + 65536 // 5788)
     # past the cap the tiles are recomputed on every product: the build fills none and
-    # allocates less than one tile of four complex layers (4 MiB), only the tile list
-    fills = _count_calls(monkeypatch, "point_green")
-    centers = np.random.default_rng(0).uniform(size=(8058, 3))
+    # allocates F, the phases it is formed from and the tile list
+    fills = _count_calls(monkeypatch, "_hard_tile")
+    centers = np.random.default_rng(0).uniform(size=(9285, 3))
+    assert _hard_nodes(centers, 1.0) == nodes
     tracemalloc.start()
     try:
-        manybody.hard_cloud_system(centers, 1.0, np.ones(8058), np.zeros((8058, 3, 3)))
+        manybody.hard_cloud_system(centers, 1.0, np.ones(9285), np.zeros((9285, 3, 3)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not fills and peak <= 2 << 20
+    assert not fills and peak <= 24 * 9285 * nodes + (2 << 20)
 
 
 def test_recomputed_hard_products_match_stored(monkeypatch):
-    """Stored at exactly 64 bytes per pair of the tiles ``I <= J`` and of one tile more; one
+    """Stored at exactly the bytes of the tiles ``I <= J``, of one tile more and of ``F``; one
     byte under, every product recomputes them into one scratch tile, bit for bit the stored
-    products; one byte under two tiles it raises."""
+    products; one byte under two tiles and ``F`` it raises.  At k = 1.3 the 300 centers store
+    all eight real layers, at k = 0.3 six and ``F``."""
     rng = np.random.default_rng(17)
     m = 300
     centers = rng.uniform(0.0, 1.0, size=(m, 3))
@@ -1226,27 +1265,33 @@ def test_recomputed_hard_products_match_stored(monkeypatch):
     x = rng.normal(size=5 * m) + 1j * rng.normal(size=5 * m)
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 5000)
     tile = math.isqrt(5000) ** 2
-    dense = assemble_hard_system(centers, 1.3, lap_weights, dipole_weights) @ x
-    total = _hard_check_bytes(m, 70)
-    assert manybody._kernel_bytes(m, 64) == total
-    fills = _count_calls(monkeypatch, "point_green")
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total)
-    stored = manybody.hard_cloud_system(centers, 1.3, lap_weights, dipole_weights)
-    expected = stored(x)
-    assert len(fills) == 15  # 5 row blocks of 70: 15 tiles, each filled once
-    assert np.linalg.norm(expected - dense) <= 1e-12 * np.linalg.norm(dense)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", total - 1)
-    recomputed = manybody.hard_cloud_system(centers, 1.3, lap_weights, dipole_weights)
-    assert len(fills) == 15  # the build fills none
-    for n in (1, 2):
-        assert np.array_equal(recomputed(x), expected)
-        assert len(fills) == 15 * (n + 1)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 2 * tile - 1)
-    with pytest.raises(ss.GridTooLarge, match="hard operator of 300 particles"):
-        manybody.hard_cloud_system(centers, 1.3, lap_weights, dipole_weights)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 2 * tile)
-    assert np.array_equal(manybody.hard_cloud_system(centers, 1.3, lap_weights,
-                                                     dipole_weights)(x), expected)
+    for k, pair_bytes in ((1.3, 64), (0.3, 48)):
+        nodes = _hard_nodes(centers, k)
+        assert (nodes is None) == (pair_bytes == 64)
+        factor_bytes = 16 * m * (nodes or 0)
+        dense = assemble_hard_system(centers, k, lap_weights, dipole_weights) @ x
+        total = _hard_check_bytes(m, 70, nodes)
+        assert manybody._kernel_bytes(m, pair_bytes, factor_bytes) == total
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(manybody, "KERNEL_BYTES_BUDGET", total)
+            fills = _count_calls(patch, "_hard_tile")
+            stored = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)
+            expected = stored(x)
+            assert len(fills) == 15  # 5 row blocks of 70: 15 tiles, each filled once
+            assert np.linalg.norm(expected - dense) <= 1e-12 * np.linalg.norm(dense)
+            patch.setattr(manybody, "KERNEL_BYTES_BUDGET", total - 1)
+            recomputed = manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)
+            assert len(fills) == 15  # the build fills none
+            for n in (1, 2):
+                assert np.array_equal(recomputed(x), expected)
+                assert len(fills) == 15 * (n + 1)
+            least = pair_bytes * 2 * tile + factor_bytes
+            patch.setattr(manybody, "KERNEL_BYTES_BUDGET", least - 1)
+            with pytest.raises(ss.GridTooLarge, match="hard operator of 300 particles"):
+                manybody.hard_cloud_system(centers, k, lap_weights, dipole_weights)
+            patch.setattr(manybody, "KERNEL_BYTES_BUDGET", least)
+            assert np.array_equal(manybody.hard_cloud_system(centers, k, lap_weights,
+                                                             dipole_weights)(x), expected)
 
 
 def test_recomputed_products_share_no_scratch_between_threads(monkeypatch):
@@ -1282,7 +1327,7 @@ def test_hard_cloud_solves_with_recomputed_tiles(monkeypatch):
     m = scene.n_particles
     expected = _dense_hard_oracle(scene)
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", _hard_check_bytes(m, 7) - 1)
-    fills = _count_calls(monkeypatch, "point_green")
+    fills = _count_calls(monkeypatch, "_hard_tile")
     sol = solve_hard(scene)
     # every product fills all fifteen tiles again, the build none
     assert len(fills) % 15 == 0 and len(fills) >= 2 * 15
