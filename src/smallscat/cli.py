@@ -154,12 +154,11 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
     scene = scene_from_config(cfg["scene"], ctx.config_path.parent, seed_override=ctx.seed)
     if "cloud" in cfg["scene"]:
         ctx.seed = effective_seed(cfg["scene"]["cloud"], ctx.seed)
-    kind = scene.boundary_kind()
-    solver = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[kind]
+    solver = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[scene.kind]
     solution = solver(scene, rtol=ctx.tol)
     ctx.residuals["system"] = solution.residual
     ctx.summary.update({
-        "kind": kind,
+        "kind": scene.kind,
         "M": scene.n_particles,
         "k": scene.wave.k,
         "alpha": list(scene.wave.alpha),
@@ -168,14 +167,11 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
         "Q_first_im": float(np.imag(solution.charges[0])),
     })
 
-    rows = []
-    for i, p in enumerate(scene.particles):
-        row = [str(i), p.center[0], p.center[1], p.center[2], p.a,
-               solution.values[i].real, solution.values[i].imag,
-               solution.charges[i].real, solution.charges[i].imag]
-        rows.append(row)
+    table = np.column_stack([scene.centers, scene.radii, solution.values.real,
+                             solution.values.imag, solution.charges.real, solution.charges.imag])
     write_csv(ctx.artifact_path("particles.csv"),
-              ["m", "x", "y", "z", "a", "re_ue", "im_ue", "re_Q", "im_Q"], rows)
+              ["m", "x", "y", "z", "a", "re_ue", "im_ue", "re_Q", "im_Q"],
+              [[str(i), *row] for i, row in enumerate(table.tolist())])
 
     out_cfg = cfg.get("outputs", {})
     if "farfield" in out_cfg:

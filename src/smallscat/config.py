@@ -17,7 +17,7 @@ from .background import BackgroundMedium
 from .core import (DEFAULT_JITTER, DEFAULT_SEPARATION_FACTOR, DEFAULT_SMALLNESS_THRESHOLD,
                    CloudSpec, Hard, Impedance, IncidentWave, Particle, Scene, Soft,
                    generate_cloud)
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedScene
 from .fields import ScalarField, _complex_from_config, field_from_config
 from .grids import Box
 from .onebody import SurfaceMesh, icosphere, load_obj, mesh_particle, spheroid
@@ -170,11 +170,10 @@ def scene_from_config(cfg: dict, base_dir=".", seed_override: Optional[int] = No
         sep = spec.separation_factor
     else:
         raise ConfigError("scene: needs 'particles' or 'cloud'")
-    if (background is not None and not background.uniform_one
-            and any(isinstance(p.bc, Hard) for p in particles)):
-        raise ConfigError("scene: hard particles support no background medium")
+    if not particles:
+        raise ConfigError("scene: the scene has no particles")
     try:
         return Scene(particles=particles, domain=domain, wave=wave, background=background,
                      separation_factor=sep, smallness_threshold=small)
-    except ValueError as exc:
+    except (ValueError, UnsupportedScene) as exc:
         raise ConfigError(f"scene: {exc}") from exc

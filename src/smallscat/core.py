@@ -5,20 +5,25 @@ with ``|alpha| = 1``; all lengths share one unit; the dielectric constant of
 the embedding medium is 1.  Scenes and particles are immutable value types
 and safe to share across threads; cloud generation is single threaded and a
 pure function of the seed.
+
+A :class:`Scene` packs its particles once, when it is built, into read-only arrays and
+one boundary kind, which every solver reads; no other module reads a particle's boundary
+condition.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .background import BackgroundMedium, expi
-from .errors import DensityInfeasible
+from .errors import DensityInfeasible, UnsupportedScene
 from .fields import ConstantField, GaussianBumpField, GriddedField, ScalarField
 from .grids import Box
 
@@ -49,13 +54,13 @@ class IncidentWave:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"wave number must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"wave number must be positive and finite, got {self.k}")
         alpha = np.asarray(self.alpha, dtype=float).reshape(3)
-        if abs(np.linalg.norm(alpha) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-12:
             raise ValueError(f"direction must be a unit vector, |alpha|={np.linalg.norm(alpha)}")
-        if self.amplitude == 0:
-            raise ValueError("wave amplitude must be nonzero")
+        if self.amplitude == 0 or not cmath.isfinite(self.amplitude):
+            raise ValueError(f"wave amplitude must be nonzero and finite, got {self.amplitude}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
@@ -90,6 +95,8 @@ class Impedance:
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0, 1), got {self.kappa}")
+        if not cmath.isfinite(self.h):
+            raise ValueError(f"impedance h must be finite, got {self.h}")
         object.__setattr__(self, "h", complex(self.h))
 
 
@@ -101,14 +108,7 @@ class Hard:
 BoundaryKind = Union[Soft, Impedance, Hard]
 
 
-def kind_label(bc: BoundaryKind) -> str:
-    if isinstance(bc, Soft):
-        return "soft"
-    if isinstance(bc, Impedance):
-        return "impedance"
-    if isinstance(bc, Hard):
-        return "hard"
-    raise TypeError(f"not a boundary kind: {bc!r}")
+_KINDS = {Soft: "soft", Impedance: "impedance", Hard: "hard"}
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,15 @@ class Particle:
     shape: str = "sphere"
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"particle radius scale must be positive, got {self.a}")
-        if self.capacitance <= 0 or self.surface_factor <= 0 or self.volume <= 0:
-            raise ValueError("shape functionals must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"particle radius scale must be positive and finite, got {self.a}")
+        if not all(0.0 < v < math.inf
+                   for v in (self.capacitance, self.surface_factor, self.volume)):
+            raise ValueError("shape functionals must be positive and finite")
+        center = np.asarray(self.center, dtype=float).reshape(3)
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"particle center must be finite, got {center}")
+        object.__setattr__(self, "center", center)
         if self.polarizability is not None:
             beta = np.asarray(self.polarizability, dtype=float).reshape(3, 3)
             object.__setattr__(self, "polarizability", beta)
@@ -155,9 +159,43 @@ class Particle:
         )
 
 
+def _pack_particles(particles: Sequence[Particle]) -> dict:
+    """``kind`` (``soft``, ``impedance``, ``hard`` or ``empty``) and the read-only arrays of
+    ``particles`` that a :class:`Scene` holds; ValueError if they mix boundary kinds (the
+    kinds are treated separately).  ``coupling`` is the monopole coupling ``C_m`` (soft) or
+    ``h_m b_m a^(2-kappa)`` (impedance); ``polarizabilities`` is None unless every particle
+    carries its tensor.
+    """
+    kinds = {_KINDS[type(p.bc)] for p in particles}
+    if len(kinds) > 1:
+        raise ValueError(f"particles mix boundary kinds {sorted(kinds)}")
+    kind = kinds.pop() if kinds else "empty"
+    betas = [p.polarizability for p in particles]
+    packing = {
+        "centers": np.array([p.center for p in particles], dtype=float).reshape(-1, 3),
+        "radii": np.array([p.a for p in particles], dtype=float),
+        "coupling": None if kind == "hard" else np.array(
+            [p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa) if kind == "impedance"
+             else p.capacitance for p in particles], dtype=complex),
+        "volumes": np.array([p.volume for p in particles], dtype=float),
+        "polarizabilities": (None if any(beta is None for beta in betas)
+                             else np.array(betas, dtype=float).reshape(-1, 3, 3)),
+    }
+    for array in packing.values():
+        if array is not None:
+            array.flags.writeable = False
+    return dict(packing, kind=kind)
+
+
 @dataclass(frozen=True)
 class Scene:
-    """Particle cloud + incident wave + (optional) background medium in a box."""
+    """Particle cloud + incident wave + (optional) background medium in a box.
+
+    Packed once, when it is built, by :func:`_pack_particles`: ``kind``, ``centers`` (M, 3),
+    ``radii`` (M,), ``coupling`` (M,) or None for hard particles, ``volumes`` (M,) and
+    ``polarizabilities`` (M, 3, 3) or None.  ValueError if the particles mix boundary kinds,
+    UnsupportedScene for hard particles in a non-uniform background.
+    """
 
     particles: Tuple[Particle, ...]
     domain: Box
@@ -165,23 +203,28 @@ class Scene:
     background: Optional[BackgroundMedium] = None
     separation_factor: float = DEFAULT_SEPARATION_FACTOR
     smallness_threshold: float = DEFAULT_SMALLNESS_THRESHOLD
+    kind: str = field(init=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    coupling: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    volumes: np.ndarray = field(init=False, repr=False, compare=False)
+    polarizabilities: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "particles", tuple(self.particles))
+        for name, value in _pack_particles(self.particles).items():
+            object.__setattr__(self, name, value)
+        if self.kind == "hard" and self.background is not None and not self.background.uniform_one:
+            raise UnsupportedScene("hard particles support no background medium")
+
+    def __reduce__(self):
+        """Pickled and copied as its constructor arguments, so a copy packs read-only too."""
+        return Scene, (self.particles, self.domain, self.wave, self.background,
+                       self.separation_factor, self.smallness_threshold)
 
     @property
     def n_particles(self) -> int:
         return len(self.particles)
-
-    @property
-    def centers(self) -> np.ndarray:
-        if not self.particles:
-            return np.zeros((0, 3))
-        return np.array([p.center for p in self.particles])
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([p.a for p in self.particles])
 
     @property
     def max_radius(self) -> float:
@@ -190,13 +233,6 @@ class Scene:
     @property
     def n0_max(self) -> float:
         return 1.0 if self.background is None else self.background.n0_max
-
-    def boundary_kind(self) -> str:
-        """Common kind label; raises if kinds are mixed (treated separately)."""
-        kinds = {kind_label(p.bc) for p in self.particles}
-        if len(kinds) > 1:
-            raise ValueError(f"scene mixes boundary kinds {sorted(kinds)}")
-        return kinds.pop() if kinds else "empty"
 
 
 @dataclass
@@ -284,8 +320,8 @@ class CloudSpec:
     jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("cloud radius must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"cloud radius must be positive and finite, got {self.a}")
         if self.law not in ("dirichlet", "impedance", "hard_volume"):
             raise ValueError(f"unknown counting law {self.law!r}")
         if self.bc_kind not in ("soft", "impedance", "hard"):

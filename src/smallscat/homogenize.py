@@ -22,7 +22,8 @@ GMRES on the zero-padded FFT lattice operator of :mod:`smallscat.lattice`,
 ``O(P log P)`` per iteration.  The limits are taken in free space; a
 background medium enters only the finite-cloud solves, through
 ``scene.background``.  Empirical cell statistics of
-generated clouds estimate the same coefficients, and the convergence study
+generated clouds estimate the same coefficients (from the particle arrays and
+couplings a :class:`~smallscat.core.Scene` packs), and the convergence study
 compares the cloud solve against the collocation solve level by level in the
 sup norm over cells.
 """
@@ -39,13 +40,13 @@ from scipy.spatial import cKDTree
 from .background import free_space_green
 from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
                    SPHERE_SURFACE_FACTOR, CloudSpec, IncidentWave, Particle, Scene,
-                   generate_cloud, kind_label)
+                   _pack_particles, generate_cloud)
 from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
-from .manybody import (EffectiveFieldSolution, _radial_factors, hard_rhs, hard_system_apply,
-                       monopole_coupling, solve_impedance, solve_soft, source_field)
+from .manybody import (EffectiveFieldSolution, _hard_layers, hard_rhs, hard_system_apply,
+                       solve_impedance, solve_soft, source_field)
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +93,8 @@ def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave
 class LimitCoefficients:
     """Cell samples of the limiting medium.
 
-    ``capacitance_density`` is the per-volume capacitance statistic,
-    ``volume_fraction`` and ``dipole_density`` the hard-cloud analogues.
+    ``capacitance_density`` is the per-volume capacitance statistic of a soft
+    cloud, ``volume_fraction`` and ``dipole_density`` the hard-cloud analogues.
     Cells without particles are flagged in ``empty_cells``; their statistics
     are undefined and stored as zero.
     """
@@ -114,42 +115,35 @@ def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
     """Empirical cell statistics of a particle cloud.
 
     Soft/impedance clouds produce the coefficient ``q`` (sum of monopole
-    couplings per cell volume) and ``n^2``; all clouds produce the volume
-    fraction, hard clouds additionally the dipole density.
+    couplings per cell volume) and ``n^2``, soft clouds also the capacitance
+    density (``Re q``); all clouds produce the volume fraction, hard clouds
+    additionally the dipole density.  ValueError if the particles mix kinds.
     """
     p_count = cover.n_cells
-    centers = np.array([p.center for p in particles]).reshape(len(particles), 3)
-    cells = cover.cell_index(centers)
+    packing = _pack_particles(particles)
+    kind, volumes, betas = packing["kind"], packing["volumes"], packing["polarizabilities"]
+    cells = cover.cell_index(packing["centers"])
     vol = cover.cell_volume
 
     counts = np.bincount(cells, minlength=p_count)
-    kinds = {kind_label(p.bc) for p in particles}
-    if len(kinds) > 1:
-        raise ValueError(f"cloud mixes boundary kinds {sorted(kinds)}")
-    kind = kinds.pop() if kinds else "empty"
-
-    cap = np.zeros(p_count)
-    np.add.at(cap, cells, [p.capacitance for p in particles])
-    cap /= vol
-
     rho = np.zeros(p_count)
-    np.add.at(rho, cells, [p.volume for p in particles])
+    np.add.at(rho, cells, volumes)
     rho /= vol
 
     dipole = None
-    if kind == "hard" and all(p.polarizability is not None for p in particles):
+    if kind == "hard" and betas is not None:
         dipole = np.zeros((p_count, 3, 3))
-        np.add.at(dipole, cells,
-                  np.array([p.polarizability * p.volume for p in particles]))
+        np.add.at(dipole, cells, betas * volumes[:, None, None])
         dipole /= vol
 
-    q = None
-    n2 = None
+    q = n2 = cap = None
     if kind in ("soft", "impedance"):
         q = np.zeros(p_count, dtype=complex)
-        np.add.at(q, cells, monopole_coupling(particles))
+        np.add.at(q, cells, packing["coupling"])
         q /= vol
         n2 = 1.0 - q / k**2
+    if kind == "soft":
+        cap = q.real.copy()
 
     empty = counts == 0
     if np.any(empty):
@@ -253,9 +247,11 @@ _DGP = {(0, 0): 7, (0, 1): 8, (0, 2): 9, (1, 1): 10, (1, 2): 11, (2, 2): 12}
 
 
 def _hard_kernels(d: np.ndarray, k: float) -> np.ndarray:
-    r = np.linalg.norm(d, axis=1)
-    g = free_space_green(k, r)
-    g_r, gp_r, radial = _radial_factors(g, r, k)
+    parts = np.empty((8, len(d)))
+    _hard_layers(k, np.linalg.norm(d, axis=1), list(parts))
+    factors = np.empty((4, len(d)), dtype=complex)
+    factors.real, factors.imag = parts[[0, 1, 3, 4]], parts[[6, 2, 7, 5]]
+    g, g_r, gp_r, radial = factors
     upper = [radial * d[:, s] * d[:, p] + (g_r if s == p else 0.0) for s, p in _DGP]
     return np.column_stack([g, g_r[:, None] * d, gp_r[:, None] * d, *upper,
                             (radial + 1j * k * gp_r)[:, None] * d])

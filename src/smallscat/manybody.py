@@ -26,7 +26,8 @@ residual checked), and the 5M hard system matrix-free
 (:func:`hard_cloud_system`: ``g`` and its radial factors as six float64 layers on the same
 tiles, the smooth ``Im g`` and its gradient through the same plane-wave factor, or for
 small clouds and large ``kD`` all eight layers).
-A medium enters only through ``scene.background``.
+A solve reads a scene's packed arrays and checks it with :func:`~smallscat.core.validate_scene`
+at the scene's own thresholds.  A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
 """
 
@@ -44,7 +45,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from . import background
 from .background import (DEFAULT_GRID_N, BackgroundMedium, cell_self_green, cos_sin, expi,
                          free_space_green, point_green)
-from .core import Hard, Impedance, IncidentWave, Particle, Scene, validate_scene
+from .core import IncidentWave, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
 from .grids import GridCover
@@ -142,12 +143,15 @@ def _green_layers(k: float, r: np.ndarray, layers) -> None:
 
 def _hard_layers(k: float, r: np.ndarray, parts) -> None:
     """``Re g``, ``Re(g/r)``, ``Im(g/r)``, ``Re(g'/r)``, ``Re radial`` and ``Im radial``
-    (:func:`_radial_factors`) into six ``parts``, then ``Im g`` and ``Im(g'/r)`` where there
-    are eight.  0 where ``r`` is 0; ``r`` is overwritten.
+    into six ``parts``, then ``Im g`` and ``Im(g'/r)`` where there are eight.  0 where ``r``
+    is 0; ``r`` is overwritten.
 
-    One ``tan`` of :func:`~smallscat.background.cos_sin` and no scratch: the unfinished values
-    pass through the layers still to be written.  The real arithmetic is that of
-    :func:`~smallscat.background.point_green` and :func:`_radial_factors`, step for step.
+    The radial factors of ``g(r)`` are ``g/r``, ``g'/r = ik g/r - g/r^2`` and ``radial =
+    (g' - g/r) / r^2``: with ``D = r rhat``, ``d_s(g rhat_p) = radial D_s D_p + (g/r)
+    delta_sp`` and ``lap(g rhat) = (radial + ik g'/r) D``.  One ``tan`` of
+    :func:`~smallscat.background.cos_sin` and no scratch: the unfinished values pass through
+    the layers still to be written.  ``g`` is :func:`~smallscat.background.free_space_green`
+    bit for bit.
     """
     re_g, re_gr, im_gr, re_gp, re_rad, im_rad = parts[:6]
     im_g, im_gp = parts[6:] or (im_gr, re_gp)  # or where they are formed on the way
@@ -269,13 +273,16 @@ def _plane_wave_rule(k: float, x: np.ndarray, offset: int = 0):
 
 def _plane_wave_factor(k: float, x: np.ndarray, rule) -> np.ndarray:
     """``F = sqrt(w_q) [cos(k x.s_q), sin(k x.s_q)]`` (M, 2Q) of a rule's nodes ``s_q`` and
-    weights ``w_q``, so that ``(F F^T)_ij`` is its sum of ``cos(k s_q.(x_i - x_j))``."""
+    weights ``w_q``, so that ``(F F^T)_ij`` is its sum of ``cos(k s_q.(x_i - x_j))``.
+
+    The phases ``k x.s_q`` are formed in the cosine half of ``F`` itself, so ``F`` is the
+    only (M, Q)-sized allocation."""
     directions, weights = rule
     m, nodes = len(x), len(weights)
-    phase = np.multiply(k, x @ directions.T)
     factor = np.empty((m, 2 * nodes))
-    cos_sin(phase, factor[:, :nodes], phase)
-    factor[:, nodes:] = phase
+    cos, sin = factor[:, :nodes], factor[:, nodes:]
+    np.multiply(k, np.matmul(x, directions.T, out=cos), out=cos)
+    cos_sin(cos, cos, sin)
     factor.reshape(m, 2, nodes)[...] *= np.sqrt(weights)
     return factor
 
@@ -407,18 +414,11 @@ class CloudKernel:
         return real.view(complex)[:, 0] + 1j * imag.view(complex)[:, 0]
 
 
-def monopole_coupling(particles: Sequence[Particle]) -> np.ndarray:
-    """Per-particle monopole coupling: C_m (soft) or h_m b_m a^(2-kappa) (impedance)."""
-    if any(isinstance(p.bc, Hard) for p in particles):
-        raise ValueError("hard particles carry no monopole coupling")
-    return np.array([p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa)
-                     if isinstance(p.bc, Impedance) else p.capacitance
-                     for p in particles], dtype=complex)
-
-
-def _check_regime(scene: Scene, validate: bool) -> None:
-    if not validate:
-        return
+def _check_scene(scene: Scene, kind: str) -> None:
+    """ValueError unless every particle of ``scene`` is of ``kind``; RegimeViolation if
+    :func:`~smallscat.core.validate_scene` does not accept it at the scene's own thresholds."""
+    if scene.kind != kind:
+        raise ValueError(f"expected an all-{kind} scene, got {scene.kind}")
     report = validate_scene(scene)
     if not report.accepted:
         raise RegimeViolation("; ".join(report.violations))
@@ -470,34 +470,27 @@ def _medium_cover(medium: BackgroundMedium) -> GridCover:
     return GridCover.from_shape(medium.box, DEFAULT_GRID_N)
 
 
-def _solve_monopole_scene(scene: Scene, expected_kind, rtol, validate) -> EffectiveFieldSolution:
-    kind = scene.boundary_kind()
-    if kind != expected_kind:
-        raise ValueError(f"expected an all-{expected_kind} scene, got {kind}")
-    _check_regime(scene, validate)
-    coupling = monopole_coupling(scene.particles)
-    medium = _scene_medium(scene)
+def _solve_monopole_scene(scene: Scene, kind: str, rtol: float) -> EffectiveFieldSolution:
+    _check_scene(scene, kind)
     u, residual, cover_charges = solve_monopole_system(
-        scene.centers, scene.wave.k, coupling, scene.wave.field_at(scene.centers), rtol=rtol,
-        medium=medium)
+        scene.centers, scene.wave.k, scene.coupling, scene.wave.field_at(scene.centers),
+        rtol=rtol, medium=_scene_medium(scene))
     logger.info("solved %s scene: M=%d residual=%.2e", kind, len(u), residual)
-    return EffectiveFieldSolution(kind=kind, values=u, charges=-coupling * u,
+    return EffectiveFieldSolution(kind=kind, values=u, charges=-scene.coupling * u,
                                   cover_charges=cover_charges, residual=residual)
 
 
-def solve_soft(scene: Scene, *, rtol: float = DEFAULT_RTOL,
-               validate: bool = True) -> EffectiveFieldSolution:
+def solve_soft(scene: Scene, *, rtol: float = DEFAULT_RTOL) -> EffectiveFieldSolution:
     """Self-consistent field for an all-soft scene; ``Q_m = -C_m u(x_m)``."""
-    return _solve_monopole_scene(scene, "soft", rtol, validate)
+    return _solve_monopole_scene(scene, "soft", rtol)
 
 
-def solve_impedance(scene: Scene, *, rtol: float = DEFAULT_RTOL,
-                    validate: bool = True) -> EffectiveFieldSolution:
+def solve_impedance(scene: Scene, *, rtol: float = DEFAULT_RTOL) -> EffectiveFieldSolution:
     """Self-consistent field for an all-impedance scene.
 
     ``Q_m = -h(x_m) a^(2-kappa) b_m u(x_m)`` with ``b_m = |S_m| / a^2``.
     """
-    return _solve_monopole_scene(scene, "impedance", rtol, validate)
+    return _solve_monopole_scene(scene, "impedance", rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -597,23 +590,6 @@ def hard_system_apply(lap_weights: np.ndarray, dipole_weights: np.ndarray, field
     return apply
 
 
-def _radial_factors(g: np.ndarray, r: np.ndarray, k: float):
-    """``g/r``, ``g'/r`` and ``radial = (g' - g/r)/r^2`` of ``g(r)``; ``r`` becomes ``1/r``.
-
-    With ``D = r rhat``, ``d_s(g rhat_p) = radial D_s D_p + (g/r) delta_sp`` and
-    ``lap(g rhat) = (radial + ik g'/r) D``.  Only the three results are allocated.
-    """
-    g_r, gp_r, radial = (np.empty_like(g) for _ in range(3))
-    inv_r = np.reciprocal(r, out=r)
-    np.multiply(g, inv_r, out=g_r)
-    np.multiply(g_r, 1j * k, out=gp_r)
-    np.multiply(g_r, inv_r, out=radial)
-    gp_r -= radial
-    np.subtract(gp_r, radial, out=radial)
-    radial *= inv_r
-    return g_r, gp_r, radial
-
-
 def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
                       dipole_weights: np.ndarray):
     """Matrix-free form of :func:`assemble_hard_system` for a particle cloud.
@@ -702,8 +678,7 @@ def hard_rhs(wave: IncidentWave, points: np.ndarray) -> np.ndarray:
                            wave.laplacian_at(points)])
 
 
-def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
-               validate: bool = True) -> EffectiveFieldSolution:
+def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL) -> EffectiveFieldSolution:
     """Coupled 5M solve for an all-hard scene.
 
     Unknowns are the field, its gradient, and its Laplacian at every center;
@@ -712,22 +687,15 @@ def solve_hard(scene: Scene, *, rtol: float = DEFAULT_RTOL,
     :func:`hard_cloud_system` (48 bytes per pair of the tiles ``I <= J`` and the plane-wave
     factor, or 64 bytes per pair for small clouds), whose tiles are recomputed on every
     product where storing them would exceed ``KERNEL_BYTES_BUDGET``; raises GridTooLarge if
-    one tile exceeds it and UnsupportedScene in a non-uniform background.
+    one tile exceeds it.  A hard scene is free space: :class:`~smallscat.core.Scene`
+    refuses a non-uniform background when it is built.
     """
-    if scene.boundary_kind() != "hard":
-        raise ValueError(f"expected an all-hard scene, got {scene.boundary_kind()}")
-    if _scene_medium(scene) is not None:
-        raise UnsupportedScene("hard solves support the free-space kernel only")
-    _check_regime(scene, validate)
-    for i, p in enumerate(scene.particles):
-        if p.polarizability is None:
-            raise MissingFunctional(f"particle {i} lacks a polarizability tensor")
-
-    centers = scene.centers
+    _check_scene(scene, "hard")
+    if scene.polarizabilities is None:
+        raise MissingFunctional("a hard particle lacks its polarizability tensor")
+    centers, volumes = scene.centers, scene.volumes
     m = len(centers)
-    volumes = np.array([p.volume for p in scene.particles])
-    betas = np.array([p.polarizability for p in scene.particles])
-    dipole_weights = betas * volumes[:, None, None]
+    dipole_weights = scene.polarizabilities * volumes[:, None, None]
     system = hard_cloud_system(centers, scene.wave.k, volumes, dipole_weights)
     x, residual = solve_checked(system, hard_rhs(scene.wave, centers), rtol)
     gradients = x[m:4 * m].reshape(m, 3)

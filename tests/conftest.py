@@ -45,6 +45,9 @@ def rotation_matrix(axis, angle):
 def pytest_configure(config):
     # Tier-1 turns numpy's RuntimeWarning (a divide by zero, an overflow, an invalid value
     # in the kernel algebra) and scipy's warning of a singular or ill-conditioned LU into a
-    # failure instead of a printed warning.
+    # failure instead of a printed warning.  A deprecated numpy or scipy call made from
+    # smallscat fails too, on the day it is deprecated rather than the day it is removed.
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
     config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning:smallscat")
+    config.addinivalue_line("filterwarnings", "error::FutureWarning:smallscat")

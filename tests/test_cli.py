@@ -350,6 +350,40 @@ def test_regime_violation_exits_4(tmp_path):
     assert record["type"] == "RegimeViolation"
 
 
+@pytest.mark.parametrize("wave, particle", [
+    ("{k: .nan, alpha: [0, 0, 1]}", "{center: [0.5, 0.5, 0.5], a: 0.01}"),
+    ("{k: .inf, alpha: [0, 0, 1]}", "{center: [0.5, 0.5, 0.5], a: 0.01}"),
+    ("{k: 1.0, alpha: [0, 0, 1]}", "{center: [0.5, 0.5, 0.5], a: .nan}"),
+    ("{k: 1.0, alpha: [0, 0, 1]}", "{center: [0.5, 0.5, 0.5], a: .inf}"),
+], ids=["k_nan", "k_inf", "a_nan", "a_inf"])
+def test_non_finite_scene_input_exits_2(tmp_path, wave, particle):
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(
+        "scene:\n"
+        f"  wave: {wave}\n"
+        "  domain: {lo: [0, 0, 0], hi: [1, 1, 1]}\n"
+        f"  particles:\n    - {particle}\n"
+    )
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError" and "finite" in record["error"]
+
+
+def test_scene_without_particles_exits_2(tmp_path):
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(
+        "scene:\n"
+        "  wave: {k: 1.0, alpha: [0, 0, 1]}\n"
+        "  domain: {lo: [0, 0, 0], hi: [1, 1, 1]}\n"
+        "  particles: []\n"
+    )
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError" and "no particles" in record["error"]
+
+
 def test_hard_scene_in_background_medium_exits_2(tmp_path):
     cfg = tmp_path / "scene.yaml"
     cfg.write_text(

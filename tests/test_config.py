@@ -49,7 +49,7 @@ def test_scene_with_explicit_particles(tmp_path):
     }
     scene = scene_from_config(cfg, tmp_path)
     assert scene.n_particles == 2
-    assert scene.boundary_kind() == "soft"
+    assert scene.kind == "soft"
 
 
 def test_scene_with_gridded_density_cloud(tmp_path):

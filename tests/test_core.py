@@ -1,3 +1,5 @@
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,59 @@ def test_boundary_kind_invariants():
         ss.Impedance(h=1.0, kappa=0.0)
     bc = ss.Impedance(h=0.5 - 0.1j, kappa=0.5)
     assert bc.h == 0.5 - 0.1j
+
+
+@pytest.mark.parametrize("k, alpha, amplitude", [
+    (math.inf, [0, 0, 1], 1.0), (math.nan, [0, 0, 1], 1.0), (1.0, [0, 0, math.nan], 1.0),
+    (1.0, [0, 0, 1], complex(math.nan, 0.0)), (1.0, [0, 0, 1], complex(1.0, math.inf))])
+def test_wave_refuses_non_finite_input(k, alpha, amplitude):
+    with pytest.raises(ValueError):
+        ss.IncidentWave(k=k, alpha=alpha, amplitude=amplitude)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_particles_and_clouds_refuse_non_finite_input(bad):
+    with pytest.raises(ValueError, match="radius"):
+        ss.Particle.sphere([0, 0, 0], bad, ss.Soft())
+    with pytest.raises(ValueError, match="center"):
+        ss.Particle.sphere([0, bad, 0], 0.01, ss.Soft())
+    with pytest.raises(ValueError, match="radius"):
+        CloudSpec(density=ss.ConstantField(1.0), a=bad)
+    with pytest.raises(ValueError, match="impedance h"):
+        ss.Impedance(h=complex(bad, -1.0), kappa=0.5)
+
+
+def test_scene_packs_its_particles_once_into_read_only_arrays(wide_box, wave_z):
+    centers = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.7, 0.0]])
+    bcs = [ss.Impedance(h=0.3 - 0.2j, kappa=0.5), ss.Impedance(h=1.5, kappa=0.25),
+           ss.Impedance(h=-0.1j, kappa=0.75)]
+    particles = tuple(ss.Particle.sphere(c, a, bc)
+                      for c, a, bc in zip(centers, [0.01, 0.02, 0.005], bcs))
+    scene = ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
+    assert scene.kind == "impedance"
+    assert np.array_equal(scene.centers, centers)
+    assert np.array_equal(scene.radii, [0.01, 0.02, 0.005])
+    assert np.array_equal(scene.volumes, [p.volume for p in particles])
+    assert np.array_equal(scene.coupling, [p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa)
+                                           for p in particles])
+    assert scene.polarizabilities is None
+    for array in (scene.centers, scene.radii, scene.coupling, scene.volumes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # a copy packs again, read-only too
+    copy = pickle.loads(pickle.dumps(scene))
+    assert np.array_equal(copy.coupling, scene.coupling) and not copy.centers.flags.writeable
+
+    soft = ss.Scene(particles=tuple(ss.Particle.sphere(c, 0.01, ss.Soft()) for c in centers),
+                    domain=wide_box, wave=wave_z)
+    assert soft.kind == "soft" and np.array_equal(soft.coupling, np.full(3, 4 * np.pi * 0.01))
+    hard = ss.Scene(particles=tuple(ss.Particle.sphere(c, 0.01, ss.Hard()) for c in centers),
+                    domain=wide_box, wave=wave_z)
+    assert hard.kind == "hard" and hard.coupling is None
+    assert np.array_equal(hard.polarizabilities, np.broadcast_to(-1.5 * np.eye(3), (3, 3, 3)))
+    assert not hard.polarizabilities.flags.writeable
+    empty = ss.Scene(particles=(), domain=wide_box, wave=wave_z)
+    assert empty.kind == "empty" and empty.centers.shape == (0, 3) and empty.max_radius == 0.0
 
 
 def test_sphere_particle_functionals():
@@ -214,9 +269,8 @@ def test_hard_volume_law(unit_box):
 def test_mixed_kind_scene_rejected(wide_box, wave_z):
     particles = (ss.Particle.sphere([0, 0, 0], 0.01, ss.Soft()),
                  ss.Particle.sphere([1, 0, 0], 0.01, ss.Hard()))
-    scene = ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
-    with pytest.raises(ValueError):
-        scene.boundary_kind()
+    with pytest.raises(ValueError, match="mix boundary kinds"):
+        ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
 
 
 # ---------------------------------------------------------------------------

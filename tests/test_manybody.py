@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import math
+import pickle
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -119,9 +122,25 @@ def test_impedance_zero_h_decouples(wide_box, wave_z):
 def test_mixed_kinds_rejected(wide_box, wave_z):
     particles = (ss.Particle.sphere([0, 0, 0], 0.01, ss.Soft()),
                  ss.Particle.sphere([1, 0, 0], 0.01, ss.Hard()))
-    scene = ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
-    with pytest.raises(ValueError):
-        solve_soft(scene)
+    with pytest.raises(ValueError, match="mix boundary kinds"):
+        ss.Scene(particles=particles, domain=wide_box, wave=wave_z)
+    hard = ss.Scene(particles=particles[1:], domain=wide_box, wave=wave_z)
+    with pytest.raises(ValueError, match="expected an all-soft scene, got hard"):
+        solve_soft(hard)
+
+
+@pytest.mark.parametrize("kind", ["soft", "impedance", "hard"])
+def test_scene_unchanged_by_solve_and_read_outs(wide_box, wave_z, kind):
+    centers = np.array([[0.0, 0.0, -0.5], [0.0, 0.5, 0.5], [0.4, 0.0, 0.1]])
+    scene = {"soft": soft_scene(centers, 0.01, wave_z, wide_box),
+             "impedance": imp_scene(centers, 0.01, 0.5 - 0.2j, 0.5, wave_z, wide_box),
+             "hard": hard_scene(centers, 0.01, wave_z, wide_box)}[kind]
+    before = pickle.dumps(scene)
+    sol = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[kind](scene)
+    eval_field(sol, scene, np.array([[1.0, 1.0, 1.0]]))
+    far_field(sol, scene, fibonacci_directions(4))
+    assert pickle.dumps(scene) == before
+    assert not any(array.flags.writeable for array in (scene.centers, scene.radii, scene.volumes))
 
 
 def test_regime_violation_raised(wide_box, wave_z):
@@ -129,7 +148,8 @@ def test_regime_violation_raised(wide_box, wave_z):
     scene = soft_scene(centers, 0.01, wave_z, wide_box)
     with pytest.raises(ss.RegimeViolation):
         solve_soft(scene)
-    sol = solve_soft(scene, validate=False)
+    # d/a = 3: the scene's own separation factor admits it
+    sol = solve_soft(dataclasses.replace(scene, separation_factor=3.0))
     assert sol.residual < 1e-10
 
 
@@ -285,7 +305,7 @@ def test_eval_field_inside_particle_raises(wide_box, wave_z):
 
 def test_far_field_single_soft_at_origin_matches_onebody(wide_box, wave_z):
     scene = soft_scene([[0.0, 0.0, 0.0]], 0.1, wave_z, wide_box)
-    sol = solve_soft(scene, validate=False)
+    sol = solve_soft(scene)
     dirs = fibonacci_directions(16)
     ff = far_field(sol, scene, dirs)
     fun = ShapeFunctionals.sphere(0.1)
@@ -309,7 +329,7 @@ def test_far_field_translation_phase(wide_box, wave_z):
 def test_far_field_single_hard_matches_closed_form(wide_box, wave_z):
     a = 0.1
     scene = hard_scene([[0.0, 0.0, 0.0]], a, wave_z, wide_box)
-    sol = solve_hard(scene, validate=False)
+    sol = solve_hard(scene)
     dirs = fibonacci_directions(12)
     ff = far_field(sol, scene, dirs)
     fun = ShapeFunctionals.sphere(a)
@@ -390,19 +410,16 @@ def _medium_pair_matrix(centers, k, medium=None):
 def _dense_monopole_oracle(scene):
     """``np.linalg.solve`` on ``I + G diag(c)``, ``G`` of :func:`_medium_pair_matrix` in the
     scene's medium."""
-    coupling = manybody.monopole_coupling(scene.particles)
     system = _medium_pair_matrix(scene.centers, scene.wave.k, scene.background) \
-        * coupling[None, :]
+        * scene.coupling[None, :]
     system[np.diag_indices_from(system)] += 1.0
     return np.linalg.solve(system, scene.wave.field_at(scene.centers))
 
 
 def _dense_hard_oracle(scene):
     """``np.linalg.solve`` on the assembled 5M system."""
-    volumes = np.array([p.volume for p in scene.particles])
-    betas = np.array([p.polarizability for p in scene.particles])
-    system = assemble_hard_system(scene.centers, scene.wave.k, volumes,
-                                  betas * volumes[:, None, None])
+    system = assemble_hard_system(scene.centers, scene.wave.k, scene.volumes,
+                                  scene.polarizabilities * scene.volumes[:, None, None])
     return np.linalg.solve(system, manybody.hard_rhs(scene.wave, scene.centers))
 
 
@@ -439,12 +456,10 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
     pert_sol = solve_soft(scene_bg)
     assert not np.allclose(free_sol.values, pert_sol.values)
     assert pert_sol.residual < 1e-10
-    # hard solves refuse a non-uniform background kernel
+    # a hard scene refuses a non-uniform background kernel when it is built
     hard_particles = tuple(ss.Particle.sphere(c, 0.005, ss.Hard()) for c in centers)
-    hard_bg = ss.Scene(particles=hard_particles, domain=unit_box, wave=wave_z,
-                       background=medium)
-    with pytest.raises(ss.UnsupportedScene):
-        solve_hard(hard_bg)
+    with pytest.raises(ss.UnsupportedScene, match="hard particles support no background"):
+        ss.Scene(particles=hard_particles, domain=unit_box, wave=wave_z, background=medium)
 
 @pytest.mark.parametrize("solved_in, read_in", [("free", "bump"), ("bump", "free"),
                                                 ("hard", "bump")])
@@ -455,10 +470,15 @@ def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, w
     scenes = {"free": soft_scene(centers, 0.005, wave_z, unit_box),
               "bump": _bump_scene(unit_box, wave_z, 0.005, centers=centers),
               "hard": hard_scene(centers, 0.005, wave_z, unit_box)}
-    sol = solve_hard(scenes["hard"]) if solved_in == "hard" else solve_soft(scenes[solved_in])
+    read_in_medium = functools.partial(ss.Scene, scenes[solved_in].particles, unit_box, wave_z,
+                                       scenes[read_in].background)
+    if solved_in == "hard":  # no hard solution can meet a medium: such a scene is not built
+        with pytest.raises(ss.UnsupportedScene, match="hard particles support no background"):
+            read_in_medium()
+        return
+    sol = solve_soft(scenes[solved_in])
     assert (sol.cover_charges is None) == (solved_in != "bump")
-    read_scene = ss.Scene(particles=scenes[solved_in].particles, domain=unit_box,
-                          wave=wave_z, background=scenes[read_in].background)
+    read_scene = read_in_medium()
     points = np.array([[0.1, 0.2, 0.3]])
     for read_out in (lambda: eval_field(sol, read_scene, points),
                      lambda: far_field(sol, read_scene, fibonacci_directions(2)),
@@ -576,12 +596,15 @@ def test_medium_cloud_solves_match_dense_oracles(kind, m, k, amplitude, width, o
     if on_cover:  # a particle on a center of the 8^3 cover meets its cell's diagonal
         centers[0] = (np.floor(centers[0] * 8.0) + 0.5) / 8.0
     bc = {"soft": ss.Soft(),
-          "impedance": ss.Impedance(h=complex(*rng.uniform(-2.0, 2.0, 2)), kappa=0.5)}[kind]
+          "impedance": ss.Impedance(h=complex(*rng.uniform([-2.0, -2.0], [2.0, 0.0])),
+                                    kappa=0.5)}[kind]
     bump = ss.GaussianBumpField(amplitude=amplitude, center=rng.uniform(0.0, 1.0, 3),
                                 width=width, base=1.0)
+    # the particle moved onto a cover center may break the separation of ten radii
     scene = ss.Scene(particles=tuple(ss.Particle.sphere(c, a, bc) for c in centers),
-                     domain=box, wave=wave, background=ss.BackgroundMedium(n2=bump, box=box))
-    sol = {"soft": solve_soft, "impedance": solve_impedance}[kind](scene, validate=False)
+                     domain=box, wave=wave, background=ss.BackgroundMedium(n2=bump, box=box),
+                     separation_factor=0.0 if on_cover else 10.0)
+    sol = {"soft": solve_soft, "impedance": solve_impedance}[kind](scene)
     expected = _dense_monopole_oracle(scene)
     assert sol.residual <= 1e-10
     assert np.max(np.abs(sol.values - expected)) <= 1e-8 * np.max(np.abs(expected))
@@ -659,7 +682,7 @@ def test_soft_cloud_solves_where_the_fixed_point_diverges(unit_box):
     for j in range(m):
         others = np.arange(m) != j
         g[others, j] = ev.pair_values(centers[others], centers[j])
-    system = np.eye(m) + g * manybody.monopole_coupling(scene.particles)[None, :]
+    system = np.eye(m) + g * scene.coupling[None, :]
     expected = np.linalg.solve(system, wave.field_at(centers))
     assert np.max(np.abs(sol.values - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -934,8 +957,7 @@ def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
     m = len(centers)
     for h in (0.05, 5.0 - 2.0j):
         counts.append(0)
-        sol = solve_impedance(imp_scene(centers, 0.002, h, 0.5, wave_z, wide_box),
-                              validate=False)
+        sol = solve_impedance(imp_scene(centers, 0.002, h, 0.5, wave_z, wide_box))
         assert sol.residual < 1e-10
         # every pair goes through the counted kernel once: the upper triangle of each
         # diagonal tile, all of each tile above it
@@ -1053,15 +1075,16 @@ def test_cloud_solves_match_dense_oracles(kind, m, k, seed):
     a = 0.01
     centers = _separated_centers(rng, m, 10 * a)  # the regime's separation of ten radii
     bc = {"soft": ss.Soft(), "hard": ss.Hard(),
-          "impedance": ss.Impedance(h=complex(*rng.uniform(-2.0, 2.0, 2)), kappa=0.5)}[kind]
+          "impedance": ss.Impedance(h=complex(*rng.uniform([-2.0, -2.0], [2.0, 0.0])),
+                                    kappa=0.5)}[kind]
     particles = tuple(ss.Particle.sphere(c, a, bc) for c in centers)
     scene = ss.Scene(particles=particles, domain=box, wave=wave)
     if kind == "hard":
-        sol = solve_hard(scene, validate=False)
+        sol = solve_hard(scene)
         got = np.concatenate([sol.values, sol.gradients.ravel(), sol.laplacians])
         expected = _dense_hard_oracle(scene)
     else:
-        sol = {"soft": solve_soft, "impedance": solve_impedance}[kind](scene, validate=False)
+        sol = {"soft": solve_soft, "impedance": solve_impedance}[kind](scene)
         got, expected = sol.values, _dense_monopole_oracle(scene)
     assert sol.method == "gmres" and sol.residual <= 1e-10
     assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
@@ -1224,6 +1247,33 @@ def test_hard_cloud_solves_where_the_row_block_check_refused(monkeypatch):
     assert np.max(np.abs(got - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("kind", ["cloud", "hard"])
+@pytest.mark.parametrize("block_entries, stored", [(1 << 16, True), (1 << 10, False)])
+def test_kernel_builds_stay_within_their_budget_check(monkeypatch, kind, block_entries, stored):
+    """A build's traced peak is at most the bytes its budget check counted (tiles, one tile
+    more and ``F``) plus 512 KiB: numpy's ufunc buffers on the strided halves of ``F``
+    (192 KiB) and the tile list.  The recomputing build on 32 x 32 tiles allocates ``F``
+    and nothing else of size, so phases ``k X S^T`` beside it (8 M Q bytes) would not fit."""
+    monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", block_entries)
+    m = 933 if stored else 1000
+    centers = np.random.default_rng(1).uniform(size=(m, 3))
+    offset, pair_bytes = (1, 48) if kind == "hard" else (0, 8)
+    rule = manybody._plane_wave_rule(1.0, centers - centers.mean(axis=0), offset)
+    checked = manybody._kernel_bytes(m, pair_bytes, 16 * m * len(rule[1]), stored)
+    if not stored:
+        monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", checked)
+    tracemalloc.start()
+    try:
+        if kind == "hard":
+            manybody.hard_cloud_system(centers, 1.0, np.ones(m), np.zeros((m, 3, 3)))
+        else:
+            CloudKernel(centers, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= checked + (512 << 10)
+
+
 def test_hard_cap_at_the_default_budget(monkeypatch):
     """In the unit cube at k = 1 the operator stores six real layers and ``F`` of 126 nodes
     (the rule a degree above the cloud kernel's 100, for the gradient) up to M = 9284; all
@@ -1239,7 +1289,7 @@ def test_hard_cap_at_the_default_budget(monkeypatch):
     # the full arrays with one row block of 65 536 pairs stopped at 5787
     assert 64 * 5787 * (5787 + 65536 // 5787) <= budget < 64 * 5788 * (5788 + 65536 // 5788)
     # past the cap the tiles are recomputed on every product: the build fills none and
-    # allocates F, the phases it is formed from and the tile list
+    # allocates F and the tile list
     fills = _count_calls(monkeypatch, "_hard_tile")
     centers = np.random.default_rng(0).uniform(size=(9285, 3))
     assert _hard_nodes(centers, 1.0) == nodes
@@ -1249,7 +1299,7 @@ def test_hard_cap_at_the_default_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not fills and peak <= 24 * 9285 * nodes + (2 << 20)
+    assert not fills and peak <= 16 * 9285 * nodes + (2 << 20)
 
 
 def test_recomputed_hard_products_match_stored(monkeypatch):
