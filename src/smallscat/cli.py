@@ -412,18 +412,17 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: they all take the same five options."""
     parser = argparse.ArgumentParser(
         prog="smallscat",
         description="Many-body small-particle scattering: solvers, limits, design.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", default=None, help="output directory (env SMALLSCAT_OUT overrides)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=_positive_int, default=None, help="cap BLAS threads")
-        p.add_argument("--tol", type=float, default=None, help="solver relative residual")
+    parser.add_argument("subcommand", choices=tuple(_HANDLERS))
+    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument("--out", default=None, help="output directory (env SMALLSCAT_OUT overrides)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--threads", type=_positive_int, default=None, help="cap BLAS threads")
+    parser.add_argument("--tol", type=float, default=None, help="solver relative residual")
     return parser
 
 

@@ -1,5 +1,7 @@
 """YAML run configurations: scenes, clouds, meshes, media, study protocols.
 
+Files are parsed by PyYAML's safe loader on libyaml (``CSafeLoader``) where
+PyYAML was built with it, and by the pure-Python ``SafeLoader`` otherwise.
 Complex values are written as a number (real) or a two-element ``[re, im]``
 list.  Paths inside a config resolve relative to the config file.  The full
 schema is documented in the repository README.
@@ -23,11 +25,17 @@ from .grids import Box
 from .onebody import SurfaceMesh, icosphere, load_obj, mesh_particle, spheroid
 
 
+# libyaml's parser where PyYAML was built with it; the constructor and resolver are the
+# same Python code either way, so both loaders give equal dicts
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> dict:
+    """The config file's top-level mapping; raises ConfigError if it is missing or malformed."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

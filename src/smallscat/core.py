@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 from .background import BackgroundMedium, expi
 from .errors import DensityInfeasible, UnsupportedScene
 from .fields import ConstantField, GaussianBumpField, GriddedField, ScalarField
-from .grids import Box
+from .grids import Box, record_eq
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +52,8 @@ class IncidentWave:
     k: float
     alpha: np.ndarray
     amplitude: complex = 1.0 + 0.0j
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         if not 0.0 < self.k < math.inf:
@@ -128,6 +130,8 @@ class Particle:
     volume: float
     polarizability: Optional[np.ndarray] = None
     shape: str = "sphere"
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         if not 0.0 < self.a < math.inf:
@@ -282,10 +286,11 @@ def validate_scene(scene: Scene) -> ValidationReport:
                 f"d/a = {ratio:.4g} < {scene.separation_factor:.4g} (min distance {d_min:.4g})"
             )
 
-    gain = [i for i, p in enumerate(scene.particles)
-            if isinstance(p.bc, Impedance) and np.imag(p.bc.h) > 1e-15]
-    if gain:
-        violations.append(f"Im h > 0 on {len(gain)} particle(s), first index {gain[0]}")
+    if scene.kind == "impedance":
+        im_h = np.fromiter((p.bc.h.imag for p in scene.particles), float, scene.n_particles)
+        gain = np.flatnonzero(im_h > 1e-15)
+        if len(gain):
+            violations.append(f"Im h > 0 on {len(gain)} particle(s), first index {gain[0]}")
 
     return ValidationReport(violations, metrics)
 

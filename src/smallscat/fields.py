@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Box
+from .grids import Box, record_eq
 
 
 class ScalarField:
@@ -42,6 +42,8 @@ class AffineField(ScalarField):
     value0: complex
     gradient: np.ndarray
 
+    __eq__ = record_eq
+
     def __post_init__(self):
         object.__setattr__(self, "gradient", np.asarray(self.gradient).reshape(3))
 
@@ -58,6 +60,8 @@ class GaussianBumpField(ScalarField):
     center: np.ndarray
     width: float
     base: complex = 0.0
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))

@@ -7,7 +7,7 @@ Cell centers are ordered in C order (x slowest, z fastest), matching
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -17,12 +17,33 @@ import numpy as np
 CUBE_SELF_POTENTIAL: float = 2.3800773639796
 
 
+def record_eq(self, other) -> bool:
+    """Value equality of frozen dataclass records: array fields compare by ``np.array_equal``.
+
+    The ``__eq__`` of every record that holds arrays, where the generated one would raise
+    on an array's ambiguous truth value.  Hashing such a record still raises TypeError.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not np.array_equal(a, b):
+                    return False
+            elif a is not b and not a == b:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by two corners ``lo <= hi``."""
 
     lo: np.ndarray
     hi: np.ndarray
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).reshape(3)
@@ -70,6 +91,8 @@ class GridCover:
     requested_edge: float = 0.0
     cell_edges: np.ndarray = field(init=False, repr=False)
     centers: np.ndarray = field(init=False, repr=False)
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)

@@ -43,7 +43,7 @@ from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
                    _pack_particles, generate_cloud)
 from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
-from .grids import Box, GridCover
+from .grids import Box, GridCover, record_eq
 from .lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 from .manybody import (EffectiveFieldSolution, _hard_layers, hard_rhs, hard_system_apply,
                        solve_impedance, solve_soft, source_field)
@@ -65,6 +65,8 @@ class CollocationSolution:
     values: np.ndarray
     residual: float
     method: str
+
+    __eq__ = record_eq
 
     def interpolant(self, points: np.ndarray) -> np.ndarray:
         """Piecewise-constant extension: the value of the containing cell."""
@@ -108,6 +110,8 @@ class LimitCoefficients:
     dipole_density: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
     empty_cells: Optional[np.ndarray] = None
+
+    __eq__ = record_eq
 
 
 def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
@@ -169,6 +173,8 @@ class DesignPrescription:
     kappa: float
     b_shape: float
     n2_target: np.ndarray
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         n = self.cover.n_cells
@@ -238,6 +244,8 @@ class HardLimitSolution:
     gradients: np.ndarray
     laplacians: np.ndarray
     residual: float
+
+    __eq__ = record_eq
 
 
 # Kernels of the hard limit on the lattice, in the column order of ``_hard_kernels``:

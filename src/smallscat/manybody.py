@@ -48,7 +48,7 @@ from .background import (DEFAULT_GRID_N, BackgroundMedium, cell_self_green, cos_
 from .core import IncidentWave, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
-from .grids import GridCover
+from .grids import GridCover, record_eq
 from .lattice import DEFAULT_RTOL, solve_checked
 
 logger = logging.getLogger(__name__)
@@ -80,6 +80,8 @@ class EffectiveFieldSolution:
     residual: float = 0.0
     method: str = "gmres"
 
+    __eq__ = record_eq
+
 
 @dataclass(frozen=True)
 class FarField:
@@ -87,6 +89,8 @@ class FarField:
 
     directions: np.ndarray
     amplitudes: np.ndarray
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.directions, dtype=float))

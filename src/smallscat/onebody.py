@@ -18,8 +18,10 @@ the row-sum identity (the discrete A0 applied to a constant density returns
 -1 per row, exactly).
 
 Panel quadrature is one point per triangle (centroid) with an analytic
-self-panel integral of ``1/r``; assembly is pure and reentrant, meshes are
-immutable.
+self-panel integral of ``1/r``.  Both run as whole-mesh array operations: the
+self integrals of all panels at once, the pair terms from distance matrices
+(``cdist``) with no ``(F, F, 3)`` difference array.  Assembly is pure and
+reentrant, meshes are immutable.
 """
 
 from __future__ import annotations
@@ -30,15 +32,19 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import manybody
 from .core import BoundaryKind, Hard, Impedance, IncidentWave, Particle, Soft
 from .errors import DegenerateMesh, MissingFunctional, SolveFailure
+from .grids import record_eq
 
 logger = logging.getLogger(__name__)
 
 _AREA_TOL_REL: float = 1e-12
-_PANEL_PAIR_BYTES: int = 64  # traced peak of the dense panel arrays, checked against the budget
+# traced peak of the dense panel arrays (the dipole system and the solver's copy of it),
+# checked against the budget
+_PANEL_PAIR_BYTES: int = 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,8 @@ class SurfaceMesh:
     volume: float = field(init=False)
     volume_centroid: np.ndarray = field(init=False, repr=False)
     euler_characteristic: int = field(init=False)
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -83,18 +91,15 @@ class SurfaceMesh:
         object.__setattr__(self, "centroids", (p0 + p1 + p2) / 3.0)
         object.__setattr__(self, "area_total", float(self.areas.sum()))
 
-        directed = set()
-        undirected: dict = {}
-        for (i, j, k) in f:
-            for (u, w) in ((i, j), (j, k), (k, i)):
-                if (u, w) in directed:
-                    raise DegenerateMesh(f"duplicated directed edge ({u},{w}); orientation broken")
-                directed.add((u, w))
-                key = (min(u, w), max(u, w))
-                undirected[key] = undirected.get(key, 0) + 1
-        if any(c != 2 for c in undirected.values()):
+        edges = f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # (i, j), (j, k), (k, i) per triangle
+        _, first = np.unique(edges @ [len(v), 1], return_index=True)
+        if len(first) < len(edges):
+            u, w = edges[np.setdiff1d(np.arange(len(edges)), first)[0]]
+            raise DegenerateMesh(f"duplicated directed edge ({u},{w}); orientation broken")
+        _, shared = np.unique(np.sort(edges, axis=1) @ [len(v), 1], return_counts=True)
+        if np.any(shared != 2):
             raise DegenerateMesh("mesh is not closed: an edge is not shared by exactly 2 triangles")
-        chi = len(v) - len(undirected) + len(f)
+        chi = len(v) - len(shared) + len(f)
         object.__setattr__(self, "euler_characteristic", int(chi))
 
         tet = np.einsum("ij,ij->i", p0, np.cross(p1, p2)) / 6.0
@@ -112,12 +117,7 @@ class SurfaceMesh:
     def diameter(self) -> float:
         """Exact maximum pairwise vertex distance (chunked O(V^2))."""
         v = self.vertices
-        best = 0.0
-        step = 512
-        for i in range(0, len(v), step):
-            d = np.linalg.norm(v[i:i + step, None, :] - v[None, :, :], axis=-1)
-            best = max(best, float(d.max()))
-        return best
+        return max(float(cdist(v[i:i + 512], v).max()) for i in range(0, len(v), 512))
 
     def translated(self, offset) -> "SurfaceMesh":
         return SurfaceMesh(self.vertices + np.asarray(offset, dtype=float), self.triangles)
@@ -133,6 +133,8 @@ class SurfaceMesh:
 @dataclass(frozen=True)
 class PolarizabilityTensor:
     beta: np.ndarray
+
+    __eq__ = record_eq
 
     def __post_init__(self):
         b = np.asarray(self.beta, dtype=float).reshape(3, 3)
@@ -224,35 +226,35 @@ def save_obj(mesh: SurfaceMesh, path) -> None:
 # ---------------------------------------------------------------------------
 # Panel quadrature
 # ---------------------------------------------------------------------------
-def _wedge_potential(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Integral of 1/|x - p| over the triangle (p, a, b) for in-plane p."""
-    e = b - a
-    length = np.linalg.norm(e)
-    if length == 0.0:
-        return 0.0
-    e = e / length
-    ua = float(np.dot(a - p, e))
-    ub = float(np.dot(b - p, e))
-    foot = a - ua * e
-    h = float(np.linalg.norm(p - foot))
-    if h == 0.0:
-        return 0.0
-    return h * float(np.arcsinh(ub / h) - np.arcsinh(ua / h))
+def _self_potentials(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Analytic integrals of ``1/|x - c|`` over triangles ``(p0, p1, p2)``, ``c`` their centroids.
+
+    Corners are ``(F, 3)`` arrays.  Each triangle is the union of three
+    wedges ``(c, a, b)`` over its edges; a wedge at height ``h`` over the
+    line through ``a, b`` contributes ``h (asinh(u_b / h) - asinh(u_a / h))``,
+    with ``u`` the signed positions of ``a, b`` along the edge from the
+    foot of ``c``.  A wedge of zero height contributes nothing.
+    """
+    c = (p0 + p1 + p2) / 3.0
+    total = np.zeros(len(c))
+    for a, b in ((p0, p1), (p1, p2), (p2, p0)):
+        e = b - a
+        to_a, to_b = a - c, b - c
+        height_len = np.linalg.norm(np.cross(to_a, e), axis=1)  # h * |e|
+        flat = height_len == 0.0
+        length = np.linalg.norm(e, axis=1)
+        length[flat] = 1.0
+        h = np.where(flat, 1.0, height_len / length)
+        ua = np.einsum("ij,ij->i", to_a, e) / length
+        ub = np.einsum("ij,ij->i", to_b, e) / length
+        total += np.where(flat, 0.0, h * (np.arcsinh(ub / h) - np.arcsinh(ua / h)))
+    return total
 
 
 def triangle_self_potential(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> float:
     """Analytic integral of ``1/|x - c|`` over the triangle, c = its centroid."""
-    c = (p0 + p1 + p2) / 3.0
-    return (_wedge_potential(c, p0, p1) + _wedge_potential(c, p1, p2)
-            + _wedge_potential(c, p2, p0))
-
-
-def _self_potentials(mesh: SurfaceMesh) -> np.ndarray:
-    v, f = mesh.vertices, mesh.triangles
-    return np.array([
-        triangle_self_potential(v[f[i, 0]], v[f[i, 1]], v[f[i, 2]])
-        for i in range(mesh.n_triangles)
-    ])
+    corners = (np.asarray(p, dtype=float).reshape(1, 3) for p in (p0, p1, p2))
+    return float(_self_potentials(*corners)[0])
 
 
 def capacitance_zeroth(mesh: SurfaceMesh) -> float:
@@ -269,11 +271,12 @@ def capacitance_zeroth(mesh: SurfaceMesh) -> float:
     total = 0.0
     step = min(2048, manybody.KERNEL_BYTES_BUDGET // row_bytes)
     for i in range(0, len(c), step):
-        d = np.linalg.norm(c[i:i + step, None, :] - c[None, :, :], axis=-1)
-        block = (w[i:i + step, None] * w[None, :]) / np.where(d > 0, d, np.inf)
-        total += float(block.sum())
-        del d, block  # so the next block's peak does not add this one's
-    total += float((w * _self_potentials(mesh)).sum())
+        inv = cdist(c[i:i + step], c)
+        np.divide(1.0, inv, out=inv, where=inv > 0)  # a panel's own zero distance stays 0
+        total += float(w[i:i + step] @ (inv @ w))
+        del inv  # so the next block's peak does not add this one's
+    corners = mesh.vertices[mesh.triangles]
+    total += float((w * _self_potentials(corners[:, 0], corners[:, 1], corners[:, 2])).sum())
     return 4.0 * np.pi * mesh.area_total**2 / total
 
 
@@ -282,17 +285,22 @@ def static_double_layer_matrix(mesh: SurfaceMesh) -> np.ndarray:
 
     Entry (i, j) applies 2 * d/dN_i [1 / (4 pi |s_i - t|)] integrated over
     panel j; diagonal entries are set so every row applied to the all-ones
-    density gives exactly -1.  Raises GridTooLarge before assembling if the
-    assembly's arrays (``_PANEL_PAIR_BYTES`` per panel pair) exceed the budget.
+    density gives exactly -1.  The normal projections ``N_i . (c_i - c_j)``
+    are ``(N . c)_i - (N C^T)_ij``, so no ``(F, F, 3)`` array is formed.
+    Raises GridTooLarge before assembling if the assembly's arrays
+    (``_PANEL_PAIR_BYTES`` per panel pair) exceed the budget.
     """
     f = mesh.n_triangles
     manybody._check_budget(_PANEL_PAIR_BYTES * f * f, f"double-layer matrix of {f} panels")
     c, n, w = mesh.centroids, mesh.normals, mesh.areas
-    diff = c[:, None, :] - c[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(r, 1.0)
-    kernel = -np.einsum("ip,ijp->ij", n, diff) / (4.0 * np.pi * r**3)
-    mat = 2.0 * kernel * w[None, :]
+    r_cubed = cdist(c, c)
+    np.fill_diagonal(r_cubed, 1.0)
+    r_cubed *= r_cubed * r_cubed
+    mat = n @ c.T
+    mat -= np.einsum("ij,ij->i", n, c)[:, None]  # -N_i . (c_i - c_j)
+    mat /= r_cubed
+    del r_cubed
+    mat *= w / (2.0 * np.pi)
     np.fill_diagonal(mat, 0.0)
     mat[np.diag_indices_from(mat)] = -1.0 - mat.sum(axis=1)
     return mat
@@ -304,9 +312,9 @@ def static_dipole_densities(mesh: SurfaceMesh) -> np.ndarray:
     Returns the centroid values, shape ``(F, 3)``, column ``q`` for axis ``q``;
     raises GridTooLarge as :func:`static_double_layer_matrix` does.
     """
-    # assembled before np.eye, so the identity is not held through the assembly's peak
-    a0 = static_double_layer_matrix(mesh)
-    system = np.eye(mesh.n_triangles) - a0
+    system = static_double_layer_matrix(mesh)
+    np.negative(system, out=system)  # I - A0 in place, so A0 is not held beside it
+    system[np.diag_indices_from(system)] += 1.0
     try:
         return np.linalg.solve(system, -2.0 * mesh.normals)
     except np.linalg.LinAlgError as exc:
@@ -339,6 +347,8 @@ class ShapeFunctionals:
     area: float
     volume: float
     polarizability: Optional[np.ndarray] = None
+
+    __eq__ = record_eq
 
     @property
     def surface_factor(self) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 from smallscat import manybody
 from smallscat.cli import main
+from smallscat.onebody import _PANEL_PAIR_BYTES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -279,6 +280,18 @@ def test_manifest_records_the_effective_seed(tmp_path):
     assert seed("solve", CONFIGS / "solve_one_soft.yaml", "explicit") is None
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "the following arguments are required: --config"),
+    (["--config", "x.yaml"], "the following arguments are required: subcommand"),
+    (["bogus", "--config", "x.yaml"], "invalid choice: 'bogus'"),
+], ids=["no_config", "no_subcommand", "unknown_subcommand"])
+def test_parser_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_env_var_overrides_out(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("SMALLSCAT_OUT", str(env_dir))
@@ -300,6 +313,19 @@ def test_bad_yaml_exits_2(tmp_path):
     assert run("solve", bad, tmp_path / "out") == 2
 
 
+def test_bad_yaml_exits_2_on_the_python_loader(tmp_path, monkeypatch):
+    import yaml
+
+    from smallscat import config
+
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("scene: [unclosed\n")
+    out = tmp_path / "out"
+    assert run("solve", bad, out) == 2
+    assert json.loads((out / "error.json").read_text())["type"] == "ConfigError"
+
+
 def test_missing_mesh_file_exits_2(tmp_path):
     cfg = tmp_path / "onebody.yaml"
     cfg.write_text(
@@ -312,13 +338,13 @@ def test_missing_mesh_file_exits_2(tmp_path):
 
 
 def test_onebody_mesh_above_the_budget_exits_2(tmp_path, monkeypatch):
-    # the demo's 320 panels; the double-layer assembly peaks at 64 bytes per panel pair
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 320 * 320 - 1)
+    # the demo's 320 panels, at the checked bytes per panel pair of the double-layer solve
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", _PANEL_PAIR_BYTES * 320 * 320 - 1)
     out = tmp_path / "out"
     assert run("onebody", CONFIGS / "onebody_hard_sphere.yaml", out) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "GridTooLarge" and "double-layer matrix of 320" in record["error"]
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 320 * 320)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", _PANEL_PAIR_BYTES * 320 * 320)
     assert run("onebody", CONFIGS / "onebody_hard_sphere.yaml", tmp_path / "fits") == 0
 
 
@@ -412,13 +438,13 @@ def test_dense_budget_exceeded_exits_2(tmp_path, monkeypatch):
 
 
 def test_nan_residual_exits_3(tmp_path, monkeypatch):
-    # a cloud kernel whose products turn NaN after the first: GMRES stops at its start, and
-    # the NaN residual recomputed there fails the solve instead of passing it
+    # a cloud kernel whose products turn NaN after the first: the start's residual is nonzero,
+    # so the first Arnoldi product is NaN and fails the solve there
     calls = []
 
     def nan_after_first(kernel, v):
         calls.append(1)
-        return np.zeros_like(v) if len(calls) == 1 else np.full_like(v, np.nan)
+        return np.ones_like(v) if len(calls) == 1 else np.full_like(v, np.nan)
 
     monkeypatch.setattr(manybody.CloudKernel, "__matmul__", nan_after_first)
     out = tmp_path / "out"

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 import smallscat as ss
+from smallscat import config
 from smallscat.config import (bc_from_config, box_from_config, load_config,
                               mesh_from_config, scene_from_config, wave_from_config)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_wave_and_box_parsing():
@@ -92,6 +98,14 @@ def test_load_config_errors(tmp_path):
     bad.write_text("- 1\n- 2\n")
     with pytest.raises(ss.ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_c_and_python_loaders_give_equal_configs(path, monkeypatch):
+    assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loaded = load_config(path)
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    assert load_config(path) == loaded
 
 
 def test_mesh_particle_through_scene_config(tmp_path):

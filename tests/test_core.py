@@ -401,3 +401,31 @@ def test_cell_masses_sample_in_bounded_slabs(unit_box):
     finally:
         tracemalloc.stop()
     assert peak <= 100 * core._MASS_SLAB_POINTS
+
+
+def _records():
+    # built afresh on every call: equal values in distinct objects and arrays
+    box = ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+    wave = ss.IncidentWave(k=1.0, alpha=[0.0, 0.0, 1.0])
+    hard = ss.Particle.sphere([0.3, 0.5, 0.5], 0.01, ss.Hard())
+    bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.3, base=1.0)
+    soft = tuple(ss.Particle.sphere([x, 0.5, 0.5], 0.01, ss.Soft()) for x in (0.3, 0.7))
+    return [box, wave, ss.GridCover.from_shape(box, 3), hard,
+            ss.Scene(particles=(hard,), domain=box, wave=wave),
+            ss.Scene(particles=soft, domain=box, wave=wave,
+                     background=ss.BackgroundMedium(n2=bump, box=box))]
+
+
+def test_equal_records_compare_by_value():
+    for a, b in zip(_records(), _records()):
+        assert a is not b and a == b and not a != b
+        with pytest.raises(TypeError):
+            hash(a)
+    box, wave, cover, hard, scene, _ = _records()
+    assert ss.Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 2.0]) != box
+    assert ss.IncidentWave(k=1.0, alpha=[0.0, 1.0, 0.0]) != wave
+    assert ss.GridCover.from_shape(box, 4) != cover
+    assert ss.Particle.sphere([0.3, 0.5, 0.6], 0.01, ss.Hard()) != hard
+    assert ss.Particle.sphere([0.3, 0.5, 0.5], 0.01, ss.Soft()) != hard
+    assert ss.Scene(particles=(hard,), domain=box, wave=wave, separation_factor=5.0) != scene
+    assert box != None and scene != hard  # noqa: E711

@@ -106,18 +106,82 @@ def test_lattice_solves_match_dense_solves(cover, k, seed):
     assert _rel(ev._grid_solve(to_grid[:, 0]), np.linalg.solve(dense, rhs)) <= 1e-9
 
 
+def _second_kind(rng, n, norm):
+    # I + K with |K|_2 = norm < 1: condition number at most (1 + norm) / (1 - norm)
+    k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.eye(n) + norm * k / np.linalg.norm(k, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 200), norm=st.floats(0.0, 0.8), seed=st.integers(0, 2**32 - 1))
+def test_solve_checked_matches_dense_solve(n, norm, seed):
+    rng = np.random.default_rng(seed)
+    a = _second_kind(rng, n, norm)
+    rhs = _complex(rng, n)
+    x, residual = solve_checked(lambda v: a @ v, rhs, DEFAULT_RTOL)
+    assert residual <= DEFAULT_RTOL
+    # the reported residual is the true one at the returned x, not the Krylov estimate
+    assert residual == np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
+    assert _rel(x, np.linalg.solve(a, rhs)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, radius", [(1, 0.5), (12, 0.3), (150, 0.6), (300, 0.95)],
+                         ids=["n1", "small", "one_cycle", "restarted"])
+def test_solve_checked_takes_one_product_fewer_than_scipy_gmres(n, radius):
+    # the oracle is what the solve used to run: scipy's gmres(restart=80) from x = rhs at the
+    # same Krylov tolerance, then the residual recomputed at its x.  I + K with K's
+    # eigenvalues spread over the disc of the given radius (circular law)
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    rng = np.random.default_rng(n)
+    a = np.eye(n) + radius * _complex(rng, (n, n)) / np.sqrt(2 * n)
+    rhs = _complex(rng, n)
+    counts = {"scipy": 0, "ours": 0}
+
+    def counted(name):
+        def apply(v):
+            counts[name] += 1
+            return a @ v
+        return apply
+
+    op = LinearOperator((n, n), matvec=counted("scipy"), dtype=complex)
+    x_ref, info = gmres(op, rhs, x0=rhs.copy(), rtol=1e-12, atol=0.0, restart=80, maxiter=400)
+    counted("scipy")(x_ref)
+    x, _ = solve_checked(counted("ours"), rhs, DEFAULT_RTOL)
+    assert info == 0
+    assert counts["ours"] == counts["scipy"] - 1
+    assert _rel(x, x_ref) <= 1e-10
+    if n == 300:
+        assert counts["ours"] > 82  # more than one cycle
+
+
 def test_nan_residual_raises_solve_failure():
-    # products that turn NaN after the first: the start x = rhs solves the first one exactly,
-    # so GMRES returns it at once, and the residual recomputed there is NaN
+    # the start's residual is nonzero, and the first Arnoldi product is NaN: the solve fails
+    # at that product instead of cycling to the cap
     calls = []
 
     def system(x):
         calls.append(1)
-        return x.copy() if len(calls) == 1 else np.full_like(x, np.nan)
+        return 2.0 * x if len(calls) == 1 else np.full_like(x, np.nan)
 
     with pytest.raises(ss.SolveFailure, match="residual nan"):
         solve_checked(system, np.arange(1.0, 6.0) + 0j, DEFAULT_RTOL)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("nan_at", [1, 3], ids=["start", "cycle_end"])
+def test_nan_true_residual_raises_solve_failure(nan_at):
+    # 2 x converges in one Arnoldi step: product 1 is the start's residual and product 3 the
+    # residual that ends the cycle; a NaN at either is the residual the solve reports
+    calls = []
+
+    def system(x):
+        calls.append(1)
+        return 2.0 * x if len(calls) != nan_at else np.full_like(x, np.nan)
+
+    with pytest.raises(ss.SolveFailure, match="residual nan above tolerance"):
+        solve_checked(system, np.arange(1.0, 6.0) + 0j, DEFAULT_RTOL)
+    assert len(calls) == nan_at
 
 
 def test_hard_limit_solve_at_16_cubed(unit_box, wave_z):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import smallscat as ss
 from smallscat import manybody
-from smallscat.onebody import (ShapeFunctionals, amplitude_onebody,
-                               capacitance_zeroth, charge_hard, charge_impedance,
-                               charge_soft, icosphere, load_obj, mesh_particle,
-                               polarizability, save_obj, spheroid,
+from smallscat.onebody import (_PANEL_PAIR_BYTES, ShapeFunctionals, _self_potentials,
+                               amplitude_onebody, capacitance_zeroth, charge_hard,
+                               charge_impedance, charge_soft, icosphere, load_obj,
+                               mesh_particle, polarizability, save_obj, spheroid,
                                static_dipole_densities, static_double_layer_matrix,
                                triangle_self_potential)
 from tests.conftest import rotation_matrix
@@ -85,6 +85,30 @@ def test_triangle_self_potential_against_quadrature():
     assert analytic == pytest.approx(2 * fine - coarse, rel=2e-4)
 
 
+def _wedge_oracle(p, a, b):
+    # integral of 1/|x - p| over the triangle (p, a, b), for in-plane p, one wedge at a time
+    e = (b - a) / np.linalg.norm(b - a)
+    ua, ub = float(np.dot(a - p, e)), float(np.dot(b - p, e))
+    h = float(np.linalg.norm(p - (a - ua * e)))
+    return h * float(np.arcsinh(ub / h) - np.arcsinh(ua / h))
+
+
+def test_self_potentials_match_the_per_panel_formula():
+    mesh = spheroid(subdivisions=2, semi_axes=(1.0, 0.4, 2.5))
+    corners = mesh.vertices[mesh.triangles]
+    values = _self_potentials(corners[:, 0], corners[:, 1], corners[:, 2])
+    for i, (p0, p1, p2) in enumerate(corners):
+        c = (p0 + p1 + p2) / 3.0
+        oracle = _wedge_oracle(c, p0, p1) + _wedge_oracle(c, p1, p2) + _wedge_oracle(c, p2, p0)
+        assert values[i] == pytest.approx(oracle, rel=1e-14)
+        assert values[i] == pytest.approx(triangle_self_potential(p0, p1, p2), rel=1e-14)
+
+
+def test_collinear_triangle_has_zero_self_potential():
+    p0, p1 = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    assert triangle_self_potential(p0, p1, 2.0 * p1) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Capacitance
 # ---------------------------------------------------------------------------
@@ -125,6 +149,19 @@ def test_row_sum_identity_exact(sphere_mesh_320):
     a0 = static_double_layer_matrix(sphere_mesh_320)
     rows = a0 @ np.ones(sphere_mesh_320.n_triangles)
     assert np.max(np.abs(rows + 1.0)) < 1e-13
+
+
+def test_double_layer_matches_the_pairwise_difference_formula():
+    mesh = spheroid(subdivisions=2, semi_axes=(1.0, 0.4, 2.5))
+    c, n, w = mesh.centroids, mesh.normals, mesh.areas
+    diff = c[:, None, :] - c[None, :, :]  # (F, F, 3)
+    r = np.linalg.norm(diff, axis=-1)
+    np.fill_diagonal(r, 1.0)
+    oracle = -2.0 * np.einsum("ip,ijp->ij", n, diff) / (4.0 * np.pi * r**3) * w[None, :]
+    np.fill_diagonal(oracle, 0.0)
+    oracle[np.diag_indices_from(oracle)] = -1.0 - oracle.sum(axis=1)
+    a0 = static_double_layer_matrix(mesh)
+    assert np.max(np.abs(a0 - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_dipole_density_has_zero_total_charge(sphere_mesh_320):
@@ -230,8 +267,8 @@ def test_amplitude_hard_forward_and_zero(wave_z):
 
 def test_panel_arrays_checked_against_the_budget(sphere_mesh_320, monkeypatch):
     full = capacitance_zeroth(sphere_mesh_320)
-    # blocks of 100 rows of 320 panels, at 64 bytes per panel pair
-    budget = 64 * 320 * 100
+    # blocks of 100 rows of 320 panels, at the checked bytes per panel pair
+    budget = _PANEL_PAIR_BYTES * 320 * 100
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     tracemalloc.start()
     try:
@@ -242,7 +279,7 @@ def test_panel_arrays_checked_against_the_budget(sphere_mesh_320, monkeypatch):
     assert blocked == pytest.approx(full, rel=1e-14) and peak <= 1.05 * budget
     with pytest.raises(ss.GridTooLarge, match="double-layer matrix of 320 panels"):
         static_dipole_densities(sphere_mesh_320)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 64 * 320 - 1)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", _PANEL_PAIR_BYTES * 320 - 1)
     with pytest.raises(ss.GridTooLarge, match="capacitance row"):
         capacitance_zeroth(sphere_mesh_320)
 
