@@ -13,7 +13,8 @@ invariant on the cover, so it is applied matrix-free by zero-padded FFT
 ``(I - K) v = b`` is solved with its residual checked: one source by GMRES on that
 FFT operator (:func:`~smallscat.lattice.solve_checked`, :class:`GreenEvaluator`), a
 block of sources (:func:`cover_responses`, a cloud's) by one LU of the dense ``I - K``.
-The truncated series and the fixed-point iteration run only where a method names them.
+The truncated series runs only where a method names it; :func:`fixed_point_solve` is
+kept as a library function and no solve calls it.
 No read-out solves: each is one blocked :func:`point_source_sum`, whose
 :func:`point_green` gives a cover center its cell's diagonal.
 
@@ -221,15 +222,15 @@ class GreenEvaluator:
         Wave number.
     grid_n : int
         Cells per axis of the quadrature cover of the medium box.
-    method : "auto" | ("born", order) | ("lippmann_schwinger", tol)
-        ``auto`` solves the grid equation ``(I - K) v = b`` by GMRES on the FFT operator
-        with its residual checked against ``DEFAULT_RTOL`` (SolveFailure above it).  The
-        series and the fixed-point iteration at ``tol`` run only when named.
+    method : ("lippmann_schwinger", tol) | ("born", order)
+        ``lippmann_schwinger`` solves the grid equation ``(I - K) v = b`` by GMRES on the
+        FFT operator with its relative residual checked against ``tol`` (SolveFailure above
+        it); ``born`` sums the truncated series to ``order``.
     """
 
     def __init__(self, medium: Optional[BackgroundMedium], k: float, grid_n: int = DEFAULT_GRID_N,
-                 method="auto"):
-        if method != "auto" and method[0] not in ("born", "lippmann_schwinger"):
+                 method=("lippmann_schwinger", DEFAULT_RTOL)):
+        if method[0] not in ("born", "lippmann_schwinger"):
             raise ValueError(f"unknown Green method {method!r}")
         self.medium = medium
         self.k = float(k)
@@ -238,18 +239,14 @@ class GreenEvaluator:
             self.grid: Optional[GridCover] = None
             return
         self.grid = GridCover.from_shape(medium.box, grid_n)
-        chi = medium.contrast(self.grid.centers)
-        self._kernel = medium_kernel(self.grid, self.k, chi)
-        self._chi_w = chi * self.grid.cell_volume
+        self._kernel = medium_kernel(self.grid, self.k, medium.contrast(self.grid.centers))
 
     def _grid_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``(I - K)^{-1} rhs`` on the cover for one right-hand side, by the evaluator's
         method, with ``K`` the FFT operator."""
-        if self.method == "auto":
-            return solve_checked(lambda v: v - self._kernel @ v, rhs, DEFAULT_RTOL)[0]
         if self.method[0] == "born":
             return born_series(self._kernel, rhs, int(self.method[1]))
-        return fixed_point_solve(self._kernel, rhs, float(self.method[1]))
+        return solve_checked(lambda v: v - self._kernel @ v, rhs, float(self.method[1]))[0]
 
     def pair_values(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
@@ -264,7 +261,7 @@ class GreenEvaluator:
         z, self_value = self.grid.centers, cell_self_green(self.grid)
         # one source: a grid solve on the FFT operator, not a dense kernel build
         response = self._grid_solve(point_green(self.k, z, source[None, :], self_value)[0][:, 0])
-        return base + point_source_sum(self.k, targets, z, (self.k**2) * self._chi_w * response,
+        return base + point_source_sum(self.k, targets, z, self._kernel.weights * response,
                                        self_value)
 
 
@@ -313,7 +310,7 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
     if not residual <= DEFAULT_RTOL:  # a NaN fails too
         raise SolveFailure(f"cover solve residual {residual:.3e} "
                            f"above tolerance {DEFAULT_RTOL:.1e}")
-    out *= (k**2) * (chi * cover.cell_volume)[:, None]
+    out *= weights[:, None]
     return out, to_sources
 
 
@@ -322,10 +319,9 @@ def green(evaluator: GreenEvaluator, x: np.ndarray, y: np.ndarray) -> complex:
     return complex(evaluator.pair_values(np.asarray(x, dtype=float)[None, :], y)[0])
 
 
-def scattered_plane_wave(chi_values: np.ndarray, cover: GridCover, k: float,
-                         alpha: np.ndarray, amplitude: complex = 1.0 + 0.0j,
+def scattered_plane_wave(chi_values: np.ndarray, cover: GridCover, k: float, alpha: np.ndarray,
                          points: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Plane-wave field in the medium ``u = u0 + k^2 int g chi u``.
+    """Unit plane-wave field in the medium ``u = u0 + k^2 int g chi u``.
 
     The grid system (self cell retained via the mean-value integral) is
     solved by GMRES on the FFT lattice operator, with its relative residual
@@ -338,10 +334,10 @@ def scattered_plane_wave(chi_values: np.ndarray, cover: GridCover, k: float,
     chi = np.asarray(chi_values, dtype=complex).reshape(len(z))
     kernel = medium_kernel(cover, k, chi)
     alpha = np.asarray(alpha, dtype=float).reshape(3)
-    u0 = amplitude * expi(k * z @ alpha)
+    u0 = expi(k * z @ alpha)
     u_grid, _ = solve_checked(lambda v: v - kernel @ v, u0, DEFAULT_RTOL)
     if points is None:
         return u_grid, u_grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return u_grid, amplitude * expi(k * pts @ alpha) \
+    return u_grid, expi(k * pts @ alpha) \
         + point_source_sum(k, pts, z, kernel.weights * u_grid, cell_self_green(cover))

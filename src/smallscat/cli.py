@@ -147,7 +147,8 @@ class RunConfig:
 def run_solve(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .config import effective_seed, scene_from_config
+    from .config import effective_seed, mapping, scene_from_config, whole
+    from .errors import ConfigError
     from .manybody import eval_field, far_field, fibonacci_directions, solve_hard
     from .manybody import solve_impedance, solve_soft
 
@@ -173,20 +174,21 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
               ["m", "x", "y", "z", "a", "re_ue", "im_ue", "re_Q", "im_Q"],
               [[str(i), *row] for i, row in enumerate(table.tolist())])
 
-    out_cfg = cfg.get("outputs", {})
+    out_cfg = mapping(cfg.get("outputs", {}), "outputs")
     if "farfield" in out_cfg:
-        ff_cfg = out_cfg["farfield"]
-        dirs = fibonacci_directions(int(ff_cfg.get("n_directions", 50)))
+        ff_cfg = mapping(out_cfg["farfield"], "outputs.farfield")
+        dirs = fibonacci_directions(whole(ff_cfg.get("n_directions", 50), "n_directions"))
         ff = far_field(solution, scene, dirs)
         write_csv(ctx.artifact_path("farfield.csv"),
                   ["bx", "by", "bz", "re_A", "im_A"],
                   [[d[0], d[1], d[2], a.real, a.imag]
                    for d, a in zip(ff.directions, ff.amplitudes)])
     if "field_grid" in out_cfg:
-        fg = out_cfg["field_grid"]
-        lo = np.asarray(fg["lo"], dtype=float)
-        hi = np.asarray(fg["hi"], dtype=float)
-        n = int(fg.get("n", 5))
+        fg = mapping(out_cfg["field_grid"], "outputs.field_grid")
+        lo, hi = (np.asarray(fg[end], dtype=float) for end in ("lo", "hi"))
+        if lo.shape != (3,) or hi.shape != (3,):
+            raise ConfigError(f"outputs.field_grid: expected lo and hi of three numbers, got {fg}")
+        n = whole(fg.get("n", 5), "outputs.field_grid.n")
         axes = [np.linspace(lo[d], hi[d], n) for d in range(3)]
         xx, yy, zz = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
@@ -199,11 +201,11 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
 def run_onebody(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .config import bc_from_config, mesh_from_config, wave_from_config
+    from .config import bc_from_config, mapping, mesh_from_config, wave_from_config, whole
     from .manybody import fibonacci_directions
     from .onebody import ShapeFunctionals, amplitude_onebody
 
-    section = cfg["onebody"]
+    section = mapping(cfg["onebody"], "onebody")
     wave = wave_from_config(section["wave"])
     bc = bc_from_config(section.get("bc", {"kind": "soft"}))
     if "mesh" in section:
@@ -211,7 +213,7 @@ def run_onebody(cfg: dict, ctx: RunConfig) -> None:
         fun = ShapeFunctionals.from_mesh(mesh)
     else:
         fun = ShapeFunctionals.sphere(float(section["a"]))
-    dirs = fibonacci_directions(int(section.get("n_directions", 6)))
+    dirs = fibonacci_directions(whole(section.get("n_directions", 6), "n_directions"))
     amps = [amplitude_onebody(bc, fun, wave, beta) for beta in dirs]
     payload = {
         "capacitance": fun.capacitance,
@@ -233,16 +235,16 @@ def run_onebody(cfg: dict, ctx: RunConfig) -> None:
 
 
 def run_homogenize(cfg: dict, ctx: RunConfig) -> None:
-    from .config import box_from_config, wave_from_config
+    from .config import box_from_config, mapping, wave_from_config, whole
     from .core import SPHERE_SURFACE_FACTOR
     from .fields import field_from_config
     from .grids import GridCover
     from .homogenize import collocation_solve
 
-    section = cfg["homogenize"]
+    section = mapping(cfg["homogenize"], "homogenize")
     domain = box_from_config(section["domain"])
     wave = wave_from_config(section["wave"])
-    cover = GridCover.from_shape(domain, int(section.get("grid_n", 8)))
+    cover = GridCover.from_shape(domain, whole(section.get("grid_n", 8), "grid_n"))
     base = ctx.config_path.parent
     if "q" in section:
         q = field_from_config(section["q"], base).sample(cover.centers)
@@ -264,16 +266,16 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
     import yaml as _yaml
 
-    from .config import box_from_config
+    from .config import box_from_config, mapping, whole
     from .core import SPHERE_SURFACE_FACTOR
     from .fields import field_from_config
     from .grids import GridCover
     from .homogenize import inverse_design, limit_from_prescription
 
-    section = cfg["design"]
+    section = mapping(cfg["design"], "design")
     domain = box_from_config(section["domain"])
     k = float(section["k"])
-    cover = GridCover.from_shape(domain, int(section.get("grid_n", 8)))
+    cover = GridCover.from_shape(domain, whole(section.get("grid_n", 8), "grid_n"))
     base = ctx.config_path.parent
     n2 = field_from_config(section["n2_target"], base).sample(cover.centers)
     dens = field_from_config(section.get("density", 1.0), base).sample(cover.centers).real
@@ -313,12 +315,12 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
 
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
-    from .config import box_from_config, effective_seed, wave_from_config
+    from .config import box_from_config, effective_seed, mapping, wave_from_config
     from .core import DEFAULT_SEPARATION_FACTOR
     from .fields import field_from_config
     from .homogenize import convergence_study
 
-    section = cfg["converge"]
+    section = mapping(cfg["converge"], "converge")
     domain = box_from_config(section["domain"])
     wave = wave_from_config(section["wave"])
     base = ctx.config_path.parent
@@ -354,20 +356,20 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
     from .background import DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, free_space_green
-    from .config import box_from_config
+    from .config import box_from_config, mapping, whole
     from .errors import ConfigError
     from .fields import field_from_config
     from .lattice import DEFAULT_RTOL
 
-    section = cfg["green"]
+    section = mapping(cfg["green"], "green")
     domain = box_from_config(section["domain"])
     k = float(section["k"])
     medium = BackgroundMedium(n2=field_from_config(section["n2"], ctx.config_path.parent),
                               box=domain)
-    method_cfg = section.get("method", {"kind": "lippmann_schwinger"})
+    method_cfg = mapping(section.get("method", {"kind": "lippmann_schwinger"}), "green.method")
     kind = method_cfg.get("kind", "lippmann_schwinger")
     if kind == "born":
-        method = ("born", int(method_cfg.get("order", 1)))
+        method = ("born", whole(method_cfg.get("order", 1), "green.method.order"))
     elif kind == "lippmann_schwinger":
         if ctx.tol_flag is None:  # --tol overrides the config's tolerance
             ctx.tol = float(method_cfg.get("tol", DEFAULT_RTOL))
@@ -376,13 +378,14 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
         raise ConfigError(f"green: unknown method {kind!r}")
     if kind != "lippmann_schwinger" or medium.uniform_one:
         ctx.tol = None  # the manifest records no tolerance where no solve uses one
-    evaluator = GreenEvaluator(medium, k, grid_n=int(section.get("grid_n", DEFAULT_GRID_N)),
-                               method=method)
+    evaluator = GreenEvaluator(medium, k, grid_n=whole(section.get("grid_n", DEFAULT_GRID_N),
+                                                       "grid_n"), method=method)
     source = np.asarray(section["source"], dtype=float)
-    seg = section["segment"]
-    start = np.asarray(seg["start"], dtype=float)
-    stop = np.asarray(seg["stop"], dtype=float)
-    n = int(seg.get("n", 20))
+    seg = mapping(section["segment"], "green.segment")
+    start, stop = (np.asarray(seg[end], dtype=float) for end in ("start", "stop"))
+    if start.shape != (3,) or stop.shape != (3,):
+        raise ConfigError(f"green.segment: expected start and stop of three numbers, got {seg}")
+    n = whole(seg.get("n", 20), "green.segment.n")
     ts = np.linspace(0.0, 1.0, n)
     pts = start[None, :] + ts[:, None] * (stop - start)[None, :]
     values = evaluator.pair_values(pts, source)

@@ -45,8 +45,22 @@ def load_config(path) -> dict:
     return cfg
 
 
+def mapping(value, where: str) -> dict:
+    """``value`` if it is a mapping; raises ConfigError naming ``where`` otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def whole(value, where: str) -> int:
+    """``value`` as an int; raises ConfigError on a float that is not a whole number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
+    if key not in mapping(cfg, where):
         raise ConfigError(f"{where}: missing required key '{key}'")
     return cfg[key]
 
@@ -98,10 +112,10 @@ def background_from_config(cfg: Optional[dict], box: Box, base_dir) -> Optional[
 def mesh_from_config(cfg: dict, base_dir) -> SurfaceMesh:
     kind = _require(cfg, "kind", "mesh")
     if kind == "icosphere":
-        return icosphere(subdivisions=int(cfg.get("subdivisions", 3)),
+        return icosphere(subdivisions=whole(cfg.get("subdivisions", 3), "mesh.subdivisions"),
                          radius=float(cfg.get("radius", 1.0)))
     if kind == "spheroid":
-        return spheroid(subdivisions=int(cfg.get("subdivisions", 3)),
+        return spheroid(subdivisions=whole(cfg.get("subdivisions", 3), "mesh.subdivisions"),
                         semi_axes=tuple(cfg.get("semi_axes", (1.0, 1.0, 2.0))))
     if kind == "obj":
         path = Path(base_dir) / _require(cfg, "path", "mesh")
@@ -114,11 +128,11 @@ def mesh_from_config(cfg: dict, base_dir) -> SurfaceMesh:
 
 def effective_seed(cfg: dict, seed_override: Optional[int] = None) -> int:
     """The ``--seed`` override if given, else the section's ``seed``, else 0."""
-    return int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
+    return whole(cfg.get("seed", 0), "seed") if seed_override is None else int(seed_override)
 
 
 def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = None) -> CloudSpec:
-    bc_cfg = cfg.get("bc", {"kind": "soft"})
+    bc_cfg = mapping(mapping(cfg, "cloud").get("bc", {"kind": "soft"}), "cloud.bc")
     kind = bc_cfg.get("kind", "soft")
     h_field: Optional[ScalarField] = None
     kappa = float(bc_cfg.get("kappa", cfg.get("kappa", 0.5)))
@@ -134,7 +148,7 @@ def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = N
             h=h_field,
             rng_seed=effective_seed(cfg, seed_override),
             separation_factor=float(cfg.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
-            strata_n=cfg.get("strata_n"),
+            strata_n=None if cfg.get("strata_n") is None else whole(cfg["strata_n"], "strata_n"),
             jitter=float(cfg.get("jitter", DEFAULT_JITTER)),
         )
     except ValueError as exc:
@@ -142,7 +156,7 @@ def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = N
 
 
 def _particle_from_config(cfg: dict, base_dir) -> Particle:
-    bc = bc_from_config(cfg.get("bc", {"kind": "soft"}))
+    bc = bc_from_config(mapping(cfg, "scene.particles").get("bc", {"kind": "soft"}))
     center = np.asarray(_require(cfg, "center", "particle"), dtype=float)
     if "mesh" in cfg:
         mesh = mesh_from_config(cfg["mesh"], base_dir)

@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .background import BackgroundMedium, expi
 from .errors import DensityInfeasible, UnsupportedScene
-from .fields import ConstantField, GaussianBumpField, GriddedField, ScalarField
+from .fields import ScalarField
 from .grids import Box, record_eq
 
 logger = logging.getLogger(__name__)
@@ -415,20 +415,7 @@ def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int])
     return masses, sub_max.ravel()
 
 
-# Fields whose many-point sample equals each point sampled alone, bit for bit.
-_ROWWISE_FIELDS = (ConstantField, GaussianBumpField, GriddedField)
 _KEY: int = 1 << 32  # stride of the separation grid's linear cell keys
-
-
-def _sample_each(field: ScalarField, points: np.ndarray) -> np.ndarray:
-    """``field`` at each point, as a one-point sample gives it.
-
-    ``AffineField`` samples through ``p @ gradient``, whose many-row BLAS path
-    may round differently from one row, so it and unknown fields go point by point.
-    """
-    if isinstance(field, _ROWWISE_FIELDS):
-        return field.sample(points)
-    return np.array([field.sample(p[None, :])[0] for p in points])
 
 
 def _shrink(spec: CloudSpec, attempt: int) -> float:
@@ -491,7 +478,7 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
         rejected = np.zeros(j - i, dtype=bool)
         tested = bound[i:j] > 0
         if np.any(tested):
-            dens = np.real(_sample_each(spec.density, cand[tested]))
+            dens = np.real(spec.density.sample(cand[tested]))
             rejected[tested] = u[tested, 3] * bound[i:j][tested] > dens
         return [(*c, r) for c, r in zip(cand.tolist(), rejected.tolist())]
 
@@ -569,7 +556,7 @@ def _spheres(centers: np.ndarray, spec: CloudSpec) -> List[Particle]:
     of the polarizability, so each is a copy of one checked prototype.
     """
     if spec.bc_kind == "impedance":
-        bcs = [Impedance(h=h, kappa=spec.kappa) for h in _sample_each(spec.h, centers).tolist()]
+        bcs = [Impedance(h=h, kappa=spec.kappa) for h in spec.h.sample(centers).tolist()]
     else:
         bcs = [Soft() if spec.bc_kind == "soft" else Hard()] * len(centers)
     prototype = vars(Particle.sphere(np.zeros(3), spec.a, bcs[0]))

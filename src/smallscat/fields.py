@@ -17,13 +17,12 @@ from .grids import Box, record_eq
 
 
 class ScalarField:
-    """Base class; subclasses implement :meth:`sample`."""
+    """Base class; subclasses implement :meth:`sample`, row-wise: a sample of many points
+    equals each point sampled alone, bit for bit, which cloud placement relies on to test
+    a run of candidates in one call."""
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.sample(points)
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,8 @@ class AffineField(ScalarField):
 
     def sample(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.value0 + p @ self.gradient
+        # elementwise, as ``p @ gradient`` on BLAS may round many rows unlike one
+        return self.value0 + sum(p[:, d] * self.gradient[d] for d in range(3))
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ class GriddedField(ScalarField):
         return out
 
 
-def probe_points(box: Box, n: int = 12) -> np.ndarray:
-    """Deterministic probe lattice (cell midpoints plus the box corners)."""
-    axes = [box.lo[d] + (np.arange(n) + 0.5) * box.lengths[d] / n for d in range(3)]
+def probe_points(box: Box) -> np.ndarray:
+    """Deterministic probe lattice (12^3 cell midpoints plus the box corners)."""
+    axes = [box.lo[d] + (np.arange(12) + 0.5) * box.lengths[d] / 12 for d in range(3)]
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     mids = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
     corners = np.array([[box.lo[d] if b & (1 << d) == 0 else box.hi[d] for d in range(3)]
@@ -160,11 +160,16 @@ def probe_points(box: Box, n: int = 12) -> np.ndarray:
 
 
 def _complex_from_config(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    """A number or ``[re, im]`` pair, each part read as ``float()`` reads it (so YAML 1.1's
+    string ``3e0`` is 3); raises ConfigError on anything else or a non-finite value."""
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    try:
+        z = complex(*map(float, value if pair else [value]))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}") from None
+    if not np.isfinite(z):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return z
 
 
 def field_from_config(cfg, base_dir=".") -> ScalarField:
@@ -173,8 +178,8 @@ def field_from_config(cfg, base_dir=".") -> ScalarField:
     Recognized kinds: ``constant``, ``affine``, ``gaussian_bump``, ``grid``.
     Bare numbers are shorthand for a constant field.
     """
-    if isinstance(cfg, (int, float)):
-        return ConstantField(complex(cfg))
+    if isinstance(cfg, (int, float, str)):
+        return ConstantField(_complex_from_config(cfg, "field"))
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"field config must be a mapping with 'kind', got {cfg!r}")
     kind = cfg["kind"]

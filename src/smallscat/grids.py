@@ -65,10 +65,10 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Boolean mask of points inside the closed box (inflated by ``tol``)."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points inside the closed box."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((p >= self.lo - tol) & (p <= self.hi + tol), axis=1)
+        return np.all((p >= self.lo) & (p <= self.hi), axis=1)
 
 
 @dataclass(frozen=True)

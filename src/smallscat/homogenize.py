@@ -64,7 +64,6 @@ class CollocationSolution:
     q_values: np.ndarray
     values: np.ndarray
     residual: float
-    method: str
 
     __eq__ = record_eq
 
@@ -77,15 +76,14 @@ def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave
                       rtol: float = DEFAULT_RTOL) -> CollocationSolution:
     """Solve ``u_q = u0_q - sum_{p != q} g(xi_q, xi_p) q_p u_p |cell|`` on the cover.
 
-    GMRES on the FFT lattice operator of the free-space kernel (method ``"fft"``).
+    GMRES on the FFT lattice operator of the free-space kernel.
     """
     q = np.asarray(q_values, dtype=complex).reshape(cover.n_cells)
     k = wave.k
     kernel = LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
                              weights=q * cover.cell_volume)
     u, residual = solve_checked(lambda v: v + kernel @ v, wave.field_at(cover.centers), rtol)
-    return CollocationSolution(cover=cover, q_values=q, values=u,
-                               residual=residual, method="fft")
+    return CollocationSolution(cover=cover, q_values=q, values=u, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +358,8 @@ class ConvergenceReport:
         return bool(np.all(e[1:] < e[:-1]))
 
 
-def _integral_of_density(density: ScalarField, domain: Box, n: int = 16) -> float:
-    axes = [domain.lo[d] + (np.arange(n) + 0.5) * domain.lengths[d] / n for d in range(3)]
+def _integral_of_density(density: ScalarField, domain: Box) -> float:
+    axes = [domain.lo[d] + (np.arange(16) + 0.5) * domain.lengths[d] / 16 for d in range(3)]
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
     return float(np.mean(np.real(density.sample(pts))) * domain.volume)

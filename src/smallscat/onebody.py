@@ -158,7 +158,7 @@ _ICO_FACES = [
 ]
 
 
-def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
+def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
     """Subdivided icosahedron projected to a sphere (20 * 4^n triangles)."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [np.array(v, dtype=float) for v in [
@@ -184,15 +184,14 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)
             a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
             new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
         faces = new_faces
-    v = np.array(verts) * radius + np.asarray(center, dtype=float)
-    return SurfaceMesh(v, np.array(faces, dtype=int))
+    return SurfaceMesh(np.array(verts) * radius, np.array(faces, dtype=int))
 
 
-def spheroid(subdivisions: int = 3, semi_axes=(1.0, 1.0, 2.0), center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
+def spheroid(subdivisions: int = 3, semi_axes=(1.0, 1.0, 2.0)) -> SurfaceMesh:
     """Ellipsoidal stretch of the icosphere."""
     base = icosphere(subdivisions, radius=1.0)
-    v = base.vertices * np.asarray(semi_axes, dtype=float)[None, :]
-    return SurfaceMesh(v + np.asarray(center, dtype=float), base.triangles)
+    return SurfaceMesh(base.vertices * np.asarray(semi_axes, dtype=float)[None, :],
+                       base.triangles)
 
 
 def load_obj(path) -> SurfaceMesh:
@@ -397,14 +396,12 @@ def charge_hard(laplacian_u0_at_center: complex, volume: float) -> complex:
 
 
 def amplitude_onebody(bc: BoundaryKind, functionals: ShapeFunctionals, wave: IncidentWave,
-                      beta: np.ndarray, grad_u0: Optional[np.ndarray] = None,
-                      lap_u0: Optional[complex] = None) -> complex:
+                      beta: np.ndarray) -> complex:
     """Far-field amplitude of one particle at the origin, observed along ``beta``.
 
     Soft and impedance scattering are isotropic (``beta`` and the incidence
-    direction do not enter).  Hard scattering is anisotropic; by default the
-    incident plane wave supplies ``grad u0 = ik alpha u0(0)`` and ``lap u0 =
-    -k^2 u0(0)``; pass both explicitly for an arbitrary incident field.
+    direction do not enter).  Hard scattering is anisotropic; the incident plane
+    wave supplies ``grad u0 = ik alpha u0(0)`` and ``lap u0 = -k^2 u0(0)``.
     """
     u0_center = complex(wave.amplitude)
     if isinstance(bc, Soft):
@@ -417,11 +414,8 @@ def amplitude_onebody(bc: BoundaryKind, functionals: ShapeFunctionals, wave: Inc
         if tensor is None:
             raise MissingFunctional("hard amplitude needs the polarizability tensor")
         beta = np.asarray(beta, dtype=float).reshape(3)
-        if grad_u0 is None:
-            grad_u0 = 1j * wave.k * wave.alpha * u0_center
-        if lap_u0 is None:
-            lap_u0 = -(wave.k**2) * u0_center
-        grad_u0 = np.asarray(grad_u0, dtype=complex).reshape(3)
+        grad_u0 = 1j * wave.k * wave.alpha * u0_center
+        lap_u0 = -(wave.k**2) * u0_center
         dipole = 1j * wave.k * np.einsum("p,pq,q->", beta, tensor, grad_u0)
         return functionals.volume / (4.0 * np.pi) * (dipole + lap_u0)
     raise TypeError(f"not a boundary kind: {bc!r}")

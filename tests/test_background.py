@@ -9,6 +9,7 @@ from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
                                   cell_self_green, cos_sin, cover_responses, expi,
                                   fixed_point_solve, free_space_green, green, point_green,
                                   scattered_plane_wave)
+from smallscat.lattice import DEFAULT_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def test_uniform_medium_reproduces_free_space_bitwise(unit_box):
     targets = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.8]])
     expected = free_space_green(2.0, np.linalg.norm(targets - y, axis=1))
     # every method: the grid correction would be exactly 0, so no grid is built
-    for method in ("auto", ("born", 2), ("lippmann_schwinger", 1e-10)):
+    for method in (("born", 2), ("lippmann_schwinger", 1e-10)):
         ev = GreenEvaluator(medium, k=2.0, method=method)
         assert ev.grid is None  # free space
         assert np.array_equal(ev.pair_values(targets, y), expected)
@@ -46,7 +47,7 @@ def test_uniform_medium_reproduces_free_space_bitwise(unit_box):
 
 @pytest.mark.parametrize("method", ["free_space", ("multigrid", 2)])
 def test_unknown_method_rejected(unit_box, method):
-    # auto already gives the free-space kernel in a uniform medium
+    # every method already gives the free-space kernel in a uniform medium
     with pytest.raises(ValueError, match="unknown Green method"):
         GreenEvaluator(BackgroundMedium(n2=ss.ConstantField(1.0), box=unit_box), k=1.0,
                        method=method)
@@ -99,13 +100,13 @@ def test_block_with_one_diverging_column_raises():
         fixed_point_solve(kernel, diverging, tol=1e-10)
 
 
-def _grid_responses(medium, k, grid_n, sources, method="auto"):
+def _grid_responses(medium, k, grid_n, sources, method=("lippmann_schwinger", DEFAULT_RTOL)):
     """``R`` of ``sources`` from one grid solve per source, by an evaluator of ``method`` on
-    ``medium`` and a cover of ``grid_n`` cells per axis: under ``auto`` a checked GMRES solve
-    on the FFT operator."""
+    ``medium`` and a cover of ``grid_n`` cells per axis: under ``lippmann_schwinger`` a
+    checked GMRES solve on the FFT operator."""
     ev = GreenEvaluator(medium, k=k, grid_n=grid_n, method=method)
     z, self_value = ev.grid.centers, cell_self_green(ev.grid)
-    return np.stack([ev.k**2 * ev._chi_w
+    return np.stack([ev._kernel.weights
                      * ev._grid_solve(point_green(ev.k, z, y[None, :], self_value)[0][:, 0])
                      for y in sources], axis=1)
 
@@ -121,8 +122,8 @@ def _column_errors(got, want):
 
 @pytest.mark.parametrize("method", [("lippmann_schwinger", 1e-12), ("born", 10)])
 def test_cover_responses_match_per_source_grid_solves(unit_box, bump_medium, method):
-    # the one direct solve against per-source solves by each iterative method, which both
-    # converge on this weak bump
+    # the one direct solve against per-source solves by each method, the checked GMRES solve
+    # and the series, which converges on this weak bump
     cover = ss.GridCover.from_shape(unit_box, 6)
     # one source on a cover center and some outside the box
     sources = np.vstack([np.random.default_rng(8).uniform(-0.5, 1.5, size=(69, 3)),
@@ -170,7 +171,7 @@ def test_born_one_equals_ls_iteration_on_evaluator(unit_box, bump_medium):
     manual = rhs + kernel @ rhs
     rt = np.linalg.norm(targets[:, None, :] - z[None, :, :], axis=-1)
     expected = free_space_green(1.5, np.linalg.norm(targets - y, axis=1)) \
-        + 1.5**2 * free_space_green(1.5, rt) @ (ev_born._chi_w * manual)
+        + free_space_green(1.5, rt) @ (kernel.weights * manual)
     assert np.allclose(g_born, expected, rtol=1e-14)
 
 
@@ -221,10 +222,14 @@ def test_fixed_point_nonconvergence_reported(unit_box):
                                   base=1.0)
     medium = BackgroundMedium(n2=strong, box=unit_box)
     ev = GreenEvaluator(medium, k=3.0, grid_n=6, method=("lippmann_schwinger", 1e-10))
+    y = np.array([0.8, 0.8, 0.8])
+    rhs = point_green(ev.k, ev.grid.centers, y[None, :], cell_self_green(ev.grid))[0][:, 0]
     with pytest.raises(ss.NonConvergence, match="update norm .* at iteration"):
-        green(ev, np.array([0.2, 0.2, 0.2]), np.array([0.8, 0.8, 0.8]))
-    # where the iteration diverges, a cloud's cover responses still solve
-    sources = np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
+        fixed_point_solve(ev._kernel, rhs, 1e-10)
+    # where the iteration diverges, the evaluator's checked solve and a cloud's cover
+    # responses still solve
+    assert np.isfinite(green(ev, np.array([0.2, 0.2, 0.2]), y))
+    sources = np.array([[0.2, 0.2, 0.2], y])
     assert np.max(_column_errors(_cover_responses(medium, 3.0, 6, sources)[0],
                                  _grid_responses(medium, 3.0, 6, sources))) <= 1e-11
 

@@ -9,6 +9,7 @@ import pytest
 
 from smallscat import manybody
 from smallscat.cli import main
+from smallscat.config import load_config
 from smallscat.onebody import _PANEL_PAIR_BYTES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -114,11 +115,17 @@ def test_green_csv(tmp_path):
     assert len(rows) - 1 == 15
 
 
-def _green_config(tmp_path, method):
-    cfg = tmp_path / "green.yaml"
-    text = (CONFIGS / "green_demo.yaml").read_text()
-    cfg.write_text(text.replace("method: {kind: lippmann_schwinger, tol: 1.0e-10}", method))
+def _edited(tmp_path, config, old, new):
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg = tmp_path / config
+    cfg.write_text(text.replace(old, new))
     return cfg
+
+
+def _green_config(tmp_path, method):
+    return _edited(tmp_path, "green_demo.yaml", "method: {kind: lippmann_schwinger, tol: 1.0e-10}",
+                   method)
 
 
 def _green_values(out):
@@ -130,18 +137,21 @@ def test_green_tol_flag_overrides_the_config_tolerance(tmp_path, monkeypatch):
     from smallscat import background
 
     used = []
-    fixed_point = background.fixed_point_solve
+    checked = background.solve_checked
 
-    def recorded(kernel, rhs, tol, *args, **kwargs):
-        used.append(tol)
-        return fixed_point(kernel, rhs, tol, *args, **kwargs)
+    def recorded(system, rhs, rtol):
+        used.append(rtol)
+        return checked(system, rhs, rtol)
 
-    monkeypatch.setattr(background, "fixed_point_solve", recorded)
+    monkeypatch.setattr(background, "solve_checked", recorded)
     loose = _green_config(tmp_path, "method: {kind: lippmann_schwinger, tol: 1.0e-6}")
+    # GMRES iterates to min(tol * 1e-2, 1e-12) relative, so a flag tolerance below the
+    # config's 1e-10 changes the iterate
     for name, config, extra, tol in [("config", CONFIGS / "green_demo.yaml", (), 1e-10),
                                      ("loose", loose, (), 1e-6),
-                                     ("flag", CONFIGS / "green_demo.yaml", ["--tol", "1e-2"], 1e-2),
-                                     ("flag_loose", loose, ["--tol", "1e-2"], 1e-2)]:
+                                     ("flag", CONFIGS / "green_demo.yaml", ["--tol", "1e-12"],
+                                      1e-12),
+                                     ("flag_loose", loose, ["--tol", "1e-12"], 1e-12)]:
         used.clear()
         assert run("green", config, tmp_path / name, extra) == 0
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
@@ -208,8 +218,8 @@ def test_green_in_a_uniform_medium_is_free_space(tmp_path, monkeypatch, method):
 
 
 def test_green_unknown_method_exits_2(tmp_path):
-    # free_space is no method: auto gives the free-space kernel in a uniform medium, and
-    # green.csv prints g beside G
+    # free_space is no method: every method gives the free-space kernel in a uniform medium,
+    # and green.csv prints g beside G
     for kind in ("multigrid", "free_space"):
         cfg = _green_config(tmp_path, f"method: {{kind: {kind}}}")
         out = tmp_path / kind
@@ -228,6 +238,88 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, subcommand, config, ol
     assert run(subcommand, cfg, out) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "TypeError" and record["exit_code"] == 2
+
+
+def _config_error(subcommand, cfg, out):
+    assert run(subcommand, cfg, out) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ConfigError" and record["exit_code"] == 2
+    return record["error"]
+
+
+@pytest.mark.parametrize("subcommand, config, old, new, key", [
+    ("solve", "solve_cloud_soft.yaml", "bc: {kind: soft}", "bc: soft", "cloud.bc"),
+    ("solve", "solve_one_soft.yaml", "- {center: [0.5, 0.5, 0.5], a: 0.01, bc: {kind: soft}}",
+     "- 5", "scene.particles"),
+    ("green", "green_demo.yaml", "method: {kind: lippmann_schwinger, tol: 1.0e-10}",
+     "method: born", "green.method"),
+    ("solve", "solve_one_soft.yaml", "lo: [0.1, 0.1, 0.1]", "lo: [0.1, 0.1]",
+     "outputs.field_grid"),
+    ("solve", "solve_one_soft.yaml", "farfield: {n_directions: 10}", "farfield: 5",
+     "outputs.farfield"),
+    ("green", "green_demo.yaml", "start: [0.55, 0.5, 0.5]", "start: 0.55", "green.segment"),
+], ids=["cloud_bc", "particle", "green_method", "field_grid_lo", "farfield", "segment_start"])
+def test_malformed_section_exits_2_naming_the_key(tmp_path, subcommand, config, old, new, key):
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
+    assert error.startswith(f"{key}: expected")
+
+
+@pytest.mark.parametrize("subcommand, config, old, new", [
+    ("green", "green_demo.yaml", "grid_n: 8", "grid_n: 6.5"),
+    ("green", "green_demo.yaml", "n: 15", "n: 15.5"),
+    ("green", "green_demo.yaml", "{kind: lippmann_schwinger, tol: 1.0e-10}",
+     "{kind: born, order: 1.5}"),
+    ("solve", "solve_one_soft.yaml", "n_directions: 10", "n_directions: 10.5"),
+    ("solve", "solve_cloud_soft.yaml", "seed: 0", "seed: 0.5"),
+    ("solve", "solve_cloud_soft.yaml", "seed: 0", "strata_n: 2.5"),
+    ("onebody", "onebody_hard_sphere.yaml", "subdivisions: 2", "subdivisions: 2.5"),
+], ids=["grid_n", "n", "order", "n_directions", "seed", "strata_n", "subdivisions"])
+def test_fractional_count_exits_2(tmp_path, subcommand, config, old, new):
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
+    assert "expected a whole number" in error
+
+
+@pytest.mark.parametrize("subcommand, config, old, new", [
+    ("homogenize", "homogenize_demo.yaml", "amplitude: 3.0", "amplitude: .nan"),
+    ("homogenize", "homogenize_impedance_medium.yaml", "value: [0.0397887357729738, 0.0]",
+     "value: [0.0397887357729738, .inf]"),
+    ("green", "green_demo.yaml", "amplitude: 0.1", "amplitude: .nan"),
+    ("solve", "solve_one_soft.yaml", "  particles:",
+     "  background: {n2: {kind: constant, value: .nan}}\n  particles:"),
+], ids=["homogenize", "pair", "green", "scene_background"])
+def test_non_finite_field_value_exits_2(tmp_path, subcommand, config, old, new):
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
+    assert "finite" in error
+
+
+def test_exponent_numbers_read_as_float_reads_them(tmp_path):
+    # YAML 1.1 reads 1e-1 (no dot) as a string; a field value takes it as float() does
+    cfg = _edited(tmp_path, "green_demo.yaml", "amplitude: 0.1", "amplitude: 1e-1")
+    assert run("green", cfg, tmp_path / "exp") == 0
+    assert run("green", CONFIGS / "green_demo.yaml", tmp_path / "demo") == 0
+    assert ((tmp_path / "exp" / "green.csv").read_bytes()
+            == (tmp_path / "demo" / "green.csv").read_bytes())
+    bare = _edited(tmp_path, "homogenize_impedance_medium.yaml",
+                   "density: {kind: constant, value: 1.0}", "density: 1e0")
+    assert run("homogenize", bare, tmp_path / "bare") == 0
+
+
+# converge_impedance.yaml is the study the cloud benchmark runs
+_DEMOS = sorted(path for path in CONFIGS.glob("*.yaml") if path.stem != "converge_impedance")
+
+
+@pytest.mark.parametrize("config", _DEMOS, ids=lambda path: path.stem)
+def test_demo_config_runs_twice_to_the_same_artifacts(tmp_path, config):
+    section = next(iter(load_config(config)))
+    subcommand = "solve" if section == "scene" else section
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert run(subcommand, config, out) == 0
+    names = sorted(path.name for path in outs[0].iterdir() if path.name != "manifest.json")
+    assert names and names == sorted(path.name for path in outs[1].iterdir()
+                                     if path.name != "manifest.json")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -476,18 +568,44 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_solver_failure_exits_3(tmp_path):
-    cfg = tmp_path / "green.yaml"
-    cfg.write_text(
-        "green:\n  k: 3.0\n  domain: {lo: [0,0,0], hi: [1,1,1]}\n"
-        "  n2: {kind: gaussian_bump, amplitude: 49.0, center: [0.5,0.5,0.5],"
-        " width: 0.4, base: 1.0}\n"
-        "  grid_n: 6\n"
-        "  method: {kind: lippmann_schwinger, tol: 1.0e-10}\n"
-        "  source: [0.3, 0.5, 0.5]\n"
-        "  segment: {start: [0.6, 0.5, 0.5], stop: [0.9, 0.5, 0.5], n: 5}\n"
-    )
-    assert run("green", cfg, tmp_path / "out") == 3
+def test_solver_failure_exits_3(tmp_path, monkeypatch):
+    # a grid solve whose products turn NaN fails its residual check: exit 3, not a traceback
+    from smallscat.lattice import LatticeOperator
+
+    monkeypatch.setattr(LatticeOperator, "__matmul__", lambda kernel, v: np.full_like(v, np.nan))
+    out = tmp_path / "out"
+    assert run("green", CONFIGS / "green_demo.yaml", out) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "SolveFailure" and "residual nan" in record["error"]
+
+
+def test_green_solves_a_bump_where_the_fixed_point_diverges(tmp_path):
+    # amplitude 4, width 0.35, k = 6: the fixed-point iteration of this cover diverges
+    from smallscat.background import (BackgroundMedium, cell_self_green, cover_responses,
+                                      free_space_green, point_source_sum)
+    from smallscat.config import box_from_config, load_config
+    from smallscat.fields import field_from_config
+    from smallscat.grids import GridCover
+
+    cfg = tmp_path / "strong.yaml"
+    bump = "amplitude: 0.1, center: [0.5, 0.5, 0.5], width: 0.2"
+    text = (CONFIGS / "green_demo.yaml").read_text()
+    assert bump in text and "k: 2.0" in text
+    cfg.write_text(text.replace(bump, "amplitude: 4.0, center: [0.5, 0.5, 0.5], width: 0.35")
+                   .replace("k: 2.0", "k: 6.0"))
+    assert run("green", cfg, tmp_path / "out") == 0
+    points, values = _green_values(tmp_path / "out")
+    # the same kernel from one dense LU of the cover system, not from GMRES
+    section = load_config(cfg)["green"]
+    medium = BackgroundMedium(n2=field_from_config(section["n2"], tmp_path),
+                              box=box_from_config(section["domain"]))
+    cover = GridCover.from_shape(medium.box, section["grid_n"])
+    source = np.asarray(section["source"], dtype=float)
+    charges = cover_responses(cover, 6.0, medium.contrast(cover.centers), source[None, :])[0]
+    expected = free_space_green(6.0, np.linalg.norm(points - source, axis=1)) \
+        + point_source_sum(6.0, points, cover.centers, charges[:, 0], cell_self_green(cover))
+    gap = np.max(np.abs(values - expected)) / np.max(np.abs(expected))
+    assert gap <= 1e-8
 
 
 def test_failed_cover_solve_exits_3(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import smallscat as ss
 from smallscat import manybody
-from smallscat.background import cell_self_green, free_space_green, point_green
+from smallscat.background import cell_self_green, fixed_point_solve, free_space_green, point_green
 from smallscat.lattice import DEFAULT_RTOL, LatticeOperator
 from smallscat.manybody import (CloudKernel, assemble_hard_system, dipole_kernel_blocks,
                                 eval_field, far_field, fibonacci_directions,
@@ -670,14 +670,14 @@ def test_soft_cloud_solves_where_the_fixed_point_diverges(unit_box):
     scene = ss.Scene(particles=tuple(ss.generate_cloud(spec, unit_box)), domain=unit_box,
                      wave=wave, background=medium)
     assert scene.n_particles == 200
-    ls = ss.GreenEvaluator(medium, k=wave.k, method=("lippmann_schwinger", DEFAULT_RTOL))
+    ev = ss.GreenEvaluator(medium, k=wave.k)
+    m, centers = scene.n_particles, scene.centers
+    rhs = point_green(wave.k, ev.grid.centers, centers[1:2], cell_self_green(ev.grid))[0][:, 0]
     with pytest.raises(ss.NonConvergence):
-        ls.pair_values(scene.centers[:1], scene.centers[1])
+        fixed_point_solve(ev._kernel, rhs, DEFAULT_RTOL)
     sol = solve_soft(scene)
     assert sol.residual <= 1e-10
     # a dense oracle whose columns are one-source kernels, not cover_responses
-    ev = ss.GreenEvaluator(medium, k=wave.k)
-    m, centers = scene.n_particles, scene.centers
     g = np.zeros((m, m), dtype=complex)
     for j in range(m):
         others = np.arange(m) != j
@@ -693,7 +693,7 @@ def test_medium_read_outs_never_solve(unit_box, wave_z, monkeypatch):
     ev = ss.GreenEvaluator(scene.background, k=wave_z.k)
     # the stored sources are those of one grid solve on the summed charges
     to_grid = point_green(wave_z.k, ev.grid.centers, scene.centers, cell_self_green(ev.grid))[0]
-    induced = (wave_z.k**2) * ev._chi_w * ev._grid_solve(to_grid @ sol.charges)
+    induced = ev._kernel.weights * ev._grid_solve(to_grid @ sol.charges)
     assert sol.cover_charges.shape == (ev.grid.n_cells,)
     assert np.max(np.abs(sol.cover_charges - induced)) <= 1e-12 * np.max(np.abs(induced))
 
@@ -711,6 +711,7 @@ def test_medium_read_outs_never_solve(unit_box, wave_z, monkeypatch):
         raise AssertionError("a read-out built an evaluator's FFT kernel")
 
     monkeypatch.setattr(ss.background, "fixed_point_solve", solve)
+    monkeypatch.setattr(ss.background, "solve_checked", solve)
     monkeypatch.setattr(ss.background, "born_series", solve)
     monkeypatch.setattr(LatticeOperator, "__init__", build)
     with pytest.raises(AssertionError, match="FFT kernel"):

@@ -284,17 +284,6 @@ def test_panel_arrays_checked_against_the_budget(sphere_mesh_320, monkeypatch):
         capacitance_zeroth(sphere_mesh_320)
 
 
-def test_amplitude_hard_general_field_reduces_to_plane_wave(wave_z):
-    fun = ShapeFunctionals.sphere(0.1)
-    beta = np.array([0.0, 1.0, 0.0])
-    default = amplitude_onebody(ss.Hard(), fun, wave_z, beta)
-    explicit = amplitude_onebody(
-        ss.Hard(), fun, wave_z, beta,
-        grad_u0=1j * wave_z.k * wave_z.alpha, lap_u0=-wave_z.k**2,
-    )
-    assert default == pytest.approx(explicit)
-
-
 def test_amplitude_hard_requires_tensor(wave_z):
     fun = ShapeFunctionals(a=0.1, capacitance=1.0, area=1.0, volume=1.0,
                            polarizability=None)
