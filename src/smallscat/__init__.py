@@ -17,13 +17,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "background": ("BackgroundMedium", "GreenEvaluator", "born_series", "fixed_point_solve",
                    "free_space_green", "green", "scattered_plane_wave"),
+    "config": ("field_from_config",),
     "core": ("CloudSpec", "Hard", "Impedance", "IncidentWave", "Particle", "Scene", "Soft",
              "ValidationReport", "generate_cloud", "validate_scene"),
     "errors": ("ConfigError", "DegenerateMesh", "DensityInfeasible", "DesignInfeasible",
                "GridTooLarge", "MissingFunctional", "NonConvergence", "PointInsideParticle",
                "RegimeViolation", "SmallscatError", "SolveFailure", "UnsupportedScene"),
     "fields": ("AffineField", "ConstantField", "GaussianBumpField", "GriddedField",
-               "ScalarField", "field_from_config"),
+               "ScalarField"),
     "grids": ("Box", "GridCover"),
     "homogenize": ("CollocationSolution", "ConvergenceReport", "DesignPrescription",
                    "HardLimitSolution", "LimitCoefficients", "collocation_solve",

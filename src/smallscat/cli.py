@@ -12,11 +12,13 @@ effective seed (``null`` only for explicit particles without ``--seed``),
 versions, residuals, artifact names, and timings (the only varying fields).
 
 Exit codes: 0 success, 2 config error (also a problem too large for memory:
-GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.
-The ``SMALLSCAT_OUT`` environment variable overrides ``--out``, and ``--tol`` a
-``green`` method's ``tol``; ``--threads`` (at least 1) caps BLAS threading and
-must act before the numeric modules load, so heavy imports happen inside the
-command handlers.
+GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.  Each
+handler reads its whole section through :class:`smallscat.config.Section`
+before its first solve.
+The ``SMALLSCAT_OUT`` environment variable overrides ``--out``; ``--tol``
+(finite and positive) is the relative residual of every solve; ``--threads``
+(at least 1) caps BLAS threading and must act before the numeric modules
+load, so heavy imports happen inside the command handlers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -86,8 +89,7 @@ def _versions() -> dict:
 class RunConfig:
     """Resolved flags plus the artifact/manifest bookkeeping for one run.
 
-    Invariants: the config file exists, the output directory is writable,
-    the tolerance is positive.
+    Invariants: the config file exists and the output directory is writable.
     """
 
     def __init__(self, args):
@@ -105,10 +107,7 @@ class RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         self.seed = args.seed
-        self.tol_flag = args.tol
         self.tol = args.tol if args.tol is not None else DEFAULT_RTOL
-        if self.tol <= 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
         self.started = time.time()
         self.artifacts: list = []
         self.residuals: dict = {}
@@ -147,14 +146,20 @@ class RunConfig:
 def run_solve(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .config import effective_seed, mapping, scene_from_config, whole
-    from .errors import ConfigError
+    from .config import Section, scene_from_config
     from .manybody import eval_field, far_field, fibonacci_directions, solve_hard
     from .manybody import solve_impedance, solve_soft
 
-    scene = scene_from_config(cfg["scene"], ctx.config_path.parent, seed_override=ctx.seed)
-    if "cloud" in cfg["scene"]:
-        ctx.seed = effective_seed(cfg["scene"]["cloud"], ctx.seed)
+    root = Section(cfg, "", ("scene", "outputs"), ctx.config_path.parent)
+    outputs = root.section("outputs", ("farfield", "field_grid"), default={})
+    farfield = outputs.section("farfield", ("n_directions",), default=None)
+    grid = outputs.section("field_grid", ("lo", "hi", "n"), default=None)
+    dirs = None if farfield is None else fibonacci_directions(farfield.count("n_directions", 50))
+    if grid is not None:
+        lo, hi, n = grid.point("lo"), grid.point("hi"), grid.count("n", 5)
+        axes = np.meshgrid(*(np.linspace(lo[d], hi[d], n) for d in range(3)), indexing="ij")
+        pts = np.stack([x.ravel() for x in axes], axis=1)
+    scene, ctx.seed = scene_from_config(root, seed_override=ctx.seed)
     solver = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[scene.kind]
     solution = solver(scene, rtol=ctx.tol)
     ctx.residuals["system"] = solution.residual
@@ -174,24 +179,13 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
               ["m", "x", "y", "z", "a", "re_ue", "im_ue", "re_Q", "im_Q"],
               [[str(i), *row] for i, row in enumerate(table.tolist())])
 
-    out_cfg = mapping(cfg.get("outputs", {}), "outputs")
-    if "farfield" in out_cfg:
-        ff_cfg = mapping(out_cfg["farfield"], "outputs.farfield")
-        dirs = fibonacci_directions(whole(ff_cfg.get("n_directions", 50), "n_directions"))
+    if dirs is not None:
         ff = far_field(solution, scene, dirs)
         write_csv(ctx.artifact_path("farfield.csv"),
                   ["bx", "by", "bz", "re_A", "im_A"],
                   [[d[0], d[1], d[2], a.real, a.imag]
                    for d, a in zip(ff.directions, ff.amplitudes)])
-    if "field_grid" in out_cfg:
-        fg = mapping(out_cfg["field_grid"], "outputs.field_grid")
-        lo, hi = (np.asarray(fg[end], dtype=float) for end in ("lo", "hi"))
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise ConfigError(f"outputs.field_grid: expected lo and hi of three numbers, got {fg}")
-        n = whole(fg.get("n", 5), "outputs.field_grid.n")
-        axes = [np.linspace(lo[d], hi[d], n) for d in range(3)]
-        xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    if grid is not None:
         u = eval_field(solution, scene, pts)
         write_csv(ctx.artifact_path("field.csv"),
                   ["x", "y", "z", "re_u", "im_u"],
@@ -201,19 +195,18 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
 def run_onebody(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .config import bc_from_config, mapping, mesh_from_config, wave_from_config, whole
+    from .config import Section, bc_from_config, mesh_from_config, wave_from_config
     from .manybody import fibonacci_directions
     from .onebody import ShapeFunctionals, amplitude_onebody
 
-    section = mapping(cfg["onebody"], "onebody")
-    wave = wave_from_config(section["wave"])
-    bc = bc_from_config(section.get("bc", {"kind": "soft"}))
-    if "mesh" in section:
-        mesh = mesh_from_config(section["mesh"], ctx.config_path.parent)
-        fun = ShapeFunctionals.from_mesh(mesh)
+    sec = Section(cfg, "", ("onebody",), ctx.config_path.parent).section(
+        "onebody", ("wave", "bc", "mesh", "a", "n_directions"))
+    wave, bc = wave_from_config(sec), bc_from_config(sec)
+    dirs = fibonacci_directions(sec.count("n_directions", 6))
+    if "mesh" in sec:
+        fun = ShapeFunctionals.from_mesh(mesh_from_config(sec))
     else:
-        fun = ShapeFunctionals.sphere(float(section["a"]))
-    dirs = fibonacci_directions(whole(section.get("n_directions", 6), "n_directions"))
+        fun = sec.build(ShapeFunctionals.sphere, sec.real("a"))
     amps = [amplitude_onebody(bc, fun, wave, beta) for beta in dirs]
     payload = {
         "capacitance": fun.capacitance,
@@ -235,24 +228,21 @@ def run_onebody(cfg: dict, ctx: RunConfig) -> None:
 
 
 def run_homogenize(cfg: dict, ctx: RunConfig) -> None:
-    from .config import box_from_config, mapping, wave_from_config, whole
+    from .config import Section, box_from_config, wave_from_config
     from .core import SPHERE_SURFACE_FACTOR
-    from .fields import field_from_config
     from .grids import GridCover
     from .homogenize import collocation_solve
 
-    section = mapping(cfg["homogenize"], "homogenize")
-    domain = box_from_config(section["domain"])
-    wave = wave_from_config(section["wave"])
-    cover = GridCover.from_shape(domain, whole(section.get("grid_n", 8), "grid_n"))
-    base = ctx.config_path.parent
-    if "q" in section:
-        q = field_from_config(section["q"], base).sample(cover.centers)
+    sec = Section(cfg, "", ("homogenize",), ctx.config_path.parent).section(
+        "homogenize", ("wave", "domain", "grid_n", "q", "density", "h", "b_shape"))
+    domain, wave = box_from_config(sec), wave_from_config(sec)
+    cover = sec.build(GridCover.from_shape, domain, sec.count("grid_n", 8))
+    if "q" in sec:
+        q = sec.field("q").sample(cover.centers)
     else:
-        b_shape = float(section.get("b_shape", SPHERE_SURFACE_FACTOR))
-        dens = field_from_config(section["density"], base).sample(cover.centers).real
-        h = field_from_config(section["h"], base).sample(cover.centers)
-        q = b_shape * dens * h
+        b_shape = sec.real("b_shape", SPHERE_SURFACE_FACTOR)
+        dens = sec.field("density").sample(cover.centers).real
+        q = b_shape * dens * sec.field("h").sample(cover.centers)
     sol = collocation_solve(q, cover, wave, rtol=ctx.tol)
     ctx.residuals["collocation"] = sol.residual
     ctx.summary.update({"cells": cover.n_cells, "k": wave.k})
@@ -266,24 +256,19 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
     import yaml as _yaml
 
-    from .config import box_from_config, mapping, whole
+    from .config import Section, box_from_config
     from .core import SPHERE_SURFACE_FACTOR
-    from .fields import field_from_config
     from .grids import GridCover
     from .homogenize import inverse_design, limit_from_prescription
 
-    section = mapping(cfg["design"], "design")
-    domain = box_from_config(section["domain"])
-    k = float(section["k"])
-    cover = GridCover.from_shape(domain, whole(section.get("grid_n", 8), "grid_n"))
-    base = ctx.config_path.parent
-    n2 = field_from_config(section["n2_target"], base).sample(cover.centers)
-    dens = field_from_config(section.get("density", 1.0), base).sample(cover.centers).real
-    prescription = inverse_design(
-        n2, cover, k,
-        b_shape=float(section.get("b_shape", SPHERE_SURFACE_FACTOR)),
-        density=dens, kappa=float(section.get("kappa", 0.5)),
-    )
+    sec = Section(cfg, "", ("design",), ctx.config_path.parent).section(
+        "design", ("k", "domain", "grid_n", "n2_target", "density", "kappa", "b_shape"))
+    domain, k = box_from_config(sec), sec.real("k")
+    cover = sec.build(GridCover.from_shape, domain, sec.count("grid_n", 8))
+    n2 = sec.field("n2_target").sample(cover.centers)
+    dens = sec.field("density", 1.0).sample(cover.centers).real
+    prescription = inverse_design(n2, cover, k, b_shape=sec.real("b_shape", SPHERE_SURFACE_FACTOR),
+                                  density=dens, kappa=sec.real("kappa", 0.5))
     back = limit_from_prescription(prescription)
     roundtrip = float(np.max(np.abs(back.n2 - prescription.n2_target)))
     ctx.summary.update({
@@ -315,26 +300,20 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
 
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
-    from .config import box_from_config, effective_seed, mapping, wave_from_config
+    from .config import Section, box_from_config, wave_from_config
     from .core import DEFAULT_SEPARATION_FACTOR
-    from .fields import field_from_config
     from .homogenize import convergence_study
 
-    section = mapping(cfg["converge"], "converge")
-    domain = box_from_config(section["domain"])
-    wave = wave_from_config(section["wave"])
-    base = ctx.config_path.parent
-    law = section.get("law", "dirichlet")
-    h = field_from_config(section["h"], base) if "h" in section else None
-    ctx.seed = effective_seed(section, ctx.seed)
+    sec = Section(cfg, "", ("converge",), ctx.config_path.parent).section(
+        "converge", ("law", "wave", "domain", "density", "a_levels", "kappa", "h", "seed",
+                     "separation_factor"))
+    law = sec.choice("law", ("dirichlet", "impedance"), "dirichlet")
+    ctx.seed = sec.count("seed", 0) if ctx.seed is None else ctx.seed
     report = convergence_study(
-        law=law,
-        density=field_from_config(section["density"], base),
-        domain=domain, wave=wave,
-        a_levels=[float(a) for a in section["a_levels"]],
-        kappa=float(section.get("kappa", 0.5)),
-        h=h, seed=ctx.seed, rtol=ctx.tol,
-        separation_factor=float(section.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
+        law=law, density=sec.field("density"), domain=box_from_config(sec),
+        wave=wave_from_config(sec), a_levels=sec.reals("a_levels"),
+        kappa=sec.real("kappa", 0.5), h=sec.field("h", None), seed=ctx.seed, rtol=ctx.tol,
+        separation_factor=sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR),
     )
     ctx.summary.update({
         "law": law,
@@ -356,41 +335,26 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
     from .background import DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, free_space_green
-    from .config import box_from_config, mapping, whole
-    from .errors import ConfigError
-    from .fields import field_from_config
-    from .lattice import DEFAULT_RTOL
+    from .config import Section, box_from_config
 
-    section = mapping(cfg["green"], "green")
-    domain = box_from_config(section["domain"])
-    k = float(section["k"])
-    medium = BackgroundMedium(n2=field_from_config(section["n2"], ctx.config_path.parent),
-                              box=domain)
-    method_cfg = mapping(section.get("method", {"kind": "lippmann_schwinger"}), "green.method")
-    kind = method_cfg.get("kind", "lippmann_schwinger")
-    if kind == "born":
-        method = ("born", whole(method_cfg.get("order", 1), "green.method.order"))
-    elif kind == "lippmann_schwinger":
-        if ctx.tol_flag is None:  # --tol overrides the config's tolerance
-            ctx.tol = float(method_cfg.get("tol", DEFAULT_RTOL))
-        method = ("lippmann_schwinger", ctx.tol)
-    else:
-        raise ConfigError(f"green: unknown method {kind!r}")
-    if kind != "lippmann_schwinger" or medium.uniform_one:
+    sec = Section(cfg, "", ("green",), ctx.config_path.parent).section(
+        "green", ("k", "domain", "n2", "grid_n", "method", "source", "segment"))
+    k, domain, grid_n = sec.real("k"), box_from_config(sec), sec.count("grid_n", DEFAULT_GRID_N)
+    medium = sec.build(BackgroundMedium, n2=sec.field("n2"), box=domain)
+    method_cfg = sec.section("method", {"lippmann_schwinger": (), "born": ("order",)},
+                             default={}, kind="lippmann_schwinger")
+    born = method_cfg.kind == "born"
+    method = ("born", method_cfg.count("order", 1)) if born else ("lippmann_schwinger", ctx.tol)
+    if born or medium.uniform_one:
         ctx.tol = None  # the manifest records no tolerance where no solve uses one
-    evaluator = GreenEvaluator(medium, k, grid_n=whole(section.get("grid_n", DEFAULT_GRID_N),
-                                                       "grid_n"), method=method)
-    source = np.asarray(section["source"], dtype=float)
-    seg = mapping(section["segment"], "green.segment")
-    start, stop = (np.asarray(seg[end], dtype=float) for end in ("start", "stop"))
-    if start.shape != (3,) or stop.shape != (3,):
-        raise ConfigError(f"green.segment: expected start and stop of three numbers, got {seg}")
-    n = whole(seg.get("n", 20), "green.segment.n")
+    source = sec.point("source")
+    seg = sec.section("segment", ("start", "stop", "n"))
+    start, stop, n = seg.point("start"), seg.point("stop"), seg.count("n", 20)
+    evaluator = sec.build(GreenEvaluator, medium, k, grid_n=grid_n, method=method)
     ts = np.linspace(0.0, 1.0, n)
     pts = start[None, :] + ts[:, None] * (stop - start)[None, :]
     values = evaluator.pair_values(pts, source)
-    r = np.linalg.norm(pts - source, axis=1)
-    free = free_space_green(k, r)
+    free = free_space_green(k, np.linalg.norm(pts - source, axis=1))
     ctx.summary.update({"k": k, "n0_max": medium.n0_max, "points": n})
     write_csv(ctx.artifact_path("green.csv"),
               ["t", "x", "y", "z", "re_G", "im_G", "re_g", "im_g"],
@@ -414,6 +378,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every subcommand: they all take the same five options."""
     parser = argparse.ArgumentParser(
@@ -425,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory (env SMALLSCAT_OUT overrides)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--threads", type=_positive_int, default=None, help="cap BLAS threads")
-    parser.add_argument("--tol", type=float, default=None, help="solver relative residual")
+    parser.add_argument("--tol", type=_positive_float, default=None,
+                        help="relative residual of every solve")
     return parser
 
 
@@ -451,7 +422,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # single funnel so every failure leaves a record
         if isinstance(exc, (ConfigError, DegenerateMesh, DensityInfeasible,
                             DesignInfeasible, GridTooLarge, PointInsideParticle,
-                            KeyError, TypeError, ValueError, MemoryError)):
+                            ValueError, MemoryError)):
             code = EXIT_CONFIG
         elif isinstance(exc, RegimeViolation):
             code = EXIT_REGIME

@@ -1,26 +1,28 @@
-"""YAML run configurations: scenes, clouds, meshes, media, study protocols.
+"""YAML run configurations: scenes, clouds, meshes, media, fields, study protocols.
 
-Files are parsed by PyYAML's safe loader on libyaml (``CSafeLoader``) where
-PyYAML was built with it, and by the pure-Python ``SafeLoader`` otherwise.
-Complex values are written as a number (real) or a two-element ``[re, im]``
-list.  Paths inside a config resolve relative to the config file.  The full
-schema is documented in the repository README.
+Files are parsed by PyYAML's safe loader (on libyaml where PyYAML has it).
+Every value is read through a :class:`Section`, whose accessors hold the rules:
+numbers are finite and read as ``float()`` reads them, counts are whole, points
+are three numbers, complex values a number or an ``[re, im]`` pair, paths
+relative to the config file; null and undeclared keys are refused, and each
+failure is a ConfigError naming the full key.  The schema is in the README.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import yaml
 
 from .background import BackgroundMedium
-from .core import (DEFAULT_JITTER, DEFAULT_SEPARATION_FACTOR, DEFAULT_SMALLNESS_THRESHOLD,
-                   CloudSpec, Hard, Impedance, IncidentWave, Particle, Scene, Soft,
-                   generate_cloud)
+from .core import (COUNTING_LAWS, DEFAULT_JITTER, DEFAULT_SEPARATION_FACTOR,
+                   DEFAULT_SMALLNESS_THRESHOLD, CloudSpec, Hard, Impedance, IncidentWave,
+                   Particle, Scene, Soft, generate_cloud)
 from .errors import ConfigError, UnsupportedScene
-from .fields import ScalarField, _complex_from_config, field_from_config
+from .fields import AffineField, ConstantField, GaussianBumpField, GriddedField, ScalarField
 from .grids import Box
 from .onebody import SurfaceMesh, icosphere, load_obj, mesh_particle, spheroid
 
@@ -28,6 +30,8 @@ from .onebody import SurfaceMesh, icosphere, load_obj, mesh_particle, spheroid
 # libyaml's parser where PyYAML was built with it; the constructor and resolver are the
 # same Python code either way, so both loaders give equal dicts
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_REQUIRED = object()
 
 
 def load_config(path) -> dict:
@@ -45,157 +49,231 @@ def load_config(path) -> dict:
     return cfg
 
 
-def mapping(value, where: str) -> dict:
-    """``value`` if it is a mapping; raises ConfigError naming ``where`` otherwise."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
-    return value
+def _real(value, name: str, expected: str = "a finite number") -> float:
+    try:  # a bool is a number to float(), and YAML 1.1 reads yes/no/on/off as bools
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+    return x
 
 
-def whole(value, where: str) -> int:
-    """``value`` as an int; raises ConfigError on a float that is not a whole number."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
-    return int(value)
+def _count(value, name: str) -> int:
+    x = _real(value, name, "a whole number")
+    if not x.is_integer():
+        raise ConfigError(f"{name}: expected a whole number, got {value!r}")
+    return value if isinstance(value, int) else int(x)  # exact past 2^53
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in mapping(cfg, where):
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    return cfg[key]
+def _complex(value, name: str) -> complex:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    return complex(*(_real(part, name, "a finite number or [re, im] pair") for part in parts))
 
 
-def wave_from_config(cfg: dict) -> IncidentWave:
-    try:
-        return IncidentWave(
-            k=float(_require(cfg, "k", "wave")),
-            alpha=np.asarray(_require(cfg, "alpha", "wave"), dtype=float),
-            amplitude=_complex_from_config(cfg.get("amplitude", 1.0), "wave.amplitude"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"wave: {exc}") from exc
+def _reals(value, name: str) -> List[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name}: expected a list of finite numbers, got {value!r}")
+    return [_real(x, name, "a list of finite numbers") for x in value]
 
 
-def box_from_config(cfg: dict) -> Box:
-    try:
-        return Box(lo=np.asarray(_require(cfg, "lo", "domain"), dtype=float),
-                   hi=np.asarray(_require(cfg, "hi", "domain"), dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
+def _point(value, name: str) -> np.ndarray:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{name}: expected three finite numbers, got {value!r}")
+    return np.array(_reals(value, name))
 
 
-def bc_from_config(cfg: dict):
-    kind = _require(cfg, "kind", "bc")
-    try:
-        if kind == "soft":
-            return Soft()
-        if kind == "hard":
-            return Hard()
-        if kind == "impedance":
-            return Impedance(h=_complex_from_config(_require(cfg, "h", "bc"), "bc.h"),
-                             kappa=float(cfg.get("kappa", 0.5)))
-    except ValueError as exc:
-        raise ConfigError(f"bc: {exc}") from exc
-    raise ConfigError(f"bc: unknown kind {kind!r}")
+class Section:
+    """One config mapping, its dotted ``path`` (``""`` at the top level) and the ``keys`` it
+    accepts.  Where ``keys`` maps each kind to its keys, the mapping names its ``kind``
+    (``kind`` the default), kept in :attr:`kind`.  An accessor's ``default`` is used for an
+    absent key (None reads as None); without one the key is required."""
 
+    def __init__(self, data, path: str, keys, base_dir=".", kind: Optional[str] = None):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected a mapping, got {data!r}")
+        self.data, self.where, self.base_dir = data, path, Path(base_dir)
+        if isinstance(keys, dict):
+            self.kind = self.choice("kind", tuple(keys), _REQUIRED if kind is None else kind)
+            keys = ("kind", *keys[self.kind])
+        for key in data:
+            if key not in keys:
+                raise ConfigError(f"{self.name(key)}: unknown key (expected one of "
+                                  f"{', '.join(keys)})")
 
-def background_from_config(cfg: Optional[dict], box: Box, base_dir) -> Optional[BackgroundMedium]:
-    if cfg is None:
-        return None
-    try:
-        return BackgroundMedium(n2=field_from_config(_require(cfg, "n2", "background"),
-                                                     base_dir), box=box)
-    except ValueError as exc:
-        raise ConfigError(f"background: {exc}") from exc
+    def name(self, key) -> str:
+        return f"{self.where}.{key}" if self.where else str(key)
 
+    def __contains__(self, key) -> bool:
+        return key in self.data
 
-def mesh_from_config(cfg: dict, base_dir) -> SurfaceMesh:
-    kind = _require(cfg, "kind", "mesh")
-    if kind == "icosphere":
-        return icosphere(subdivisions=whole(cfg.get("subdivisions", 3), "mesh.subdivisions"),
-                         radius=float(cfg.get("radius", 1.0)))
-    if kind == "spheroid":
-        return spheroid(subdivisions=whole(cfg.get("subdivisions", 3), "mesh.subdivisions"),
-                        semi_axes=tuple(cfg.get("semi_axes", (1.0, 1.0, 2.0))))
-    if kind == "obj":
-        path = Path(base_dir) / _require(cfg, "path", "mesh")
+    def _read(self, key, default, convert):
+        value = self.data.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{self.name(key)}: missing required key")
+        if value is None and key in self.data:
+            raise ConfigError(f"{self.name(key)}: null is not a value")
+        return None if value is None else convert(value, self.name(key))
+
+    def real(self, key, default=_REQUIRED) -> Optional[float]:
+        return self._read(key, default, _real)
+
+    def count(self, key, default=_REQUIRED) -> Optional[int]:
+        return self._read(key, default, _count)
+
+    def complex(self, key, default=_REQUIRED) -> Optional[complex]:
+        return self._read(key, default, _complex)
+
+    def point(self, key, default=_REQUIRED) -> Optional[np.ndarray]:
+        return self._read(key, default, _point)
+
+    def reals(self, key, default=_REQUIRED) -> Optional[List[float]]:
+        return self._read(key, default, _reals)
+
+    def choice(self, key, choices, default=_REQUIRED) -> Optional[str]:
+        def convert(value, name):
+            if isinstance(value, str) and value in choices:
+                return value
+            raise ConfigError(f"{name}: expected one of {', '.join(choices)}, got {value!r}")
+        return self._read(key, default, convert)
+
+    def section(self, key, keys, default=_REQUIRED, kind: Optional[str] = None) -> "Section":
+        return self._read(key, default,
+                          lambda value, name: Section(value, name, keys, self.base_dir, kind))
+
+    def sections(self, key, keys) -> List["Section"]:
+        """A list of mappings, each accepting ``keys``."""
+        def convert(value, name):
+            if not isinstance(value, list):
+                raise ConfigError(f"{name}: expected a list of mappings, got {value!r}")
+            return [Section(item, f"{name}[{i}]", keys, self.base_dir)
+                    for i, item in enumerate(value)]
+        return self._read(key, _REQUIRED, convert)
+
+    def field(self, key, default=_REQUIRED) -> Optional[ScalarField]:
+        return self._read(key, default,
+                          lambda value, name: field_from_config(value, self.base_dir, name))
+
+    def path(self, key) -> Path:
+        """A file path, relative to the config file."""
+        def convert(value, name):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name}: expected a path, got {value!r}")
+            return self.base_dir / value
+        return self._read(key, _REQUIRED, convert)
+
+    def build(self, factory, *args, **kwargs):
+        """``factory(*args, **kwargs)`` on values read from this section; a value it refuses
+        (ValueError, UnsupportedScene) or a file it cannot read becomes a ConfigError."""
         try:
-            return load_obj(path)
-        except OSError as exc:
-            raise ConfigError(f"mesh: cannot read {path}: {exc}") from exc
-    raise ConfigError(f"mesh: unknown kind {kind!r}")
+            return factory(*args, **kwargs)
+        except (ValueError, UnsupportedScene, OSError) as exc:
+            raise ConfigError(f"{self.where}: {exc}") from exc
 
 
-def effective_seed(cfg: dict, seed_override: Optional[int] = None) -> int:
-    """The ``--seed`` override if given, else the section's ``seed``, else 0."""
-    return whole(cfg.get("seed", 0), "seed") if seed_override is None else int(seed_override)
+_FIELD_KINDS = {"constant": ("value",), "affine": ("value0", "gradient"),
+                "gaussian_bump": ("amplitude", "center", "width", "base"), "grid": ("path",)}
 
 
-def cloud_spec_from_config(cfg: dict, base_dir, seed_override: Optional[int] = None) -> CloudSpec:
-    bc_cfg = mapping(mapping(cfg, "cloud").get("bc", {"kind": "soft"}), "cloud.bc")
-    kind = bc_cfg.get("kind", "soft")
-    h_field: Optional[ScalarField] = None
-    kappa = float(bc_cfg.get("kappa", cfg.get("kappa", 0.5)))
-    if kind == "impedance":
-        h_field = field_from_config(_require(bc_cfg, "h", "cloud.bc"), base_dir)
-    try:
-        return CloudSpec(
-            density=field_from_config(_require(cfg, "density", "cloud"), base_dir),
-            a=float(_require(cfg, "a", "cloud")),
-            law=cfg.get("law", "dirichlet"),
-            kappa=kappa,
-            bc_kind=kind,
-            h=h_field,
-            rng_seed=effective_seed(cfg, seed_override),
-            separation_factor=float(cfg.get("separation_factor", DEFAULT_SEPARATION_FACTOR)),
-            strata_n=None if cfg.get("strata_n") is None else whole(cfg["strata_n"], "strata_n"),
-            jitter=float(cfg.get("jitter", DEFAULT_JITTER)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"cloud: {exc}") from exc
+def field_from_config(cfg, base_dir=".", name: str = "field") -> ScalarField:
+    """A catalog field: a number or ``[re, im]`` pair is a constant; a mapping names its
+    ``kind``: ``constant``, ``affine``, ``gaussian_bump`` or ``grid`` (a CSV lattice)."""
+    if not isinstance(cfg, dict):
+        return ConstantField(_complex(cfg, name))
+    sec = Section(cfg, name, _FIELD_KINDS, base_dir)
+    if sec.kind == "constant":
+        return ConstantField(sec.complex("value", 0.0))
+    if sec.kind == "affine":
+        return AffineField(value0=sec.complex("value0", 0.0),
+                           gradient=sec.point("gradient", (0.0, 0.0, 0.0)))
+    if sec.kind == "gaussian_bump":
+        return sec.build(GaussianBumpField, amplitude=sec.complex("amplitude", 1.0),
+                         center=sec.point("center", (0.0, 0.0, 0.0)),
+                         width=sec.real("width", 1.0), base=sec.complex("base", 0.0))
+    return sec.build(GriddedField.from_csv, sec.path("path"))
 
 
-def _particle_from_config(cfg: dict, base_dir) -> Particle:
-    bc = bc_from_config(mapping(cfg, "scene.particles").get("bc", {"kind": "soft"}))
-    center = np.asarray(_require(cfg, "center", "particle"), dtype=float)
-    if "mesh" in cfg:
-        mesh = mesh_from_config(cfg["mesh"], base_dir)
-        scale = cfg.get("scale")
-        if scale is not None:
-            mesh = mesh.scaled(float(scale))
-        return mesh_particle(center, mesh, bc)
-    try:
-        return Particle.sphere(center, float(_require(cfg, "a", "particle")), bc)
-    except ValueError as exc:
-        raise ConfigError(f"particle: {exc}") from exc
+# Each builder reads the one key its name says from the parent section.
+def wave_from_config(parent: Section) -> IncidentWave:
+    sec = parent.section("wave", ("k", "alpha", "amplitude"))
+    return sec.build(IncidentWave, k=sec.real("k"), alpha=sec.point("alpha"),
+                     amplitude=sec.complex("amplitude", 1.0))
 
 
-def scene_from_config(cfg: dict, base_dir=".", seed_override: Optional[int] = None) -> Scene:
-    """Build a scene from a ``scene:`` section (explicit particles or a cloud)."""
-    where = "scene"
-    wave = wave_from_config(_require(cfg, "wave", where))
-    domain = box_from_config(_require(cfg, "domain", where))
-    background = background_from_config(cfg.get("background"), domain, base_dir)
-    sep = float(cfg.get("separation_factor", DEFAULT_SEPARATION_FACTOR))
-    small = float(cfg.get("smallness_threshold", DEFAULT_SMALLNESS_THRESHOLD))
+def box_from_config(parent: Section) -> Box:
+    sec = parent.section("domain", ("lo", "hi"))
+    return sec.build(Box, lo=sec.point("lo"), hi=sec.point("hi"))
 
-    particles: Tuple[Particle, ...]
-    if "particles" in cfg and "cloud" in cfg:
-        raise ConfigError("scene: give either 'particles' or 'cloud', not both")
-    if "particles" in cfg:
-        particles = tuple(_particle_from_config(p, base_dir) for p in cfg["particles"])
-    elif "cloud" in cfg:
-        spec = cloud_spec_from_config(cfg["cloud"], base_dir, seed_override)
-        if "separation_factor" in cfg and "separation_factor" not in cfg["cloud"]:
-            spec = CloudSpec(**{**spec.__dict__, "separation_factor": sep})
-        particles = tuple(generate_cloud(spec, domain))
-        sep = spec.separation_factor
+
+def bc_from_config(parent: Section):
+    """A particle's boundary kind; soft where ``bc`` is absent."""
+    sec = parent.section("bc", {"soft": (), "hard": (), "impedance": ("h", "kappa")},
+                         default={"kind": "soft"})
+    if sec.kind == "impedance":
+        return sec.build(Impedance, h=sec.complex("h"), kappa=sec.real("kappa", 0.5))
+    return Hard() if sec.kind == "hard" else Soft()
+
+
+def mesh_from_config(parent: Section) -> SurfaceMesh:
+    sec = parent.section("mesh", {"icosphere": ("subdivisions", "radius"),
+                                  "spheroid": ("subdivisions", "semi_axes"), "obj": ("path",)})
+    if sec.kind == "obj":
+        return sec.build(load_obj, sec.path("path"))
+    subdivisions = sec.count("subdivisions", 3)
+    if sec.kind == "icosphere":
+        return sec.build(icosphere, subdivisions=subdivisions, radius=sec.real("radius", 1.0))
+    return sec.build(spheroid, subdivisions=subdivisions,
+                     semi_axes=sec.point("semi_axes", (1.0, 1.0, 2.0)))
+
+
+def cloud_spec_from_config(parent: Section, seed_override: Optional[int] = None,
+                           separation_factor: float = DEFAULT_SEPARATION_FACTOR) -> CloudSpec:
+    """The ``cloud`` recipe; ``separation_factor`` is its default factor (the scene's)."""
+    sec = parent.section("cloud", ("law", "a", "density", "bc", "kappa", "seed",
+                                   "separation_factor", "strata_n", "jitter"))
+    bc = sec.section("bc", {"soft": (), "hard": (), "impedance": ("h",)}, default={},
+                     kind="soft")
+    return sec.build(
+        CloudSpec, density=sec.field("density"), a=sec.real("a"),
+        law=sec.choice("law", COUNTING_LAWS, "dirichlet"), kappa=sec.real("kappa", 0.5),
+        bc_kind=bc.kind, h=bc.field("h") if bc.kind == "impedance" else None,
+        rng_seed=sec.count("seed", 0) if seed_override is None else seed_override,
+        separation_factor=sec.real("separation_factor", separation_factor),
+        strata_n=sec.count("strata_n", None), jitter=sec.real("jitter", DEFAULT_JITTER))
+
+
+def _particle_from_config(sec: Section) -> Particle:
+    center, bc = sec.point("center"), bc_from_config(sec)
+    if "mesh" not in sec:
+        return sec.build(Particle.sphere, center, sec.real("a"), bc)
+    mesh, scale = mesh_from_config(sec), sec.real("scale", None)
+    return sec.build(mesh_particle, center, mesh if scale is None else mesh.scaled(scale), bc)
+
+
+def scene_from_config(parent: Section,
+                      seed_override: Optional[int] = None) -> Tuple[Scene, Optional[int]]:
+    """The ``scene`` (explicit particles or a cloud) and the seed that placed it: the
+    override, else the cloud's seed; None for explicit particles without an override."""
+    sec = parent.section("scene", ("wave", "domain", "background", "separation_factor",
+                                   "smallness_threshold", "particles", "cloud"))
+    wave, domain = wave_from_config(sec), box_from_config(sec)
+    medium = sec.section("background", ("n2",), default=None)
+    background = None if medium is None else medium.build(BackgroundMedium,
+                                                          n2=medium.field("n2"), box=domain)
+    sep = sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR)
+    small = sec.real("smallness_threshold", DEFAULT_SMALLNESS_THRESHOLD)
+    if ("particles" in sec) == ("cloud" in sec):
+        raise ConfigError("scene: give either 'particles' or 'cloud'")
+    seed = seed_override
+    if "particles" in sec:
+        particles = tuple(_particle_from_config(p) for p in sec.sections(
+            "particles", ("center", "a", "bc", "mesh", "scale")))
     else:
-        raise ConfigError("scene: needs 'particles' or 'cloud'")
+        spec = cloud_spec_from_config(sec, seed_override, sep)
+        particles = tuple(generate_cloud(spec, domain))
+        sep, seed = spec.separation_factor, spec.rng_seed
     if not particles:
         raise ConfigError("scene: the scene has no particles")
-    try:
-        return Scene(particles=particles, domain=domain, wave=wave, background=background,
-                     separation_factor=sep, smallness_threshold=small)
-    except (ValueError, UnsupportedScene) as exc:
-        raise ConfigError(f"scene: {exc}") from exc
+    return sec.build(Scene, particles=particles, domain=domain, wave=wave,
+                     background=background, separation_factor=sep,
+                     smallness_threshold=small), seed

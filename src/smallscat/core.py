@@ -40,6 +40,7 @@ SPHERE_POLARIZABILITY: float = -1.5
 # Placement knobs: particles are jittered inside the central part of their
 # stratum; the jitter shrinks linearly over separation retries.
 DEFAULT_JITTER: float = 0.6
+COUNTING_LAWS = ("dirichlet", "impedance", "hard_volume")  # see CloudSpec
 PLACEMENT_RETRY_CAP: int = 200
 _MASS_SUBSAMPLES: int = 4
 _MASS_SLAB_POINTS: int = 1 << 18  # density samples held at once by _cell_masses
@@ -327,7 +328,7 @@ class CloudSpec:
     def __post_init__(self):
         if not 0.0 < self.a < math.inf:
             raise ValueError(f"cloud radius must be positive and finite, got {self.a}")
-        if self.law not in ("dirichlet", "impedance", "hard_volume"):
+        if self.law not in COUNTING_LAWS:
             raise ValueError(f"unknown counting law {self.law!r}")
         if self.bc_kind not in ("soft", "impedance", "hard"):
             raise ValueError(f"unknown boundary kind {self.bc_kind!r}")

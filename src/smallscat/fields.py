@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
 from .grids import Box, record_eq
 
 
@@ -96,25 +95,22 @@ class GriddedField(ScalarField):
     def from_csv(cls, path) -> "GriddedField":
         """Load ``x,y,z,value`` (or ``x,y,z,re,im``) rows on a regular lattice."""
         path = Path(path)
-        try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot read gridded field {path}: {exc}") from exc
+        data = np.genfromtxt(path, delimiter=",", names=True)  # OSError if unreadable
         names = data.dtype.names or ()
         for col in ("x", "y", "z"):
             if col not in names:
-                raise ConfigError(f"gridded field {path} lacks column '{col}'")
+                raise ValueError(f"gridded field {path} lacks column '{col}'")
         if "re" in names and "im" in names:
             vals = data["re"] + 1j * data["im"]
         elif "value" in names:
             vals = data["value"]
         else:
-            raise ConfigError(f"gridded field {path} needs 'value' or 're','im' columns")
+            raise ValueError(f"gridded field {path} needs 'value' or 're','im' columns")
         pts = np.stack([data["x"], data["y"], data["z"]], axis=1)
         axes = [np.unique(pts[:, d]) for d in range(3)]
         shape = tuple(len(ax) for ax in axes)
         if np.prod(shape) != len(pts):
-            raise ConfigError(f"gridded field {path} is not a full regular lattice")
+            raise ValueError(f"gridded field {path} is not a full regular lattice")
         idx = [np.searchsorted(axes[d], pts[:, d]) for d in range(3)]
         grid = np.empty(shape, dtype=vals.dtype)
         grid[idx[0], idx[1], idx[2]] = vals
@@ -157,48 +153,3 @@ def probe_points(box: Box) -> np.ndarray:
     corners = np.array([[box.lo[d] if b & (1 << d) == 0 else box.hi[d] for d in range(3)]
                         for b in range(8)])
     return np.vstack([mids, corners])
-
-
-def _complex_from_config(value, where: str) -> complex:
-    """A number or ``[re, im]`` pair, each part read as ``float()`` reads it (so YAML 1.1's
-    string ``3e0`` is 3); raises ConfigError on anything else or a non-finite value."""
-    pair = isinstance(value, (list, tuple)) and len(value) == 2
-    try:
-        z = complex(*map(float, value if pair else [value]))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}") from None
-    if not np.isfinite(z):
-        raise ConfigError(f"{where}: must be finite, got {value!r}")
-    return z
-
-
-def field_from_config(cfg, base_dir=".") -> ScalarField:
-    """Build a catalog field from a config mapping.
-
-    Recognized kinds: ``constant``, ``affine``, ``gaussian_bump``, ``grid``.
-    Bare numbers are shorthand for a constant field.
-    """
-    if isinstance(cfg, (int, float, str)):
-        return ConstantField(_complex_from_config(cfg, "field"))
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"field config must be a mapping with 'kind', got {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "constant":
-        return ConstantField(_complex_from_config(cfg.get("value", 0.0), "constant field"))
-    if kind == "affine":
-        return AffineField(
-            value0=_complex_from_config(cfg.get("value0", 0.0), "affine field"),
-            gradient=np.asarray(cfg.get("gradient", [0.0, 0.0, 0.0]), dtype=float),
-        )
-    if kind == "gaussian_bump":
-        return GaussianBumpField(
-            amplitude=_complex_from_config(cfg.get("amplitude", 1.0), "gaussian bump"),
-            center=np.asarray(cfg.get("center", [0.0, 0.0, 0.0]), dtype=float),
-            width=float(cfg.get("width", 1.0)),
-            base=_complex_from_config(cfg.get("base", 0.0), "gaussian bump"),
-        )
-    if kind == "grid":
-        if "path" not in cfg:
-            raise ConfigError("gridded field config needs 'path'")
-        return GriddedField.from_csv(Path(base_dir) / cfg["path"])
-    raise ConfigError(f"unknown field kind {kind!r}")

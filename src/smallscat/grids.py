@@ -81,14 +81,10 @@ class GridCover:
         Covered domain.
     shape : (nx, ny, nz)
         Cell counts per axis.
-    requested_edge : float
-        Edge length the cover was asked for (actual edges divide the box
-        exactly and are recorded in ``cell_edges``).
     """
 
     box: Box
     shape: Tuple[int, int, int]
-    requested_edge: float = 0.0
     cell_edges: np.ndarray = field(init=False, repr=False)
     centers: np.ndarray = field(init=False, repr=False)
 
@@ -112,7 +108,7 @@ class GridCover:
         if edge <= 0:
             raise ValueError("cell edge must be positive")
         shape = tuple(max(1, int(round(l / edge))) for l in box.lengths)
-        return cls(box=box, shape=shape, requested_edge=float(edge))
+        return cls(box=box, shape=shape)
 
     @classmethod
     def from_shape(cls, box: Box, n: int | Iterable[int]) -> "GridCover":

@@ -173,7 +173,7 @@ def solve_checked(system: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     end in the true residual ``rhs - system(x)``.  That residual, relative to
     ``|rhs|``, is the one returned: a solve of ``i`` Arnoldi steps in one
     cycle takes ``i + 2`` products.  The Krylov tolerance is
-    ``min(rtol * 1e-2, 1e-12)``; the inner stopping rule adapts between
+    ``rtol * 1e-2``; the inner stopping rule adapts between
     cycles as scipy's ``gmres`` does.  Raises SolveFailure after
     :data:`MAX_CYCLES` cycles, on a breakdown short of the tolerance, and at
     once on a non-finite residual or Arnoldi norm.
@@ -182,7 +182,7 @@ def solve_checked(system: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    atol = min(rtol * 1e-2, 1e-12) * b_norm
+    atol = rtol * 1e-2 * b_norm
     # rows are touched, and so resident, only as far as the Arnoldi steps reach
     basis = np.empty((min(RESTART, len(rhs)) + 1, len(rhs)), dtype=complex)
     x = rhs.copy()

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from smallscat import manybody
 from smallscat.cli import main
@@ -124,8 +126,7 @@ def _edited(tmp_path, config, old, new):
 
 
 def _green_config(tmp_path, method):
-    return _edited(tmp_path, "green_demo.yaml", "method: {kind: lippmann_schwinger, tol: 1.0e-10}",
-                   method)
+    return _edited(tmp_path, "green_demo.yaml", "method: {kind: lippmann_schwinger}", method)
 
 
 def _green_values(out):
@@ -133,7 +134,7 @@ def _green_values(out):
     return table[:, 1:4], table[:, 4] + 1j * table[:, 5]
 
 
-def test_green_tol_flag_overrides_the_config_tolerance(tmp_path, monkeypatch):
+def test_green_tol_flag_sets_the_grid_solve_tolerance(tmp_path, monkeypatch):
     from smallscat import background
 
     used = []
@@ -144,33 +145,46 @@ def test_green_tol_flag_overrides_the_config_tolerance(tmp_path, monkeypatch):
         return checked(system, rhs, rtol)
 
     monkeypatch.setattr(background, "solve_checked", recorded)
-    loose = _green_config(tmp_path, "method: {kind: lippmann_schwinger, tol: 1.0e-6}")
-    # GMRES iterates to min(tol * 1e-2, 1e-12) relative, so a flag tolerance below the
-    # config's 1e-10 changes the iterate
-    for name, config, extra, tol in [("config", CONFIGS / "green_demo.yaml", (), 1e-10),
-                                     ("loose", loose, (), 1e-6),
-                                     ("flag", CONFIGS / "green_demo.yaml", ["--tol", "1e-12"],
-                                      1e-12),
-                                     ("flag_loose", loose, ["--tol", "1e-12"], 1e-12)]:
+    # GMRES iterates to tol * 1e-2 relative, so every tolerance changes the iterate
+    for name, extra, tol in [("default", (), 1e-10), ("tight", ["--tol", "1e-12"], 1e-12),
+                             ("loose", ["--tol", "1e-4"], 1e-4)]:
         used.clear()
-        assert run("green", config, tmp_path / name, extra) == 0
+        assert run("green", CONFIGS / "green_demo.yaml", tmp_path / name, extra) == 0
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["tolerance"] == tol and set(used) == {tol}
-    csv = {name: (tmp_path / name / "green.csv").read_bytes()
-           for name in ("config", "flag", "flag_loose")}
-    assert csv["flag"] != csv["config"] and csv["flag"] == csv["flag_loose"]
+    csv = {(tmp_path / name / "green.csv").read_bytes() for name in ("default", "tight", "loose")}
+    assert len(csv) == 3
+
+
+def test_homogenize_tol_flag_changes_the_solution(tmp_path):
+    for name, extra in [("default", ()), ("loose", ["--tol", "1e-4"])]:
+        assert run("homogenize", CONFIGS / "homogenize_demo.yaml", tmp_path / name, extra) == 0
+    cells = [(tmp_path / name / "cells.csv").read_bytes() for name in ("default", "loose")]
+    assert cells[0] != cells[1]
+    manifest = json.loads((tmp_path / "loose" / "manifest.json").read_text())
+    assert manifest["tolerance"] == 1e-4 and manifest["residuals"]["collocation"] <= 1e-4
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_that_is_not_finite_and_positive_exits_2_before_anything_runs(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("green", CONFIGS / "green_demo.yaml", out, ["--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol: must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_green_born_method_writes_the_born_kernel(tmp_path):
     from smallscat.background import BackgroundMedium, GreenEvaluator
-    from smallscat.config import box_from_config, load_config
-    from smallscat.fields import field_from_config
+    from smallscat.config import field_from_config, load_config
+    from smallscat.grids import Box
 
     cfg = _green_config(tmp_path, "method: {kind: born, order: 1}")
     assert run("green", cfg, tmp_path / "out") == 0
     section = load_config(cfg)["green"]
     medium = BackgroundMedium(n2=field_from_config(section["n2"], tmp_path),
-                              box=box_from_config(section["domain"]))
+                              box=Box(**section["domain"]))
     evaluator = GreenEvaluator(medium, section["k"], grid_n=section["grid_n"],
                                method=("born", 1))
     points, values = _green_values(tmp_path / "out")
@@ -192,8 +206,8 @@ def test_green_methods_without_a_solve_record_no_tolerance(tmp_path, method):
     assert csv[0] == csv[1]
 
 
-@pytest.mark.parametrize("method", ["{kind: lippmann_schwinger, tol: 1.0e-10}",
-                                    "{kind: born, order: 2}"], ids=["lippmann_schwinger", "born"])
+@pytest.mark.parametrize("method", ["{kind: lippmann_schwinger}", "{kind: born, order: 2}"],
+                         ids=["lippmann_schwinger", "born"])
 def test_green_in_a_uniform_medium_is_free_space(tmp_path, monkeypatch, method):
     """n0^2 = 1 builds no grid and solves nothing under any method, so the manifest records no
     tolerance; G is g digit for digit, as the grid solve's correction of exactly 0 left it."""
@@ -228,18 +242,6 @@ def test_green_unknown_method_exits_2(tmp_path):
         assert record["type"] == "ConfigError" and kind in record["error"]
 
 
-@pytest.mark.parametrize("subcommand, config, old, new", [
-    ("green", "green_demo.yaml", "k: 2.0", "k: [1, 2]"),
-    ("solve", "solve_one_soft.yaml", "k: 1.0", "k: [1, 2]")], ids=["green", "solve"])
-def test_config_value_of_the_wrong_type_exits_2(tmp_path, subcommand, config, old, new):
-    cfg = tmp_path / config
-    cfg.write_text((CONFIGS / config).read_text().replace(old, new))
-    out = tmp_path / "out"
-    assert run(subcommand, cfg, out) == 2
-    record = json.loads((out / "error.json").read_text())
-    assert record["type"] == "TypeError" and record["exit_code"] == 2
-
-
 def _config_error(subcommand, cfg, out):
     assert run(subcommand, cfg, out) == 2
     record = json.loads((out / "error.json").read_text())
@@ -248,16 +250,26 @@ def _config_error(subcommand, cfg, out):
 
 
 @pytest.mark.parametrize("subcommand, config, old, new, key", [
-    ("solve", "solve_cloud_soft.yaml", "bc: {kind: soft}", "bc: soft", "cloud.bc"),
+    ("green", "green_demo.yaml", "k: 2.0", "k: [1, 2]", "green.k"),
+    ("solve", "solve_one_soft.yaml", "k: 1.0", "k: [1, 2]", "scene.wave.k")],
+    ids=["green", "solve"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, subcommand, config, old, new, key):
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
+    assert error.startswith(f"{key}: expected a finite number")
+
+
+@pytest.mark.parametrize("subcommand, config, old, new, key", [
+    ("solve", "solve_cloud_soft.yaml", "bc: {kind: soft}", "bc: soft", "scene.cloud.bc"),
     ("solve", "solve_one_soft.yaml", "- {center: [0.5, 0.5, 0.5], a: 0.01, bc: {kind: soft}}",
-     "- 5", "scene.particles"),
-    ("green", "green_demo.yaml", "method: {kind: lippmann_schwinger, tol: 1.0e-10}",
-     "method: born", "green.method"),
+     "- 5", "scene.particles[0]"),
+    ("green", "green_demo.yaml", "method: {kind: lippmann_schwinger}", "method: born",
+     "green.method"),
     ("solve", "solve_one_soft.yaml", "lo: [0.1, 0.1, 0.1]", "lo: [0.1, 0.1]",
-     "outputs.field_grid"),
+     "outputs.field_grid.lo"),
     ("solve", "solve_one_soft.yaml", "farfield: {n_directions: 10}", "farfield: 5",
      "outputs.farfield"),
-    ("green", "green_demo.yaml", "start: [0.55, 0.5, 0.5]", "start: 0.55", "green.segment"),
+    ("green", "green_demo.yaml", "start: [0.55, 0.5, 0.5]", "start: 0.55",
+     "green.segment.start"),
 ], ids=["cloud_bc", "particle", "green_method", "field_grid_lo", "farfield", "segment_start"])
 def test_malformed_section_exits_2_naming_the_key(tmp_path, subcommand, config, old, new, key):
     error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
@@ -267,8 +279,7 @@ def test_malformed_section_exits_2_naming_the_key(tmp_path, subcommand, config, 
 @pytest.mark.parametrize("subcommand, config, old, new", [
     ("green", "green_demo.yaml", "grid_n: 8", "grid_n: 6.5"),
     ("green", "green_demo.yaml", "n: 15", "n: 15.5"),
-    ("green", "green_demo.yaml", "{kind: lippmann_schwinger, tol: 1.0e-10}",
-     "{kind: born, order: 1.5}"),
+    ("green", "green_demo.yaml", "{kind: lippmann_schwinger}", "{kind: born, order: 1.5}"),
     ("solve", "solve_one_soft.yaml", "n_directions: 10", "n_directions: 10.5"),
     ("solve", "solve_cloud_soft.yaml", "seed: 0", "seed: 0.5"),
     ("solve", "solve_cloud_soft.yaml", "seed: 0", "strata_n: 2.5"),
@@ -308,13 +319,79 @@ def test_exponent_numbers_read_as_float_reads_them(tmp_path):
 _DEMOS = sorted(path for path in CONFIGS.glob("*.yaml") if path.stem != "converge_impedance")
 
 
+def _subcommand(config):
+    section = next(iter(load_config(config)))
+    return "solve" if section == "scene" else section
+
+
+def _key_name(path):
+    name = ""
+    for part in path:
+        name += f"[{part}]" if isinstance(part, int) else f".{part}" if name else part
+    return name
+
+
+def _malformed(cfg, path=()):
+    """(mutated copy, key its error must name) for every leaf of ``cfg`` set to each malformed
+    value, and for an undeclared key added to every mapping."""
+    node = cfg
+    for part in path:
+        node = node[part]
+    if isinstance(node, dict):
+        bad = copy.deepcopy(cfg)
+        target = bad
+        for part in path:
+            target = target[part]
+        target["undeclared"] = 1
+        yield bad, _key_name(path + ("undeclared",))
+    if isinstance(node, (dict, list)):
+        for part in (node if isinstance(node, dict) else range(len(node))):
+            yield from _malformed(cfg, path + (part,))
+        return
+    # a list element is named by its list's key
+    name = _key_name(path[:-1] if isinstance(path[-1], int) else path)
+    for value in ("x", None, {"a": 1}, float("nan"), [1]):
+        bad = copy.deepcopy(cfg)
+        target = bad
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = value
+        yield bad, name
+
+
+def test_every_malformed_value_exits_2_naming_its_key(tmp_path):
+    # without --seed, so the configs' seeds are read; every run stops before its first solve
+    failures, runs = [], 0
+    for config in _DEMOS:
+        for i, (bad, key) in enumerate(_malformed(load_config(config))):
+            cfg = tmp_path / f"{config.stem}_{i}.yaml"
+            cfg.write_text(yaml.safe_dump(bad))
+            out = tmp_path / f"{config.stem}_{i}"
+            code = run(_subcommand(config), cfg, out)
+            record = json.loads((out / "error.json").read_text()) if code else {}
+            runs += 1
+            if code != 2 or record["type"] != "ConfigError" or key not in record["error"]:
+                failures.append((config.stem, key, code, record))
+    assert runs > 900 and not failures, failures[:5]
+
+
+@pytest.mark.parametrize("config, old, new, key", [
+    ("green_demo.yaml", "{kind: lippmann_schwinger}", "{kind: lippmann_schwinger, tol: 1.0e-6}",
+     "green.method.tol"),
+    ("solve_cloud_soft.yaml", "bc: {kind: soft}", "bc: {kind: soft, kappa: 0.5}",
+     "scene.cloud.bc.kappa"),
+], ids=["green_method_tol", "cloud_bc_kappa"])
+def test_removed_key_exits_2(tmp_path, config, old, new, key):
+    cfg = _edited(tmp_path, config, old, new)
+    error = _config_error(_subcommand(cfg), cfg, tmp_path / "out")
+    assert error.startswith(f"{key}: unknown key")
+
+
 @pytest.mark.parametrize("config", _DEMOS, ids=lambda path: path.stem)
 def test_demo_config_runs_twice_to_the_same_artifacts(tmp_path, config):
-    section = next(iter(load_config(config)))
-    subcommand = "solve" if section == "scene" else section
     outs = [tmp_path / "first", tmp_path / "second"]
     for out in outs:
-        assert run(subcommand, config, out) == 0
+        assert run(_subcommand(config), config, out) == 0
     names = sorted(path.name for path in outs[0].iterdir() if path.name != "manifest.json")
     assert names and names == sorted(path.name for path in outs[1].iterdir()
                                      if path.name != "manifest.json")
@@ -583,9 +660,8 @@ def test_green_solves_a_bump_where_the_fixed_point_diverges(tmp_path):
     # amplitude 4, width 0.35, k = 6: the fixed-point iteration of this cover diverges
     from smallscat.background import (BackgroundMedium, cell_self_green, cover_responses,
                                       free_space_green, point_source_sum)
-    from smallscat.config import box_from_config, load_config
-    from smallscat.fields import field_from_config
-    from smallscat.grids import GridCover
+    from smallscat.config import field_from_config, load_config
+    from smallscat.grids import Box, GridCover
 
     cfg = tmp_path / "strong.yaml"
     bump = "amplitude: 0.1, center: [0.5, 0.5, 0.5], width: 0.2"
@@ -598,7 +674,7 @@ def test_green_solves_a_bump_where_the_fixed_point_diverges(tmp_path):
     # the same kernel from one dense LU of the cover system, not from GMRES
     section = load_config(cfg)["green"]
     medium = BackgroundMedium(n2=field_from_config(section["n2"], tmp_path),
-                              box=box_from_config(section["domain"]))
+                              box=Box(**section["domain"]))
     cover = GridCover.from_shape(medium.box, section["grid_n"])
     source = np.asarray(section["source"], dtype=float)
     charges = cover_responses(cover, 6.0, medium.contrast(cover.centers), source[None, :])[0]

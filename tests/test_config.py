@@ -6,42 +6,78 @@ import yaml
 
 import smallscat as ss
 from smallscat import config
-from smallscat.config import (bc_from_config, box_from_config, load_config,
+from smallscat.config import (Section, bc_from_config, box_from_config, load_config,
                               mesh_from_config, scene_from_config, wave_from_config)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def parent(base_dir=".", **sections):
+    """A top-level section holding ``sections``, as a builder reads it."""
+    return Section(sections, "", tuple(sections), base_dir)
+
+
 def test_wave_and_box_parsing():
-    wave = wave_from_config({"k": 2.0, "alpha": [0, 1, 0], "amplitude": [0.0, 1.0]})
+    wave = wave_from_config(parent(wave={"k": 2.0, "alpha": [0, 1, 0], "amplitude": [0.0, 1.0]}))
     assert wave.k == 2.0 and wave.amplitude == 1j
-    box = box_from_config({"lo": [0, 0, 0], "hi": [2, 1, 1]})
+    box = box_from_config(parent(domain={"lo": [0, 0, 0], "hi": [2, 1, 1]}))
     assert box.volume == pytest.approx(2.0)
-    with pytest.raises(ss.ConfigError):
-        wave_from_config({"alpha": [0, 0, 1]})
-    with pytest.raises(ss.ConfigError):
-        box_from_config({"lo": [0, 0, 0], "hi": [0, 1, 1]})
+    with pytest.raises(ss.ConfigError, match="wave.k: missing required key"):
+        wave_from_config(parent(wave={"alpha": [0, 0, 1]}))
+    with pytest.raises(ss.ConfigError, match="domain: box must have positive extent"):
+        box_from_config(parent(domain={"lo": [0, 0, 0], "hi": [0, 1, 1]}))
 
 
 def test_bc_parsing():
-    assert isinstance(bc_from_config({"kind": "soft"}), ss.Soft)
-    assert isinstance(bc_from_config({"kind": "hard"}), ss.Hard)
-    imp = bc_from_config({"kind": "impedance", "h": [0.5, -0.1], "kappa": 0.7})
+    assert isinstance(bc_from_config(parent(bc={"kind": "soft"})), ss.Soft)
+    assert isinstance(bc_from_config(parent(bc={"kind": "hard"})), ss.Hard)
+    assert isinstance(bc_from_config(parent()), ss.Soft)
+    imp = bc_from_config(parent(bc={"kind": "impedance", "h": [0.5, -0.1], "kappa": 0.7}))
     assert imp.h == 0.5 - 0.1j and imp.kappa == 0.7
-    with pytest.raises(ss.ConfigError):
-        bc_from_config({"kind": "rigid"})
-    with pytest.raises(ss.ConfigError):
-        bc_from_config({"kind": "impedance"})  # h missing
+    with pytest.raises(ss.ConfigError, match="bc.kind: expected one of soft, hard, impedance"):
+        bc_from_config(parent(bc={"kind": "rigid"}))
+    with pytest.raises(ss.ConfigError, match="bc.h: missing required key"):
+        bc_from_config(parent(bc={"kind": "impedance"}))
+    with pytest.raises(ss.ConfigError, match="bc.h: unknown key"):
+        bc_from_config(parent(bc={"kind": "soft", "h": 1.0}))
 
 
 def test_mesh_config_kinds(tmp_path):
-    ico = mesh_from_config({"kind": "icosphere", "subdivisions": 1}, tmp_path)
+    ico = mesh_from_config(parent(tmp_path, mesh={"kind": "icosphere", "subdivisions": 1}))
     assert ico.n_triangles == 80
-    sph = mesh_from_config({"kind": "spheroid", "subdivisions": 1,
-                            "semi_axes": [1, 1, 2]}, tmp_path)
+    sph = mesh_from_config(parent(tmp_path, mesh={"kind": "spheroid", "subdivisions": 1,
+                                                  "semi_axes": [1, 1, 2]}))
     assert sph.volume > ico.volume
-    with pytest.raises(ss.ConfigError):
-        mesh_from_config({"kind": "stl"}, tmp_path)
+    with pytest.raises(ss.ConfigError, match="mesh.kind"):
+        mesh_from_config(parent(tmp_path, mesh={"kind": "stl"}))
+
+
+@pytest.mark.parametrize("read, value, expected", [
+    (Section.real, "3e0", 3.0),
+    (Section.real, 2, 2.0),
+    (Section.count, 6.0, 6),
+    (Section.count, 2**63 + 1, 2**63 + 1),
+    (Section.complex, [1, "-2"], 1 - 2j),
+    (Section.complex, 1.5, 1.5 + 0j),
+], ids=["exponent_string", "int", "whole_float", "large_int", "pair", "real"])
+def test_section_reads_values_as_float_reads_them(read, value, expected):
+    result = read(Section({"v": value}, "s", ("v",)), "v")
+    assert result == expected and type(result) is type(expected)
+
+
+@pytest.mark.parametrize("read, value, message", [
+    (Section.real, True, "expected a finite number, got True"),
+    (Section.real, "inf", "expected a finite number, got 'inf'"),
+    (Section.count, 2.5, "expected a whole number, got 2.5"),
+    (Section.complex, [1, 2, 3], "expected a finite number or [re, im] pair"),
+    (Section.point, [1, 2], "expected three finite numbers"),
+    (Section.reals, 1.0, "expected a list of finite numbers"),
+    (Section.real, None, "null is not a value"),
+], ids=["bool", "inf", "fraction", "triple", "pair_point", "scalar_list", "null"])
+def test_section_refuses_malformed_values_naming_the_key(read, value, message):
+    with pytest.raises(ss.ConfigError) as exc:
+        read(Section({"v": value}, "top.s", ("v",)), "v")
+    assert str(exc.value).startswith("top.s.v: ") and message in str(exc.value)
 
 
 def test_scene_with_explicit_particles(tmp_path):
@@ -53,8 +89,8 @@ def test_scene_with_explicit_particles(tmp_path):
             {"center": [0.7, 0.5, 0.5], "a": 0.01, "bc": {"kind": "soft"}},
         ],
     }
-    scene = scene_from_config(cfg, tmp_path)
-    assert scene.n_particles == 2
+    scene, seed = scene_from_config(parent(tmp_path, scene=cfg))
+    assert scene.n_particles == 2 and seed is None
     assert scene.kind == "soft"
 
 
@@ -79,8 +115,8 @@ def test_scene_with_gridded_density_cloud(tmp_path):
             "separation_factor": 5.0,
         },
     }
-    scene = scene_from_config(cfg, tmp_path)
-    assert scene.n_particles == 200
+    scene, seed = scene_from_config(parent(tmp_path, scene=cfg))
+    assert scene.n_particles == 200 and seed == 0
     assert scene.separation_factor == 5.0
 
 
@@ -88,7 +124,7 @@ def test_scene_requires_particles_or_cloud(tmp_path):
     cfg = {"wave": {"k": 1.0, "alpha": [0, 0, 1]},
            "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]}}
     with pytest.raises(ss.ConfigError):
-        scene_from_config(cfg, tmp_path)
+        scene_from_config(parent(tmp_path, scene=cfg))
 
 
 def test_load_config_errors(tmp_path):
@@ -117,7 +153,7 @@ def test_mesh_particle_through_scene_config(tmp_path):
              "mesh": {"kind": "icosphere", "subdivisions": 2}, "scale": 0.01},
         ],
     }
-    scene = scene_from_config(cfg, tmp_path)
+    scene, _ = scene_from_config(parent(tmp_path, scene=cfg))
     p = scene.particles[0]
     assert p.shape == "mesh"
     assert p.capacitance == pytest.approx(4 * np.pi * 0.01, rel=2e-2)

@@ -30,10 +30,9 @@ def test_cover_geometry(unit_box):
     assert np.all(cover.cell_index(pts) < 64)
 
 
-def test_cover_from_edge_records_request(unit_box):
+def test_cover_from_edge_rounds_to_whole_cells(unit_box):
     cover = GridCover.from_edge(unit_box, 0.27)
     assert cover.shape == (4, 4, 4)
-    assert cover.requested_edge == pytest.approx(0.27)
     assert np.allclose(cover.cell_edges, 0.25)
 
 
