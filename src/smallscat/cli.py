@@ -15,7 +15,8 @@ Exit codes: 0 success, 2 config error (also a problem too large for memory:
 GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.  Each
 handler reads its whole section through :class:`smallscat.config.Section`
 before its first solve.
-The ``SMALLSCAT_OUT`` environment variable overrides ``--out``; ``--tol``
+The ``SMALLSCAT_OUT`` environment variable overrides ``--out``; ``--seed``
+(at least 0) overrides the config's seed; ``--tol``
 (finite and positive) is the relative residual of every solve; ``--threads``
 (at least 1) caps BLAS threading and must act before the numeric modules
 load, so heavy imports happen inside the command handlers.
@@ -204,6 +205,7 @@ def run_onebody(cfg: dict, ctx: RunConfig) -> None:
     wave, bc = wave_from_config(sec), bc_from_config(sec)
     dirs = fibonacci_directions(sec.count("n_directions", 6))
     if "mesh" in sec:
+        sec.refuse(("a",), "with a mesh")
         fun = ShapeFunctionals.from_mesh(mesh_from_config(sec))
     else:
         fun = sec.build(ShapeFunctionals.sphere, sec.real("a"))
@@ -238,6 +240,7 @@ def run_homogenize(cfg: dict, ctx: RunConfig) -> None:
     domain, wave = box_from_config(sec), wave_from_config(sec)
     cover = sec.build(GridCover.from_shape, domain, sec.count("grid_n", 8))
     if "q" in sec:
+        sec.refuse(("density", "h", "b_shape"), "with q")
         q = sec.field("q").sample(cover.centers)
     else:
         b_shape = sec.real("b_shape", SPHERE_SURFACE_FACTOR)
@@ -271,32 +274,21 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
                                   density=dens, kappa=sec.real("kappa", 0.5))
     back = limit_from_prescription(prescription)
     roundtrip = float(np.max(np.abs(back.n2 - prescription.n2_target)))
-    ctx.summary.update({
-        "cells": cover.n_cells,
-        "k": k,
-        "kappa": prescription.kappa,
-        "b_shape": prescription.b_shape,
-        "max_roundtrip_error": roundtrip,
-        "h_first_re": float(np.real(prescription.impedance[0])),
-        "h_first_im": float(np.imag(prescription.impedance[0])),
-    })
+    recipe = {"k": k, "kappa": prescription.kappa, "b_shape": prescription.b_shape,
+              "cells": cover.n_cells}  # in the manifest summary and in prescription.yaml
+    ctx.summary.update(recipe, max_roundtrip_error=roundtrip,
+                       h_first_re=float(np.real(prescription.impedance[0])),
+                       h_first_im=float(np.imag(prescription.impedance[0])))
     write_csv(ctx.artifact_path("design.csv"),
               ["p", "x", "y", "z", "N", "re_h", "im_h", "re_n2", "im_n2"],
               [[str(p), c[0], c[1], c[2], nv, hv.real, hv.imag, tv.real, tv.imag]
                for p, (c, nv, hv, tv) in enumerate(zip(
                    cover.centers, prescription.density, prescription.impedance,
                    prescription.n2_target))])
-    summary = {
-        "k": k,
-        "kappa": prescription.kappa,
-        "b_shape": prescription.b_shape,
-        "grid": list(cover.shape),
-        "cells": cover.n_cells,
-        "table": "design.csv",
-    }
     with open(ctx.artifact_path("prescription.yaml"), "w", encoding="utf-8",
               newline="\n") as fh:
-        _yaml.safe_dump(summary, fh, sort_keys=True)
+        _yaml.safe_dump(dict(recipe, grid=list(cover.shape), table="design.csv"), fh,
+                        sort_keys=True)
 
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
@@ -308,11 +300,15 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
         "converge", ("law", "wave", "domain", "density", "a_levels", "kappa", "h", "seed",
                      "separation_factor"))
     law = sec.choice("law", ("dirichlet", "impedance"), "dirichlet")
-    ctx.seed = sec.count("seed", 0) if ctx.seed is None else ctx.seed
+    if law == "dirichlet":
+        sec.refuse(("h", "kappa"), "by the dirichlet law")
+    seed = sec.count("seed", 0, least=0)
+    ctx.seed = seed if ctx.seed is None else ctx.seed
     report = convergence_study(
         law=law, density=sec.field("density"), domain=box_from_config(sec),
         wave=wave_from_config(sec), a_levels=sec.reals("a_levels"),
-        kappa=sec.real("kappa", 0.5), h=sec.field("h", None), seed=ctx.seed, rtol=ctx.tol,
+        kappa=sec.real("kappa", 0.5), h=sec.field("h") if law == "impedance" else None,
+        seed=ctx.seed, rtol=ctx.tol,
         separation_factor=sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR),
     )
     ctx.summary.update({
@@ -344,7 +340,8 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     method_cfg = sec.section("method", {"lippmann_schwinger": (), "born": ("order",)},
                              default={}, kind="lippmann_schwinger")
     born = method_cfg.kind == "born"
-    method = ("born", method_cfg.count("order", 1)) if born else ("lippmann_schwinger", ctx.tol)
+    method = (("born", method_cfg.count("order", 1, least=0)) if born
+              else ("lippmann_schwinger", ctx.tol))
     if born or medium.uniform_one:
         ctx.tol = None  # the manifest records no tolerance where no solve uses one
     source = sec.point("source")
@@ -372,10 +369,13 @@ _HANDLERS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _at_least(least: int):
+    """An argparse type: a whole number of at least ``least``."""
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return count
 
 
 def _positive_float(text: str) -> float:
@@ -393,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=tuple(_HANDLERS))
     parser.add_argument("--config", required=True, help="YAML run configuration")
     parser.add_argument("--out", default=None, help="output directory (env SMALLSCAT_OUT overrides)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=_positive_int, default=None, help="cap BLAS threads")
+    parser.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
+    parser.add_argument("--threads", type=_at_least(1), default=None, help="cap BLAS threads")
     parser.add_argument("--tol", type=_positive_float, default=None,
                         help="relative residual of every solve")
     return parser

@@ -2,10 +2,11 @@
 
 Files are parsed by PyYAML's safe loader (on libyaml where PyYAML has it).
 Every value is read through a :class:`Section`, whose accessors hold the rules:
-numbers are finite and read as ``float()`` reads them, counts are whole, points
-are three numbers, complex values a number or an ``[re, im]`` pair, paths
-relative to the config file; null and undeclared keys are refused, and each
-failure is a ConfigError naming the full key.  The schema is in the README.
+numbers are finite and read as ``float()`` reads them, counts are whole and at least 1
+(0 for a seed, an order or subdivisions), points are three numbers, complex values a
+number or an ``[re, im]`` pair, paths relative to the config file; null, undeclared keys
+and keys the branch taken does not read are refused, and each failure is a ConfigError
+naming the full key.  The schema is in the README.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ def _real(value, name: str, expected: str = "a finite number") -> float:
     return x
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, least: int) -> int:
     x = _real(value, name, "a whole number")
     if not x.is_integer():
         raise ConfigError(f"{name}: expected a whole number, got {value!r}")
+    if x < least:
+        raise ConfigError(f"{name}: expected a whole number of at least {least}, got {value!r}")
     return value if isinstance(value, int) else int(x)  # exact past 2^53
 
 
@@ -118,8 +121,8 @@ class Section:
     def real(self, key, default=_REQUIRED) -> Optional[float]:
         return self._read(key, default, _real)
 
-    def count(self, key, default=_REQUIRED) -> Optional[int]:
-        return self._read(key, default, _count)
+    def count(self, key, default=_REQUIRED, least: int = 1) -> Optional[int]:
+        return self._read(key, default, lambda value, name: _count(value, name, least))
 
     def complex(self, key, default=_REQUIRED) -> Optional[complex]:
         return self._read(key, default, _complex)
@@ -153,6 +156,12 @@ class Section:
     def field(self, key, default=_REQUIRED) -> Optional[ScalarField]:
         return self._read(key, default,
                           lambda value, name: field_from_config(value, self.base_dir, name))
+
+    def refuse(self, keys, branch: str) -> None:
+        """ConfigError naming the first of ``keys`` given here: ``branch`` reads none of them."""
+        for key in keys:
+            if key in self.data:
+                raise ConfigError(f"{self.name(key)}: not read {branch}")
 
     def path(self, key) -> Path:
         """A file path, relative to the config file."""
@@ -219,7 +228,7 @@ def mesh_from_config(parent: Section) -> SurfaceMesh:
                                   "spheroid": ("subdivisions", "semi_axes"), "obj": ("path",)})
     if sec.kind == "obj":
         return sec.build(load_obj, sec.path("path"))
-    subdivisions = sec.count("subdivisions", 3)
+    subdivisions = sec.count("subdivisions", 3, least=0)
     if sec.kind == "icosphere":
         return sec.build(icosphere, subdivisions=subdivisions, radius=sec.real("radius", 1.0))
     return sec.build(spheroid, subdivisions=subdivisions,
@@ -233,11 +242,12 @@ def cloud_spec_from_config(parent: Section, seed_override: Optional[int] = None,
                                    "separation_factor", "strata_n", "jitter"))
     bc = sec.section("bc", {"soft": (), "hard": (), "impedance": ("h",)}, default={},
                      kind="soft")
+    seed = sec.count("seed", 0, least=0)
     return sec.build(
         CloudSpec, density=sec.field("density"), a=sec.real("a"),
         law=sec.choice("law", COUNTING_LAWS, "dirichlet"), kappa=sec.real("kappa", 0.5),
         bc_kind=bc.kind, h=bc.field("h") if bc.kind == "impedance" else None,
-        rng_seed=sec.count("seed", 0) if seed_override is None else seed_override,
+        rng_seed=seed if seed_override is None else seed_override,
         separation_factor=sec.real("separation_factor", separation_factor),
         strata_n=sec.count("strata_n", None), jitter=sec.real("jitter", DEFAULT_JITTER))
 
@@ -245,7 +255,9 @@ def cloud_spec_from_config(parent: Section, seed_override: Optional[int] = None,
 def _particle_from_config(sec: Section) -> Particle:
     center, bc = sec.point("center"), bc_from_config(sec)
     if "mesh" not in sec:
+        sec.refuse(("scale",), "without a mesh")
         return sec.build(Particle.sphere, center, sec.real("a"), bc)
+    sec.refuse(("a",), "with a mesh")
     mesh, scale = mesh_from_config(sec), sec.real("scale", None)
     return sec.build(mesh_particle, center, mesh if scale is None else mesh.scaled(scale), bc)
 

@@ -255,7 +255,8 @@ def validate_scene(scene: Scene) -> ValidationReport:
 
     Violations: ``k * a_max * n0_max`` above the smallness threshold, minimum
     pairwise distance below ``separation_factor * a_max``, particle centers
-    outside the domain, impedance with ``Im h > 0``.
+    outside the domain, impedance with ``Im h > 0``.  Metrics of two or more
+    particles include the least and the mean nearest-neighbour distance.
     """
     violations: List[str] = []
     metrics: dict = {"n_particles": scene.n_particles}
@@ -281,6 +282,7 @@ def validate_scene(scene: Scene) -> ValidationReport:
         d_min = float(dists[:, 1].min())
         ratio = d_min / scene.max_radius
         metrics["min_distance"] = d_min
+        metrics["mean_distance"] = float(np.mean(dists[:, 1]))
         metrics["d_over_a"] = ratio
         if ratio < scene.separation_factor:
             violations.append(
@@ -343,6 +345,12 @@ class CloudSpec:
         if self.law == "impedance":
             return self.a ** (self.kappa - 2.0)
         return 1.0 / (SPHERE_VOLUME_FACTOR * self.a**3)
+
+    def expected_count(self, domain: Box) -> float:
+        """The law's particle count in ``domain``, unrounded: :meth:`count_prefactor` times
+        the density's mass by the midpoint rule of :func:`_cell_masses` on 8^3 cells."""
+        coarse, _ = _cell_masses(self.density, domain, (8, 8, 8))
+        return self.count_prefactor() * float(coarse.sum())
 
 
 def _bisection_counts(masses: np.ndarray, total: int) -> np.ndarray:
@@ -412,7 +420,8 @@ def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int])
             raise ValueError("density must be nonnegative on the domain")
         vals = np.maximum(vals, 0.0).reshape(-1, ns, ny, ns, nz, ns)
         masses[slab] = vals.mean(axis=(1, 3, 5)) * cell_vol
-        sub_max[slab] = vals.max(axis=(1, 3, 5))
+        # a maximum is exact in any order, and over one contiguous axis about 4x faster
+        sub_max[slab] = vals.transpose(0, 2, 4, 1, 3, 5).reshape(-1, ny, nz, ns**3).max(axis=-1)
     return masses, sub_max.ravel()
 
 
@@ -440,9 +449,7 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
     if spec.strata_n is not None:
         n_strata = int(spec.strata_n)
     else:
-        coarse, _ = _cell_masses(spec.density, domain, (8, 8, 8))
-        m_hint = spec.count_prefactor() * float(coarse.sum())
-        n_strata = max(1, math.ceil(max(m_hint, 1.0) ** (1.0 / 3.0)))
+        n_strata = max(1, math.ceil(max(spec.expected_count(domain), 1.0) ** (1.0 / 3.0)))
     shape = (n_strata, n_strata, n_strata)
     masses, density_max = _cell_masses(spec.density, domain, shape)
 

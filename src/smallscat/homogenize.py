@@ -25,22 +25,22 @@ background medium enters only the finite-cloud solves, through
 generated clouds estimate the same coefficients (from the particle arrays and
 couplings a :class:`~smallscat.core.Scene` packs), and the convergence study
 compares the cloud solve against the collocation solve level by level in the
-sup norm over cells.
+sup norm over cells, each level's cloud built from one
+:class:`~smallscat.core.CloudSpec` by :func:`~smallscat.core.generate_cloud`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .background import free_space_green
 from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
                    SPHERE_SURFACE_FACTOR, CloudSpec, IncidentWave, Particle, Scene,
-                   _pack_particles, generate_cloud)
+                   _pack_particles, generate_cloud, validate_scene)
 from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover, record_eq
@@ -358,13 +358,6 @@ class ConvergenceReport:
         return bool(np.all(e[1:] < e[:-1]))
 
 
-def _integral_of_density(density: ScalarField, domain: Box) -> float:
-    axes = [domain.lo[d] + (np.arange(16) + 0.5) * domain.lengths[d] / 16 for d in range(3)]
-    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    return float(np.mean(np.real(density.sample(pts))) * domain.volume)
-
-
 def convergence_study(law: str, density: ScalarField, domain: Box, wave: IncidentWave,
                       a_levels: Sequence[float], *, kappa: float = 0.5,
                       h: Optional[ScalarField] = None, seed: int = 0,
@@ -372,43 +365,32 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
                       rtol: float = DEFAULT_RTOL) -> ConvergenceReport:
     """Sup-norm discrepancy between cloud solves and the limiting equation.
 
-    For each particle size: generate the cloud by the counting law, solve the
-    finite system, read it on the cover ``edge = a**(1/3)`` via
-    :func:`cover_field_from_solution`, and compare against the collocation
-    solution with the closed-form sphere coefficient.  The separation factor is
-    capped at half the mean particle spacing over ``a`` (dense protocols
-    cannot honor a fixed ``d/a`` at every level); the factor used is recorded
-    per level.
+    Each particle size is one :class:`~smallscat.core.CloudSpec` (soft particles for the
+    ``dirichlet`` law, impedance particles for ``impedance``, which needs ``h``): generate
+    its cloud, solve the finite system (an empty scene where the law expects no particle),
+    read it on the cover ``edge = a**(1/3)`` via :func:`cover_field_from_solution`, and
+    compare against the collocation solution with the closed-form sphere coefficient.  The
+    separation factor is capped at half the mean particle spacing of
+    :meth:`~smallscat.core.CloudSpec.expected_count` over ``a`` (dense protocols cannot
+    honor a fixed ``d/a`` at every level); the factor used is recorded per level.
+    ValueError for another law, or for an impedance study without ``h``, before any cloud
+    is placed.
     """
     if law not in ("dirichlet", "impedance"):
         raise ValueError(f"convergence law must be dirichlet or impedance, got {law!r}")
-    if law == "impedance" and h is None:
-        raise ValueError("impedance protocol needs an h(x) field")
-    mass = _integral_of_density(density, domain)
+    bc_kind, solver = (("soft", solve_soft) if law == "dirichlet"
+                       else ("impedance", solve_impedance))
     levels: List[ConvergenceLevel] = []
     for a in a_levels:
-        prefactor = (1.0 / a) if law == "dirichlet" else a ** (kappa - 2.0)
-        m_expected = int(round(prefactor * mass))
+        spec = CloudSpec(density=density, a=a, law=law, kappa=kappa, bc_kind=bc_kind, h=h,
+                         rng_seed=seed, separation_factor=separation_factor)
+        m_expected = int(round(spec.expected_count(domain)))
         mean_spacing = (domain.volume / max(m_expected, 1)) ** (1.0 / 3.0)
-        sep = min(separation_factor, 0.5 * mean_spacing / a)
-        if m_expected == 0:
-            particles = []
-            scene = Scene(particles=(), domain=domain, wave=wave, separation_factor=sep)
-            solution = EffectiveFieldSolution(
-                kind="soft" if law == "dirichlet" else "impedance",
-                values=np.zeros(0, dtype=complex), charges=np.zeros(0, dtype=complex),
-            )
-        else:
-            spec = CloudSpec(
-                density=density, a=a, law=law, kappa=kappa,
-                bc_kind="soft" if law == "dirichlet" else "impedance",
-                h=h, rng_seed=seed, separation_factor=sep,
-            )
-            particles = generate_cloud(spec, domain)
-            scene = Scene(particles=tuple(particles), domain=domain, wave=wave,
-                          separation_factor=sep)
-            solver = solve_soft if law == "dirichlet" else solve_impedance
-            solution = solver(scene, rtol=rtol)
+        spec = replace(spec, separation_factor=min(separation_factor, 0.5 * mean_spacing / a))
+        particles = generate_cloud(spec, domain) if m_expected else []
+        scene = Scene(particles=tuple(particles), domain=domain, wave=wave,
+                      separation_factor=spec.separation_factor)
+        solution = solver(scene, rtol=rtol)
 
         cover = GridCover.from_edge(domain, a ** (1.0 / 3.0))
         n_samples = np.real(density.sample(cover.centers))
@@ -421,16 +403,12 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
         las_on_cover = cover_field_from_solution(solution, scene, cover)
         sup_error = float(np.max(np.abs(las_on_cover - coll.values)))
 
-        if len(particles) > 1:
-            tree = cKDTree(scene.centers)
-            mean_nn = float(np.mean(tree.query(scene.centers, k=2)[0][:, 1]))
-        else:
-            mean_nn = float("inf")
+        mean_nn = validate_scene(scene).metrics.get("mean_distance", float("inf"))
         levels.append(ConvergenceLevel(
             a=a, m=len(particles), cover_n=cover.shape[0],
             cover_edge=float(cover.cell_edges[0]), sup_error=sup_error,
             mean_spacing=mean_nn, d_ratio=mean_nn / a ** (1.0 / 3.0),
-            separation_factor=sep, residual_cloud=solution.residual,
+            separation_factor=spec.separation_factor, residual_cloud=solution.residual,
             residual_collocation=coll.residual,
         ))
         logger.info("convergence %s a=%g M=%d cover=%d^3 sup_err=%.4g",

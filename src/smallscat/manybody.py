@@ -27,7 +27,8 @@ residual checked), and the 5M hard system matrix-free
 tiles, the smooth ``Im g`` and its gradient through the same plane-wave factor, or for
 small clouds and large ``kD`` all eight layers).
 A solve reads a scene's packed arrays and checks it with :func:`~smallscat.core.validate_scene`
-at the scene's own thresholds.  A medium enters only through ``scene.background``.
+at the scene's own thresholds; an empty scene solves to zero-length unknowns of the kind
+asked for, at residual 0.  A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
 """
 
@@ -421,7 +422,7 @@ class CloudKernel:
 def _check_scene(scene: Scene, kind: str) -> None:
     """ValueError unless every particle of ``scene`` is of ``kind``; RegimeViolation if
     :func:`~smallscat.core.validate_scene` does not accept it at the scene's own thresholds."""
-    if scene.kind != kind:
+    if scene.kind not in (kind, "empty"):
         raise ValueError(f"expected an all-{kind} scene, got {scene.kind}")
     report = validate_scene(scene)
     if not report.accepted:
@@ -622,7 +623,7 @@ def hard_cloud_system(centers: np.ndarray, k: float, lap_weights: np.ndarray,
     recomputes them into one scratch tile, and GridTooLarge if that tile exceeds it too.
     """
     m = len(centers)
-    x = centers - np.mean(centers, axis=0)
+    x = centers - (np.mean(centers, axis=0) if m else 0.0)
     rule = _plane_wave_rule(k, x, offset=1)
     tiles = _pair_tiles(m, functools.partial(_hard_tile, k, x),
                         (float,) * 4 + (complex,) + ((float,) * 2 if rule is None else ()),

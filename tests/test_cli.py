@@ -290,6 +290,64 @@ def test_fractional_count_exits_2(tmp_path, subcommand, config, old, new):
     assert "expected a whole number" in error
 
 
+@pytest.mark.parametrize("subcommand, config, old, new, key, least", [
+    ("solve", "solve_one_soft.yaml", "n_directions: 10", "n_directions: 0",
+     "outputs.farfield.n_directions", 1),
+    ("solve", "solve_one_soft.yaml", "n: 3}", "n: -1}", "outputs.field_grid.n", 1),
+    ("solve", "solve_cloud_soft.yaml", "seed: 0", "seed: -1", "scene.cloud.seed", 0),
+    ("solve", "solve_cloud_soft.yaml", "seed: 0", "strata_n: 0", "scene.cloud.strata_n", 1),
+    ("converge", "converge_demo.yaml", "seed: 0", "seed: -1", "converge.seed", 0),
+    ("onebody", "onebody_hard_sphere.yaml", "n_directions: 6", "n_directions: 0",
+     "onebody.n_directions", 1),
+    ("onebody", "onebody_hard_sphere.yaml", "subdivisions: 2", "subdivisions: -1",
+     "onebody.mesh.subdivisions", 0),
+    ("green", "green_demo.yaml", "n: 15", "n: 0", "green.segment.n", 1),
+    ("green", "green_demo.yaml", "{kind: lippmann_schwinger}", "{kind: born, order: -1}",
+     "green.method.order", 0),
+    ("green", "green_demo.yaml", "grid_n: 8", "grid_n: 0", "green.grid_n", 1),
+    ("homogenize", "homogenize_demo.yaml", "grid_n: 6", "grid_n: 0", "homogenize.grid_n", 1),
+    ("design", "design_demo.yaml", "grid_n: 4", "grid_n: 0", "design.grid_n", 1),
+], ids=["n_directions", "field_grid_n", "cloud_seed", "strata_n", "converge_seed",
+        "onebody_n_directions", "subdivisions", "segment_n", "order", "green_grid_n",
+        "homogenize_grid_n", "design_grid_n"])
+def test_count_below_its_bound_exits_2_before_any_solve(tmp_path, subcommand, config, old, new,
+                                                          key, least):
+    out = tmp_path / "out"
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), out)
+    assert error.startswith(f"{key}: expected a whole number of at least {least}, got ")
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+
+
+@pytest.mark.parametrize("subcommand, config, old, new, key", [
+    ("homogenize", "homogenize_demo.yaml", "grid_n: 6", "grid_n: 6\n  b_shape: x_not_read",
+     "homogenize.b_shape"),
+    ("homogenize", "homogenize_demo.yaml", "grid_n: 6", "grid_n: 6\n  density: 1.0",
+     "homogenize.density"),
+    ("homogenize", "homogenize_demo.yaml", "grid_n: 6", "grid_n: 6\n  h: 1.0",
+     "homogenize.h"),
+    ("onebody", "onebody_hard_sphere.yaml", "n_directions: 6", "n_directions: 6\n  a: 1.0",
+     "onebody.a"),
+    ("solve", "solve_hard_pair.yaml", "a: 0.02, bc: {kind: hard}}",
+     "a: 0.02, bc: {kind: hard}, mesh: {kind: icosphere, subdivisions: 1, radius: 0.02}}",
+     "scene.particles[0].a"),
+    ("solve", "solve_one_soft.yaml", "a: 0.01,", "a: 0.01, scale: 2.0,",
+     "scene.particles[0].scale"),
+    ("converge", "converge_demo.yaml", "seed: 0", "seed: 0\n  h: 1.0", "converge.h"),
+    ("converge", "converge_demo.yaml", "seed: 0", "seed: 0\n  kappa: 0.5", "converge.kappa"),
+], ids=["q_with_b_shape", "q_with_density", "q_with_h", "onebody_mesh_with_a",
+        "particle_mesh_with_a", "particle_scale_without_mesh", "dirichlet_with_h",
+        "dirichlet_with_kappa"])
+def test_key_the_branch_does_not_read_exits_2(tmp_path, subcommand, config, old, new, key):
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
+    assert error.startswith(f"{key}: not read ")
+
+
+def test_impedance_study_without_h_exits_2_naming_it(tmp_path):
+    cfg = _edited(tmp_path, "converge_demo.yaml", "law: dirichlet", "law: impedance")
+    error = _config_error("converge", cfg, tmp_path / "out")
+    assert error.startswith("converge.h: missing required key")
+
+
 @pytest.mark.parametrize("subcommand, config, old, new", [
     ("homogenize", "homogenize_demo.yaml", "amplitude: 3.0", "amplitude: .nan"),
     ("homogenize", "homogenize_impedance_medium.yaml", "value: [0.0397887357729738, 0.0]",
@@ -453,7 +511,8 @@ def test_manifest_records_the_effective_seed(tmp_path):
     (["solve"], "the following arguments are required: --config"),
     (["--config", "x.yaml"], "the following arguments are required: subcommand"),
     (["bogus", "--config", "x.yaml"], "invalid choice: 'bogus'"),
-], ids=["no_config", "no_subcommand", "unknown_subcommand"])
+    (["solve", "--config", "x.yaml", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+], ids=["no_config", "no_subcommand", "unknown_subcommand", "negative_seed"])
 def test_parser_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -80,6 +80,22 @@ def test_section_refuses_malformed_values_naming_the_key(read, value, message):
     assert str(exc.value).startswith("top.s.v: ") and message in str(exc.value)
 
 
+def test_section_count_holds_its_lower_bound():
+    sec = Section({"zero": 0, "minus": -1}, "s", ("zero", "minus"))
+    assert sec.count("zero", least=0) == 0
+    with pytest.raises(ss.ConfigError, match=r"^s.zero: expected a whole number of at least 1"):
+        sec.count("zero")
+    with pytest.raises(ss.ConfigError, match=r"^s.minus: expected a whole number of at least 0"):
+        sec.count("minus", least=0)
+
+
+def test_section_refuses_keys_its_branch_does_not_read():
+    sec = Section({"q": 1.0, "h": 2.0}, "s", ("q", "h", "density"))
+    sec.refuse(("density",), "with q")
+    with pytest.raises(ss.ConfigError, match=r"^s.h: not read with q$"):
+        sec.refuse(("density", "h"), "with q")
+
+
 def test_scene_with_explicit_particles(tmp_path):
     cfg = {
         "wave": {"k": 1.0, "alpha": [0, 0, 1]},

@@ -249,6 +249,16 @@ def test_density_infeasible(unit_box):
         generate_cloud(spec, unit_box)
 
 
+@pytest.mark.parametrize("law, a, count", [("dirichlet", 0.02, 50), ("impedance", 0.01, 1000),
+                                           ("hard_volume", 0.01, 48)])
+def test_expected_count_is_the_count_the_cloud_places(unit_box, law, a, count):
+    density = ss.ConstantField(2e-4 if law == "hard_volume" else 1.0)
+    spec = CloudSpec(density=density, a=a, law=law, bc_kind="soft", rng_seed=0,
+                     separation_factor=2.0)
+    assert spec.expected_count(unit_box) == pytest.approx(count, abs=0.5)
+    assert len(generate_cloud(spec, unit_box)) == count
+
+
 def test_empty_law_rejected(unit_box):
     spec = CloudSpec(density=ss.ConstantField(0.0), a=0.01, law="dirichlet", rng_seed=0)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smallscat as ss
+from smallscat import homogenize
 from smallscat.background import scattered_plane_wave
 from smallscat.homogenize import (collocation_solve, convergence_study,
                                   cover_field_from_solution, inverse_design,
@@ -303,6 +304,17 @@ def test_convergence_zero_density(unit_box, wave_z):
     report = convergence_study("dirichlet", ss.ConstantField(0.0), unit_box, wave_z,
                                [0.02, 0.01], seed=0)
     assert np.all(report.errors == 0.0)
+    assert [(lv.m, lv.residual_cloud) for lv in report.levels] == [(0, 0.0), (0, 0.0)]
+
+
+def test_impedance_study_without_h_raises_before_placing_a_cloud(unit_box, wave_z,
+                                                                monkeypatch):
+    def placed(*args):
+        raise AssertionError("a cloud was placed")
+
+    monkeypatch.setattr(homogenize, "generate_cloud", placed)
+    with pytest.raises(ValueError, match=r"need an h\(x\) field"):
+        convergence_study("impedance", ss.ConstantField(1.0), unit_box, wave_z, [0.02, 0.01])
 
 
 @pytest.mark.parametrize("kind", ["soft", "hard", "soft_in_bump"])

@@ -129,6 +129,29 @@ def test_mixed_kinds_rejected(wide_box, wave_z):
         solve_soft(hard)
 
 
+@pytest.mark.parametrize("kind", ["soft", "impedance", "hard", "soft_in_bump"])
+def test_every_solver_takes_an_empty_scene(unit_box, wave_z, kind):
+    bump = ss.GaussianBumpField(amplitude=0.3, center=[0.5, 0.5, 0.5], width=0.25, base=1.0)
+    medium = ss.BackgroundMedium(n2=bump, box=unit_box) if kind == "soft_in_bump" else None
+    kind = kind.removesuffix("_in_bump")
+    solver = {"soft": solve_soft, "impedance": solve_impedance, "hard": solve_hard}[kind]
+    scene = ss.Scene(particles=(), domain=unit_box, wave=wave_z, background=medium)
+    solution = solver(scene)
+    assert solution.kind == kind and solution.residual == 0.0
+    assert solution.values.shape == solution.charges.shape == (0,)
+    if kind == "hard":
+        assert solution.gradients.shape == solution.dipoles.shape == (0, 3)
+        assert solution.laplacians.shape == (0,)
+    if medium is not None:
+        assert np.all(solution.cover_charges == 0.0)
+    points = np.array([[0.2, 0.3, 0.4], [0.9, 0.1, 0.5]])
+    assert np.array_equal(eval_field(solution, scene, points), wave_z.field_at(points))
+    assert np.all(far_field(solution, scene, fibonacci_directions(5)).amplitudes == 0.0)
+    other = ss.Particle.sphere([0.5, 0.5, 0.5], 0.01, ss.Hard() if kind != "hard" else ss.Soft())
+    with pytest.raises(ValueError, match=f"expected an all-{kind} scene"):
+        solver(ss.Scene(particles=(other,), domain=unit_box, wave=wave_z))
+
+
 @pytest.mark.parametrize("kind", ["soft", "impedance", "hard"])
 def test_scene_unchanged_by_solve_and_read_outs(wide_box, wave_z, kind):
     centers = np.array([[0.0, 0.0, -0.5], [0.0, 0.5, 0.5], [0.4, 0.0, 0.1]])
