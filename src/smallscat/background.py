@@ -73,8 +73,8 @@ def expi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def free_space_green(k: float, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Outgoing free-space kernel ``exp(ikr) / (4 pi r)``, into ``out`` if given.
+def free_space_green(k: float, r: np.ndarray) -> np.ndarray:
+    """Outgoing free-space kernel ``exp(ikr) / (4 pi r)``.
 
     The ``tan`` of :func:`cos_sin` runs in one contiguous real temporary ``kr``, which
     ends up holding the sine; it is copied to the imaginary part, and ``kr`` then holds
@@ -83,28 +83,27 @@ def free_space_green(k: float, r: np.ndarray, out: Optional[np.ndarray] = None) 
     gives a scalar.
     """
     r = np.asarray(r, dtype=float)
-    g = np.empty(r.shape, dtype=complex) if out is None else out
+    g = np.empty(r.shape, dtype=complex)
     kr = np.multiply(k, r, out=np.empty(r.shape))
     cos_sin(kr, g.real, kr)
     g.imag = kr
     scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=kr), out=kr)
     g.real *= scale
     g.imag *= scale
-    return g[()] if out is None and g.ndim == 0 else g
+    return g[()] if g.ndim == 0 else g
 
 
-def point_green(k: float, targets: np.ndarray, sources: np.ndarray, self_value=0.0,
-                out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
+                self_value=0.0) -> Tuple[np.ndarray, np.ndarray]:
     """``g(x, y)`` and ``r`` for every target ``x`` and source ``y``, shape (T, S).
 
     Where a target meets a source, ``g`` is that source's ``self_value`` (0
     for a particle, :func:`cell_self_green` for a cover center) and ``r`` is 1.
-    ``g`` goes into ``out`` if given.
     """
     r = cdist(targets, sources)
     coincident = r == 0.0
     r[coincident] = 1.0
-    g = free_space_green(k, r, out=out)
+    g = free_space_green(k, r)
     g[coincident] = np.broadcast_to(self_value, g.shape)[coincident]
     return g, r
 
@@ -282,14 +281,14 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
     weights = (k**2) * chi * cover.cell_volume
     points = np.vstack([z, sources])
     step = max(1, _BLOCK_ENTRIES // len(points))
-    block = np.empty((step, len(points)), dtype=complex)
 
-    def cover_rows():  # (rows, K[rows], g(Z[rows], sources)) by row blocks, in one buffer
+    def cover_rows():  # (rows, K[rows], g(Z[rows], sources)) by row blocks
         for r0 in range(0, len(z), step):
             rows = slice(r0, r0 + step)
-            g = point_green(k, z[rows], points, self_value, out=block[:len(z[rows])])[0]
+            g = point_green(k, z[rows], points, self_value)[0]
             g[:, :len(z)] *= weights
             yield rows, g[:, :len(z)], g[:, len(z):]
+            del g  # one block at a time: freed here and by the callers before the next is built
 
     # Fortran order, so that the LU and the solve overwrite them in place
     system = np.eye(len(z), dtype=complex, order="F")
@@ -297,6 +296,7 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
     for rows, kernel, rhs in cover_rows():
         system[rows] -= kernel
         out[rows] = rhs
+        del kernel, rhs
     out = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), out,
                    overwrite_b=True, check_finite=False)
     del system
@@ -306,6 +306,7 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
         to_sources[rows] = rhs
         squares[0] += np.linalg.norm(rhs, axis=0) ** 2
         squares[1] += np.linalg.norm(rhs - out[rows] + kernel @ out, axis=0) ** 2
+        del kernel, rhs
     residual = np.max(np.sqrt(squares[1] / np.maximum(squares[0], 1e-300)), initial=0.0)
     if not residual <= DEFAULT_RTOL:  # a NaN fails too
         raise SolveFailure(f"cover solve residual {residual:.3e} "

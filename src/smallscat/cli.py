@@ -14,7 +14,9 @@ versions, residuals, artifact names, and timings (the only varying fields).
 Exit codes: 0 success, 2 config error (also a problem too large for memory:
 GridTooLarge or MemoryError), 3 solver failure, 4 regime violation.  Each
 handler reads its whole section through :class:`smallscat.config.Section`
-before its first solve.
+before its first solve; a cloud density the counting laws refuse and a ``green``
+segment through its source are ConfigErrors naming ``scene.cloud``,
+``converge.density`` or ``green.segment``.
 The ``SMALLSCAT_OUT`` environment variable overrides ``--out``; ``--seed``
 (at least 0) overrides the config's seed; ``--tol``
 (finite and positive) is the relative residual of every solve; ``--threads``
@@ -293,7 +295,8 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
     from .config import Section, box_from_config, wave_from_config
-    from .core import DEFAULT_SEPARATION_FACTOR
+    from .core import DEFAULT_SEPARATION_FACTOR, CloudSpec
+    from .errors import ConfigError
     from .homogenize import convergence_study
 
     sec = Section(cfg, "", ("converge",), ctx.config_path.parent).section(
@@ -304,8 +307,13 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
         sec.refuse(("h", "kappa"), "by the dirichlet law")
     seed = sec.count("seed", 0, least=0)
     ctx.seed = seed if ctx.seed is None else ctx.seed
+    density, domain = sec.field("density"), box_from_config(sec)
+    try:  # the expected count of every level refuses a density negative on the domain
+        CloudSpec(density=density, a=1.0).expected_count(domain)
+    except ValueError as exc:
+        raise ConfigError(f"{sec.name('density')}: {exc}") from exc
     report = convergence_study(
-        law=law, density=sec.field("density"), domain=box_from_config(sec),
+        law=law, density=density, domain=domain,
         wave=wave_from_config(sec), a_levels=sec.reals("a_levels"),
         kappa=sec.real("kappa", 0.5), h=sec.field("h") if law == "impedance" else None,
         seed=ctx.seed, rtol=ctx.tol,
@@ -350,7 +358,7 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     evaluator = sec.build(GreenEvaluator, medium, k, grid_n=grid_n, method=method)
     ts = np.linspace(0.0, 1.0, n)
     pts = start[None, :] + ts[:, None] * (stop - start)[None, :]
-    values = evaluator.pair_values(pts, source)
+    values = seg.build(evaluator.pair_values, pts, source)  # refuses a point at the source
     free = free_space_green(k, np.linalg.norm(pts - source, axis=1))
     ctx.summary.update({"k": k, "n0_max": medium.n0_max, "points": n})
     write_csv(ctx.artifact_path("green.csv"),

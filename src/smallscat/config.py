@@ -6,7 +6,8 @@ numbers are finite and read as ``float()`` reads them, counts are whole and at l
 (0 for a seed, an order or subdivisions), points are three numbers, complex values a
 number or an ``[re, im]`` pair, paths relative to the config file; null, undeclared keys
 and keys the branch taken does not read are refused, and each failure is a ConfigError
-naming the full key.  The schema is in the README.
+naming the full key; so is a cloud its recipe cannot place (``scene.cloud``).  The schema
+is in the README.
 """
 
 from __future__ import annotations
@@ -235,21 +236,26 @@ def mesh_from_config(parent: Section) -> SurfaceMesh:
                      semi_axes=sec.point("semi_axes", (1.0, 1.0, 2.0)))
 
 
-def cloud_spec_from_config(parent: Section, seed_override: Optional[int] = None,
-                           separation_factor: float = DEFAULT_SEPARATION_FACTOR) -> CloudSpec:
-    """The ``cloud`` recipe; ``separation_factor`` is its default factor (the scene's)."""
+def cloud_from_config(parent: Section, domain: Box, seed_override: Optional[int] = None,
+                      separation_factor: float = DEFAULT_SEPARATION_FACTOR):
+    """The ``cloud`` recipe and the particles it places in ``domain``; ``separation_factor``
+    is its default factor (the scene's)."""
     sec = parent.section("cloud", ("law", "a", "density", "bc", "kappa", "seed",
                                    "separation_factor", "strata_n", "jitter"))
     bc = sec.section("bc", {"soft": (), "hard": (), "impedance": ("h",)}, default={},
                      kind="soft")
+    law = sec.choice("law", COUNTING_LAWS, "dirichlet")
+    if "impedance" not in (law, bc.kind):
+        sec.refuse(("kappa",), "without the impedance law or bc")
     seed = sec.count("seed", 0, least=0)
-    return sec.build(
-        CloudSpec, density=sec.field("density"), a=sec.real("a"),
-        law=sec.choice("law", COUNTING_LAWS, "dirichlet"), kappa=sec.real("kappa", 0.5),
-        bc_kind=bc.kind, h=bc.field("h") if bc.kind == "impedance" else None,
+    spec = sec.build(
+        CloudSpec, density=sec.field("density"), a=sec.real("a"), law=law,
+        kappa=sec.real("kappa", 0.5), bc_kind=bc.kind,
+        h=bc.field("h") if bc.kind == "impedance" else None,
         rng_seed=seed if seed_override is None else seed_override,
         separation_factor=sec.real("separation_factor", separation_factor),
         strata_n=sec.count("strata_n", None), jitter=sec.real("jitter", DEFAULT_JITTER))
+    return spec, sec.build(generate_cloud, spec, domain)
 
 
 def _particle_from_config(sec: Section) -> Particle:
@@ -281,8 +287,7 @@ def scene_from_config(parent: Section,
         particles = tuple(_particle_from_config(p) for p in sec.sections(
             "particles", ("center", "a", "bc", "mesh", "scale")))
     else:
-        spec = cloud_spec_from_config(sec, seed_override, sep)
-        particles = tuple(generate_cloud(spec, domain))
+        spec, particles = cloud_from_config(sec, domain, seed_override, sep)
         sep, seed = spec.separation_factor, spec.rng_seed
     if not particles:
         raise ConfigError("scene: the scene has no particles")

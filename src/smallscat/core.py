@@ -130,7 +130,6 @@ class Particle:
     surface_factor: float
     volume: float
     polarizability: Optional[np.ndarray] = None
-    shape: str = "sphere"
 
     __eq__ = record_eq
 
@@ -160,7 +159,6 @@ class Particle:
             surface_factor=SPHERE_SURFACE_FACTOR,
             volume=SPHERE_VOLUME_FACTOR * a**3,
             polarizability=beta,
-            shape="sphere",
         )
 
 

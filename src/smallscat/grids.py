@@ -124,16 +124,12 @@ class GridCover:
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_edges))
 
-    def cell_multi_index(self, points: np.ndarray) -> np.ndarray:
-        """Per-axis cell indices of points, clamped into the grid."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((p - self.box.lo) / self.cell_edges).astype(int)
-        return np.clip(idx, 0, np.asarray(self.shape) - 1)
-
     def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat cell index (C order) of each point."""
-        m = self.cell_multi_index(points)
-        nx, ny, nz = self.shape
+        """Flat cell index (C order) of each point, its per-axis indices clamped into the grid."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        m = np.clip(np.floor((p - self.box.lo) / self.cell_edges).astype(int), 0,
+                    np.asarray(self.shape) - 1)
+        _, ny, nz = self.shape
         return (m[:, 0] * ny + m[:, 1]) * nz + m[:, 2]
 
     def self_green_integral(self) -> float:

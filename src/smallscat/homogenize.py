@@ -93,23 +93,25 @@ def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave
 class LimitCoefficients:
     """Cell samples of the limiting medium.
 
-    ``capacitance_density`` is the per-volume capacitance statistic of a soft
-    cloud, ``volume_fraction`` and ``dipole_density`` the hard-cloud analogues.
-    Cells without particles are flagged in ``empty_cells``; their statistics
-    are undefined and stored as zero.
+    ``q`` is the monopole coefficient of a soft or impedance cloud (its real part the
+    per-volume capacitance of a soft one), ``volume_fraction`` and ``dipole_density`` the
+    hard-cloud analogues, ``counts`` the particles per cell.  The statistics of a cell
+    without particles are undefined and stored as zero.
     """
 
     cover: GridCover
     k: float
     q: Optional[np.ndarray] = None
-    n2: Optional[np.ndarray] = None
-    capacitance_density: Optional[np.ndarray] = None
     volume_fraction: Optional[np.ndarray] = None
     dipole_density: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
-    empty_cells: Optional[np.ndarray] = None
 
     __eq__ = record_eq
+
+    @property
+    def n2(self) -> Optional[np.ndarray]:
+        """Refraction coefficient ``n^2 = 1 - q / k^2``; None without ``q``."""
+        return None if self.q is None else 1.0 - self.q / self.k**2
 
 
 def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
@@ -117,9 +119,9 @@ def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
     """Empirical cell statistics of a particle cloud.
 
     Soft/impedance clouds produce the coefficient ``q`` (sum of monopole
-    couplings per cell volume) and ``n^2``, soft clouds also the capacitance
-    density (``Re q``); all clouds produce the volume fraction, hard clouds
-    additionally the dipole density.  ValueError if the particles mix kinds.
+    couplings per cell volume); all clouds produce the volume fraction and the
+    counts, hard clouds additionally the dipole density.  ValueError if the
+    particles mix kinds.
     """
     p_count = cover.n_cells
     packing = _pack_particles(particles)
@@ -138,21 +140,14 @@ def limit_from_cloud(particles: Sequence[Particle], cover: GridCover,
         np.add.at(dipole, cells, betas * volumes[:, None, None])
         dipole /= vol
 
-    q = n2 = cap = None
+    q = None
     if kind in ("soft", "impedance"):
         q = np.zeros(p_count, dtype=complex)
         np.add.at(q, cells, packing["coupling"])
         q /= vol
-        n2 = 1.0 - q / k**2
-    if kind == "soft":
-        cap = q.real.copy()
 
-    empty = counts == 0
-    if np.any(empty):
-        logger.info("limit statistics: %d of %d cells empty", int(empty.sum()), p_count)
-    return LimitCoefficients(cover=cover, k=k, q=q, n2=n2, capacitance_density=cap,
-                             volume_fraction=rho, dipole_density=dipole,
-                             counts=counts, empty_cells=empty)
+    return LimitCoefficients(cover=cover, k=k, q=q, volume_fraction=rho, dipole_density=dipole,
+                             counts=counts)
 
 
 @dataclass(frozen=True)
@@ -192,10 +187,9 @@ class DesignPrescription:
 
 
 def limit_from_prescription(prescription: DesignPrescription) -> LimitCoefficients:
-    """Closed-form coefficients ``q = b N h`` and ``n^2 = 1 - q / k^2``."""
+    """Closed-form coefficient ``q = b N h``."""
     q = prescription.b_shape * prescription.density * prescription.impedance
-    n2 = 1.0 - q / prescription.k**2
-    return LimitCoefficients(cover=prescription.cover, k=prescription.k, q=q, n2=n2)
+    return LimitCoefficients(cover=prescription.cover, k=prescription.k, q=q)
 
 
 def inverse_design(n2_target: np.ndarray, cover: GridCover, k: float, *,

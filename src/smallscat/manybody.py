@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from . import background
 from .background import (DEFAULT_GRID_N, BackgroundMedium, cell_self_green, cos_sin, expi,
@@ -189,16 +189,9 @@ def _hard_layers(k: float, r: np.ndarray, parts) -> None:
 
 
 def _fill_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:
-    """The kernel layers of the tile ``(rows, cols)``; a diagonal tile is evaluated on its upper
-    triangle only and mirrored."""
-    if rows != cols:
-        _green_layers(k, cdist(centers[rows], centers[cols]), layers)
-        return
-    r = pdist(centers[rows])
-    parts = [np.empty_like(r) for _ in layers]
-    _green_layers(k, r, parts)
-    for part, layer in zip(parts, layers):
-        layer[...] = squareform(part, checks=False)
+    """The :func:`_green_layers` of the tile ``(rows, cols)``.  A diagonal tile is evaluated
+    whole, as in :func:`_hard_tile`: mirroring its upper half built no faster."""
+    _green_layers(k, cdist(centers[rows], centers[cols]), layers)
 
 
 def _hard_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:

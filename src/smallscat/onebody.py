@@ -130,23 +130,6 @@ class SurfaceMesh:
         return SurfaceMesh(self.vertices @ r.T, self.triangles)
 
 
-@dataclass(frozen=True)
-class PolarizabilityTensor:
-    beta: np.ndarray
-
-    __eq__ = record_eq
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float).reshape(3, 3)
-        if not np.all(np.isfinite(b)):
-            raise ValueError("polarizability entries must be finite")
-        object.__setattr__(self, "beta", b)
-
-    def asymmetry(self) -> float:
-        """Max |beta - beta^T| entry; reported, never asserted."""
-        return float(np.max(np.abs(self.beta - self.beta.T)))
-
-
 # ---------------------------------------------------------------------------
 # Mesh generators and ASCII ingestion
 # ---------------------------------------------------------------------------
@@ -250,12 +233,6 @@ def _self_potentials(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarr
     return total
 
 
-def triangle_self_potential(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> float:
-    """Analytic integral of ``1/|x - c|`` over the triangle, c = its centroid."""
-    corners = (np.asarray(p, dtype=float).reshape(1, 3) for p in (p0, p1, p2))
-    return float(_self_potentials(*corners)[0])
-
-
 def capacitance_zeroth(mesh: SurfaceMesh) -> float:
     """Capacitance from ``4 pi |S|^2 / (integral of 1/|s-t| over S x S)``.
 
@@ -320,18 +297,21 @@ def static_dipole_densities(mesh: SurfaceMesh) -> np.ndarray:
         raise SolveFailure(f"static dipole solve failed: {exc}") from exc
 
 
-def polarizability(mesh: SurfaceMesh) -> PolarizabilityTensor:
-    """Shape tensor ``beta_pq = (1/|D|) integral t_p sigma_q(t) dt``.
+def polarizability(mesh: SurfaceMesh) -> np.ndarray:
+    """Shape tensor ``beta_pq = (1/|D|) integral t_p sigma_q(t) dt``, shape (3, 3).
 
     Moments are taken about the volume centroid (the continuum tensor is
     origin independent because the dipole densities have zero total charge;
     centering keeps the discrete result translation invariant).  For a sphere
-    the result is -1.5 I up to discretization error.
+    the result is -1.5 I up to discretization error.  ValueError if an entry is
+    not finite.
     """
     sigmas = static_dipole_densities(mesh)
     moments = mesh.centroids - mesh.volume_centroid
     beta = np.einsum("ip,iq,i->pq", moments, sigmas, mesh.areas) / mesh.volume
-    return PolarizabilityTensor(beta)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("polarizability entries must be finite")
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +342,7 @@ class ShapeFunctionals:
 
     @classmethod
     def from_mesh(cls, mesh: SurfaceMesh, with_polarizability: bool = True) -> "ShapeFunctionals":
-        beta = polarizability(mesh).beta if with_polarizability else None
+        beta = polarizability(mesh) if with_polarizability else None
         return cls(
             a=0.5 * mesh.diameter(),
             capacitance=capacitance_zeroth(mesh),
@@ -436,5 +416,4 @@ def mesh_particle(center, mesh: SurfaceMesh, bc: BoundaryKind) -> Particle:
         surface_factor=fun.surface_factor,
         volume=fun.volume,
         polarizability=fun.polarizability,
-        shape="mesh",
     )

@@ -56,7 +56,7 @@ def test_criterion_01_sphere_capacitance():
 def test_criterion_02_sphere_polarizability():
     start = time.perf_counter()
     mesh = icosphere(subdivisions=3, radius=1.0)
-    beta = polarizability(mesh).beta
+    beta = polarizability(mesh)
     elapsed = time.perf_counter() - start
     err = np.max(np.abs(beta + 1.5 * np.eye(3))) / 1.5
     report(2, "sphere polarizability", err <= 0.02 and elapsed < 30.0,

@@ -139,10 +139,10 @@ def test_cover_responses_match_per_source_grid_solves(unit_box, bump_medium, met
 
 
 def test_cover_responses_solve_in_place(unit_box, bump_medium):
-    # I - K and R, as the medium budget counts them, plus the row-block buffer and the
-    # distance and phase temporaries of point_green (1 MiB, 0.5 MiB and 0.5 MiB); a copy of
-    # either dense array would exceed it.  The kernel g(Z, Y) it returns is built once I - K
-    # is freed, and is smaller than I - K here.
+    # I - K and R, as the medium budget counts them, plus one row block and the distance
+    # and phase temporaries of point_green (1 MiB, 0.5 MiB and 0.5 MiB); a copy of either
+    # dense array, or a row block kept while the next is built, would exceed it.  The
+    # kernel g(Z, Y) it returns is built once I - K is freed, and is smaller than I - K here.
     sources = np.random.default_rng(9).uniform(0.0, 1.0, size=(300, 3))
     p = 512
     tracemalloc.start()
@@ -312,9 +312,6 @@ def test_free_space_green_matches_the_complex_exponential(k):
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
         if np.ndim(arg) == 0:
             assert isinstance(got, complex) and not isinstance(got, np.ndarray)
-    out = np.empty(r.shape, dtype=complex)
-    assert free_space_green(k, r, out) is out
-    assert np.array_equal(out, free_space_green(k, r))
 
 
 def _cos_sin_calls(x):
@@ -356,12 +353,10 @@ def test_free_space_green_holds_one_real_temporary():
     # the trig runs in one contiguous real buffer: np.copyto between the real and imaginary
     # views of one 2-d complex array would copy a whole view to rule out their overlap
     r = np.random.default_rng(6).uniform(1e-3, 2.0, size=(512, 4096))
-    mib = 1024**2
-    for out, bound in ((None, (16 + 32 + 1) * mib), (np.empty(r.shape, dtype=complex), 17 * mib)):
-        tracemalloc.start()
-        try:
-            free_space_green(3.0, r, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+    tracemalloc.start()
+    try:
+        free_space_green(3.0, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (16 + 32 + 1) * 1024**2

@@ -334,12 +334,33 @@ def test_count_below_its_bound_exits_2_before_any_solve(tmp_path, subcommand, co
      "scene.particles[0].scale"),
     ("converge", "converge_demo.yaml", "seed: 0", "seed: 0\n  h: 1.0", "converge.h"),
     ("converge", "converge_demo.yaml", "seed: 0", "seed: 0\n  kappa: 0.5", "converge.kappa"),
+    ("solve", "solve_cloud_soft.yaml", "seed: 0", "seed: 0\n    kappa: 0.9",
+     "scene.cloud.kappa"),
 ], ids=["q_with_b_shape", "q_with_density", "q_with_h", "onebody_mesh_with_a",
         "particle_mesh_with_a", "particle_scale_without_mesh", "dirichlet_with_h",
-        "dirichlet_with_kappa"])
+        "dirichlet_with_kappa", "cloud_kappa_without_impedance"])
 def test_key_the_branch_does_not_read_exits_2(tmp_path, subcommand, config, old, new, key):
     error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
     assert error.startswith(f"{key}: not read ")
+
+
+@pytest.mark.parametrize("subcommand, config, old, new, message", [
+    ("solve", "solve_cloud_soft.yaml", "value: 1.0}", "value: 0.0}",
+     "scene.cloud: counting law yields 0 particles"),
+    ("solve", "solve_cloud_soft.yaml", "value: 1.0}", "value: -1.0}",
+     "scene.cloud: density must be nonnegative on the domain"),
+    ("converge", "converge_demo.yaml", "value: 1.0}", "value: -1.0}",
+     "converge.density: density must be nonnegative on the domain"),
+    ("green", "green_demo.yaml", "start: [0.55, 0.5, 0.5]", "start: [0.3, 0.5, 0.5]",
+     "green.segment: green requires x != y"),
+], ids=["cloud_without_particles", "cloud_negative_density", "converge_negative_density",
+        "segment_through_source"])
+def test_value_the_numerics_refuse_exits_2_naming_its_key(tmp_path, subcommand, config, old,
+                                                          new, message):
+    out = tmp_path / "out"
+    error = _config_error(subcommand, _edited(tmp_path, config, old, new), out)
+    assert error.startswith(message)
+    assert [path.name for path in out.iterdir()] == ["error.json"]
 
 
 def test_impedance_study_without_h_exits_2_naming_it(tmp_path):

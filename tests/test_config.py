@@ -136,6 +136,23 @@ def test_scene_with_gridded_density_cloud(tmp_path):
     assert scene.separation_factor == 5.0
 
 
+@pytest.mark.parametrize("law, bc", [("impedance", {"kind": "soft"}),
+                                     ("dirichlet", {"kind": "impedance", "h": 1.0})])
+def test_cloud_kappa_is_read_by_an_impedance_law_or_bc(tmp_path, law, bc):
+    cloud = {"law": law, "a": 0.05, "density": 1.0, "bc": bc, "kappa": 0.3,
+             "separation_factor": 1.0}
+    cfg = {"wave": {"k": 1.0, "alpha": [0, 0, 1]},
+           "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "cloud": cloud}
+    scene, _ = scene_from_config(parent(tmp_path, scene=cfg))
+    if law == "impedance":  # a^(kappa - 2) particles per unit density
+        assert scene.n_particles == round(0.05 ** (0.3 - 2.0))
+    else:
+        assert {p.bc.kappa for p in scene.particles} == {0.3}
+    cloud.update(law="dirichlet", bc={"kind": "soft"})
+    with pytest.raises(ss.ConfigError, match=r"^scene\.cloud\.kappa: not read "):
+        scene_from_config(parent(tmp_path, scene=cfg))
+
+
 def test_scene_requires_particles_or_cloud(tmp_path):
     cfg = {"wave": {"k": 1.0, "alpha": [0, 0, 1]},
            "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]}}
@@ -171,5 +188,4 @@ def test_mesh_particle_through_scene_config(tmp_path):
     }
     scene, _ = scene_from_config(parent(tmp_path, scene=cfg))
     p = scene.particles[0]
-    assert p.shape == "mesh"
     assert p.capacitance == pytest.approx(4 * np.pi * 0.01, rel=2e-2)

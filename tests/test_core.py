@@ -324,8 +324,8 @@ def _assert_same_cloud(spec, box):
         assert np.array_equal(np.array([p.bc.h for p in cloud]), h)
     for p in cloud[:3]:
         ref = ss.Particle.sphere(p.center, spec.a, p.bc)
-        assert ((p.a, p.capacitance, p.surface_factor, p.volume, p.shape)
-                == (ref.a, ref.capacitance, ref.surface_factor, ref.volume, ref.shape))
+        assert ((p.a, p.capacitance, p.surface_factor, p.volume)
+                == (ref.a, ref.capacitance, ref.surface_factor, ref.volume))
         assert (p.polarizability is None) == (ref.polarizability is None)
         if ref.polarizability is not None:
             assert np.array_equal(p.polarizability, ref.polarizability)

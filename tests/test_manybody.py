@@ -966,8 +966,9 @@ def test_streamed_kernel_products_match_stored(monkeypatch):
         assert np.array_equal(CloudKernel(centers, k) @ v, expected)
 
 
-def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
-    """A free-space solve evaluates each kernel pair once, whatever the iteration count."""
+def test_kernel_tiles_evaluated_once_at_build(monkeypatch, wide_box, wave_z):
+    """A free-space solve evaluates each stored tile entry once, when the kernel is built, and
+    none per product, whatever the iteration count."""
     rng = np.random.default_rng(8)
     centers = rng.uniform(-1.0, 1.0, size=(300, 3))
     counts = []
@@ -978,14 +979,14 @@ def test_kernel_values_evaluated_once_per_pair(monkeypatch, wide_box, wave_z):
         return real_layers(k, r, layers)
 
     monkeypatch.setattr(manybody, "_green_layers", counted)
-    m = len(centers)
+    tile_entries = sum(rows * cols for _, _, (rows, cols) in manybody._upper_tiles(len(centers)))
     for h in (0.05, 5.0 - 2.0j):
         counts.append(0)
         sol = solve_impedance(imp_scene(centers, 0.002, h, 0.5, wave_z, wide_box))
         assert sol.residual < 1e-10
-        # every pair goes through the counted kernel once: the upper triangle of each
-        # diagonal tile, all of each tile above it
-        assert counts[-1] == m * (m - 1) // 2
+        # every entry of the tiles I <= J goes through the counted kernel once, a diagonal
+        # tile whole
+        assert counts[-1] == tile_entries
     assert counts[0] == counts[1]
 
 
