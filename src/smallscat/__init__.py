@@ -32,10 +32,9 @@ _EXPORTS = {
                    "limit_from_cloud", "limit_from_prescription", "neumann_limit_solve"),
     "manybody": ("EffectiveFieldSolution", "FarField", "eval_field", "far_field",
                  "fibonacci_directions", "solve_hard", "solve_impedance", "solve_soft"),
-    "onebody": ("ShapeFunctionals", "SurfaceMesh", "amplitude_onebody", "capacitance_zeroth",
-                "charge_hard", "charge_impedance", "charge_soft", "icosphere", "load_obj",
-                "mesh_particle", "polarizability", "save_obj", "spheroid",
-                "static_double_layer_matrix"),
+    "onebody": ("SurfaceMesh", "amplitude_onebody", "capacitance_zeroth", "charge_hard",
+                "charge_impedance", "charge_soft", "icosphere", "load_obj", "mesh_particle",
+                "polarizability", "save_obj", "spheroid", "static_double_layer_matrix"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

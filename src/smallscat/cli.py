@@ -196,29 +196,34 @@ def run_solve(cfg: dict, ctx: RunConfig) -> None:
 
 
 def run_onebody(cfg: dict, ctx: RunConfig) -> None:
+    from dataclasses import replace
+
     import numpy as np
 
     from .config import Section, bc_from_config, mesh_from_config, wave_from_config
+    from .core import Hard, Particle
     from .manybody import fibonacci_directions
-    from .onebody import ShapeFunctionals, amplitude_onebody
+    from .onebody import amplitude_onebody, mesh_particle
 
     sec = Section(cfg, "", ("onebody",), ctx.config_path.parent).section(
         "onebody", ("wave", "bc", "mesh", "a", "n_directions"))
     wave, bc = wave_from_config(sec), bc_from_config(sec)
     dirs = fibonacci_directions(sec.count("n_directions", 6))
+    origin = np.zeros(3)
+    # built hard, so the polarizability is computed and reported for every bc
     if "mesh" in sec:
         sec.refuse(("a",), "with a mesh")
-        fun = ShapeFunctionals.from_mesh(mesh_from_config(sec))
+        body = mesh_particle(origin, mesh_from_config(sec), Hard())
     else:
-        fun = sec.build(ShapeFunctionals.sphere, sec.real("a"))
-    amps = [amplitude_onebody(bc, fun, wave, beta) for beta in dirs]
+        body = sec.build(Particle.sphere, origin, sec.real("a"), Hard())
+    body = replace(body, bc=bc)
+    amps = [amplitude_onebody(body, wave, beta) for beta in dirs]
     payload = {
-        "capacitance": fun.capacitance,
-        "polarizability": None if fun.polarizability is None
-        else [list(map(float, row)) for row in fun.polarizability],
-        "surface_area": fun.area,
-        "volume": fun.volume,
-        "radius_scale": fun.a,
+        "capacitance": body.capacitance,
+        "polarizability": [list(map(float, row)) for row in body.polarizability],
+        "surface_area": body.surface_factor * body.a**2,
+        "volume": body.volume,
+        "radius_scale": body.a,
         "amplitudes": [
             {"beta": list(map(float, b)), "re": float(np.real(a)), "im": float(np.imag(a))}
             for b, a in zip(dirs, amps)
@@ -228,7 +233,7 @@ def run_onebody(cfg: dict, ctx: RunConfig) -> None:
     print(text)
     with open(ctx.artifact_path("onebody.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
-    ctx.summary.update({"capacitance": fun.capacitance, "volume": fun.volume})
+    ctx.summary.update({"capacitance": body.capacitance, "volume": body.volume})
 
 
 def run_homogenize(cfg: dict, ctx: RunConfig) -> None:
@@ -312,10 +317,15 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
         CloudSpec(density=density, a=1.0).expected_count(domain)
     except ValueError as exc:
         raise ConfigError(f"{sec.name('density')}: {exc}") from exc
+    a_levels, kappa = sec.reals("a_levels"), sec.real("kappa", 0.5)
+    if not a_levels or min(a_levels) <= 0.0:
+        raise ConfigError(f"{sec.name('a_levels')}: expected positive numbers, got {a_levels!r}")
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError(f"{sec.name('kappa')}: expected a number in (0, 1), got {kappa!r}")
     report = convergence_study(
         law=law, density=density, domain=domain,
-        wave=wave_from_config(sec), a_levels=sec.reals("a_levels"),
-        kappa=sec.real("kappa", 0.5), h=sec.field("h") if law == "impedance" else None,
+        wave=wave_from_config(sec), a_levels=a_levels,
+        kappa=kappa, h=sec.field("h") if law == "impedance" else None,
         seed=ctx.seed, rtol=ctx.tol,
         separation_factor=sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR),
     )

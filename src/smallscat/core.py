@@ -6,9 +6,9 @@ the embedding medium is 1.  Scenes and particles are immutable value types
 and safe to share across threads; cloud generation is single threaded and a
 pure function of the seed.
 
-A :class:`Scene` packs its particles once, when it is built, into read-only arrays and
-one boundary kind, which every solver reads; no other module reads a particle's boundary
-condition.
+A :class:`Particle` is the one record of a body.  A :class:`Scene` packs its particles
+once, when it is built, into read-only arrays and one boundary kind, which every many-body
+solver reads instead of each particle's boundary condition.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ _KINDS = {Soft: "soft", Impedance: "impedance", Hard: "hard"}
 
 @dataclass(frozen=True)
 class Particle:
-    """One small scatterer with precomputed shape functionals.
+    """One small scatterer with precomputed shape functionals, the one record of a body.
 
     ``a`` is half the diameter; ``surface_factor`` is ``|S| / a^2``;
     ``polarizability`` is the 3x3 shape tensor and is required only for
@@ -147,6 +147,13 @@ class Particle:
             beta = np.asarray(self.polarizability, dtype=float).reshape(3, 3)
             object.__setattr__(self, "polarizability", beta)
 
+    @property
+    def coupling(self) -> Optional[complex]:
+        """Monopole coupling: ``C`` (soft), ``h b a^(2-kappa)`` (impedance), None (hard)."""
+        if isinstance(self.bc, Impedance):
+            return self.bc.h * self.surface_factor * self.a ** (2.0 - self.bc.kappa)
+        return self.capacitance if isinstance(self.bc, Soft) else None
+
     @classmethod
     def sphere(cls, center, a: float, bc: BoundaryKind) -> "Particle":
         """Ball of radius ``a`` with the closed-form functionals."""
@@ -165,9 +172,8 @@ class Particle:
 def _pack_particles(particles: Sequence[Particle]) -> dict:
     """``kind`` (``soft``, ``impedance``, ``hard`` or ``empty``) and the read-only arrays of
     ``particles`` that a :class:`Scene` holds; ValueError if they mix boundary kinds (the
-    kinds are treated separately).  ``coupling`` is the monopole coupling ``C_m`` (soft) or
-    ``h_m b_m a^(2-kappa)`` (impedance); ``polarizabilities`` is None unless every particle
-    carries its tensor.
+    kinds are treated separately).  ``coupling`` is None for hard particles; ``polarizabilities``
+    is None unless every particle carries its tensor.
     """
     kinds = {_KINDS[type(p.bc)] for p in particles}
     if len(kinds) > 1:
@@ -177,9 +183,7 @@ def _pack_particles(particles: Sequence[Particle]) -> dict:
     packing = {
         "centers": np.array([p.center for p in particles], dtype=float).reshape(-1, 3),
         "radii": np.array([p.a for p in particles], dtype=float),
-        "coupling": None if kind == "hard" else np.array(
-            [p.bc.h * p.surface_factor * p.a ** (2.0 - p.bc.kappa) if kind == "impedance"
-             else p.capacitance for p in particles], dtype=complex),
+        "coupling": None if kind == "hard" else np.array([p.coupling for p in particles], complex),
         "volumes": np.array([p.volume for p in particles], dtype=float),
         "polarizabilities": (None if any(beta is None for beta in betas)
                              else np.array(betas, dtype=float).reshape(-1, 3, 3)),

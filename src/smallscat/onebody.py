@@ -7,8 +7,11 @@ For a single small scatterer centered at the origin the far field is
 and ``A`` is closed-form in a handful of shape functionals:
 
     soft       A = -C / (4 pi),              C = electric capacitance
-    impedance  A = -zeta |S| / (4 pi)
+    impedance  A = -h b a^(2-kappa) / (4 pi), b = |S| / a^2  (= -zeta |S| / (4 pi))
     hard       A = -(k^2 |D| / 4 pi) (1 + beta_pq beta_p alpha_q)   (plane wave)
+
+A body is a :class:`~smallscat.core.Particle`, whose ``coupling`` is the soft or impedance
+numerator; :func:`mesh_particle` computes one from a triangulated surface.
 
 The capacitance uses the ratio ``4 pi |S|^2 / (double surface integral of
 1/|s-t|)`` (dielectric constant 1).  The polarizability tensor solves the
@@ -29,7 +32,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -53,7 +55,7 @@ class SurfaceMesh:
 
     Construction validates closedness (every edge shared by exactly two
     triangles, consistently oriented), positive enclosed volume, and
-    non-degenerate panels; the Euler characteristic is recorded.
+    non-degenerate panels.
     """
 
     vertices: np.ndarray
@@ -61,10 +63,8 @@ class SurfaceMesh:
     areas: np.ndarray = field(init=False, repr=False)
     centroids: np.ndarray = field(init=False, repr=False)
     normals: np.ndarray = field(init=False, repr=False)
-    area_total: float = field(init=False)
     volume: float = field(init=False)
     volume_centroid: np.ndarray = field(init=False, repr=False)
-    euler_characteristic: int = field(init=False)
 
     __eq__ = record_eq
 
@@ -89,7 +89,6 @@ class SurfaceMesh:
         object.__setattr__(self, "areas", 0.5 * norms)
         object.__setattr__(self, "normals", cross / norms[:, None])
         object.__setattr__(self, "centroids", (p0 + p1 + p2) / 3.0)
-        object.__setattr__(self, "area_total", float(self.areas.sum()))
 
         edges = f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # (i, j), (j, k), (k, i) per triangle
         _, first = np.unique(edges @ [len(v), 1], return_index=True)
@@ -99,8 +98,6 @@ class SurfaceMesh:
         _, shared = np.unique(np.sort(edges, axis=1) @ [len(v), 1], return_counts=True)
         if np.any(shared != 2):
             raise DegenerateMesh("mesh is not closed: an edge is not shared by exactly 2 triangles")
-        chi = len(v) - len(shared) + len(f)
-        object.__setattr__(self, "euler_characteristic", int(chi))
 
         tet = np.einsum("ij,ij->i", p0, np.cross(p1, p2)) / 6.0
         vol = float(tet.sum())
@@ -253,7 +250,7 @@ def capacitance_zeroth(mesh: SurfaceMesh) -> float:
         del inv  # so the next block's peak does not add this one's
     corners = mesh.vertices[mesh.triangles]
     total += float((w * _self_potentials(corners[:, 0], corners[:, 1], corners[:, 2])).sum())
-    return 4.0 * np.pi * mesh.area_total**2 / total
+    return 4.0 * np.pi * float(w.sum())**2 / total
 
 
 def static_double_layer_matrix(mesh: SurfaceMesh) -> np.ndarray:
@@ -315,41 +312,18 @@ def polarizability(mesh: SurfaceMesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Shape functionals, charges, amplitudes
+# Particles from meshes, charges, amplitudes
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShapeFunctionals:
-    """Bundle of the scalars that determine small-body scattering."""
+def mesh_particle(center, mesh: SurfaceMesh, bc: BoundaryKind) -> Particle:
+    """Particle whose functionals are computed from a triangulated surface.
 
-    a: float
-    capacitance: float
-    area: float
-    volume: float
-    polarizability: Optional[np.ndarray] = None
-
-    __eq__ = record_eq
-
-    @property
-    def surface_factor(self) -> float:
-        return self.area / self.a**2
-
-    @classmethod
-    def sphere(cls, a: float) -> "ShapeFunctionals":
-        """The closed forms of :meth:`~smallscat.core.Particle.sphere`."""
-        ball = Particle.sphere(np.zeros(3), a, Hard())
-        return cls(a=ball.a, capacitance=ball.capacitance, area=ball.surface_factor * ball.a**2,
-                   volume=ball.volume, polarizability=ball.polarizability)
-
-    @classmethod
-    def from_mesh(cls, mesh: SurfaceMesh, with_polarizability: bool = True) -> "ShapeFunctionals":
-        beta = polarizability(mesh) if with_polarizability else None
-        return cls(
-            a=0.5 * mesh.diameter(),
-            capacitance=capacitance_zeroth(mesh),
-            area=mesh.area_total,
-            volume=mesh.volume,
-            polarizability=beta,
-        )
+    The mesh is interpreted in body coordinates; only its shape enters the
+    functionals, the particle lives at ``center``.  The tensor is computed for a hard ``bc``.
+    """
+    a = 0.5 * mesh.diameter()
+    return Particle(center=center, a=a, bc=bc, capacitance=capacitance_zeroth(mesh),
+                    surface_factor=float(mesh.areas.sum()) / a**2, volume=mesh.volume,
+                    polarizability=polarizability(mesh) if isinstance(bc, Hard) else None)
 
 
 def charge_soft(capacitance: float, u0_at_center: complex) -> complex:
@@ -375,45 +349,25 @@ def charge_hard(laplacian_u0_at_center: complex, volume: float) -> complex:
     return laplacian_u0_at_center * volume
 
 
-def amplitude_onebody(bc: BoundaryKind, functionals: ShapeFunctionals, wave: IncidentWave,
-                      beta: np.ndarray) -> complex:
-    """Far-field amplitude of one particle at the origin, observed along ``beta``.
+def amplitude_onebody(particle: Particle, wave: IncidentWave, beta: np.ndarray) -> complex:
+    """Far-field amplitude of ``particle`` taken at the origin, observed along ``beta``.
 
-    Soft and impedance scattering are isotropic (``beta`` and the incidence
-    direction do not enter).  Hard scattering is anisotropic; the incident plane
-    wave supplies ``grad u0 = ik alpha u0(0)`` and ``lap u0 = -k^2 u0(0)``.
+    Soft and impedance scattering are isotropic: ``A = -coupling u0(0) / (4 pi)``.  Hard
+    scattering is anisotropic; the incident plane wave supplies ``grad u0 = ik alpha u0(0)``
+    and ``lap u0 = -k^2 u0(0)``.  MissingFunctional for a hard particle without its tensor,
+    TypeError for a ``bc`` that is no boundary kind.
     """
     u0_center = complex(wave.amplitude)
-    if isinstance(bc, Soft):
-        return -functionals.capacitance / (4.0 * np.pi) * u0_center
-    if isinstance(bc, Impedance):
-        zeta = bc.h / functionals.a**bc.kappa
-        return -zeta * functionals.area / (4.0 * np.pi) * u0_center
+    bc = particle.bc
+    if isinstance(bc, (Soft, Impedance)):
+        return -particle.coupling / (4.0 * np.pi) * u0_center
     if isinstance(bc, Hard):
-        tensor = functionals.polarizability
+        tensor = particle.polarizability
         if tensor is None:
             raise MissingFunctional("hard amplitude needs the polarizability tensor")
         beta = np.asarray(beta, dtype=float).reshape(3)
         grad_u0 = 1j * wave.k * wave.alpha * u0_center
         lap_u0 = -(wave.k**2) * u0_center
         dipole = 1j * wave.k * np.einsum("p,pq,q->", beta, tensor, grad_u0)
-        return functionals.volume / (4.0 * np.pi) * (dipole + lap_u0)
+        return particle.volume / (4.0 * np.pi) * (dipole + lap_u0)
     raise TypeError(f"not a boundary kind: {bc!r}")
-
-
-def mesh_particle(center, mesh: SurfaceMesh, bc: BoundaryKind) -> Particle:
-    """Particle whose functionals are computed from a triangulated surface.
-
-    The mesh is interpreted in body coordinates; only its shape enters the
-    functionals, the particle lives at ``center``.
-    """
-    fun = ShapeFunctionals.from_mesh(mesh, with_polarizability=isinstance(bc, Hard))
-    return Particle(
-        center=center,
-        a=fun.a,
-        bc=bc,
-        capacitance=fun.capacitance,
-        surface_factor=fun.surface_factor,
-        volume=fun.volume,
-        polarizability=fun.polarizability,
-    )

@@ -16,8 +16,8 @@ from smallscat.cli import main as cli_main
 from smallscat.homogenize import (collocation_solve, convergence_study, inverse_design,
                                   limit_from_prescription)
 from smallscat.manybody import eval_field, far_field, solve_hard, solve_impedance, solve_soft
-from smallscat.onebody import (ShapeFunctionals, amplitude_onebody, capacitance_zeroth,
-                               charge_impedance, charge_soft, icosphere, polarizability)
+from smallscat.onebody import (amplitude_onebody, capacitance_zeroth, charge_impedance,
+                               charge_soft, icosphere, polarizability)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FOUR_PI = 4.0 * np.pi
@@ -68,33 +68,32 @@ def test_criterion_03_onebody_reduction(wide, wave):
     a = 0.05
     origin = [0.0, 0.0, 0.0]
     beta_dir = np.array([0.0, 1.0, 0.0])
-    fun = ShapeFunctionals.sphere(a)
 
-    scene = ss.Scene(particles=(ss.Particle.sphere(origin, a, ss.Soft()),),
-                     domain=wide, wave=wave)
+    ball = ss.Particle.sphere(origin, a, ss.Soft())
+    scene = ss.Scene(particles=(ball,), domain=wide, wave=wave)
     sol = solve_soft(scene)
     worst = max(worst, abs(sol.charges[0] - charge_soft(FOUR_PI * a, 1.0))
                 / abs(sol.charges[0]))
     amp = far_field(sol, scene, [beta_dir]).amplitudes[0]
-    ref = amplitude_onebody(ss.Soft(), fun, wave, beta_dir)
+    ref = amplitude_onebody(ball, wave, beta_dir)
     worst = max(worst, abs(amp - ref) / abs(ref))
 
     bc = ss.Impedance(h=0.8 - 0.2j, kappa=0.5)
-    scene = ss.Scene(particles=(ss.Particle.sphere(origin, a, bc),), domain=wide,
-                     wave=wave)
+    ball = ss.Particle.sphere(origin, a, bc)
+    scene = ss.Scene(particles=(ball,), domain=wide, wave=wave)
     sol = solve_impedance(scene)
     zeta = bc.h / a**bc.kappa
     worst = max(worst, abs(sol.charges[0] - charge_impedance(zeta, FOUR_PI * a**2, 1.0))
                 / abs(sol.charges[0]))
     amp = far_field(sol, scene, [beta_dir]).amplitudes[0]
-    ref = amplitude_onebody(bc, fun, wave, beta_dir)
+    ref = amplitude_onebody(ball, wave, beta_dir)
     worst = max(worst, abs(amp - ref) / abs(ref))
 
-    scene = ss.Scene(particles=(ss.Particle.sphere(origin, a, ss.Hard()),),
-                     domain=wide, wave=wave)
+    ball = ss.Particle.sphere(origin, a, ss.Hard())
+    scene = ss.Scene(particles=(ball,), domain=wide, wave=wave)
     sol = solve_hard(scene)
     amp = far_field(sol, scene, [beta_dir]).amplitudes[0]
-    ref = amplitude_onebody(ss.Hard(), fun, wave, beta_dir)
+    ref = amplitude_onebody(ball, wave, beta_dir)
     worst = max(worst, abs(amp - ref) / abs(ref))
     worst = max(worst, abs(sol.values[0] - 1.0))
 
@@ -105,13 +104,10 @@ def test_criterion_04_scaling_laws(wave):
     levels = np.array([0.05, 0.025, 0.0125])
     kappa = 0.5
     beta_dir = np.array([0.0, 0.0, 1.0])
-    amps = {"soft": [], "impedance": [], "hard": []}
-    for a in levels:
-        fun = ShapeFunctionals.sphere(a)
-        amps["soft"].append(abs(amplitude_onebody(ss.Soft(), fun, wave, beta_dir)))
-        amps["impedance"].append(abs(amplitude_onebody(
-            ss.Impedance(h=1.0, kappa=kappa), fun, wave, beta_dir)))
-        amps["hard"].append(abs(amplitude_onebody(ss.Hard(), fun, wave, beta_dir)))
+    origin = [0.0, 0.0, 0.0]
+    bcs = {"soft": ss.Soft(), "impedance": ss.Impedance(h=1.0, kappa=kappa), "hard": ss.Hard()}
+    amps = {kind: [abs(amplitude_onebody(ss.Particle.sphere(origin, a, bc), wave, beta_dir))
+                   for a in levels] for kind, bc in bcs.items()}
     slopes = {kind: np.polyfit(np.log(levels), np.log(vals), 1)[0]
               for kind, vals in amps.items()}
     ok = (abs(slopes["soft"] - 1.0) <= 0.05

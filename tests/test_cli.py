@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import smallscat as ss
 from smallscat import manybody
 from smallscat.cli import main
 from smallscat.config import load_config
@@ -79,6 +80,37 @@ def test_onebody_json(tmp_path, capsys):
     assert len(payload["amplitudes"]) == 6
     printed = capsys.readouterr().out
     assert '"capacitance"' in printed
+
+
+@pytest.mark.parametrize("body, bc", [
+    ("a: 0.05", ss.Soft()),
+    ("mesh: {kind: icosphere, subdivisions: 1, radius: 0.05}",
+     ss.Impedance(h=0.8 - 0.2j, kappa=0.5)),
+], ids=["soft_sphere", "impedance_icosphere"])
+def test_onebody_payload_of_a_soft_sphere_and_an_impedance_mesh(tmp_path, body, bc):
+    bc_text = "{kind: soft}" if isinstance(bc, ss.Soft) else "{kind: impedance, h: [0.8, -0.2]}"
+    cfg = tmp_path / "onebody.yaml"
+    cfg.write_text(f"onebody:\n  wave: {{k: 2.0, alpha: [0, 0, 1]}}\n  bc: {bc_text}\n"
+                   f"  {body}\n  n_directions: 5\n")
+    out = tmp_path / "out"
+    assert run("onebody", cfg, out) == 0
+    payload = json.loads((out / "onebody.json").read_text())
+    assert set(payload) == {"amplitudes", "capacitance", "polarizability", "radius_scale",
+                            "surface_area", "volume"}
+    beta = np.array(payload["polarizability"])
+    assert beta.shape == (3, 3) and np.max(np.abs(beta + 1.5 * np.eye(3))) < 0.2
+    if isinstance(bc, ss.Soft):
+        particle = ss.Particle.sphere(np.zeros(3), 0.05, bc)
+    else:
+        particle = ss.mesh_particle(np.zeros(3), ss.icosphere(1, radius=0.05), bc)
+    assert payload["capacitance"] == particle.capacitance
+    assert payload["volume"] == particle.volume
+    assert payload["radius_scale"] == particle.a
+    wave = ss.IncidentWave(k=2.0, alpha=[0, 0, 1])
+    assert len(payload["amplitudes"]) == 5
+    for amp in payload["amplitudes"]:
+        expected = ss.amplitude_onebody(particle, wave, amp["beta"])
+        assert complex(amp["re"], amp["im"]) == expected
 
 
 def test_homogenize_cells_csv(tmp_path):
@@ -353,8 +385,15 @@ def test_key_the_branch_does_not_read_exits_2(tmp_path, subcommand, config, old,
      "converge.density: density must be nonnegative on the domain"),
     ("green", "green_demo.yaml", "start: [0.55, 0.5, 0.5]", "start: [0.3, 0.5, 0.5]",
      "green.segment: green requires x != y"),
+    ("converge", "converge_demo.yaml", "a_levels: [0.08, 0.04, 0.02]", "a_levels: [0.08, -0.04]",
+     "converge.a_levels: expected positive numbers, got "),
+    ("converge", "converge_demo.yaml", "a_levels: [0.08, 0.04, 0.02]", "a_levels: []",
+     "converge.a_levels: expected positive numbers, got "),
+    ("converge", "converge_impedance.yaml", "kappa: 0.5", "kappa: 1.5",
+     "converge.kappa: expected a number in (0, 1)"),
 ], ids=["cloud_without_particles", "cloud_negative_density", "converge_negative_density",
-        "segment_through_source"])
+        "segment_through_source", "converge_negative_size", "converge_no_sizes",
+        "converge_kappa_above_one"])
 def test_value_the_numerics_refuse_exits_2_naming_its_key(tmp_path, subcommand, config, old,
                                                           new, message):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""The README's library example, and the benchmark's tracer against the names it wraps."""
+"""The README's library example, the package's export table, and the benchmark's tracer
+against the names it wraps."""
 
 import importlib
 import importlib.util
@@ -18,6 +19,17 @@ def test_readme_library_example_runs():
     assert namespace["solution"].residual <= 1e-10
     assert len(namespace["amps"].amplitudes) == 64
     assert namespace["limit"].values.shape == (512,)
+
+
+def test_every_export_resolves_to_its_module_attribute():
+    import smallscat
+    exported = []
+    for module_name, names in smallscat._EXPORTS.items():
+        module = importlib.import_module(f"smallscat.{module_name}")
+        for name in names:
+            assert getattr(smallscat, name) is getattr(module, name), name
+        exported += names
+    assert smallscat.__all__ == sorted(exported)
 
 
 def _tracing():

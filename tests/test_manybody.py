@@ -18,7 +18,7 @@ from smallscat.lattice import DEFAULT_RTOL, LatticeOperator
 from smallscat.manybody import (CloudKernel, assemble_hard_system, dipole_kernel_blocks,
                                 eval_field, far_field, fibonacci_directions,
                                 pair_kernel_matrix, solve_hard, solve_impedance, solve_soft)
-from smallscat.onebody import ShapeFunctionals, amplitude_onebody
+from smallscat.onebody import amplitude_onebody
 
 FOUR_PI = 4.0 * np.pi
 
@@ -331,8 +331,8 @@ def test_far_field_single_soft_at_origin_matches_onebody(wide_box, wave_z):
     sol = solve_soft(scene)
     dirs = fibonacci_directions(16)
     ff = far_field(sol, scene, dirs)
-    fun = ShapeFunctionals.sphere(0.1)
-    expected = amplitude_onebody(ss.Soft(), fun, wave_z, dirs[0])
+    ball = ss.Particle.sphere([0.0, 0.0, 0.0], 0.1, ss.Soft())
+    expected = amplitude_onebody(ball, wave_z, dirs[0])
     assert np.allclose(ff.amplitudes, expected, rtol=1e-14)
 
 
@@ -355,10 +355,9 @@ def test_far_field_single_hard_matches_closed_form(wide_box, wave_z):
     sol = solve_hard(scene)
     dirs = fibonacci_directions(12)
     ff = far_field(sol, scene, dirs)
-    fun = ShapeFunctionals.sphere(a)
+    ball = ss.Particle.sphere([0.0, 0.0, 0.0], a, ss.Hard())
     for d, amp in zip(dirs, ff.amplitudes):
-        assert amp == pytest.approx(amplitude_onebody(ss.Hard(), fun, wave_z, d),
-                                    abs=1e-10)
+        assert amp == pytest.approx(amplitude_onebody(ball, wave_z, d), abs=1e-10)
 
 
 def test_radiation_asymptotics_match_far_field(wide_box, wave_z):

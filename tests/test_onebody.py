@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 import smallscat as ss
 from smallscat import manybody
-from smallscat.onebody import (_PANEL_PAIR_BYTES, ShapeFunctionals, _self_potentials,
-                               amplitude_onebody, capacitance_zeroth, charge_hard,
-                               charge_impedance, charge_soft, icosphere, load_obj,
-                               mesh_particle, polarizability, save_obj, spheroid,
-                               static_dipole_densities, static_double_layer_matrix)
+from smallscat.onebody import (_PANEL_PAIR_BYTES, _self_potentials, amplitude_onebody,
+                               capacitance_zeroth, charge_hard, charge_impedance, charge_soft,
+                               icosphere, load_obj, mesh_particle, polarizability, save_obj,
+                               spheroid, static_dipole_densities, static_double_layer_matrix)
 from tests.conftest import rotation_matrix
 
 FOUR_PI = 4.0 * np.pi
+ORIGIN = np.zeros(3)
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +23,11 @@ FOUR_PI = 4.0 * np.pi
 def test_icosphere_is_closed_sphere(sphere_mesh_1280):
     mesh = sphere_mesh_1280
     assert mesh.n_triangles == 1280
-    assert mesh.euler_characteristic == 2
+    edges = {tuple(sorted(edge)) for tri in mesh.triangles.tolist()
+             for edge in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))}
+    assert len(mesh.vertices) - len(edges) + mesh.n_triangles == 2  # Euler characteristic
     # inscribed polyhedron: slight area/volume deficit at this resolution
-    assert mesh.area_total == pytest.approx(FOUR_PI, rel=6e-3)
+    assert float(mesh.areas.sum()) == pytest.approx(FOUR_PI, rel=6e-3)
     assert mesh.volume == pytest.approx(4 / 3 * np.pi, rel=1.2e-2)
     assert np.allclose(mesh.volume_centroid, 0.0, atol=1e-12)
     # outward normals: n . r > 0 on a sphere about the origin
@@ -252,18 +254,17 @@ def test_charge_linearity_in_incident_field(u0):
 # Amplitudes
 # ---------------------------------------------------------------------------
 def test_amplitude_soft_sphere(wave_z):
-    fun = ShapeFunctionals.sphere(0.1)
-    amp = amplitude_onebody(ss.Soft(), fun, wave_z, beta=[1, 0, 0])
+    amp = amplitude_onebody(ss.Particle.sphere(ORIGIN, 0.1, ss.Soft()), wave_z, beta=[1, 0, 0])
     assert amp == pytest.approx(-0.1)
 
 
 def test_amplitude_hard_forward_and_zero(wave_z):
-    fun = ShapeFunctionals.sphere(0.1)
-    forward = amplitude_onebody(ss.Hard(), fun, wave_z, beta=[0, 0, 1])
+    ball = ss.Particle.sphere(ORIGIN, 0.1, ss.Hard())
+    forward = amplitude_onebody(ball, wave_z, beta=[0, 0, 1])
     assert forward == pytest.approx((1.0 * 0.1**3 / 3) * 0.5, rel=1e-12)
     # (1 - 1.5 cos(theta)) vanishes at cos(theta) = 2/3
     beta = np.array([np.sqrt(1 - (2 / 3) ** 2), 0.0, 2 / 3])
-    assert abs(amplitude_onebody(ss.Hard(), fun, wave_z, beta)) < 1e-18
+    assert abs(amplitude_onebody(ball, wave_z, beta)) < 1e-18
 
 
 def test_panel_arrays_checked_against_the_budget(sphere_mesh_320, monkeypatch):
@@ -286,23 +287,29 @@ def test_panel_arrays_checked_against_the_budget(sphere_mesh_320, monkeypatch):
 
 
 def test_amplitude_hard_requires_tensor(wave_z):
-    fun = ShapeFunctionals(a=0.1, capacitance=1.0, area=1.0, volume=1.0,
-                           polarizability=None)
+    body = ss.Particle(center=ORIGIN, a=0.1, bc=ss.Hard(), capacitance=1.0,
+                       surface_factor=100.0, volume=1.0, polarizability=None)
     with pytest.raises(ss.MissingFunctional):
-        amplitude_onebody(ss.Hard(), fun, wave_z, beta=[0, 0, 1])
+        amplitude_onebody(body, wave_z, beta=[0, 0, 1])
+
+
+def test_amplitude_refuses_a_bc_that_is_no_boundary_kind(wave_z):
+    body = ss.Particle.sphere(ORIGIN, 0.1, "soft")
+    with pytest.raises(TypeError, match="not a boundary kind"):
+        amplitude_onebody(body, wave_z, beta=[0, 0, 1])
 
 
 def test_isotropy_exact_over_random_direction_pairs():
-    fun = ShapeFunctionals.sphere(0.05)
+    soft_ball = ss.Particle.sphere(ORIGIN, 0.05, ss.Soft())
+    imp_ball = ss.Particle.sphere(ORIGIN, 0.05, ss.Impedance(h=0.7 - 0.2j, kappa=0.5))
     rng = np.random.default_rng(11)
     pairs = rng.normal(size=(100, 2, 3))
     pairs /= np.linalg.norm(pairs, axis=2)[:, :, None]
-    imp_bc = ss.Impedance(h=0.7 - 0.2j, kappa=0.5)
     soft, imp = set(), set()
     for beta, alpha in pairs:
         wave = ss.IncidentWave(k=1.0, alpha=alpha / np.linalg.norm(alpha))
-        soft.add(amplitude_onebody(ss.Soft(), fun, wave, beta))
-        imp.add(amplitude_onebody(imp_bc, fun, wave, beta))
+        soft.add(amplitude_onebody(soft_ball, wave, beta))
+        imp.add(amplitude_onebody(imp_ball, wave, beta))
     assert len(soft) == 1 and len(imp) == 1
 
 
@@ -312,11 +319,9 @@ def test_scaling_law_slopes(wave_z):
     kappa = 0.5
     soft, imp, hard = [], [], []
     for a in levels:
-        fun = ShapeFunctionals.sphere(a)
-        soft.append(abs(amplitude_onebody(ss.Soft(), fun, wave_z, beta)))
-        imp.append(abs(amplitude_onebody(ss.Impedance(h=1.0, kappa=kappa), fun,
-                                         wave_z, beta)))
-        hard.append(abs(amplitude_onebody(ss.Hard(), fun, wave_z, beta)))
+        for amps, bc in ((soft, ss.Soft()), (imp, ss.Impedance(h=1.0, kappa=kappa)),
+                         (hard, ss.Hard())):
+            amps.append(abs(amplitude_onebody(ss.Particle.sphere(ORIGIN, a, bc), wave_z, beta)))
     for values, expected in ((soft, 1.0), (imp, 2.0 - kappa), (hard, 3.0)):
         slope = np.polyfit(np.log(levels), np.log(values), 1)[0]
         assert slope == pytest.approx(expected, abs=0.05)
