@@ -12,7 +12,7 @@ invariant on the cover, so it is applied matrix-free by zero-padded FFT
 (:class:`~smallscat.lattice.LatticeOperator`).  The discrete equation
 ``(I - K) v = b`` is solved with its residual checked: one source by GMRES on that
 FFT operator (:func:`~smallscat.lattice.solve_checked`, :class:`GreenEvaluator`), a
-block of sources (:func:`cover_responses`, a cloud's) by one LU of the dense ``I - K``.
+block of sources (:func:`cover_responses`, a cloud's) by one dense solve of ``I - K``.
 The truncated series runs only where a method names it; :func:`fixed_point_solve` is
 kept as a library function and no solve calls it.
 No read-out solves: each is one blocked :func:`point_source_sum`, whose
@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.spatial.distance import cdist
 
 from .errors import NonConvergence, SolveFailure
 from .fields import ScalarField, probe_points
@@ -93,6 +91,32 @@ def free_space_green(k: float, r: np.ndarray) -> np.ndarray:
     return g[()] if g.ndim == 0 else g
 
 
+def pair_distances(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None,
+                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """``|x_i - y_j|`` (T, S) of points ``x`` (T, 3) and ``y`` (S, 3), written into ``out``
+    if given; ``scratch`` (T, S), if given, is overwritten.
+
+    Summed coordinate by coordinate as ``sqrt(((x0 - y0)^2 + (x1 - y1)^2) + (x2 - y2)^2)``,
+    in the order of a plain loop over the coordinates.  Each difference is the rank-2
+    product ``[x_c, 1] [1, -y_c]^T``: two exact products added with one rounding, whatever
+    order BLAS adds them in, so exactly ``x_c - y_c``, in about a third of the time of
+    ``np.subtract.outer``, whose stride-0 operand numpy loops over without SIMD.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    shape = (len(x), len(y))
+    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape) if scratch is None else scratch
+    rows, cols = np.ones((len(x), 2)), np.ones((2, len(y)))
+    for c, square in enumerate((out, scratch, scratch)):
+        rows[:, 0] = x[:, c]
+        np.negative(y[:, c], out=cols[1])
+        np.matmul(rows, cols, out=square)
+        np.multiply(square, square, out=square)
+        if c:
+            out += square
+    return np.sqrt(out, out=out)
+
+
 def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
                 self_value=0.0) -> Tuple[np.ndarray, np.ndarray]:
     """``g(x, y)`` and ``r`` for every target ``x`` and source ``y``, shape (T, S).
@@ -100,7 +124,7 @@ def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
     Where a target meets a source, ``g`` is that source's ``self_value`` (0
     for a particle, :func:`cell_self_green` for a cover center) and ``r`` is 1.
     """
-    r = cdist(targets, sources)
+    r = pair_distances(targets, sources)
     coincident = r == 0.0
     r[coincident] = 1.0
     g = free_space_green(k, r)
@@ -271,11 +295,12 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
     sum_p g(x, z_p) R[p, m]``.  ``K = g(Z, Z) diag(k^2 chi |cell|)`` and the right-hand
     sides are built in row blocks of ``_BLOCK_ENTRIES`` pairs, with the cell self value on
     the diagonal (the entries the FFT operator of :func:`medium_kernel` samples).  The
-    dense ``I - K`` is solved for all sources by one LU, and the LU and the solve overwrite
-    ``I - K`` and the right-hand sides, so the solve holds 16 P (P + S) bytes.  Each column's
-    relative residual is then recomputed from rebuilt row blocks (SolveFailure if one is
-    not within ``DEFAULT_RTOL``), whose right-hand sides are kept as ``g(Z, Y)`` (P, S), in
-    Fortran order so that its transpose ``g(Y, Z)`` is C-contiguous.
+    dense ``I - K`` is solved for all sources by one ``np.linalg.solve`` (SolveFailure if it
+    is singular), which factors a copy of ``I - K`` and solves in a copy of the right-hand
+    sides, so the solve holds 16 P (2 P + 3 S) bytes.  Each column's relative residual is
+    then recomputed from rebuilt row blocks (SolveFailure if one is not within
+    ``DEFAULT_RTOL``), whose right-hand sides are kept as ``g(Z, Y)`` (P, S), in Fortran
+    order so that its transpose ``g(Y, Z)`` is C-contiguous.
     """
     z, self_value = cover.centers, cell_self_green(cover)
     weights = (k**2) * chi * cover.cell_volume
@@ -290,16 +315,17 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
             yield rows, g[:, :len(z)], g[:, len(z):]
             del g  # one block at a time: freed here and by the callers before the next is built
 
-    # Fortran order, so that the LU and the solve overwrite them in place
-    system = np.eye(len(z), dtype=complex, order="F")
-    out = np.empty((len(z), len(sources)), dtype=complex, order="F")
+    system = np.eye(len(z), dtype=complex)
+    rhs_all = np.empty((len(z), len(sources)), dtype=complex)
     for rows, kernel, rhs in cover_rows():
         system[rows] -= kernel
-        out[rows] = rhs
+        rhs_all[rows] = rhs
         del kernel, rhs
-    out = lu_solve(lu_factor(system, overwrite_a=True, check_finite=False), out,
-                   overwrite_b=True, check_finite=False)
-    del system
+    try:
+        out = np.linalg.solve(system, rhs_all)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"cover solve failed: {exc}") from exc
+    del system, rhs_all
     to_sources = np.empty((len(z), len(sources)), dtype=complex, order="F")
     squares = np.zeros((2, len(sources)))  # squared norms of the rhs and the residual
     for rows, kernel, rhs in cover_rows():

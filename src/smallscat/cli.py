@@ -77,14 +77,12 @@ def _referenced_paths(cfg, base_dir: Path):
 
 def _versions() -> dict:
     import numpy
-    import scipy
 
     from . import __version__
 
     return {
         "smallscat": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }
 

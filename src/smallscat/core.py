@@ -14,15 +14,17 @@ solver reads instead of each particle's boundary condition.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .background import BackgroundMedium, expi
+from . import background
+from .background import BackgroundMedium, expi, pair_distances
 from .errors import DensityInfeasible, UnsupportedScene
 from .fields import ScalarField
 from .grids import Box, record_eq
@@ -120,7 +122,7 @@ class Particle:
 
     ``a`` is half the diameter; ``surface_factor`` is ``|S| / a^2``;
     ``polarizability`` is the 3x3 shape tensor and is required only for
-    hard particles.
+    hard particles.  TypeError for a ``bc`` that is no boundary kind.
     """
 
     center: np.ndarray
@@ -134,6 +136,9 @@ class Particle:
     __eq__ = record_eq
 
     def __post_init__(self):
+        if type(self.bc) not in _KINDS:
+            raise TypeError(f"not a boundary kind: {self.bc!r} of type {type(self.bc).__name__}"
+                            "; expected Soft, Impedance or Hard")
         if not 0.0 < self.a < math.inf:
             raise ValueError(f"particle radius scale must be positive and finite, got {self.a}")
         if not all(0.0 < v < math.inf
@@ -241,6 +246,11 @@ class Scene:
     def n0_max(self) -> float:
         return 1.0 if self.background is None else self.background.n0_max
 
+    @functools.cached_property
+    def _validation(self) -> "ValidationReport":
+        """The scene's one :func:`validate_scene` report, made when it is first asked for."""
+        return _validate(self)
+
 
 @dataclass
 class ValidationReport:
@@ -258,8 +268,97 @@ def validate_scene(scene: Scene) -> ValidationReport:
     Violations: ``k * a_max * n0_max`` above the smallness threshold, minimum
     pairwise distance below ``separation_factor * a_max``, particle centers
     outside the domain, impedance with ``Im h > 0``.  Metrics of two or more
-    particles include the least and the mean nearest-neighbour distance.
+    particles include the least and the mean nearest-neighbour distance
+    (:func:`_nearest_distances`).  A scene is immutable, so it is checked once, the first
+    time it is validated; every call returns a copy of that report.
     """
+    report = scene._validation
+    return ValidationReport(list(report.violations), dict(report.metrics))
+
+
+_NEAR_STEPS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))  # the 27 cells around
+_NEAR_BLOCK: int = 1 << 14  # candidate pairs formed at once, their arrays in cache
+
+
+def _cell_edge(extent: np.ndarray, cells: float) -> float:
+    """Edge of the cubes that cut a box of ``extent`` into about ``cells`` of them; a side
+    shorter than that edge is one cube thick, and the edge is taken from the others."""
+    sides = np.sort(extent)[::-1]
+    for dims in (3, 2, 1):
+        edge = float(np.prod(sides[:dims]) / cells) ** (1.0 / dims)
+        if 0.0 < edge <= sides[dims - 1]:
+            return edge
+    return 1.0  # every point in one place
+
+
+def _nearest_distances(points: np.ndarray) -> np.ndarray:
+    """Distance from each of ``M >= 2`` points to its nearest other point, equal bit for bit
+    to the least off-diagonal entry of its :func:`~smallscat.background.pair_distances` row.
+
+    Where the ``M^2`` pairs exceed one block of ``_BLOCK_ENTRIES``, :func:`_cell_list_nearest`
+    finds them among the points of the cubes around each point.  A nearer point lies in
+    those cubes unless the nearest candidate is farther than one cube edge, so such a point
+    (the margin covers the rounding of its cube), and every point of a smaller cloud, takes
+    its whole row instead, by blocks of rows.
+    """
+    m = len(points)
+    best, edge = np.full(m, np.inf), 0.0
+    if m * m > background._BLOCK_ENTRIES:
+        best, edge = _cell_list_nearest(points)
+    far = np.flatnonzero(best > edge * (1.0 - 1e-9))
+    rows = max(1, background._BLOCK_ENTRIES // m)
+    for f0 in range(0, len(far), rows):
+        block = far[f0:f0 + rows]
+        r = pair_distances(points[block], points)
+        r[np.arange(len(block)), block] = np.inf
+        best[block] = r.min(axis=1)
+    return best
+
+
+def _cell_list_nearest(points: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Each point's least distance to the other points of the 27 cubes around its own, and
+    the cube edge.
+
+    A cell list: cubes of :func:`_cell_edge` holding about two points each, with a layer of
+    empty cubes around them, the points sorted by cube and each cube's run found through a
+    dense ``bincount``/``cumsum`` table.  The candidates are formed for blocks of points of
+    about ``_NEAR_BLOCK`` candidates in all, and each point's least distance is taken with
+    ``np.minimum.reduceat``, summed as :func:`~smallscat.background.pair_distances` sums.
+    """
+    lo = points.min(axis=0)
+    extent = points.max(axis=0) - lo
+    edge = _cell_edge(extent, len(points) / 2.0)
+    shape = (extent // edge).astype(np.int64) + 3
+    keys = np.ravel_multi_index(((points - lo) // edge).astype(np.int64).T + 1, shape)
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=int(np.prod(shape)))
+    starts = np.cumsum(counts) - counts
+    steps = _NEAR_STEPS @ np.array([shape[1] * shape[2], shape[2], 1])  # key offsets
+    around = counts.reshape(shape)  # summed over the 27 cubes around, one axis at a time
+    for axis in range(3):
+        moved = np.moveaxis(around, axis, 0)
+        summed = moved.copy()
+        summed[1:] += moved[:-1]
+        summed[:-1] += moved[1:]
+        around = np.moveaxis(summed, 0, axis)
+    blocks = np.cumsum(around.ravel()[keys[order]]) // _NEAR_BLOCK
+    coords, best = np.ascontiguousarray(points.T), np.empty(len(points))
+    for own in np.split(order, np.flatnonzero(np.diff(blocks)) + 1):
+        near = (keys[own, None] + steps).ravel()
+        lengths = counts[near]
+        ends = np.cumsum(lengths)
+        firsts = ends - lengths
+        j = order[np.arange(ends[-1]) + np.repeat(starts[near] - firsts, lengths)]
+        i = np.repeat(own, lengths.reshape(len(own), -1).sum(axis=1))
+        squares = [np.square(x[i] - x[j]) for x in coords]
+        d = np.sqrt((squares[0] + squares[1]) + squares[2])
+        d[i == j] = np.inf
+        best[own] = np.minimum.reduceat(d, firsts[::len(steps)])
+    return best, edge
+
+
+def _validate(scene: Scene) -> ValidationReport:
+    """The :func:`validate_scene` report of ``scene``."""
     violations: List[str] = []
     metrics: dict = {"n_particles": scene.n_particles}
     if scene.n_particles == 0:
@@ -279,12 +378,11 @@ def validate_scene(scene: Scene) -> ValidationReport:
         violations.append(f"{len(bad)} particle center(s) outside the domain, first index {bad[0]}")
 
     if scene.n_particles > 1:
-        tree = cKDTree(centers)
-        dists, _ = tree.query(centers, k=2)
-        d_min = float(dists[:, 1].min())
+        nearest = _nearest_distances(centers)
+        d_min = float(nearest.min())
         ratio = d_min / scene.max_radius
         metrics["min_distance"] = d_min
-        metrics["mean_distance"] = float(np.mean(dists[:, 1]))
+        metrics["mean_distance"] = float(np.mean(nearest))
         metrics["d_over_a"] = ratio
         if ratio < scene.separation_factor:
             violations.append(

@@ -32,6 +32,7 @@ sup norm over cells, each level's cloud built from one
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
@@ -367,11 +368,19 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
     separation factor is capped at half the mean particle spacing of
     :meth:`~smallscat.core.CloudSpec.expected_count` over ``a`` (dense protocols cannot
     honor a fixed ``d/a`` at every level); the factor used is recorded per level.
-    ValueError for another law, or for an impedance study without ``h``, before any cloud
-    is placed.
+    ValueError, before any cloud is placed, for another law, no level, a size that is not
+    positive and finite, or an impedance study without ``h`` or with ``kappa`` outside
+    (0, 1).
     """
     if law not in ("dirichlet", "impedance"):
         raise ValueError(f"convergence law must be dirichlet or impedance, got {law!r}")
+    if len(a_levels) == 0:
+        raise ValueError("a convergence study needs at least one particle size")
+    for a in a_levels:
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"particle sizes must be positive and finite, got {a}")
+    if law == "impedance" and not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     bc_kind, solver = (("soft", solve_soft) if law == "dirichlet"
                        else ("impedance", solve_impedance))
     levels: List[ConvergenceLevel] = []

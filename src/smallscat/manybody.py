@@ -41,11 +41,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import background
 from .background import (DEFAULT_GRID_N, BackgroundMedium, cell_self_green, cos_sin, expi,
-                         free_space_green, point_green)
+                         free_space_green, pair_distances, point_green)
 from .core import IncidentWave, Scene, validate_scene
 from .errors import (GridTooLarge, MissingFunctional, PointInsideParticle, RegimeViolation,
                      UnsupportedScene)
@@ -135,15 +134,19 @@ def _green_layers(k: float, r: np.ndarray, layers) -> None:
 
     Both layers come from one ``tan`` of :func:`~smallscat.background.cos_sin`, as
     :func:`~smallscat.background.point_green` does, so they are its real and imaginary
-    parts bit for bit.
+    parts bit for bit.  The zeros are masked only where centers meet, as in
+    :func:`_hard_layers`.
     """
     coincident = r == 0.0
-    r[coincident] = 1.0
+    coincident = coincident if coincident.any() else None
+    if coincident is not None:
+        r[coincident] = 1.0
     cos_sin(np.multiply(k, r, out=layers[0]), *layers)
     scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=r), out=r)
     for layer in layers:
         layer *= scale
-        layer[coincident] = 0.0
+        if coincident is not None:
+            layer[coincident] = 0.0
 
 
 def _hard_layers(k: float, r: np.ndarray, parts) -> None:
@@ -188,26 +191,35 @@ def _hard_layers(k: float, r: np.ndarray, parts) -> None:
             part[coincident] = 0.0
 
 
-def _fill_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:
-    """The :func:`_green_layers` of the tile ``(rows, cols)``.  A diagonal tile is evaluated
-    whole, as in :func:`_hard_tile`: mirroring its upper half built no faster."""
-    _green_layers(k, cdist(centers[rows], centers[cols]), layers)
+def _fill_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers,
+               scratch: np.ndarray) -> None:
+    """The :func:`_green_layers` of the tile ``(rows, cols)``, its distances in the build's
+    ``scratch``.  A diagonal tile is evaluated whole, as in :func:`_hard_tile`: mirroring
+    its upper half built no faster."""
+    targets, sources = centers[rows], centers[cols]
+    r = scratch[:len(targets) * len(sources)].reshape(len(targets), len(sources))
+    _green_layers(k, pair_distances(targets, sources, r, layers[0]), layers)
 
 
-def _hard_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers) -> None:
+def _hard_tile(k: float, centers: np.ndarray, rows: slice, cols: slice, layers,
+               scratch: np.ndarray) -> None:
     """The :func:`_hard_layers` of the tile ``(rows, cols)`` into its real layers and the one
     complex ``radial``, by strips of ``_STRIP_PAIRS`` pairs, so that the temporaries stay in
-    cache: the two parts of ``radial`` are formed contiguous and copied in.  A diagonal tile
-    is evaluated whole: mirroring its upper half into six layers cost more than it saved.
+    cache: a strip's distances and the two parts of ``radial`` are formed contiguous in the
+    build's ``scratch``, and the parts copied in.  A diagonal tile is evaluated whole:
+    mirroring its upper half into six layers cost more than it saved.
     """
     targets, sources = centers[rows], centers[cols]
     step = max(1, _STRIP_PAIRS // len(sources))
-    scratch = np.empty((2, min(step, len(targets)), len(sources)))
+    strip_pairs = min(step, len(targets)) * len(sources)
+    r, *parts = scratch[:3 * strip_pairs].reshape(3, -1, len(sources))
     for i0 in range(0, len(targets), step):
         strip = [layer[i0:i0 + step] for layer in layers]
-        radial, parts = strip[4], scratch[:, :len(strip[0])]
-        _hard_layers(k, cdist(targets[i0:i0 + step], sources), [*strip[:4], *parts, *strip[5:]])
-        radial.real, radial.imag = parts
+        n, radial = len(strip[0]), strip[4]
+        re_rad, im_rad = (part[:n] for part in parts)
+        _hard_layers(k, pair_distances(targets[i0:i0 + step], sources, r[:n], strip[0]),
+                     [*strip[:4], re_rad, im_rad, *strip[5:]])
+        radial.real, radial.imag = re_rad, im_rad
 
 
 def _rule_shape(degree: int) -> Tuple[int, int]:
@@ -298,7 +310,7 @@ def _upper_tiles(m: int):
 
 def _kernel_bytes(m: int, pair_bytes: int, extra: int = 0, stored: bool = True) -> int:
     """``pair_bytes`` per pair of the tiles ``I <= J`` of ``m`` centers (of one scratch tile
-    when not ``stored``) and of one tile more (the build's distances), plus ``extra``."""
+    when not ``stored``) and of one tile more (the build's scratch), plus ``extra``."""
     sizes = [rows * cols for _, _, (rows, cols) in _upper_tiles(m)] or [0]
     return pair_bytes * ((sum(sizes) if stored else sizes[0]) + sizes[0]) + extra
 
@@ -315,13 +327,15 @@ class _EachPass:
 
 def _pair_tiles(m: int, fill, dtypes, extra: int, what: str):
     """``(rows, cols, layers)`` for the tiles ``I <= J`` of :func:`_upper_tiles`, one array of
-    each tile's shape per dtype of ``dtypes``, which ``fill(rows, cols, layers)`` writes in
-    place.
+    each tile's shape per dtype of ``dtypes``, which ``fill(rows, cols, layers, scratch)``
+    writes in place.
 
     Where :func:`_kernel_bytes` fit ``KERNEL_BYTES_BUDGET``, each tile is filled once into
     views of one float64 array (numpy asks for huge pages for it, so few page faults).
     Otherwise every pass recomputes them into a scratch tile of its own, so concurrent
-    products share none; GridTooLarge if that does not fit.
+    products share none; GridTooLarge if that does not fit.  Each build (each pass, when
+    not stored) lends every ``fill`` one ``scratch`` of its own, as many float64 numbers as
+    the largest tile has in all its layers, never touched by the caller.
     """
     tiles = _upper_tiles(m)
     sizes = [rows * cols for _, _, (rows, cols) in tiles] or [0]
@@ -335,10 +349,10 @@ def _pair_tiles(m: int, fill, dtypes, extra: int, what: str):
         store, offsets = np.empty(pair_bytes // 8 * pairs), np.cumsum([0] + widths)
         store = [store[pairs * a:pairs * b].view(dtype)
                  for a, b, dtype in zip(offsets, offsets[1:], dtypes)]
-        used = 0
+        scratch, used = np.empty(pair_bytes // 8 * sizes[0]), 0
         for (rows, cols, shape), size in zip(tiles, sizes):
             view = rows, cols, tuple(s[used:used + size].reshape(shape) for s in store)
-            fill(*view)
+            fill(*view, scratch)
             yield view
             used += size if stored else 0
 
@@ -434,17 +448,18 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     :func:`~smallscat.lattice.solve_checked` and the induced cover monopoles
     ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above ``rtol``, and
     GridTooLarge before anything is allocated if the cover arrays exceed
-    ``KERNEL_BYTES_BUDGET``: the dense ``(P, P)`` ``I - K`` that
-    :func:`~smallscat.background.cover_responses` factors in place, ``R``, which its solve
-    writes over the right-hand sides, and ``g(Z, X)``, which it returns and whose transpose
-    is ``A``.  Both come first, so ``I - K`` is freed before the cloud kernel is built.
+    ``KERNEL_BYTES_BUDGET``: the dense ``(P, P)`` ``I - K`` of
+    :func:`~smallscat.background.cover_responses` and the copy its solve factors, the
+    ``(P, M)`` right-hand sides, their copy and the returned ``R``, 16 P (2 P + 3 M) bytes,
+    which also covers ``R`` and ``g(Z, X)``, whose transpose is ``A``, once ``I - K`` is
+    freed.  Both come first, so ``I - K`` is freed before the cloud kernel is built.
     """
     if medium is None:
         kernel = CloudKernel(centers, k)
         return (*solve_checked(lambda v: v + kernel @ (coupling * v), rhs, rtol), None)
     cover = _medium_cover(medium)
     p, m = cover.n_cells, len(centers)
-    _check_budget(16 * p * (p + 2 * m), "medium cover sources")
+    _check_budget(16 * p * (2 * p + 3 * m), "medium cover sources")
     rc, to_centers = background.cover_responses(cover, k, medium.contrast(cover.centers),
                                                 centers)
     rc *= coupling  # R diag(coupling)
@@ -742,7 +757,7 @@ def eval_field(solution: EffectiveFieldSolution, scene: Scene, points: np.ndarra
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rows = max(1, background._BLOCK_ENTRIES // max(scene.n_particles, 1))
     for t0 in range(0, len(pts), rows):
-        inside = cdist(pts[t0:t0 + rows], scene.centers) < scene.radii[None, :]
+        inside = pair_distances(pts[t0:t0 + rows], scene.centers) < scene.radii[None, :]
         if np.any(inside):
             i, j = np.argwhere(inside)[0]
             raise PointInsideParticle(f"point {t0 + i} lies inside particle {j}")

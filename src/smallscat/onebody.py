@@ -23,8 +23,8 @@ the row-sum identity (the discrete A0 applied to a constant density returns
 Panel quadrature is one point per triangle (centroid) with an analytic
 self-panel integral of ``1/r``.  Both run as whole-mesh array operations: the
 self integrals of all panels at once, the pair terms from distance matrices
-(``cdist``) with no ``(F, F, 3)`` difference array.  Assembly is pure and
-reentrant, meshes are immutable.
+(:func:`~smallscat.background.pair_distances`) with no ``(F, F, 3)`` difference
+array.  Assembly is pure and reentrant, meshes are immutable.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import manybody
+from .background import pair_distances
 from .core import BoundaryKind, Hard, Impedance, IncidentWave, Particle, Soft
 from .errors import DegenerateMesh, MissingFunctional, SolveFailure
 from .grids import record_eq
@@ -114,7 +114,7 @@ class SurfaceMesh:
     def diameter(self) -> float:
         """Exact maximum pairwise vertex distance (chunked O(V^2))."""
         v = self.vertices
-        return max(float(cdist(v[i:i + 512], v).max()) for i in range(0, len(v), 512))
+        return max(float(pair_distances(v[i:i + 512], v).max()) for i in range(0, len(v), 512))
 
     def translated(self, offset) -> "SurfaceMesh":
         return SurfaceMesh(self.vertices + np.asarray(offset, dtype=float), self.triangles)
@@ -244,7 +244,7 @@ def capacitance_zeroth(mesh: SurfaceMesh) -> float:
     total = 0.0
     step = min(2048, manybody.KERNEL_BYTES_BUDGET // row_bytes)
     for i in range(0, len(c), step):
-        inv = cdist(c[i:i + step], c)
+        inv = pair_distances(c[i:i + step], c)
         np.divide(1.0, inv, out=inv, where=inv > 0)  # a panel's own zero distance stays 0
         total += float(w[i:i + step] @ (inv @ w))
         del inv  # so the next block's peak does not add this one's
@@ -266,7 +266,7 @@ def static_double_layer_matrix(mesh: SurfaceMesh) -> np.ndarray:
     f = mesh.n_triangles
     manybody._check_budget(_PANEL_PAIR_BYTES * f * f, f"double-layer matrix of {f} panels")
     c, n, w = mesh.centroids, mesh.normals, mesh.areas
-    r_cubed = cdist(c, c)
+    r_cubed = pair_distances(c, c)
     np.fill_diagonal(r_cubed, 1.0)
     r_cubed *= r_cubed * r_cubed
     mat = n @ c.T
@@ -354,20 +354,16 @@ def amplitude_onebody(particle: Particle, wave: IncidentWave, beta: np.ndarray) 
 
     Soft and impedance scattering are isotropic: ``A = -coupling u0(0) / (4 pi)``.  Hard
     scattering is anisotropic; the incident plane wave supplies ``grad u0 = ik alpha u0(0)``
-    and ``lap u0 = -k^2 u0(0)``.  MissingFunctional for a hard particle without its tensor,
-    TypeError for a ``bc`` that is no boundary kind.
+    and ``lap u0 = -k^2 u0(0)``.  MissingFunctional for a hard particle without its tensor.
     """
     u0_center = complex(wave.amplitude)
-    bc = particle.bc
-    if isinstance(bc, (Soft, Impedance)):
+    if isinstance(particle.bc, (Soft, Impedance)):
         return -particle.coupling / (4.0 * np.pi) * u0_center
-    if isinstance(bc, Hard):
-        tensor = particle.polarizability
-        if tensor is None:
-            raise MissingFunctional("hard amplitude needs the polarizability tensor")
-        beta = np.asarray(beta, dtype=float).reshape(3)
-        grad_u0 = 1j * wave.k * wave.alpha * u0_center
-        lap_u0 = -(wave.k**2) * u0_center
-        dipole = 1j * wave.k * np.einsum("p,pq,q->", beta, tensor, grad_u0)
-        return particle.volume / (4.0 * np.pi) * (dipole + lap_u0)
-    raise TypeError(f"not a boundary kind: {bc!r}")
+    tensor = particle.polarizability  # hard: Particle refuses any other bc
+    if tensor is None:
+        raise MissingFunctional("hard amplitude needs the polarizability tensor")
+    beta = np.asarray(beta, dtype=float).reshape(3)
+    grad_u0 = 1j * wave.k * wave.alpha * u0_center
+    lap_u0 = -(wave.k**2) * u0_center
+    dipole = 1j * wave.k * np.einsum("p,pq,q->", beta, tensor, grad_u0)
+    return particle.volume / (4.0 * np.pi) * (dipole + lap_u0)

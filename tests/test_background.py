@@ -3,13 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 import smallscat as ss
 from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
                                   cell_self_green, cos_sin, cover_responses, expi,
-                                  fixed_point_solve, free_space_green, green, point_green,
-                                  scattered_plane_wave)
+                                  fixed_point_solve, free_space_green, green, pair_distances,
+                                  point_green, scattered_plane_wave)
 from smallscat.lattice import DEFAULT_RTOL
+
+# point sets of 0 to 9 points, coordinates from subnormal to 1e4, signed zeros included
+point_sets = st.integers(0, 9).flatmap(
+    lambda n: arrays(float, (n, 3), elements=st.floats(-1e4, 1e4, allow_nan=False)))
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +25,19 @@ def bump_medium(unit_box):
     bump = ss.GaussianBumpField(amplitude=0.1, center=[0.5, 0.5, 0.5], width=0.2,
                                 base=1.0)
     return BackgroundMedium(n2=bump, box=unit_box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=point_sets, y=point_sets, shared=st.integers(0, 3), repeated=st.integers(0, 3))
+def test_pair_distances_equal_cdist_bit_for_bit(x, y, shared, repeated):
+    # the oracle is what the package ran before: scipy's cdist.  Points shared by both sets
+    # and points repeated within one meet at distance 0
+    y = np.concatenate([x[:shared], y, y[:repeated]])
+    expected = cdist(x, y)
+    assert np.array_equal(pair_distances(x, y), expected)
+    out, scratch = np.empty(expected.shape), np.empty(expected.shape)
+    assert pair_distances(x, y, out, scratch) is out
+    assert np.array_equal(out, expected)
 
 
 def test_medium_rejects_gain(unit_box):
@@ -138,11 +159,12 @@ def test_cover_responses_match_per_source_grid_solves(unit_box, bump_medium, met
     assert to_sources.T.flags.c_contiguous
 
 
-def test_cover_responses_solve_in_place(unit_box, bump_medium):
-    # I - K and R, as the medium budget counts them, plus one row block and the distance
-    # and phase temporaries of point_green (1 MiB, 0.5 MiB and 0.5 MiB); a copy of either
-    # dense array, or a row block kept while the next is built, would exceed it.  The
-    # kernel g(Z, Y) it returns is built once I - K is freed, and is smaller than I - K here.
+def test_cover_responses_peak_is_the_budgeted_arrays(unit_box, bump_medium):
+    # I - K and the copy np.linalg.solve factors, the right-hand sides, their copy and R, as
+    # the medium budget counts them, plus one row block and the distance and phase
+    # temporaries of point_green (1 MiB, 0.5 MiB and 0.5 MiB); one more dense array, or a row
+    # block kept while the next is built, would exceed it.  The kernel g(Z, Y) it returns is
+    # built once I - K is freed, and is smaller than I - K here.
     sources = np.random.default_rng(9).uniform(0.0, 1.0, size=(300, 3))
     p = 512
     tracemalloc.start()
@@ -151,13 +173,22 @@ def test_cover_responses_solve_in_place(unit_box, bump_medium):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * p * (p + len(sources)) + 3 * 1024**2
+    assert peak <= 16 * p * (2 * p + 3 * len(sources)) + 3 * 1024**2
 
 
 def test_cover_responses_raise_solve_failure_on_a_failed_lu(unit_box, bump_medium, monkeypatch):
-    monkeypatch.setattr(ss.background, "lu_solve", lambda lu, b, **kwargs: np.full_like(b, np.nan))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
     with pytest.raises(ss.SolveFailure, match="cover solve residual nan"):
         _cover_responses(bump_medium, 1.5, 6, np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
+
+
+def test_cover_responses_raise_solve_failure_on_a_singular_system(unit_box):
+    # one cell whose contrast makes K = g(z, z) k^2 chi |cell| exactly 1, so I - K is 0
+    cover = ss.GridCover.from_shape(unit_box, 1)
+    chi = np.array([1.0 / cell_self_green(cover)], dtype=complex)
+    assert (cell_self_green(cover) * (chi * cover.cell_volume))[0] == 1.0
+    with pytest.raises(ss.SolveFailure, match="cover solve failed"):
+        cover_responses(cover, 1.0, chi, np.array([[2.0, 2.0, 2.0]]))
 
 
 def test_born_one_equals_ls_iteration_on_evaluator(unit_box, bump_medium):

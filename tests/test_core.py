@@ -106,12 +106,83 @@ def test_sphere_particle_functionals():
         ss.Particle.sphere([0, 0, 0], -0.1, ss.Soft())
 
 
+def test_particle_refuses_a_bc_that_is_no_boundary_kind():
+    with pytest.raises(TypeError, match="not a boundary kind: 'soft' of type str"):
+        ss.Particle.sphere([0, 0, 0], 0.1, "soft")
+    with pytest.raises(TypeError, match="of type NoneType"):
+        ss.Particle(center=[0, 0, 0], a=0.1, bc=None, capacitance=1.0, surface_factor=1.0,
+                    volume=1.0)
+    with pytest.raises(TypeError, match="of type type"):
+        ss.Particle.sphere([0, 0, 0], 0.1, ss.Soft)  # the class, not a boundary kind
+
+
+def _clouds():
+    """Clouds for the nearest-neighbour search: uniform, clustered, duplicated, a dense
+    cluster whose few far points take the whole-row fallback, flat and degenerate ones
+    searched by cells, and clouds small enough that every point takes its whole row."""
+    rng = np.random.default_rng(5)
+    uniform = rng.uniform(0.0, 1.0, size=(4829, 3))
+    clustered = np.concatenate([rng.normal(c, 0.01, size=(200, 3))
+                                for c in rng.uniform(0.0, 1.0, size=(8, 3))])
+    duplicated = np.repeat(rng.uniform(0.0, 1.0, size=(300, 3)), [1, 2, 3] * 100, axis=0)
+    far = np.concatenate([rng.uniform(0.0, 0.01, size=(500, 3)),
+                          [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]])
+    plane = np.column_stack([rng.uniform(size=(1000, 2)), np.full(1000, 0.3)])
+    line = np.column_stack([rng.uniform(size=400), np.zeros(400), np.full(400, 0.3)])
+    return {"uniform": uniform, "clustered": clustered, "duplicated": duplicated, "far": far,
+            "plane": plane, "line": line, "one_place": np.zeros((300, 3)),
+            "small": rng.uniform(0.0, 1.0, size=(200, 3)),
+            "pair": np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("name", list(_clouds()))
+def test_nearest_distances_equal_kdtree_bit_for_bit(name, monkeypatch):
+    # the oracle is what validation ran before: scipy's cKDTree.query(k=2)
+    from scipy.spatial import cKDTree
+
+    points = _clouds()[name]
+    rows = []
+    pair_distances = core.pair_distances
+
+    def counted(x, y, *args):
+        rows.append(len(x))
+        return pair_distances(x, y, *args)
+
+    monkeypatch.setattr(core, "pair_distances", counted)
+    got = core._nearest_distances(points)
+    assert np.array_equal(got, cKDTree(points).query(points, k=2)[0][:, 1])
+    if name == "far":  # the three far points, and only they, take whole rows
+        assert sum(rows) == 3
+    if name in ("small", "pair"):  # all pairs fit one block: every point takes its row
+        assert sum(rows) == len(points)
+
+
 def test_validate_accepts_single_small_sphere(wide_box, wave_z):
     scene = ss.Scene(particles=(ss.Particle.sphere([0, 0, 0], 0.01, ss.Soft()),),
                      domain=wide_box, wave=wave_z)
     report = ss.validate_scene(scene)
     assert report.accepted
     assert report.metrics["k_a_n0"] == pytest.approx(0.01)
+
+
+def test_a_scene_is_validated_once(unit_box, wave_z, monkeypatch):
+    # the nearest-neighbour search runs at the first validation of a scene only; every call
+    # returns a report of its own
+    searches = []
+    nearest = core._nearest_distances
+    monkeypatch.setattr(core, "_nearest_distances",
+                        lambda points: searches.append(len(points)) or nearest(points))
+    scene = ss.Scene(particles=tuple(ss.Particle.sphere(c, 0.001, ss.Soft())
+                                     for c in np.random.default_rng(2).uniform(size=(50, 3))),
+                     domain=unit_box, wave=wave_z, separation_factor=0.0)
+    first = ss.validate_scene(scene)
+    first.metrics["mean_distance"] = -1.0
+    first.violations.append("changed by its caller")
+    second = ss.validate_scene(scene)
+    assert searches == [50]
+    assert second.accepted and second.metrics["mean_distance"] > 0.0
+    assert ss.validate_scene(pickle.loads(pickle.dumps(scene))) == second
+    assert searches == [50, 50]
 
 
 def test_validate_flags_close_pair(wide_box, wave_z):

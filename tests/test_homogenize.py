@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smallscat as ss
-from smallscat import homogenize
+from smallscat import core, homogenize
 from smallscat.background import scattered_plane_wave
 from smallscat.homogenize import (collocation_solve, convergence_study,
                                   cover_field_from_solution, inverse_design,
@@ -314,6 +314,38 @@ def test_impedance_study_without_h_raises_before_placing_a_cloud(unit_box, wave_
     monkeypatch.setattr(homogenize, "generate_cloud", placed)
     with pytest.raises(ValueError, match=r"need an h\(x\) field"):
         convergence_study("impedance", ss.ConstantField(1.0), unit_box, wave_z, [0.02, 0.01])
+
+
+@pytest.mark.parametrize("law, a_levels, kappa, match", [
+    ("dirichlet", [], 0.5, "at least one particle size"),
+    ("dirichlet", [0.02, 0.0], 0.5, "positive and finite, got 0.0"),
+    ("dirichlet", [0.02, -0.01], 0.5, "positive and finite, got -0.01"),
+    ("dirichlet", [float("nan")], 0.5, "positive and finite, got nan"),
+    ("impedance", [0.02, float("inf")], 0.5, "positive and finite, got inf"),
+    ("impedance", [0.02], 1.5, r"kappa must lie in \(0, 1\), got 1.5"),
+    ("impedance", [0.02], 0.0, r"kappa must lie in \(0, 1\), got 0.0"),
+], ids=["no_level", "zero_size", "negative_size", "nan_size", "infinite_size", "kappa_above_1",
+        "kappa_0"])
+def test_study_arguments_refused_before_placing_a_cloud(unit_box, wave_z, monkeypatch, law,
+                                                        a_levels, kappa, match):
+    def placed(*args):
+        raise AssertionError("a cloud was placed")
+
+    monkeypatch.setattr(homogenize, "generate_cloud", placed)
+    with pytest.raises(ValueError, match=match):
+        convergence_study(law, ss.ConstantField(1.0), unit_box, wave_z, a_levels, kappa=kappa,
+                          h=ss.ConstantField(1.0))
+
+
+def test_convergence_validates_each_level_once(unit_box, wave_z, monkeypatch):
+    # the solve validates each level's scene; the study reads its mean spacing from that report
+    searches = []
+    nearest = core._nearest_distances
+    monkeypatch.setattr(core, "_nearest_distances",
+                        lambda points: searches.append(len(points)) or nearest(points))
+    report = convergence_study("dirichlet", ss.ConstantField(1.0), unit_box, wave_z,
+                               [0.02, 0.01], seed=0)
+    assert searches == [lv.m for lv in report.levels] == [50, 100]
 
 
 @pytest.mark.parametrize("kind", ["soft", "hard", "soft_in_bump"])

@@ -59,6 +59,46 @@ def test_lattice_products_match_dense_matrices(cover, k, seed):
     assert _rel(hard_limit_system(cover, k, lap_w, dip_w)(x), dense @ x) <= 1e-12
 
 
+def _scipy_fft_product(op, v):
+    """``op @ v`` as the operator ran it on ``scipy.fft``: the circulant of its transforms,
+    applied by ``fftn`` of the padded input and ``ifftn`` of the whole padded grid."""
+    from scipy import fft
+
+    axes = (-3, -2, -1)
+    hats = fft.fftn(fft.ifftn(op._hats, axes=axes), axes=axes)
+    x = np.asarray(v, dtype=complex).reshape((op.n_in,) + op.cover.shape)
+    if op.weights is not None:
+        x = x * op.weights.reshape(op.cover.shape)
+    x_hat = fft.fftn(x, s=hats.shape[1:], axes=axes)
+    y_hat = np.zeros((op.n_out,) + hats.shape[1:], dtype=complex)
+    for out, inp, s, factor in op.layout:
+        y_hat[out] += factor * (hats[s] * x_hat[inp])
+    nx, ny, nz = op.cover.shape
+    return fft.ifftn(y_hat, axes=axes)[:, :nx, :ny, :nz].reshape(op.n_out, op.n_cells)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cover=covers, k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_lattice_products_match_scipy_fft(cover, k, seed):
+    # numpy's transforms, the inverse axis by axis on the cropped grid, against scipy's, for
+    # one channel and for a layout of two kernels, two inputs and three outputs
+    rng = np.random.default_rng(seed)
+    p = cover.n_cells
+
+    def kernels(d):
+        g = free_space_green(k, np.linalg.norm(d, axis=1))
+        return np.stack([g, g * d[:, 0]], axis=1)
+
+    single = LatticeOperator(cover, lambda d: kernels(d)[:, 0], self_value=0.3,
+                             weights=_complex(rng, p))
+    v = _complex(rng, p)
+    assert _rel(single @ v, _scipy_fft_product(single, v)[0]) <= 1e-13
+    layout = ((0, 0, 0, 1.0), (1, 1, 1, 0.5j), (2, 0, 1, -1.0), (2, 1, 0, 2.0))
+    multi = LatticeOperator(cover, kernels, layout=layout)
+    v = _complex(rng, 2 * p).reshape(2, p)
+    assert _rel(multi @ v, _scipy_fft_product(multi, v)) <= 1e-13
+
+
 @settings(max_examples=20, deadline=None)
 @given(cover=covers, k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_lattice_solves_match_dense_solves(cover, k, seed):

@@ -527,16 +527,16 @@ def test_dense_kernels_checked_against_the_budget(unit_box, wave_z, monkeypatch)
             monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
             assert solve_hard(hard).residual < 1e-10
     monkeypatch.setattr(ss.background, "_BLOCK_ENTRIES", 1 << 16)
-    # a medium solve's cover arrays: the dense 512 x 512 I - K, factored in place, R (512 x 3),
-    # solved in place of its right-hand sides, and g(Z, X) (512 x 3), whose transpose is A
+    # a medium solve's cover arrays: the dense 512 x 512 I - K and the copy np.linalg.solve
+    # factors, the right-hand sides (512 x 3), their copy and R (512 x 3)
     bump = ss.GaussianBumpField(amplitude=0.2, center=[0.5, 0.5, 0.5], width=0.2, base=1.0)
     soft = ss.Scene(particles=soft_scene(centers, 0.005, wave_z, unit_box).particles,
                     domain=unit_box, wave=wave_z,
                     background=ss.BackgroundMedium(n2=bump, box=unit_box))
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (512 + 2 * 3) - 1)
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (2 * 512 + 3 * 3) - 1)
     with pytest.raises(ss.GridTooLarge, match="medium cover sources"):
         solve_soft(soft)
-    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (512 + 2 * 3))
+    monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", 16 * 512 * (2 * 512 + 3 * 3))
     assert solve_soft(soft).residual < 1e-10
 
 
@@ -589,14 +589,14 @@ def test_medium_solves_and_read_outs_build_no_evaluator(unit_box, wave_z, monkey
 
 def test_medium_cloud_solves_where_the_dense_kernel_exceeds_the_budget(unit_box, wave_z,
                                                                        monkeypatch):
-    scene = _bump_scene(unit_box, wave_z, 0.0007, seed=0)
+    scene = _bump_scene(unit_box, wave_z, 0.0005, seed=0)
     m = scene.n_particles
     expected = _dense_monopole_oracle(scene)
     # one byte under the dense M x M kernel, above A, the direct solve of the 512-cell cover
     # and the stored free-space kernel
     budget = 16 * m * m - 1
     nodes = _nodes(CloudKernel(scene.centers, wave_z.k))
-    assert 16 * 512 * (512 + 2 * m) <= budget
+    assert 16 * 512 * (2 * 512 + 3 * m) <= budget
     assert _cloud_bytes(m, nodes) <= budget
     monkeypatch.setattr(manybody, "KERNEL_BYTES_BUDGET", budget)
     sol = solve_soft(scene)
@@ -635,9 +635,9 @@ def test_medium_cloud_solves_match_dense_oracles(kind, m, k, amplitude, width, o
 def test_medium_budget_counts_the_dense_cover_before_allocating(unit_box, wave_z, monkeypatch):
     scene = _bump_scene(unit_box, wave_z, 0.01, seed=3)
     m = scene.n_particles
-    # the dense 512 x 512 I - K, factored in place, R (512 x M), solved in place of its
-    # right-hand sides, and g(Z, X) (512 x M), whose transpose is A
-    total = 16 * 512 * (512 + 2 * m)
+    # the dense 512 x 512 I - K and the copy np.linalg.solve factors, the right-hand sides
+    # (512 x M), their copy and R (512 x M)
+    total = 16 * 512 * (2 * 512 + 3 * m)
     expected = solve_soft(scene)
 
     def allocated(*args, **kwargs):
@@ -659,16 +659,16 @@ def test_medium_read_out_is_one_grid_solve(unit_box, wave_z, monkeypatch):
     scene = _bump_scene(unit_box, wave_z, 0.005, centers=centers)
     points = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.4], [0.5, 0.5, 3.0]])
     factored = []
-    lu_factor = ss.background.lu_factor
+    solve = np.linalg.solve
 
-    def counted(system, **kwargs):
+    def counted(system, rhs):
         factored.append(system.shape)
-        return lu_factor(system, **kwargs)
+        return solve(system, rhs)
 
     def iterated(*args, **kwargs):
         raise AssertionError("a medium solve ran a series or fixed-point iteration")
 
-    monkeypatch.setattr(ss.background, "lu_factor", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     monkeypatch.setattr(ss.background, "fixed_point_solve", iterated)
     monkeypatch.setattr(ss.background, "born_series", iterated)
     sol = solve_soft(scene)

@@ -293,12 +293,6 @@ def test_amplitude_hard_requires_tensor(wave_z):
         amplitude_onebody(body, wave_z, beta=[0, 0, 1])
 
 
-def test_amplitude_refuses_a_bc_that_is_no_boundary_kind(wave_z):
-    body = ss.Particle.sphere(ORIGIN, 0.1, "soft")
-    with pytest.raises(TypeError, match="not a boundary kind"):
-        amplitude_onebody(body, wave_z, beta=[0, 0, 1])
-
-
 def test_isotropy_exact_over_random_direction_pairs():
     soft_ball = ss.Particle.sphere(ORIGIN, 0.05, ss.Soft())
     imp_ball = ss.Particle.sphere(ORIGIN, 0.05, ss.Impedance(h=0.7 - 0.2j, kappa=0.5))
