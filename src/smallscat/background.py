@@ -293,46 +293,38 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
 
     ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, so ``(G - g)(x, y_m) =
     sum_p g(x, z_p) R[p, m]``.  ``K = g(Z, Z) diag(k^2 chi |cell|)`` and the right-hand
-    sides are built in row blocks of ``_BLOCK_ENTRIES`` pairs, with the cell self value on
-    the diagonal (the entries the FFT operator of :func:`medium_kernel` samples).  The
-    dense ``I - K`` is solved for all sources by one ``np.linalg.solve`` (SolveFailure if it
-    is singular), which factors a copy of ``I - K`` and solves in a copy of the right-hand
-    sides, so the solve holds 16 P (2 P + 3 S) bytes.  Each column's relative residual is
-    then recomputed from rebuilt row blocks (SolveFailure if one is not within
-    ``DEFAULT_RTOL``), whose right-hand sides are kept as ``g(Z, Y)`` (P, S), in Fortran
-    order so that its transpose ``g(Y, Z)`` is C-contiguous.
+    sides ``g(Z, Y)`` (P, S) are built in row blocks of ``_BLOCK_ENTRIES`` pairs, with the
+    cell self value on the diagonal (the entries the FFT operator of :func:`medium_kernel`
+    samples).  The right-hand sides are kept, in Fortran order so that their transpose
+    ``g(Y, Z)`` is C-contiguous, and returned.  The dense ``I - K`` is solved for all
+    sources by one ``np.linalg.solve`` (SolveFailure if it is singular), which factors a
+    copy of ``I - K`` and solves in a copy of the right-hand sides, so the solve holds
+    16 P (2 P + 3 S) bytes.  Each column's relative residual is then summed over the row
+    blocks of the kept ``I - K`` and right-hand sides (SolveFailure if one is not within
+    ``DEFAULT_RTOL``).
     """
     z, self_value = cover.centers, cell_self_green(cover)
     weights = (k**2) * chi * cover.cell_volume
     points = np.vstack([z, sources])
     step = max(1, _BLOCK_ENTRIES // len(points))
-
-    def cover_rows():  # (rows, K[rows], g(Z[rows], sources)) by row blocks
-        for r0 in range(0, len(z), step):
-            rows = slice(r0, r0 + step)
-            g = point_green(k, z[rows], points, self_value)[0]
-            g[:, :len(z)] *= weights
-            yield rows, g[:, :len(z)], g[:, len(z):]
-            del g  # one block at a time: freed here and by the callers before the next is built
-
     system = np.eye(len(z), dtype=complex)
-    rhs_all = np.empty((len(z), len(sources)), dtype=complex)
-    for rows, kernel, rhs in cover_rows():
-        system[rows] -= kernel
-        rhs_all[rows] = rhs
-        del kernel, rhs
+    to_sources = np.empty((len(z), len(sources)), dtype=complex, order="F")
+    for r0 in range(0, len(z), step):
+        rows = slice(r0, r0 + step)
+        g = point_green(k, z[rows], points, self_value)[0]
+        g[:, :len(z)] *= weights
+        system[rows] -= g[:, :len(z)]
+        to_sources[rows] = g[:, len(z):]
+        del g  # one block at a time: freed before the next is built
     try:
-        out = np.linalg.solve(system, rhs_all)
+        out = np.linalg.solve(system, to_sources)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"cover solve failed: {exc}") from exc
-    del system, rhs_all
-    to_sources = np.empty((len(z), len(sources)), dtype=complex, order="F")
     squares = np.zeros((2, len(sources)))  # squared norms of the rhs and the residual
-    for rows, kernel, rhs in cover_rows():
-        to_sources[rows] = rhs
-        squares[0] += np.linalg.norm(rhs, axis=0) ** 2
-        squares[1] += np.linalg.norm(rhs - out[rows] + kernel @ out, axis=0) ** 2
-        del kernel, rhs
+    for r0 in range(0, len(z), step):
+        rows = slice(r0, r0 + step)
+        squares[0] += np.linalg.norm(to_sources[rows], axis=0) ** 2
+        squares[1] += np.linalg.norm(system[rows] @ out - to_sources[rows], axis=0) ** 2
     residual = np.max(np.sqrt(squares[1] / np.maximum(squares[0], 1e-300)), initial=0.0)
     if not residual <= DEFAULT_RTOL:  # a NaN fails too
         raise SolveFailure(f"cover solve residual {residual:.3e} "

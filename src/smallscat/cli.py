@@ -298,7 +298,7 @@ def run_design(cfg: dict, ctx: RunConfig) -> None:
 
 def run_converge(cfg: dict, ctx: RunConfig) -> None:
     from .config import Section, box_from_config, wave_from_config
-    from .core import DEFAULT_SEPARATION_FACTOR, CloudSpec
+    from .core import DEFAULT_SEPARATION_FACTOR, _NegativeDensity
     from .errors import ConfigError
     from .homogenize import convergence_study
 
@@ -311,22 +311,21 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
     seed = sec.count("seed", 0, least=0)
     ctx.seed = seed if ctx.seed is None else ctx.seed
     density, domain = sec.field("density"), box_from_config(sec)
-    try:  # the expected count of every level refuses a density negative on the domain
-        CloudSpec(density=density, a=1.0).expected_count(domain)
-    except ValueError as exc:
-        raise ConfigError(f"{sec.name('density')}: {exc}") from exc
     a_levels, kappa = sec.reals("a_levels"), sec.real("kappa", 0.5)
     if not a_levels or min(a_levels) <= 0.0:
         raise ConfigError(f"{sec.name('a_levels')}: expected positive numbers, got {a_levels!r}")
     if not 0.0 < kappa < 1.0:
         raise ConfigError(f"{sec.name('kappa')}: expected a number in (0, 1), got {kappa!r}")
-    report = convergence_study(
-        law=law, density=density, domain=domain,
-        wave=wave_from_config(sec), a_levels=a_levels,
-        kappa=kappa, h=sec.field("h") if law == "impedance" else None,
-        seed=ctx.seed, rtol=ctx.tol,
-        separation_factor=sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR),
-    )
+    try:  # the study samples the density before it places a cloud
+        report = convergence_study(
+            law=law, density=density, domain=domain,
+            wave=wave_from_config(sec), a_levels=a_levels,
+            kappa=kappa, h=sec.field("h") if law == "impedance" else None,
+            seed=ctx.seed, rtol=ctx.tol,
+            separation_factor=sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR),
+        )
+    except _NegativeDensity as exc:
+        raise ConfigError(f"{sec.name('density')}: {exc}") from exc
     ctx.summary.update({
         "law": law,
         "errors": [lv.sup_error for lv in report.levels],

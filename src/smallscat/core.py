@@ -447,10 +447,26 @@ class CloudSpec:
         return 1.0 / (SPHERE_VOLUME_FACTOR * self.a**3)
 
     def expected_count(self, domain: Box) -> float:
-        """The law's particle count in ``domain``, unrounded: :meth:`count_prefactor` times
-        the density's mass by the midpoint rule of :func:`_cell_masses` on 8^3 cells."""
-        coarse, _ = _cell_masses(self.density, domain, (8, 8, 8))
-        return self.count_prefactor() * float(coarse.sum())
+        """The law's particle count in ``domain``, unrounded: :meth:`_count_for` of the
+        density's mass by the midpoint rule of :func:`_cell_masses` on 8^3 cells
+        (:func:`_coarse_mass`, which a convergence study samples once for all its levels)."""
+        return self._count_for(_coarse_mass(self.density, domain))
+
+    def _count_for(self, mass: float) -> float:
+        """The law's unrounded count for a density mass: :meth:`count_prefactor` times it."""
+        return self.count_prefactor() * mass
+
+
+def _coarse_mass(density: ScalarField, domain: Box) -> float:
+    """The density's mass in ``domain`` on 8^3 cells, the mass of every expected count
+    (ValueError if the density is negative there)."""
+    coarse, _ = _cell_masses(density, domain, (8, 8, 8))
+    return float(coarse.sum())
+
+
+def _strata_per_axis(expected: float) -> int:
+    """Strata per axis of a cloud expecting ``expected`` particles: the cube root, rounded up."""
+    return max(1, math.ceil(max(expected, 1.0) ** (1.0 / 3.0)))
 
 
 def _bisection_counts(masses: np.ndarray, total: int) -> np.ndarray:
@@ -493,6 +509,10 @@ def _bisection_counts(masses: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+class _NegativeDensity(ValueError):
+    """A density negative on its domain, a fault of the input that a command names."""
+
+
 def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int]):
     """Per-cell integrals of the density (subsampled midpoint rule) and per-cell sample maxima.
 
@@ -517,7 +537,7 @@ def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int])
         pts[..., 2] = zs
         vals = np.real(density.sample(pts.reshape(-1, 3)))
         if np.min(vals) < -1e-12:
-            raise ValueError("density must be nonnegative on the domain")
+            raise _NegativeDensity("density must be nonnegative on the domain")
         vals = np.maximum(vals, 0.0).reshape(-1, ns, ny, ns, nz, ns)
         masses[slab] = vals.mean(axis=(1, 3, 5)) * cell_vol
         # a maximum is exact in any order, and over one contiguous axis about 4x faster
@@ -537,7 +557,10 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
 
     Deterministic given ``rng_seed`` (single stream, fixed stratum order).
     Raises DensityInfeasible when the separation constraint cannot be met
-    within the retry cap, ValueError when the law yields no particles.
+    within the retry cap, ValueError when the law yields no particles.  The
+    strata per axis are ``spec.strata_n`` or, when that is None, the cube root
+    of :meth:`CloudSpec.expected_count` rounded up (:func:`_strata_per_axis`,
+    which a convergence study applies to the count of its one density mass).
 
     Every attempt draws three jitter uniforms and, where the stratum's density
     bound is positive, one acceptance uniform, in stream order.  The uniforms
@@ -546,10 +569,8 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
     against the density as arrays on the guess that each succeeds; a retry ends
     the run.  Separation is tested on plain floats against a grid hash.
     """
-    if spec.strata_n is not None:
-        n_strata = int(spec.strata_n)
-    else:
-        n_strata = max(1, math.ceil(max(spec.expected_count(domain), 1.0) ** (1.0 / 3.0)))
+    n_strata = (int(spec.strata_n) if spec.strata_n is not None
+                else _strata_per_axis(spec.expected_count(domain)))
     shape = (n_strata, n_strata, n_strata)
     masses, density_max = _cell_masses(spec.density, domain, shape)
 

@@ -41,7 +41,8 @@ import numpy as np
 from .background import free_space_green
 from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
                    SPHERE_SURFACE_FACTOR, CloudSpec, IncidentWave, Particle, Scene,
-                   _pack_particles, generate_cloud, validate_scene)
+                   _coarse_mass, _pack_particles, _strata_per_axis, generate_cloud,
+                   validate_scene)
 from .errors import DesignInfeasible, GridTooLarge
 from .fields import ScalarField
 from .grids import Box, GridCover, record_eq
@@ -365,12 +366,14 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
     its cloud, solve the finite system (an empty scene where the law expects no particle),
     read it on the cover ``edge = a**(1/3)`` via :func:`cover_field_from_solution`, and
     compare against the collocation solution with the closed-form sphere coefficient.  The
-    separation factor is capped at half the mean particle spacing of
-    :meth:`~smallscat.core.CloudSpec.expected_count` over ``a`` (dense protocols cannot
-    honor a fixed ``d/a`` at every level); the factor used is recorded per level.
-    ValueError, before any cloud is placed, for another law, no level, a size that is not
-    positive and finite, or an impedance study without ``h`` or with ``kappa`` outside
-    (0, 1).
+    density's mass on 8^3 cells is sampled once for the study; each level's
+    :meth:`~smallscat.core.CloudSpec.expected_count` is its law's count of that mass, and
+    sets the level's ``strata_n`` as :func:`~smallscat.core.generate_cloud` would.  The
+    separation factor is capped at half the mean particle spacing of that count over ``a``
+    (dense protocols cannot honor a fixed ``d/a`` at every level); the factor used is
+    recorded per level.  ValueError, before any cloud is placed, for another law, no level,
+    a size that is not positive and finite, an impedance study without ``h`` or with
+    ``kappa`` outside (0, 1), or a density negative on the domain.
     """
     if law not in ("dirichlet", "impedance"):
         raise ValueError(f"convergence law must be dirichlet or impedance, got {law!r}")
@@ -383,13 +386,16 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     bc_kind, solver = (("soft", solve_soft) if law == "dirichlet"
                        else ("impedance", solve_impedance))
+    mass = _coarse_mass(density, domain)
     levels: List[ConvergenceLevel] = []
     for a in a_levels:
         spec = CloudSpec(density=density, a=a, law=law, kappa=kappa, bc_kind=bc_kind, h=h,
                          rng_seed=seed, separation_factor=separation_factor)
-        m_expected = int(round(spec.expected_count(domain)))
+        expected = spec._count_for(mass)
+        m_expected = int(round(expected))
         mean_spacing = (domain.volume / max(m_expected, 1)) ** (1.0 / 3.0)
-        spec = replace(spec, separation_factor=min(separation_factor, 0.5 * mean_spacing / a))
+        spec = replace(spec, separation_factor=min(separation_factor, 0.5 * mean_spacing / a),
+                       strata_n=_strata_per_axis(expected))
         particles = generate_cloud(spec, domain) if m_expected else []
         scene = Scene(particles=tuple(particles), domain=domain, wave=wave,
                       separation_factor=spec.separation_factor)

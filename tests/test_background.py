@@ -182,6 +182,21 @@ def test_cover_responses_raise_solve_failure_on_a_failed_lu(unit_box, bump_mediu
         _cover_responses(bump_medium, 1.5, 6, np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
 
 
+def test_cover_responses_raise_solve_failure_on_an_inaccurate_solve(unit_box, bump_medium,
+                                                                    monkeypatch):
+    # one entry of the second column off by 1e-6 of that column: the residual reads it
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        x[0, 1] += 1e-6 * np.linalg.norm(x[:, 1])
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(ss.SolveFailure, match=r"cover solve residual \d\.\d+e-0[5-8] above"):
+        _cover_responses(bump_medium, 1.5, 6, np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
+
+
 def test_cover_responses_raise_solve_failure_on_a_singular_system(unit_box):
     # one cell whose contrast makes K = g(z, z) k^2 chi |cell| exactly 1, so I - K is 0
     cover = ss.GridCover.from_shape(unit_box, 1)

@@ -141,6 +141,18 @@ def test_converge_demo_decreasing(tmp_path):
     assert errors[0] > errors[1] > errors[2]
 
 
+def test_converge_samples_the_density_mass_once(tmp_path, monkeypatch):
+    # the study's one 8^3 sampling also refuses a negative density for the command
+    from smallscat import core
+
+    shapes = []
+    cell_masses = core._cell_masses
+    monkeypatch.setattr(core, "_cell_masses", lambda density, domain, shape: (
+        shapes.append(shape) or cell_masses(density, domain, shape)))
+    assert run("converge", CONFIGS / "converge_demo.yaml", tmp_path / "conv") == 0
+    assert shapes.count((8, 8, 8)) == 1
+
+
 def test_green_csv(tmp_path):
     out = tmp_path / "green"
     assert run("green", CONFIGS / "green_demo.yaml", out) == 0
@@ -766,12 +778,15 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_every_module_and_demo_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: with its import blocked, every smallscat module imports
-    # and every demo config runs to exit 0
+    # and every demo config runs to exit 0.  No demo loads numpy.ma either (np.unique does, on
+    # numpy 2.4), whose import would add to every command's start-up time and memory; numpy
+    # 1.x imports it with numpy itself, so the check is that the demos leave it as numpy did.
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"""if True:
         import importlib, json, pkgutil, sys
         from pathlib import Path
-        import yaml
+        import numpy, yaml
+        numpy_ma = "numpy.ma" in sys.modules
         sys.modules["scipy"] = None
         import smallscat
         for module in pkgutil.iter_modules(smallscat.__path__):
@@ -784,12 +799,14 @@ def test_every_module_and_demo_runs_without_scipy(tmp_path):
             out = Path({str(tmp_path)!r}) / config.stem
             status[config.name] = main([command, "--config", str(config), "--out", str(out)])
         print(json.dumps(status))
+        print(json.dumps([numpy_ma, "numpy.ma" in sys.modules]))
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    status = json.loads(proc.stdout.splitlines()[-1])
-    assert status == {config.name: 0 for config in CONFIGS.glob("*.yaml")}
+    status, (ma_with_numpy, ma_after_demos) = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert status and status == {config.name: 0 for config in CONFIGS.glob("*.yaml")}
+    assert ma_after_demos == ma_with_numpy
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smallscat as ss
 from cloud_oracle import oracle_bisection_counts, oracle_cell_masses, oracle_cloud
@@ -459,6 +461,22 @@ def test_bisection_counts_match_recursive_oracle():
     for masses, total in cases:
         assert np.array_equal(_bisection_counts(masses, total),
                               oracle_bisection_counts(masses, total))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0),
+       quantum=st.sampled_from([0.0, 0.5, 0.25, 0.1]), fill=st.floats(0.0, 3.0))
+def test_bisection_counts_match_recursive_oracle_on_random_masses(n, seed, zeros, quantum,
+                                                                  fill):
+    # masses on a few levels make block sums and shares tie exactly; totals run 0 to 3n
+    rng = np.random.default_rng(seed)
+    masses = rng.random(n)
+    if quantum:
+        masses = np.round(masses / quantum) * quantum
+    masses[rng.random(n) < zeros] = 0.0
+    total = int(fill * n)
+    assert np.array_equal(_bisection_counts(masses, total),
+                          oracle_bisection_counts(masses, total))
 
 
 @pytest.mark.parametrize("slab_points", [1 << 18, 5000, 1])

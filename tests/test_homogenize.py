@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,46 @@ def test_convergence_validates_each_level_once(unit_box, wave_z, monkeypatch):
     report = convergence_study("dirichlet", ss.ConstantField(1.0), unit_box, wave_z,
                                [0.02, 0.01], seed=0)
     assert searches == [lv.m for lv in report.levels] == [50, 100]
+
+
+def test_convergence_samples_the_density_mass_once(unit_box, wave_z, monkeypatch):
+    # the levels' own strata are 3^3 to 5^3, so every 8^3 sampling is an expected count's
+    shapes = []
+    cell_masses = core._cell_masses
+    monkeypatch.setattr(core, "_cell_masses", lambda density, domain, shape: (
+        shapes.append(shape) or cell_masses(density, domain, shape)))
+    report = convergence_study("dirichlet", ss.ConstantField(1.0), unit_box, wave_z,
+                               [0.04, 0.03, 0.02, 0.01], seed=0)
+    assert len(report.levels) == 4
+    assert shapes.count((8, 8, 8)) == 1
+
+
+def test_convergence_levels_place_the_clouds_of_their_specs(unit_box, wave_z, monkeypatch):
+    # each level's strata come from the study's one mass; the cloud is the one generate_cloud
+    # places for the same spec left to count its own strata
+    bump = ss.GaussianBumpField(amplitude=0.5, center=[0.4, 0.5, 0.6], width=0.3, base=0.5)
+    placed = []
+    monkeypatch.setattr(homogenize, "generate_cloud", lambda spec, domain: placed.append(
+        (spec, core.generate_cloud(spec, domain))) or placed[-1][1])
+    convergence_study("impedance", bump, unit_box, wave_z, [0.04, 0.03, 0.02], kappa=0.5,
+                      h=ss.ConstantField(1.0), seed=4, separation_factor=2.0)
+    assert len(placed) == 3
+    for spec, cloud in placed:
+        assert spec.strata_n is not None
+        alone = core.generate_cloud(replace(spec, strata_n=None), unit_box)
+        np.testing.assert_array_equal(np.array([p.center for p in cloud]),
+                                      np.array([p.center for p in alone]))
+        assert [p.bc for p in cloud] == [p.bc for p in alone]
+
+
+def test_convergence_refuses_a_negative_density_before_placing_a_cloud(unit_box, wave_z,
+                                                                      monkeypatch):
+    def placed(*args):
+        raise AssertionError("a cloud was placed")
+
+    monkeypatch.setattr(homogenize, "generate_cloud", placed)
+    with pytest.raises(ValueError, match="density must be nonnegative"):
+        convergence_study("dirichlet", ss.ConstantField(-1.0), unit_box, wave_z, [0.02])
 
 
 @pytest.mark.parametrize("kind", ["soft", "hard", "soft_in_bump"])
