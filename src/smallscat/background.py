@@ -288,7 +288,8 @@ class GreenEvaluator:
                                        self_value)
 
 
-def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.ndarray):
+def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.ndarray,
+                    rtol: float = DEFAULT_RTOL):
     """Cover monopoles ``R`` (P, S) a unit charge at each source ``y_m`` induces, and ``g(Z, Y)``.
 
     ``R[:, m] = k^2 chi |cell| (I - K)^{-1} g(Z, y_m)``, so ``(G - g)(x, y_m) =
@@ -301,7 +302,7 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
     copy of ``I - K`` and solves in a copy of the right-hand sides, so the solve holds
     16 P (2 P + 3 S) bytes.  Each column's relative residual is then summed over the row
     blocks of the kept ``I - K`` and right-hand sides (SolveFailure if one is not within
-    ``DEFAULT_RTOL``).
+    ``rtol``).
     """
     z, self_value = cover.centers, cell_self_green(cover)
     weights = (k**2) * chi * cover.cell_volume
@@ -326,9 +327,8 @@ def cover_responses(cover: GridCover, k: float, chi: np.ndarray, sources: np.nda
         squares[0] += np.linalg.norm(to_sources[rows], axis=0) ** 2
         squares[1] += np.linalg.norm(system[rows] @ out - to_sources[rows], axis=0) ** 2
     residual = np.max(np.sqrt(squares[1] / np.maximum(squares[0], 1e-300)), initial=0.0)
-    if not residual <= DEFAULT_RTOL:  # a NaN fails too
-        raise SolveFailure(f"cover solve residual {residual:.3e} "
-                           f"above tolerance {DEFAULT_RTOL:.1e}")
+    if not residual <= rtol:  # a NaN fails too
+        raise SolveFailure(f"cover solve residual {residual:.3e} above tolerance {rtol:.1e}")
     out *= weights[:, None]
     return out, to_sources
 

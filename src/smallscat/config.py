@@ -20,9 +20,8 @@ import numpy as np
 import yaml
 
 from .background import BackgroundMedium
-from .core import (COUNTING_LAWS, DEFAULT_JITTER, DEFAULT_SEPARATION_FACTOR,
-                   DEFAULT_SMALLNESS_THRESHOLD, CloudSpec, Hard, Impedance, IncidentWave,
-                   Particle, Scene, Soft, generate_cloud)
+from .core import (COUNTING_LAWS, DEFAULT_SEPARATION_FACTOR, CloudSpec, Hard, Impedance,
+                   IncidentWave, Particle, Scene, Soft, generate_cloud)
 from .errors import ConfigError, UnsupportedScene
 from .fields import AffineField, ConstantField, GaussianBumpField, GriddedField, ScalarField
 from .grids import Box
@@ -236,12 +235,10 @@ def mesh_from_config(parent: Section) -> SurfaceMesh:
                      semi_axes=sec.point("semi_axes", (1.0, 1.0, 2.0)))
 
 
-def cloud_from_config(parent: Section, domain: Box, seed_override: Optional[int] = None,
-                      separation_factor: float = DEFAULT_SEPARATION_FACTOR):
-    """The ``cloud`` recipe and the particles it places in ``domain``; ``separation_factor``
-    is its default factor (the scene's)."""
-    sec = parent.section("cloud", ("law", "a", "density", "bc", "kappa", "seed",
-                                   "separation_factor", "strata_n", "jitter"))
+def cloud_from_config(parent: Section, domain: Box, seed_override: Optional[int] = None):
+    """The ``cloud`` recipe and the particles it places in ``domain``, at the parent's (the
+    scene's) ``separation_factor``."""
+    sec = parent.section("cloud", ("law", "a", "density", "bc", "kappa", "seed"))
     bc = sec.section("bc", {"soft": (), "hard": (), "impedance": ("h",)}, default={},
                      kind="soft")
     law = sec.choice("law", COUNTING_LAWS, "dirichlet")
@@ -253,8 +250,7 @@ def cloud_from_config(parent: Section, domain: Box, seed_override: Optional[int]
         kappa=sec.real("kappa", 0.5), bc_kind=bc.kind,
         h=bc.field("h") if bc.kind == "impedance" else None,
         rng_seed=seed if seed_override is None else seed_override,
-        separation_factor=sec.real("separation_factor", separation_factor),
-        strata_n=sec.count("strata_n", None), jitter=sec.real("jitter", DEFAULT_JITTER))
+        separation_factor=parent.real("separation_factor", DEFAULT_SEPARATION_FACTOR))
     return spec, sec.build(generate_cloud, spec, domain)
 
 
@@ -273,13 +269,12 @@ def scene_from_config(parent: Section,
     """The ``scene`` (explicit particles or a cloud) and the seed that placed it: the
     override, else the cloud's seed; None for explicit particles without an override."""
     sec = parent.section("scene", ("wave", "domain", "background", "separation_factor",
-                                   "smallness_threshold", "particles", "cloud"))
+                                   "particles", "cloud"))
     wave, domain = wave_from_config(sec), box_from_config(sec)
     medium = sec.section("background", ("n2",), default=None)
     background = None if medium is None else medium.build(BackgroundMedium,
                                                           n2=medium.field("n2"), box=domain)
     sep = sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR)
-    small = sec.real("smallness_threshold", DEFAULT_SMALLNESS_THRESHOLD)
     if ("particles" in sec) == ("cloud" in sec):
         raise ConfigError("scene: give either 'particles' or 'cloud'")
     seed = seed_override
@@ -287,10 +282,9 @@ def scene_from_config(parent: Section,
         particles = tuple(_particle_from_config(p) for p in sec.sections(
             "particles", ("center", "a", "bc", "mesh", "scale")))
     else:
-        spec, particles = cloud_from_config(sec, domain, seed_override, sep)
-        sep, seed = spec.separation_factor, spec.rng_seed
+        spec, particles = cloud_from_config(sec, domain, seed_override)
+        seed = spec.rng_seed
     if not particles:
         raise ConfigError("scene: the scene has no particles")
     return sec.build(Scene, particles=particles, domain=domain, wave=wave,
-                     background=background, separation_factor=sep,
-                     smallness_threshold=small), seed
+                     background=background, separation_factor=sep), seed

@@ -32,16 +32,16 @@ from .grids import Box, record_eq
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEPARATION_FACTOR: float = 10.0
-DEFAULT_SMALLNESS_THRESHOLD: float = 0.1
+SMALLNESS_THRESHOLD: float = 0.1  # the bound on k * a_max * n0_max of every scene
 # Closed-form sphere functionals: capacitance / a, |S| / a^2, |D| / a^3, beta / I.
 SPHERE_CAPACITANCE_PER_RADIUS: float = 4.0 * np.pi
 SPHERE_SURFACE_FACTOR: float = 4.0 * np.pi
 SPHERE_VOLUME_FACTOR: float = 4.0 / 3.0 * np.pi
 SPHERE_POLARIZABILITY: float = -1.5
 
-# Placement knobs: particles are jittered inside the central part of their
-# stratum; the jitter shrinks linearly over separation retries.
-DEFAULT_JITTER: float = 0.6
+# Placement: particles are jittered over this share of their stratum's edge, a
+# share that shrinks linearly over separation retries.
+JITTER: float = 0.6
 COUNTING_LAWS = ("dirichlet", "impedance", "hard_volume")  # see CloudSpec
 PLACEMENT_RETRY_CAP: int = 200
 _MASS_SUBSAMPLES: int = 4
@@ -174,6 +174,12 @@ class Particle:
         )
 
 
+def _check_separation_factor(factor: float) -> None:
+    """ValueError unless ``factor`` (a least ``d/a``) is nonnegative and finite."""
+    if not 0.0 <= factor < math.inf:
+        raise ValueError(f"separation factor must be nonnegative and finite, got {factor}")
+
+
 def _pack_particles(particles: Sequence[Particle]) -> dict:
     """``kind`` (``soft``, ``impedance``, ``hard`` or ``empty``) and the read-only arrays of
     ``particles`` that a :class:`Scene` holds; ValueError if they mix boundary kinds (the
@@ -205,8 +211,9 @@ class Scene:
 
     Packed once, when it is built, by :func:`_pack_particles`: ``kind``, ``centers`` (M, 3),
     ``radii`` (M,), ``coupling`` (M,) or None for hard particles, ``volumes`` (M,) and
-    ``polarizabilities`` (M, 3, 3) or None.  ValueError if the particles mix boundary kinds,
-    UnsupportedScene for hard particles in a non-uniform background.
+    ``polarizabilities`` (M, 3, 3) or None.  ValueError if the particles mix boundary kinds
+    or ``separation_factor`` (the least ``d/a``) is negative or not finite, UnsupportedScene
+    for hard particles in a non-uniform background.
     """
 
     particles: Tuple[Particle, ...]
@@ -214,7 +221,6 @@ class Scene:
     wave: IncidentWave
     background: Optional[BackgroundMedium] = None
     separation_factor: float = DEFAULT_SEPARATION_FACTOR
-    smallness_threshold: float = DEFAULT_SMALLNESS_THRESHOLD
     kind: str = field(init=False, compare=False)
     centers: np.ndarray = field(init=False, repr=False, compare=False)
     radii: np.ndarray = field(init=False, repr=False, compare=False)
@@ -223,6 +229,7 @@ class Scene:
     polarizabilities: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_separation_factor(self.separation_factor)
         object.__setattr__(self, "particles", tuple(self.particles))
         for name, value in _pack_particles(self.particles).items():
             object.__setattr__(self, name, value)
@@ -232,7 +239,7 @@ class Scene:
     def __reduce__(self):
         """Pickled and copied as its constructor arguments, so a copy packs read-only too."""
         return Scene, (self.particles, self.domain, self.wave, self.background,
-                       self.separation_factor, self.smallness_threshold)
+                       self.separation_factor)
 
     @property
     def n_particles(self) -> int:
@@ -265,7 +272,7 @@ class ValidationReport:
 def validate_scene(scene: Scene) -> ValidationReport:
     """Check the smallness regime; report-style, never raises.
 
-    Violations: ``k * a_max * n0_max`` above the smallness threshold, minimum
+    Violations: ``k * a_max * n0_max`` above ``SMALLNESS_THRESHOLD``, minimum
     pairwise distance below ``separation_factor * a_max``, particle centers
     outside the domain, impedance with ``Im h > 0``.  Metrics of two or more
     particles include the least and the mean nearest-neighbour distance
@@ -366,10 +373,8 @@ def _validate(scene: Scene) -> ValidationReport:
 
     ka = scene.wave.k * scene.max_radius * scene.n0_max
     metrics["k_a_n0"] = ka
-    if ka > scene.smallness_threshold:
-        violations.append(
-            f"k*a*n0 = {ka:.4g} exceeds smallness threshold {scene.smallness_threshold:.4g}"
-        )
+    if ka > SMALLNESS_THRESHOLD:
+        violations.append(f"k*a*n0 = {ka:.4g} exceeds smallness threshold {SMALLNESS_THRESHOLD}")
 
     centers = scene.centers
     inside = scene.domain.contains(centers)
@@ -409,11 +414,12 @@ class CloudSpec:
     - ``impedance``:   a^(kappa-2) * integral_Delta N dx
     - ``hard_volume``: N is a target volume fraction; count = integral / cell volume
 
-    Placement is stratified: per-stratum counts come from recursive-bisection
-    remainder rounding of the law, positions are jittered by the seeded
-    generator (rejection against N inside each stratum), and the minimum
-    pairwise distance ``separation_factor * a`` is enforced by rejection with
-    a retry cap of ``PLACEMENT_RETRY_CAP``.
+    Placement is stratified: per-stratum counts come from recursive-bisection remainder
+    rounding of the law, positions are jittered over ``JITTER`` of the stratum's edge by the
+    seeded generator (rejection against N inside each stratum), and the minimum pairwise
+    distance ``separation_factor * a`` is enforced by rejection with a retry cap of
+    ``PLACEMENT_RETRY_CAP``.  ValueError for a separation factor negative or not finite, or
+    a ``kappa`` outside (0, 1) where the law or the boundary kind is ``impedance``.
     """
 
     density: ScalarField
@@ -425,7 +431,6 @@ class CloudSpec:
     rng_seed: int = 0
     separation_factor: float = DEFAULT_SEPARATION_FACTOR
     strata_n: Optional[int] = None
-    jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
         if not 0.0 < self.a < math.inf:
@@ -436,8 +441,9 @@ class CloudSpec:
             raise ValueError(f"unknown boundary kind {self.bc_kind!r}")
         if self.bc_kind == "impedance" and self.h is None:
             raise ValueError("impedance clouds need an h(x) field")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must lie in [0, 1]")
+        if "impedance" in (self.law, self.bc_kind) and not 0.0 < self.kappa < 1.0:
+            raise ValueError(f"kappa must lie in (0, 1), got {self.kappa}")
+        _check_separation_factor(self.separation_factor)
 
     def count_prefactor(self) -> float:
         if self.law == "dirichlet":
@@ -548,10 +554,6 @@ def _cell_masses(density: ScalarField, domain: Box, shape: Tuple[int, int, int])
 _KEY: int = 1 << 32  # stride of the separation grid's linear cell keys
 
 
-def _shrink(spec: CloudSpec, attempt: int) -> float:
-    return spec.jitter * (1.0 - attempt / PLACEMENT_RETRY_CAP)
-
-
 def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
     """Place particles following the counting law of ``spec`` inside ``domain``.
 
@@ -603,7 +605,7 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
         """``(x, y, z, rejected)`` of the first attempts of particles ``i..j-1``."""
         starts = pos + np.concatenate(([0], np.cumsum(width[i:j - 1])))
         u = drawn(int(starts[-1]) + 4)[starts[:, None] + np.arange(4)]
-        cand = mids[i:j] + ((u[:, :3] - 0.5) * edges) * _shrink(spec, 0)
+        cand = mids[i:j] + ((u[:, :3] - 0.5) * edges) * JITTER
         rejected = np.zeros(j - i, dtype=bool)
         tested = bound[i:j] > 0
         if np.any(tested):
@@ -645,7 +647,7 @@ def generate_cloud(spec: CloudSpec, domain: Box) -> List[Particle]:
             if attempt == 0:
                 x, y, z, rejected = guesses[i - run_start]
             else:
-                shrink = _shrink(spec, attempt)
+                shrink = JITTER * (1.0 - attempt / PLACEMENT_RETRY_CAP)
                 u = drawn(pos + 4)[pos:pos + 4].tolist()
                 x = mx + ((u[0] - 0.5) * ex) * shrink
                 y = my + ((u[1] - 0.5) * ey) * shrink

@@ -372,8 +372,9 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
     separation factor is capped at half the mean particle spacing of that count over ``a``
     (dense protocols cannot honor a fixed ``d/a`` at every level); the factor used is
     recorded per level.  ValueError, before any cloud is placed, for another law, no level,
-    a size that is not positive and finite, an impedance study without ``h`` or with
-    ``kappa`` outside (0, 1), or a density negative on the domain.
+    a size that is not positive and finite, a density negative on the domain, or settings
+    its first :class:`~smallscat.core.CloudSpec` refuses (an impedance study's ``h`` or
+    ``kappa``, a separation factor).
     """
     if law not in ("dirichlet", "impedance"):
         raise ValueError(f"convergence law must be dirichlet or impedance, got {law!r}")
@@ -382,8 +383,6 @@ def convergence_study(law: str, density: ScalarField, domain: Box, wave: Inciden
     for a in a_levels:
         if not 0.0 < a < math.inf:
             raise ValueError(f"particle sizes must be positive and finite, got {a}")
-    if law == "impedance" and not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     bc_kind, solver = (("soft", solve_soft) if law == "dirichlet"
                        else ("impedance", solve_impedance))
     mass = _coarse_mass(density, domain)

@@ -27,7 +27,7 @@ residual checked), and the 5M hard system matrix-free
 tiles, the smooth ``Im g`` and its gradient through the same plane-wave factor, or for
 small clouds and large ``kD`` all eight layers).
 A solve reads a scene's packed arrays and checks it with :func:`~smallscat.core.validate_scene`
-at the scene's own thresholds; an empty scene solves to zero-length unknowns of the kind
+at the scene's own separation factor; an empty scene solves to zero-length unknowns of the kind
 asked for, at residual 0.  A medium enters only through ``scene.background``.
 Solution objects are immutable and hold no evaluator.
 """
@@ -428,7 +428,7 @@ class CloudKernel:
 
 def _check_scene(scene: Scene, kind: str) -> None:
     """ValueError unless every particle of ``scene`` is of ``kind``; RegimeViolation if
-    :func:`~smallscat.core.validate_scene` does not accept it at the scene's own thresholds."""
+    :func:`~smallscat.core.validate_scene` does not accept it at its own separation factor."""
     if scene.kind not in (kind, "empty"):
         raise ValueError(f"expected an all-{kind} scene, got {scene.kind}")
     report = validate_scene(scene)
@@ -446,7 +446,8 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     centers on :func:`_medium_cover`, summed there by ``A = g(X, Z)``, less the smooth self
     term ``(A R)_jj``.  Returns ``(u, residual)`` of
     :func:`~smallscat.lattice.solve_checked` and the induced cover monopoles
-    ``-R (coupling u)`` (``None`` in free space); raises SolveFailure above ``rtol``, and
+    ``-R (coupling u)`` (``None`` in free space); raises SolveFailure if it or the cover
+    solve misses ``rtol``, and
     GridTooLarge before anything is allocated if the cover arrays exceed
     ``KERNEL_BYTES_BUDGET``: the dense ``(P, P)`` ``I - K`` of
     :func:`~smallscat.background.cover_responses` and the copy its solve factors, the
@@ -461,7 +462,7 @@ def solve_monopole_system(centers: np.ndarray, k: float, coupling: np.ndarray,
     p, m = cover.n_cells, len(centers)
     _check_budget(16 * p * (2 * p + 3 * m), "medium cover sources")
     rc, to_centers = background.cover_responses(cover, k, medium.contrast(cover.centers),
-                                                centers)
+                                                centers, rtol)
     rc *= coupling  # R diag(coupling)
     a = to_centers.T
     kernel = CloudKernel(centers, k)

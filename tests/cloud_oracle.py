@@ -3,13 +3,13 @@
 ``oracle_cloud`` places particles exactly as ``smallscat.core.generate_cloud``
 is specified to: strata in C order, per stratum its bisection count, per
 particle up to ``PLACEMENT_RETRY_CAP`` attempts that each draw three jitter
-uniforms and, where the stratum's density bound is positive, one acceptance
-uniform, then test the density and the separation.  It returns the centers and
-the impedance values ``h`` (``None`` unless ``bc_kind == "impedance"``) and
-raises the same ``DensityInfeasible``.  Tests compare the array-speed
-production code against it bit for bit.  ``oracle_cell_masses`` samples the
-density for the stratum masses in one array, where the production code takes
-bounded slabs.
+uniforms (over ``JITTER`` of the stratum's edge) and, where the stratum's
+density bound is positive, one acceptance uniform, then test the density and
+the separation.  It returns the centers and the impedance values ``h``
+(``None`` unless ``bc_kind == "impedance"``) and raises the same
+``DensityInfeasible``.  Tests compare the array-speed production code against
+it bit for bit.  ``oracle_cell_masses`` samples the density for the stratum
+masses in one array, where the production code takes bounded slabs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from smallscat.core import _MASS_SUBSAMPLES, PLACEMENT_RETRY_CAP, _cell_masses
+from smallscat.core import _MASS_SUBSAMPLES, JITTER, PLACEMENT_RETRY_CAP, _cell_masses
 from smallscat.errors import DensityInfeasible
 
 
@@ -104,7 +104,7 @@ def oracle_cloud(spec, domain):
                 for _ in range(n_here):
                     placed = False
                     for attempt in range(PLACEMENT_RETRY_CAP):
-                        shrink = spec.jitter * (1.0 - attempt / PLACEMENT_RETRY_CAP)
+                        shrink = JITTER * (1.0 - attempt / PLACEMENT_RETRY_CAP)
                         cand = mid + (rng.random(3) - 0.5) * edges * shrink
                         if nmax > 0:
                             accept = rng.random() * nmax

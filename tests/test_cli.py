@@ -326,9 +326,8 @@ def test_malformed_section_exits_2_naming_the_key(tmp_path, subcommand, config, 
     ("green", "green_demo.yaml", "{kind: lippmann_schwinger}", "{kind: born, order: 1.5}"),
     ("solve", "solve_one_soft.yaml", "n_directions: 10", "n_directions: 10.5"),
     ("solve", "solve_cloud_soft.yaml", "seed: 0", "seed: 0.5"),
-    ("solve", "solve_cloud_soft.yaml", "seed: 0", "strata_n: 2.5"),
     ("onebody", "onebody_hard_sphere.yaml", "subdivisions: 2", "subdivisions: 2.5"),
-], ids=["grid_n", "n", "order", "n_directions", "seed", "strata_n", "subdivisions"])
+], ids=["grid_n", "n", "order", "n_directions", "seed", "subdivisions"])
 def test_fractional_count_exits_2(tmp_path, subcommand, config, old, new):
     error = _config_error(subcommand, _edited(tmp_path, config, old, new), tmp_path / "out")
     assert "expected a whole number" in error
@@ -339,7 +338,6 @@ def test_fractional_count_exits_2(tmp_path, subcommand, config, old, new):
      "outputs.farfield.n_directions", 1),
     ("solve", "solve_one_soft.yaml", "n: 3}", "n: -1}", "outputs.field_grid.n", 1),
     ("solve", "solve_cloud_soft.yaml", "seed: 0", "seed: -1", "scene.cloud.seed", 0),
-    ("solve", "solve_cloud_soft.yaml", "seed: 0", "strata_n: 0", "scene.cloud.strata_n", 1),
     ("converge", "converge_demo.yaml", "seed: 0", "seed: -1", "converge.seed", 0),
     ("onebody", "onebody_hard_sphere.yaml", "n_directions: 6", "n_directions: 0",
      "onebody.n_directions", 1),
@@ -351,7 +349,7 @@ def test_fractional_count_exits_2(tmp_path, subcommand, config, old, new):
     ("green", "green_demo.yaml", "grid_n: 8", "grid_n: 0", "green.grid_n", 1),
     ("homogenize", "homogenize_demo.yaml", "grid_n: 6", "grid_n: 0", "homogenize.grid_n", 1),
     ("design", "design_demo.yaml", "grid_n: 4", "grid_n: 0", "design.grid_n", 1),
-], ids=["n_directions", "field_grid_n", "cloud_seed", "strata_n", "converge_seed",
+], ids=["n_directions", "field_grid_n", "cloud_seed", "converge_seed",
         "onebody_n_directions", "subdivisions", "segment_n", "order", "green_grid_n",
         "homogenize_grid_n", "design_grid_n"])
 def test_count_below_its_bound_exits_2_before_any_solve(tmp_path, subcommand, config, old, new,
@@ -510,7 +508,16 @@ def test_every_malformed_value_exits_2_naming_its_key(tmp_path):
      "green.method.tol"),
     ("solve_cloud_soft.yaml", "bc: {kind: soft}", "bc: {kind: soft, kappa: 0.5}",
      "scene.cloud.bc.kappa"),
-], ids=["green_method_tol", "cloud_bc_kappa"])
+    # the ka bound, the jitter and the strata are fixed; the cloud is placed at the scene's
+    # separation factor
+    ("solve_cloud_soft.yaml", "cloud:", "smallness_threshold: 0.1\n  cloud:",
+     "scene.smallness_threshold"),
+    ("solve_cloud_soft.yaml", "seed: 0", "seed: 0\n    jitter: 0.6", "scene.cloud.jitter"),
+    ("solve_cloud_soft.yaml", "seed: 0", "seed: 0\n    strata_n: 4", "scene.cloud.strata_n"),
+    ("solve_cloud_soft.yaml", "seed: 0", "seed: 0\n    separation_factor: 6.0",
+     "scene.cloud.separation_factor"),
+], ids=["green_method_tol", "cloud_bc_kappa", "smallness_threshold", "cloud_jitter",
+        "cloud_strata_n", "cloud_separation_factor"])
 def test_removed_key_exits_2(tmp_path, config, old, new, key):
     cfg = _edited(tmp_path, config, old, new)
     error = _config_error(_subcommand(cfg), cfg, tmp_path / "out")

@@ -122,13 +122,13 @@ def test_scene_with_gridded_density_cloud(tmp_path):
     cfg = {
         "wave": {"k": 1.0, "alpha": [0, 0, 1]},
         "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+        "separation_factor": 5.0,
         "cloud": {
             "law": "dirichlet",
             "a": 0.01,
             "density": {"kind": "grid", "path": "density.csv"},
             "bc": {"kind": "soft"},
             "seed": 0,
-            "separation_factor": 5.0,
         },
     }
     scene, seed = scene_from_config(parent(tmp_path, scene=cfg))
@@ -139,10 +139,10 @@ def test_scene_with_gridded_density_cloud(tmp_path):
 @pytest.mark.parametrize("law, bc", [("impedance", {"kind": "soft"}),
                                      ("dirichlet", {"kind": "impedance", "h": 1.0})])
 def test_cloud_kappa_is_read_by_an_impedance_law_or_bc(tmp_path, law, bc):
-    cloud = {"law": law, "a": 0.05, "density": 1.0, "bc": bc, "kappa": 0.3,
-             "separation_factor": 1.0}
+    cloud = {"law": law, "a": 0.05, "density": 1.0, "bc": bc, "kappa": 0.3}
     cfg = {"wave": {"k": 1.0, "alpha": [0, 0, 1]},
-           "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "cloud": cloud}
+           "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "separation_factor": 1.0,
+           "cloud": cloud}
     scene, _ = scene_from_config(parent(tmp_path, scene=cfg))
     if law == "impedance":  # a^(kappa - 2) particles per unit density
         assert scene.n_particles == round(0.05 ** (0.3 - 2.0))
@@ -150,6 +150,21 @@ def test_cloud_kappa_is_read_by_an_impedance_law_or_bc(tmp_path, law, bc):
         assert {p.bc.kappa for p in scene.particles} == {0.3}
     cloud.update(law="dirichlet", bc={"kind": "soft"})
     with pytest.raises(ss.ConfigError, match=r"^scene\.cloud\.kappa: not read "):
+        scene_from_config(parent(tmp_path, scene=cfg))
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("kappa", 1.5, r"^scene\.cloud: kappa must lie in \(0, 1\), got 1\.5$"),
+    ("separation_factor", -2.0,
+     r"^scene\.cloud: separation factor must be nonnegative and finite, got -2\.0$")],
+    ids=["kappa", "separation_factor"])
+def test_cloud_settings_are_refused_before_placement(tmp_path, monkeypatch, key, value, match):
+    # CloudSpec refuses both, an impedance law's kappa with soft particles too, before placement
+    monkeypatch.setattr(config, "generate_cloud", lambda *args: pytest.fail("a cloud was placed"))
+    cfg = {"wave": {"k": 1.0, "alpha": [0, 0, 1]}, "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+           "cloud": {"law": "impedance", "a": 0.05, "density": 1.0}}
+    (cfg["cloud"] if key == "kappa" else cfg)[key] = value
+    with pytest.raises(ss.ConfigError, match=match):
         scene_from_config(parent(tmp_path, scene=cfg))
 
 

@@ -226,6 +226,32 @@ def test_validate_flags_large_ka_and_outside_center(unit_box):
     assert "smallness" in joined and "outside" in joined
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -2.0])
+def test_scenes_and_clouds_refuse_a_separation_factor_not_nonnegative_and_finite(wide_box,
+                                                                               wave_z, factor):
+    # a NaN factor would pass every d/a test, and a negative one would place no separation
+    pair = tuple(ss.Particle.sphere([x, 0.0, 0.0], 0.3, ss.Soft()) for x in (0.0, 0.02))
+    match = f"separation factor must be nonnegative and finite, got {factor}"
+    with pytest.raises(ValueError, match=match):
+        ss.Scene(particles=pair, domain=wide_box, wave=wave_z, separation_factor=factor)
+    with pytest.raises(ValueError, match=match):
+        CloudSpec(density=ss.ConstantField(1.0), a=0.05, separation_factor=factor)
+
+
+@pytest.mark.parametrize("law, bc_kind", [("impedance", "soft"), ("dirichlet", "impedance"),
+                                          ("impedance", "impedance")])
+@pytest.mark.parametrize("kappa", [math.nan, 0.0, 1.0, 1.5])
+def test_impedance_clouds_refuse_a_kappa_outside_0_1(law, bc_kind, kappa):
+    with pytest.raises(ValueError, match=rf"kappa must lie in \(0, 1\), got {kappa}"):
+        CloudSpec(density=ss.ConstantField(1.0), a=0.05, law=law, kappa=kappa, bc_kind=bc_kind,
+                  h=ss.ConstantField(1.0))
+
+
+def test_a_cloud_without_impedance_reads_no_kappa(unit_box):
+    spec = CloudSpec(density=ss.ConstantField(1.0), a=0.05, kappa=1.5, separation_factor=2.0)
+    assert len(generate_cloud(spec, unit_box)) == 20
+
+
 def test_validate_accept_implies_separation(unit_box, wave_z):
     spec = CloudSpec(density=ss.ConstantField(1.0), a=0.005, law="dirichlet", rng_seed=4)
     particles = generate_cloud(spec, unit_box)
@@ -418,13 +444,11 @@ def test_placement_matches_scalar_oracle(unit_box, density, law):
     assert 60 <= len(cloud) <= 400
 
 
-@pytest.mark.parametrize("seed, strata_n, jitter", [(0, None, 0.6), (1, 3, 1.0), (2, 7, 0.0),
-                                                    (3, None, 1.0), (4, 5, 0.6)])
-def test_placement_settings_match_scalar_oracle(unit_box, seed, strata_n, jitter):
-    # strata of 7^3 hold at most one particle each, so jitter 0 still places them
+@pytest.mark.parametrize("seed, strata_n", [(0, None), (4, 5)])
+def test_placement_settings_match_scalar_oracle(unit_box, seed, strata_n):
     spec = CloudSpec(density=_density("bump", 1.0), a=0.005, law="dirichlet",
                      bc_kind="impedance", h=_H_FIELDS[0], rng_seed=seed, strata_n=strata_n,
-                     jitter=jitter, separation_factor=3.0)
+                     separation_factor=3.0)
     _assert_same_cloud(spec, unit_box)
 
 
@@ -439,13 +463,10 @@ def test_placement_with_many_retries_matches_scalar_oracle(unit_box):
     assert density.calls > 1.5 * m  # one one-point sample per attempt
 
 
-@pytest.mark.parametrize("jitter", [0.0, 0.6])
-def test_infeasible_placement_fails_like_the_scalar_oracle(unit_box, jitter):
-    # jitter 0 puts the second particle of a 3^3 stratum on the first one
+def test_infeasible_placement_fails_like_the_scalar_oracle(unit_box):
     spec = CloudSpec(density=ss.ConstantField(1.0), a=0.05, law="impedance", kappa=0.5,
                      bc_kind="impedance", h=ss.ConstantField(1.0), rng_seed=0,
-                     separation_factor=10.0 if jitter else 0.5, jitter=jitter,
-                     strata_n=None if jitter else 3)
+                     separation_factor=10.0)
     with pytest.raises(ss.DensityInfeasible) as want:
         oracle_cloud(spec, unit_box)
     with pytest.raises(ss.DensityInfeasible) as got:

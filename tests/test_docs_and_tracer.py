@@ -1,5 +1,5 @@
-"""The README's library example, the package's export table, and the benchmark's tracer
-against the names it wraps."""
+"""The README's library example and scene schema, the package's export table, and the
+benchmark's tracer against the names it wraps."""
 
 import importlib
 import importlib.util
@@ -19,6 +19,27 @@ def test_readme_library_example_runs():
     assert namespace["solution"].residual <= 1e-10
     assert len(namespace["amps"].amplitudes) == 64
     assert namespace["limit"].values.shape == (512,)
+
+
+def _refused_keys(scene) -> list:
+    """The keys of the section that refuses the unknown key ``x_unknown`` in ``scene``."""
+    import pytest
+
+    from smallscat import ConfigError
+    from smallscat.config import Section, scene_from_config
+    with pytest.raises(ConfigError, match=r"\.x_unknown: unknown key") as refused:
+        scene_from_config(Section({"scene": scene}, "", ("scene",)))
+    return re.search(r"\(expected one of (.*)\)$", str(refused.value)).group(1).split(", ")
+
+
+def test_readme_scene_schema_lists_the_keys_the_reader_accepts():
+    import yaml
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("`solve` section (`scene:`):", 1)[1]
+    scene = yaml.safe_load(re.search(r"```yaml\n(.*?)```", section, re.S).group(1))["scene"]
+    place = {"wave": scene["wave"], "domain": scene["domain"]}
+    assert sorted(scene) == sorted(_refused_keys(dict(scene, x_unknown=0)))
+    assert sorted(scene["cloud"]) == sorted(_refused_keys(dict(place, cloud={"x_unknown": 0})))
 
 
 def test_every_export_resolves_to_its_module_attribute():

@@ -483,6 +483,22 @@ def test_solve_with_background_bump_perturbs_solution(unit_box, wave_z):
     with pytest.raises(ss.UnsupportedScene, match="hard particles support no background"):
         ss.Scene(particles=hard_particles, domain=unit_box, wave=wave_z, background=medium)
 
+def test_medium_cover_solve_is_checked_at_the_solve_tolerance(unit_box, wave_z, monkeypatch):
+    # a cover solve off by 1e-11 relative passes the default 1e-10 and fails at 1e-12
+    particles = tuple(ss.Particle.sphere(c, 0.005, ss.Soft())
+                      for c in ([0.3, 0.5, 0.5], [0.7, 0.5, 0.5]))
+    bump = ss.GaussianBumpField(amplitude=0.3, center=[0.5, 0.5, 0.5], width=0.3, base=1.0)
+    scene = ss.Scene(particles=particles, domain=unit_box, wave=wave_z,
+                     background=ss.BackgroundMedium(n2=bump, box=unit_box))
+    assert solve_soft(scene, rtol=1e-12).residual <= 1e-12
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-11))
+    assert solve_soft(scene).residual <= DEFAULT_RTOL
+    with pytest.raises(ss.SolveFailure, match=r"cover solve residual \d\.\d+e-1[12] above "
+                                              r"tolerance 1\.0e-12"):
+        solve_soft(scene, rtol=1e-12)
+
+
 @pytest.mark.parametrize("solved_in, read_in", [("free", "bump"), ("bump", "free"),
                                                 ("hard", "bump")])
 def test_read_out_refuses_a_scene_whose_medium_the_solve_did_not_see(unit_box, wave_z,
