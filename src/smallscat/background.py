@@ -39,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 _LS_MAX_ITER: int = 200
 _BLOCK_ENTRIES: int = 1 << 16
+_TRIG_BLOCK: int = 1 << 13  # values per block of the trig scratch: three rows fit in L2
 DEFAULT_GRID_N: int = 8  # cells per axis of a medium's cover
 
 
@@ -62,32 +63,46 @@ def cos_sin(x: np.ndarray, cos: np.ndarray, sin: Optional[np.ndarray] = None) ->
     cos -= 1.0
 
 
+def _phases(x: np.ndarray, out: np.ndarray, k: Optional[float] = None) -> None:
+    """``exp(ix)`` into the complex ``out``, or, given ``k``, ``exp(ikx) / (4 pi x)``.
+
+    By blocks of ``_TRIG_BLOCK`` values: :func:`cos_sin` and the scale run in three
+    contiguous real rows of one block each, and each part of ``out`` is written once, so
+    that no pass of the cosine runs through the strided real view of ``out``.
+    """
+    x, out = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty((3, min(_TRIG_BLOCK, x.size)))
+    for i0 in range(0, x.size, _TRIG_BLOCK):
+        block, part = x[i0:i0 + _TRIG_BLOCK], out[i0:i0 + _TRIG_BLOCK]
+        cos, sin, scale = scratch[:, :len(block)]
+        if k is None:
+            cos_sin(block, cos, sin)
+            part.real, part.imag = cos, sin
+        else:
+            cos_sin(np.multiply(k, block, out=sin), cos, sin)
+            np.reciprocal(np.multiply(4.0 * np.pi, block, out=scale), out=scale)
+            np.multiply(cos, scale, out=part.real)
+            np.multiply(sin, scale, out=part.imag)
+
+
 def expi(x: np.ndarray) -> np.ndarray:
     """``exp(ix)`` for real ``x``, by :func:`cos_sin`."""
-    x = np.array(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
-    cos_sin(x, out.real, x)
-    out.imag = x
+    _phases(x, out)
     return out
 
 
 def free_space_green(k: float, r: np.ndarray) -> np.ndarray:
     """Outgoing free-space kernel ``exp(ikr) / (4 pi r)``.
 
-    The ``tan`` of :func:`cos_sin` runs in one contiguous real temporary ``kr``, which
-    ends up holding the sine; it is copied to the imaginary part, and ``kr`` then holds
-    ``1 / (4 pi r)`` to scale both parts.  Within 1e-15 relative of the complex ``exp``
-    and division, with one real temporary instead of three complex ones.  A scalar ``r``
-    gives a scalar.
+    The trig and the scale ``1 / (4 pi r)`` run in contiguous real scratch of one block
+    (:func:`_phases`).  Within 1e-15 relative of the complex ``exp`` and division, with
+    no temporary larger than a block.  A scalar ``r`` gives a scalar.
     """
     r = np.asarray(r, dtype=float)
     g = np.empty(r.shape, dtype=complex)
-    kr = np.multiply(k, r, out=np.empty(r.shape))
-    cos_sin(kr, g.real, kr)
-    g.imag = kr
-    scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=kr), out=kr)
-    g.real *= scale
-    g.imag *= scale
+    _phases(r, g, k)
     return g[()] if g.ndim == 0 else g
 
 
@@ -115,6 +130,17 @@ def pair_distances(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = Non
         if c:
             out += square
     return np.sqrt(out, out=out)
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """``|d_i|`` of the rows of ``d`` (m, 3), as ``sqrt((x^2 + y^2) + z^2)``: the order of
+    ``np.linalg.norm(d, axis=1)``, bit for bit, without its (m, 3) temporary."""
+    x, y, z = np.asarray(d, dtype=float).T
+    r = np.multiply(x, x)
+    square = np.multiply(y, y)
+    r += square
+    r += np.multiply(z, z, out=square)
+    return np.sqrt(r, out=r)
 
 
 def point_green(k: float, targets: np.ndarray, sources: np.ndarray,
@@ -189,7 +215,7 @@ class BackgroundMedium:
 
 def medium_kernel(cover: GridCover, k: float, chi: np.ndarray) -> LatticeOperator:
     """``v -> k^2 sum_p g(z_q - z_p) chi_p |cell| v_p`` on the cover, self cell kept."""
-    return LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
+    return LatticeOperator(cover, lambda d: free_space_green(k, row_norms(d)),
                            self_value=cell_self_green(cover),
                            weights=(k**2) * chi * cover.cell_volume)
 
@@ -275,7 +301,7 @@ class GreenEvaluator:
         """``G(x, y)`` for all targets ``x`` and one source ``y``."""
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         source = np.asarray(source, dtype=float).reshape(3)
-        r = np.linalg.norm(targets - source, axis=1)
+        r = row_norms(targets - source)
         if np.any(r <= 0):
             raise ValueError("green requires x != y")
         base = free_space_green(self.k, r)

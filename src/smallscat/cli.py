@@ -312,6 +312,7 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
     ctx.seed = seed if ctx.seed is None else ctx.seed
     density, domain = sec.field("density"), box_from_config(sec)
     a_levels, kappa = sec.reals("a_levels"), sec.real("kappa", 0.5)
+    separation_factor = sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR, least=0.0)
     if not a_levels or min(a_levels) <= 0.0:
         raise ConfigError(f"{sec.name('a_levels')}: expected positive numbers, got {a_levels!r}")
     if not 0.0 < kappa < 1.0:
@@ -322,7 +323,7 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
             wave=wave_from_config(sec), a_levels=a_levels,
             kappa=kappa, h=sec.field("h") if law == "impedance" else None,
             seed=ctx.seed, rtol=ctx.tol,
-            separation_factor=sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR),
+            separation_factor=separation_factor,
         )
     except _NegativeDensity as exc:
         raise ConfigError(f"{sec.name('density')}: {exc}") from exc
@@ -345,7 +346,8 @@ def run_converge(cfg: dict, ctx: RunConfig) -> None:
 def run_green(cfg: dict, ctx: RunConfig) -> None:
     import numpy as np
 
-    from .background import DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator, free_space_green
+    from .background import (DEFAULT_GRID_N, BackgroundMedium, GreenEvaluator,
+                             free_space_green, row_norms)
     from .config import Section, box_from_config
 
     sec = Section(cfg, "", ("green",), ctx.config_path.parent).section(
@@ -366,7 +368,7 @@ def run_green(cfg: dict, ctx: RunConfig) -> None:
     ts = np.linspace(0.0, 1.0, n)
     pts = start[None, :] + ts[:, None] * (stop - start)[None, :]
     values = seg.build(evaluator.pair_values, pts, source)  # refuses a point at the source
-    free = free_space_green(k, np.linalg.norm(pts - source, axis=1))
+    free = free_space_green(k, row_norms(pts - source))
     ctx.summary.update({"k": k, "n0_max": medium.n0_max, "points": n})
     write_csv(ctx.artifact_path("green.csv"),
               ["t", "x", "y", "z", "re_G", "im_G", "re_g", "im_g"],

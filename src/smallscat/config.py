@@ -2,12 +2,12 @@
 
 Files are parsed by PyYAML's safe loader (on libyaml where PyYAML has it).
 Every value is read through a :class:`Section`, whose accessors hold the rules:
-numbers are finite and read as ``float()`` reads them, counts are whole and at least 1
-(0 for a seed, an order or subdivisions), points are three numbers, complex values a
-number or an ``[re, im]`` pair, paths relative to the config file; null, undeclared keys
-and keys the branch taken does not read are refused, and each failure is a ConfigError
-naming the full key; so is a cloud its recipe cannot place (``scene.cloud``).  The schema
-is in the README.
+numbers are finite and read as ``float()`` reads them (a separation factor at least 0),
+counts are whole and at least 1 (0 for a seed, an order or subdivisions), points are
+three numbers, complex values a number or an ``[re, im]`` pair, paths relative to the
+config file; null, undeclared keys and keys the branch taken does not read are refused,
+and each failure is a ConfigError naming the full key; so is a cloud its recipe cannot
+place (``scene.cloud``).  The schema is in the README.
 """
 
 from __future__ import annotations
@@ -118,8 +118,14 @@ class Section:
             raise ConfigError(f"{self.name(key)}: null is not a value")
         return None if value is None else convert(value, self.name(key))
 
-    def real(self, key, default=_REQUIRED) -> Optional[float]:
-        return self._read(key, default, _real)
+    def real(self, key, default=_REQUIRED, least: float = -math.inf) -> Optional[float]:
+        def convert(value, name):
+            x = _real(value, name)
+            if x < least:
+                raise ConfigError(f"{name}: expected a number of at least {least:g}, "
+                                  f"got {value!r}")
+            return x
+        return self._read(key, default, convert)
 
     def count(self, key, default=_REQUIRED, least: int = 1) -> Optional[int]:
         return self._read(key, default, lambda value, name: _count(value, name, least))
@@ -250,7 +256,8 @@ def cloud_from_config(parent: Section, domain: Box, seed_override: Optional[int]
         kappa=sec.real("kappa", 0.5), bc_kind=bc.kind,
         h=bc.field("h") if bc.kind == "impedance" else None,
         rng_seed=seed if seed_override is None else seed_override,
-        separation_factor=parent.real("separation_factor", DEFAULT_SEPARATION_FACTOR))
+        separation_factor=parent.real("separation_factor", DEFAULT_SEPARATION_FACTOR,
+                                      least=0.0))
     return spec, sec.build(generate_cloud, spec, domain)
 
 
@@ -274,7 +281,7 @@ def scene_from_config(parent: Section,
     medium = sec.section("background", ("n2",), default=None)
     background = None if medium is None else medium.build(BackgroundMedium,
                                                           n2=medium.field("n2"), box=domain)
-    sep = sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR)
+    sep = sec.real("separation_factor", DEFAULT_SEPARATION_FACTOR, least=0.0)
     if ("particles" in sec) == ("cloud" in sec):
         raise ConfigError("scene: give either 'particles' or 'cloud'")
     seed = seed_override

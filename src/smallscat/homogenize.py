@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .background import free_space_green
+from .background import free_space_green, row_norms
 from .core import (DEFAULT_SEPARATION_FACTOR, SPHERE_CAPACITANCE_PER_RADIUS,
                    SPHERE_SURFACE_FACTOR, CloudSpec, IncidentWave, Particle, Scene,
                    _coarse_mass, _pack_particles, _strata_per_axis, generate_cloud,
@@ -82,7 +82,7 @@ def collocation_solve(q_values: np.ndarray, cover: GridCover, wave: IncidentWave
     """
     q = np.asarray(q_values, dtype=complex).reshape(cover.n_cells)
     k = wave.k
-    kernel = LatticeOperator(cover, lambda d: free_space_green(k, np.linalg.norm(d, axis=1)),
+    kernel = LatticeOperator(cover, lambda d: free_space_green(k, row_norms(d)),
                              weights=q * cover.cell_volume)
     u, residual = solve_checked(lambda v: v + kernel @ v, wave.field_at(cover.centers), rtol)
     return CollocationSolution(cover=cover, q_values=q, values=u, residual=residual)
@@ -249,14 +249,38 @@ _DGP = {(0, 0): 7, (0, 1): 8, (0, 2): 9, (1, 1): 10, (1, 2): 11, (2, 2): 12}
 
 
 def _hard_kernels(d: np.ndarray, k: float) -> np.ndarray:
+    """The 16 hard-limit kernels at the displacements ``d`` (m, 3), as the columns of one
+    (m, 16) array in Fortran order, so that each column is written contiguous."""
     parts = np.empty((8, len(d)))
-    _hard_layers(k, np.linalg.norm(d, axis=1), list(parts))
+    _hard_layers(k, row_norms(d), list(parts))
     factors = np.empty((4, len(d)), dtype=complex)
     factors.real, factors.imag = parts[[0, 1, 3, 4]], parts[[6, 2, 7, 5]]
     g, g_r, gp_r, radial = factors
-    upper = [radial * d[:, s] * d[:, p] + (g_r if s == p else 0.0) for s, p in _DGP]
-    return np.column_stack([g, g_r[:, None] * d, gp_r[:, None] * d, *upper,
-                            (radial + 1j * k * gp_r)[:, None] * d])
+    out = np.empty((len(d), 16), dtype=complex, order="F")
+    out[:, 0] = g
+    for p in range(3):
+        np.multiply(g_r, d[:, p], out=out[:, 1 + p])
+        np.multiply(gp_r, d[:, p], out=out[:, 4 + p])
+    for (s, p), column in _DGP.items():
+        entry = np.multiply(radial, d[:, s], out=out[:, column])
+        entry *= d[:, p]
+        if s == p:
+            entry += g_r
+    lap = radial + 1j * k * gp_r
+    for p in range(3):
+        np.multiply(lap, d[:, p], out=out[:, 13 + p])
+    return out
+
+
+def _hard_layout(k: float) -> list:
+    """The :class:`LatticeOperator` layout of the hard limit: channels (monopole, dipole x,
+    y, z) in, (field, gradient x, y, z, Laplacian) out, over the kernels of ``_hard_kernels``."""
+    ik = 1j * k
+    layout = [(0, 0, 0, 1.0), (4, 0, 0, -k**2)]
+    for p in range(3):
+        layout += [(0, 1 + p, 1 + p, ik), (1 + p, 0, 4 + p, 1.0), (4, 1 + p, 13 + p, ik)]
+        layout += [(1 + s, 1 + p, _DGP[min(s, p), max(s, p)], ik) for s in range(3)]
+    return layout
 
 
 def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
@@ -268,12 +292,7 @@ def hard_limit_system(cover: GridCover, k: float, lap_weights: np.ndarray,
     through one block :class:`LatticeOperator` (16 kernels, 4 forward and 5
     inverse FFTs per product); the diagonal cell is excluded.
     """
-    ik = 1j * k
-    layout = [(0, 0, 0, 1.0), (4, 0, 0, -k**2)]
-    for p in range(3):
-        layout += [(0, 1 + p, 1 + p, ik), (1 + p, 0, 4 + p, 1.0), (4, 1 + p, 13 + p, ik)]
-        layout += [(1 + s, 1 + p, _DGP[min(s, p), max(s, p)], ik) for s in range(3)]
-    kernel = LatticeOperator(cover, lambda d: _hard_kernels(d, k), layout=layout)
+    kernel = LatticeOperator(cover, lambda d: _hard_kernels(d, k), layout=_hard_layout(k))
 
     def fields(monopoles: np.ndarray, dipoles: np.ndarray):
         field = kernel @ np.vstack([monopoles, dipoles.T])

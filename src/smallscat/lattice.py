@@ -10,6 +10,16 @@ of the padded grid, ``O(P log P)`` time and ``O(P)`` memory instead of the
 Lippmann-Schwinger equation", 2000; Vico, Greengard & Ferrando, "Fast
 convolution with free-space Green's functions", JCP 2016).
 
+A build samples the kernels once, at the offsets broadcast from three per-axis
+vectors (no mask, no meshgrid), and places them in the padded grid by slice
+copies.  Both transforms of a product are pruned, axis by axis: the forward
+one pads each axis only where its input is nonzero, the inverse crops each
+axis to the cover before the next, so each runs ``7 n^2`` line transforms
+instead of the ``12 n^2`` of the whole padded grid.  The spectral products
+are formed in one reused buffer, or in the input's spectrum for a single
+kernel.  The results are bit for bit those of ``fftn(s=padded)`` of the
+weighted input and spectra summed into zeros.
+
 Systems built from these operators, and every other second-kind system of
 the package, are solved by :func:`solve_checked`: a restarted GMRES kept in
 this module, so that it can count and cap its products.  The true residual
@@ -19,6 +29,7 @@ checks and returns, and a non-finite residual fails the solve at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -32,6 +43,7 @@ RESTART: int = 80  # Arnoldi steps per GMRES cycle
 MAX_CYCLES: int = 400
 _EPS = float(np.finfo(float).eps)
 _AXES = (-3, -2, -1)
+_CHUNK_CELLS: int = 1 << 13  # padded cells of the kernels a build transforms at once
 
 
 class LatticeOperator:
@@ -71,32 +83,71 @@ class LatticeOperator:
         self.n_out = 1 + max(entry[0] for entry in self.layout)
         self._padded = tuple(2 * n for n in cover.shape)
 
-        offsets = [np.fft.fftfreq(m, 1.0 / m) for m in self._padded]
-        grids = np.meshgrid(*offsets, indexing="ij")
-        valid = np.logical_and.reduce([np.abs(o) < n for o, n in zip(grids, cover.shape)])
-        valid[0, 0, 0] = False
-        disp = np.stack([o[valid] * h for o, h in zip(grids, cover.cell_edges)], axis=1)
+        # the (2n-1)^3 offsets, broadcast from each axis's 0..n-1, -(n-1)..-1: the padded
+        # order without index n
+        axes = [np.delete(np.fft.fftfreq(m, 1.0 / m), n) * h
+                for m, n, h in zip(self._padded, cover.shape, cover.cell_edges)]
+        counts = tuple(len(a) for a in axes)
+        disp = np.empty((3,) + counts)
+        for c, a in enumerate(axes):
+            disp[c] = a.reshape([-1 if i == c else 1 for i in range(3)])
+        disp = disp.reshape(3, -1).T  # (m, 3) with contiguous columns
+        disp[0] = cover.cell_edges  # in place of the zero offset, whose sample is self_value
         n_kernels = 1 + max(entry[2] for entry in self.layout)
         values = np.asarray(kernel(disp), dtype=complex).reshape(len(disp), n_kernels)
-        samples = np.zeros((n_kernels,) + self._padded, dtype=complex)
-        samples[:, valid] = values.T
-        samples[:, 0, 0, 0] = self_value
-        self._hats = np.fft.fftn(samples, axes=_AXES)
+        values = values.T.reshape((n_kernels,) + counts)
+        # eight slice copies per block of kernels; the padded index n of each axis stays 0
+        halves = [((slice(0, n), slice(0, n)), (slice(n + 1, 2 * n), slice(n, 2 * n - 1)))
+                  for n in cover.shape]
+        step = max(1, _CHUNK_CELLS // math.prod(self._padded))
+        hats = []
+        for s0 in range(0, n_kernels, step):
+            chunk = values[s0:s0 + step]
+            samples = np.zeros((len(chunk),) + self._padded, dtype=complex)
+            for (ox, ix), (oy, iy), (oz, iz) in itertools.product(*halves):
+                samples[:, ox, oy, oz] = chunk[:, ix, iy, iz]
+            samples[:, 0, 0, 0] = self_value
+            hats.append(np.fft.fftn(samples, axes=_AXES))
+        self._hats = hats[0] if len(hats) == 1 else np.concatenate(hats)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         x = np.asarray(v, dtype=complex)
         single = x.ndim == 1
-        x = x.reshape(self.n_in, self.n_cells)
+        nx, ny, nz = self.cover.shape
+        x = x.reshape((self.n_in,) + self.cover.shape)
         if self.weights is not None:
-            x = x * self.weights
-        x_hat = np.fft.fftn(x.reshape((self.n_in,) + self.cover.shape), s=self._padded,
-                            axes=_AXES)
-        y_hat = np.zeros((self.n_out,) + self._padded, dtype=complex)
-        for out, inp, s, factor in self.layout:
-            y_hat[out] += factor * (self._hats[s] * x_hat[inp])
+            # into a contiguous temporary, not the padded grid: numpy may run a complex
+            # product into a strided output through another loop, which can round differently
+            x = x * self.weights.reshape(self.cover.shape)
+        # the forward transform axis by axis, z, y, then x, each axis padded (by the
+        # transform) only where its input is nonzero: 7 n^2 line transforms
+        x_hat = np.fft.fft(x, n=2 * nz, axis=-1)
+        x_hat = np.fft.fft(x_hat, n=2 * ny, axis=-2)
+        x_hat = np.fft.fft(x_hat, n=2 * nx, axis=-3)
+        # hats first and the factor first: numpy's complex product of two arrays can round
+        # differently with its operands swapped
+        if self.n_in == self.n_out == 1 and len(self.layout) == 1:
+            (_, _, s, factor), = self.layout
+            y_hat = np.multiply(self._hats[s], x_hat, out=x_hat)  # into the input's spectrum
+            if factor != 1.0:
+                np.multiply(factor, y_hat, out=y_hat)
+        else:
+            y_hat = np.empty((self.n_out,) + self._padded, dtype=complex)
+            term = np.empty(self._padded, dtype=complex)
+            started = [False] * self.n_out
+            for out, inp, s, factor in self.layout:
+                product = np.multiply(self._hats[s], x_hat[inp],
+                                      out=term if started[out] else y_hat[out])
+                if factor != 1.0:
+                    np.multiply(factor, product, out=product)
+                if started[out]:
+                    y_hat[out] += product
+                started[out] = True
+            for out in range(self.n_out):
+                if not started[out]:
+                    y_hat[out] = 0.0
         # the inverse axis by axis, each cropped to the cover before the next: 1.75 passes
         # over the padded grid instead of 3
-        nx, ny, nz = self.cover.shape
         y = np.fft.ifft(y_hat, axis=-1)[..., :nz]
         y = np.fft.ifft(y, axis=-2)[..., :ny, :]
         y = np.fft.ifft(y, axis=-3)[..., :nx, :, :]

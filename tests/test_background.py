@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import smallscat as ss
-from smallscat.background import (BackgroundMedium, GreenEvaluator, born_series,
+from smallscat.background import (_TRIG_BLOCK, BackgroundMedium, GreenEvaluator, born_series,
                                   cell_self_green, cos_sin, cover_responses, expi,
                                   fixed_point_solve, free_space_green, green, pair_distances,
                                   point_green, scattered_plane_wave)
@@ -393,6 +393,40 @@ def test_cos_sin_matches_libm():
             assert np.max(np.abs(sin - np.sin(x))) <= 4.5e-16
     for cos, sin in _cos_sin_calls(np.zeros(3)):
         assert np.array_equal(cos, np.ones(3)) and np.array_equal(sin, np.zeros(3))
+
+
+def _strided_green(k, r):
+    # the trig through the strided real view of the complex result, in one real temporary
+    g = np.empty(r.shape, dtype=complex)
+    kr = np.multiply(k, r, out=np.empty(r.shape))
+    cos_sin(kr, g.real, kr)
+    g.imag = kr
+    scale = np.reciprocal(np.multiply(4.0 * np.pi, r, out=kr), out=kr)
+    g.real *= scale
+    g.imag *= scale
+    return g
+
+
+def _strided_expi(x):
+    out = np.empty(x.shape, dtype=complex)
+    x = x.copy()
+    cos_sin(x, out.real, x)
+    out.imag = x
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (_TRIG_BLOCK,), (3 * _TRIG_BLOCK + 5,),
+                                   (7, _TRIG_BLOCK // 3)], ids=str)
+def test_blocked_trig_matches_the_strided_trig(shape):
+    # the contiguous scratch of one block changes where the values are formed, not how
+    rng = np.random.default_rng(len(shape))
+    r = np.asarray(rng.uniform(1e-3, 50.0, size=shape))
+    x = np.asarray(rng.uniform(-1e4, 1e4, size=shape))
+    x_in = x.copy()
+    assert np.array_equal(free_space_green(2.5, r), _strided_green(2.5, r))
+    assert np.array_equal(expi(x), _strided_expi(x))
+    assert np.array_equal(expi(x.T), _strided_expi(x.T))  # a strided input
+    assert np.array_equal(x, x_in)  # read, not overwritten
 
 
 def test_free_space_green_holds_one_real_temporary():

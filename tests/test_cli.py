@@ -401,9 +401,15 @@ def test_key_the_branch_does_not_read_exits_2(tmp_path, subcommand, config, old,
      "converge.a_levels: expected positive numbers, got "),
     ("converge", "converge_impedance.yaml", "kappa: 0.5", "kappa: 1.5",
      "converge.kappa: expected a number in (0, 1)"),
+    # refused where it is read, before any cloud is placed
+    ("converge", "converge_demo.yaml", "seed: 0", "seed: 0\n  separation_factor: -2.0",
+     "converge.separation_factor: expected a number of at least 0, got -2.0"),
+    ("solve", "solve_cloud_soft.yaml", "separation_factor: 6.0", "separation_factor: -2.0",
+     "scene.separation_factor: expected a number of at least 0, got -2.0"),
 ], ids=["cloud_without_particles", "cloud_negative_density", "converge_negative_density",
         "segment_through_source", "converge_negative_size", "converge_no_sizes",
-        "converge_kappa_above_one"])
+        "converge_kappa_above_one", "converge_negative_separation",
+        "scene_negative_separation"])
 def test_value_the_numerics_refuse_exits_2_naming_its_key(tmp_path, subcommand, config, old,
                                                           new, message):
     out = tmp_path / "out"

@@ -156,10 +156,11 @@ def test_cloud_kappa_is_read_by_an_impedance_law_or_bc(tmp_path, law, bc):
 @pytest.mark.parametrize("key, value, match", [
     ("kappa", 1.5, r"^scene\.cloud: kappa must lie in \(0, 1\), got 1\.5$"),
     ("separation_factor", -2.0,
-     r"^scene\.cloud: separation factor must be nonnegative and finite, got -2\.0$")],
+     r"^scene\.separation_factor: expected a number of at least 0, got -2\.0$")],
     ids=["kappa", "separation_factor"])
 def test_cloud_settings_are_refused_before_placement(tmp_path, monkeypatch, key, value, match):
-    # CloudSpec refuses both, an impedance law's kappa with soft particles too, before placement
+    # CloudSpec refuses the kappa, an impedance law's with soft particles too, and the scene
+    # its separation factor, under its own key, both before placement
     monkeypatch.setattr(config, "generate_cloud", lambda *args: pytest.fail("a cloud was placed"))
     cfg = {"wave": {"k": 1.0, "alpha": [0, 0, 1]}, "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
            "cloud": {"law": "impedance", "a": 0.05, "density": 1.0}}

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import smallscat as ss
-from smallscat.background import (cell_self_green, free_space_green, point_green,
+from lattice_oracle import OracleOperator, oracle_green, oracle_hard_kernels, oracle_norms
+from smallscat.background import (cell_self_green, free_space_green, point_green, row_norms,
                                   scattered_plane_wave)
-from smallscat.homogenize import collocation_solve, hard_limit_system, neumann_limit_solve
+from smallscat.homogenize import (_hard_kernels, _hard_layout, collocation_solve,
+                                  hard_limit_system, neumann_limit_solve)
 from smallscat.lattice import DEFAULT_RTOL, LatticeOperator, solve_checked
 from smallscat.manybody import assemble_hard_system
 
@@ -97,6 +99,64 @@ def test_lattice_products_match_scipy_fft(cover, k, seed):
     multi = LatticeOperator(cover, kernels, layout=layout)
     v = _complex(rng, 2 * p).reshape(2, p)
     assert _rel(multi @ v, _scipy_fft_product(multi, v)) <= 1e-13
+
+
+_ORACLE_LAYOUTS = {
+    "single": ((0, 0, 0, 1.0),),
+    "scaled": ((0, 0, 0, -2.5),),
+    "channels": ((0, 0, 0, 1.0), (1, 1, 1, 0.5j), (2, 0, 1, -1.0), (2, 1, 0, 2.0)),
+    "unwritten": ((1, 0, 1, 0.5),),  # output 0 gains no term
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover=covers, k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1),
+       weighted=st.booleans(), self_value=st.sampled_from([0.0, 0.3 - 0.2j, "mean"]),
+       layout=st.sampled_from([*_ORACLE_LAYOUTS, "hard"]))
+def test_lattice_operator_matches_its_oracle_bit_for_bit(cover, k, seed, weighted, self_value,
+                                                         layout):
+    # the broadcast samples, their slice placement, the pruned forward transform and the
+    # products formed in place do the oracle's arithmetic in the oracle's order
+    rng = np.random.default_rng(seed)
+    p = cover.n_cells
+    if self_value == "mean":
+        self_value = cell_self_green(cover)
+    weights = _complex(rng, p) if weighted else None
+    if layout == "hard":
+        entries = _hard_layout(k)
+        kernel, oracle_kernel = (lambda d: _hard_kernels(d, k),
+                                 lambda d: oracle_hard_kernels(d, k))
+    else:
+        entries = _ORACLE_LAYOUTS[layout]
+        n_kernels = 1 + max(entry[2] for entry in entries)
+
+        def sampled(norms):
+            def kernel(d):
+                g = free_space_green(k, norms(d))
+                return g if n_kernels == 1 else np.stack([g, g * d[:, 0]], axis=1)
+            return kernel
+        kernel, oracle_kernel = sampled(row_norms), sampled(oracle_norms)
+    op = LatticeOperator(cover, kernel, self_value=self_value, weights=weights, layout=entries)
+    oracle = OracleOperator(cover, oracle_kernel, self_value=self_value, weights=weights,
+                            layout=entries)
+    assert np.array_equal(op._hats, oracle.hats)
+    v = _complex(rng, op.n_in * p).reshape(op.n_in, p)
+    assert np.array_equal(op @ v, oracle @ v)
+    if op.n_in == 1:
+        assert np.array_equal(op @ v[0], oracle @ v[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 400), k=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_kernel_samples_match_their_oracle_bit_for_bit(m, k, seed):
+    # |d| summed as np.linalg.norm sums it, and the 16 hard-limit columns written in place,
+    # on rows stored C-ordered and with contiguous columns (as the lattice passes them)
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 3))
+    for disp in (d, np.asfortranarray(d)):
+        assert np.array_equal(row_norms(disp), oracle_norms(disp))
+        assert np.array_equal(_hard_kernels(disp, k), oracle_hard_kernels(disp, k))
+    assert np.array_equal(free_space_green(k, row_norms(d)), oracle_green(k)(d))
 
 
 @settings(max_examples=20, deadline=None)
